@@ -9,20 +9,12 @@ the learned dynamics model and executes the first action of the best one.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    DynamicsModel,
-    EpisodeStats,
-    ExplorationNoise,
-    ReplayBuffer,
-    TrainingDiverged,
-    Transition,
-)
-from .nets import Adam, Mlp, NonFiniteGradientError, Normalizer, save_model, load_model, soft_update
+from .core import DynamicsModel, _EpisodeTrainer
+from .nets import Adam, Mlp, Normalizer, save_model, load_model, soft_update
 
 
 # ---------------------------------------------------------------------------
@@ -148,33 +140,39 @@ class DdpgModel:
         return self.act(x)
 
 
-class _DdpgTrainer:
-    def __init__(self, env, config: DdpgConfig, reward_mod: Optional[RewardMod]):
-        self.env = env
-        self.cfg = config
-        self.reward_mod = reward_mod
-        self.dtype = np.dtype(config.dtype)
+class _ShapedEnv:
+    """The environment with its step reward replaced by a reward mod."""
 
-        ss = np.random.SeedSequence(config.seed)
-        init_rng, self.noise_rng, self.sample_rng, self.env_rng = (
-            np.random.default_rng(c) for c in ss.spawn(4)
-        )
+    def __init__(self, env, mod: RewardMod):
+        self._env = env
+        self._mod = mod
+
+    def __getattr__(self, name):
+        return getattr(self._env, name)
+
+    def step(self, state, action):
+        sr = self._env.step(state, action)
+        sr.reward = float(self._mod.apply(sr.reward, sr.next_state[0], sr.next_state[1], sr.done))
+        return sr
+
+
+class _DdpgTrainer(_EpisodeTrainer):
+    """DDPG training: one critic and one actor update per env step."""
+
+    loss_iters = (None, 1)
+
+    def __init__(self, env, config: DdpgConfig, reward_mod: Optional[RewardMod]):
+        super().__init__(env if reward_mod is None else _ShapedEnv(env, reward_mod), config)
         s, a = env.state_dim, env.action_dim
         hidden = tuple(config.hidden_sizes)
-        self.actor = Mlp.create((s, *hidden, a), init_rng, self.dtype)
-        self.critic = Mlp.create((s + a, *hidden, 1), init_rng, self.dtype)
+        self.actor = Mlp.create((s, *hidden, a), self.init_rng, self.dtype)
+        self.critic = Mlp.create((s + a, *hidden, 1), self.init_rng, self.dtype)
         self.actor_target = self.actor.copy()
         self.critic_target = self.critic.copy()
         self.adam_actor = Adam(self.actor, config.actor_lr)
         self.adam_critic = Adam(self.critic, config.critic_lr)
-        self.buffer = ReplayBuffer(config.buffer_capacity, s, a)
-        self.noise = ExplorationNoise(config.sigma0, config.sigma_decay, config.sigma_floor)
-        self.normalizer = Normalizer.identity(s)
-        self.normalizer_frozen = False
         self.low = np.asarray(env.action_low, dtype=np.float64)
         self.high = np.asarray(env.action_high, dtype=np.float64)
-        self.center = (self.high + self.low) / 2.0
-        self.half = (self.high - self.low) / 2.0
 
     def model(self) -> DdpgModel:
         return DdpgModel(
@@ -183,22 +181,22 @@ class _DdpgTrainer:
         )
 
     def _act(self, x: np.ndarray) -> np.ndarray:
-        z = self.normalizer.normalize(x)
-        u = self.center + self.half * np.tanh(self.actor.forward(z).astype(np.float64))
-        u = u + self.noise.sample(self.noise_rng, self.env.action_dim)
-        return np.clip(u, self.low, self.high)
+        return self.model().act(x)
+
+    def _updates(self):
+        yield 1, self._update(self.buffer.sample(self.cfg.batch, self.sample_rng))
 
     def _update(self, batch) -> float:
         dt = self.dtype
         n = len(batch)
         cfg = self.cfg
+        squash = self.model()._squash
         Z = self.normalizer.normalize(batch.states).astype(dt)
         Z2 = self.normalizer.normalize(batch.next_states).astype(dt)
         U = batch.actions.astype(dt)
 
         # critic target: y = r + gamma * (1 - done) * Q'(x', mu'(x'))
-        raw2 = self.actor_target.forward(Z2).astype(np.float64)
-        u2 = (self.center + self.half * np.tanh(raw2)).astype(dt)
+        u2 = squash(self.actor_target.forward(Z2)).astype(dt)
         q2 = self.critic_target.forward(np.concatenate([Z2, u2], axis=1)).astype(np.float64)[:, 0]
         y = batch.rewards + cfg.discount * (~batch.dones) * q2
 
@@ -213,13 +211,13 @@ class _DdpgTrainer:
 
         # actor ascends Q(x, mu(x)): gradient of -mean Q through the critic input
         raw, cache_a = self.actor.forward_cached(Z)
-        tanh_raw = np.tanh(raw.astype(np.float64))
-        u_pi = (self.center + self.half * tanh_raw).astype(dt)
+        u_pi = squash(raw).astype(dt)
         inp_pi = np.concatenate([Z, u_pi], axis=1)
         _, cache_q = self.critic.forward_cached(inp_pi)
         _, gin = self.critic.backward_cached(cache_q, np.full((n, 1), -1.0 / n, dtype=dt))
         du = gin[:, self.env.state_dim :].astype(np.float64)
-        draw = (du * self.half * (1.0 - tanh_raw**2)).astype(dt)
+        half = (self.high - self.low) / 2.0
+        draw = (du * half * (1.0 - np.tanh(raw.astype(np.float64)) ** 2)).astype(dt)
         grads_a, _ = self.actor.backward_cached(cache_a, draw, need_input_grad=False)
         self.adam_actor.step(self.actor, grads_a, context="actor objective")
 
@@ -227,62 +225,12 @@ class _DdpgTrainer:
         soft_update(self.actor_target, self.actor, cfg.tau)
         return loss
 
-    def run(self) -> tuple:
-        cfg = self.cfg
-        log = []
-        for episode in range(1, cfg.episodes + 1):
-            env_seed = int(self.env_rng.integers(0, 2**31 - 1))
-            x = self.env.reset(env_seed)
-            ep_reward = 0.0
-            loss_sum = 0.0
-            steps = 0
-            steps_to_goal = -1
-            for k in range(self.env.horizon):
-                u = self._act(x)
-                step = self.env.step(x, u)
-                reward = step.reward
-                if self.reward_mod is not None:
-                    reward = float(
-                        self.reward_mod.apply(
-                            reward, step.next_state[0], step.next_state[1], step.done
-                        )
-                    )
-                self.buffer.add(Transition(x, u, step.next_state, reward, step.done))
-                ep_reward += reward
-                steps = k + 1
-                if not self.normalizer_frozen and len(self.buffer) >= cfg.normalizer_samples:
-                    self.normalizer = Normalizer.fit(self.buffer.states(cfg.normalizer_samples))
-                    self.normalizer_frozen = True
-                try:
-                    loss = self._update(self.buffer.sample(cfg.batch, self.sample_rng))
-                except NonFiniteGradientError as exc:
-                    raise TrainingDiverged(
-                        str(exc), {"episode": episode, "step": k, "reason": str(exc)}
-                    ) from exc
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"critic loss became non-finite at episode {episode}, step {k}",
-                        {"episode": episode, "step": k, "loss": loss},
-                    )
-                loss_sum += loss
-                x = step.next_state
-                if step.done:
-                    if self.env.goal_reached(x):
-                        steps_to_goal = steps
-                    break
-            self.noise.update(ep_reward)
-            log.append(
-                EpisodeStats(
-                    episode, ep_reward, steps, float("nan"), loss_sum / max(steps, 1),
-                    self.noise.sigma, steps_to_goal,
-                )
-            )
-        return self.model(), log
-
 
 def ddpg_train(env, config: DdpgConfig, reward_mod: Optional[RewardMod] = None):
     """Train DDPG; deterministic given (env, config.seed, reward_mod)."""
-    return _DdpgTrainer(env, config, reward_mod).run()
+    trainer = _DdpgTrainer(env, config, reward_mod)
+    log = list(trainer._episodes())
+    return trainer.model(), log
 
 
 def save_ddpg_model(path, model: DdpgModel, meta: dict) -> None:

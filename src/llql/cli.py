@@ -2,8 +2,8 @@
 
 Subcommands: train, eval, adjust, compare, sweep.  Config files are flat
 `key = value` text (one pair per line, `#` comments); keys must match the
-target config's fields.  Exit codes: 0 success, 2 configuration error,
-3 runtime failure.
+target config's fields.  Exit codes: 0 success, 2 configuration or file
+error (including a truncated or malformed model file), 3 runtime failure.
 """
 
 import os
@@ -143,34 +143,21 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     env = make_env(args.env, goal_position=args.goal_position, horizon=args.horizon)
 
-    if args.method == "llql":
-        cfg = build_config(core.TrainConfig, overrides)
-        result = core.train(env, cfg, checkpoint_dir=out if cfg.checkpoint_every else None)
-        core.save_llql_model(
-            out / "model.model", result.dynamics, result.qmodel,
-            meta={"env": env.spec.to_dict(), "config": cfg.to_dict(), "episode": cfg.episodes},
-        )
-        core.log_to_csv(result.log, out / "log.csv")
-    elif args.method == "ddpg":
+    if args.method == "ddpg":
         cfg = build_config(baselines.DdpgConfig, overrides)
-        mod = baselines.get_reward_mod(args.reward_mod) if args.reward_mod else None
-        model, log = baselines.ddpg_train(env, cfg, mod)
-        baselines.save_ddpg_model(
-            out / "model.model", model,
-            meta={"env": env.spec.to_dict(), "config": cfg.to_dict(), "reward_mod": args.reward_mod},
+        log = experiments.train_and_save(
+            env, "ddpg", cfg, out / "model.model", {}, reward_mod=args.reward_mod
         )
-        core.log_to_csv(log, out / "log.csv")
-    elif args.method == "dynamics":
-        cfg = build_config(core.TrainConfig, overrides)
-        policy = experiments.load_policy(_require_file(args.policy, "policy"))
-        result = core.train_dynamics(env, cfg, policy)
-        core.save_llql_model(
-            out / "model.model", result.dynamics, None,
-            meta={"env": env.spec.to_dict(), "config": cfg.to_dict(), "episode": cfg.episodes},
-        )
-        core.log_to_csv(result.log, out / "log.csv")
     else:
-        raise ConfigError(f"unknown training method {args.method!r}")
+        cfg = build_config(core.TrainConfig, overrides)
+        policy = None
+        if args.method == "dynamics":
+            policy = experiments.load_policy(_require_file(args.policy, "policy"))
+        log = experiments.train_and_save(
+            env, args.method, cfg, out / "model.model", {"episode": cfg.episodes},
+            policy=policy, checkpoint_dir=out if cfg.checkpoint_every else None,
+        )
+    core.log_to_csv(log, out / "log.csv")
     print(f"wrote {out / 'model.model'} and {out / 'log.csv'}")
     return 0
 
@@ -382,6 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .nets import ModelFileError
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -389,10 +378,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError, ModelFileError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure contract

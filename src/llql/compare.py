@@ -9,14 +9,11 @@ table metadata), with and without the runtime adjustment layer.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from . import baselines, control, core, experiments, reports
+from . import baselines, core, experiments, reports
 from .envs import make_env
 
 TRAJECTORY_COLUMNS = ["method", "reward_mod", "vel_error", "steps", "success", "runs"]
@@ -128,7 +125,7 @@ def build_mountain_car_table(
     table_path = out_dir / f"{kind}.csv"
     reports.write_table(rows, columns, table_path)
     curves_path = out_dir / "curves.csv"
-    reports.write_curves({"llql": [run.log for run in llql_runs]}, curves_path)
+    reports.write_curves({"llql": llql_runs}, curves_path)
     return rows, [table_path, curves_path]
 
 
@@ -155,13 +152,9 @@ def _pendulum_dynamics(cache_dir, collector_path: str, config: core.TrainConfig)
     )
     path = Path(cache_dir) / f"{key}.model"
     if not path.exists():
-        env = make_env("pendulum")
-        policy = experiments.load_policy(collector_path)
-        result = core.train_dynamics(env, config, policy)
-        core.save_llql_model(
-            path, result.dynamics, None,
-            meta={"env": env.spec.to_dict(), "config": config.to_dict(),
-                  "collector": str(collector_path)},
+        experiments.train_and_save(
+            make_env("pendulum"), "dynamics", config, path, {"collector": str(collector_path)},
+            policy=experiments.load_policy(collector_path),
         )
     return str(path)
 

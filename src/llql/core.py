@@ -330,28 +330,94 @@ class TrainResult:
     log: list
 
 
-class _Trainer:
-    """Owns all mutable training state for one run."""
+class _EpisodeTrainer:
+    """The replay-buffer episode loop shared by LLQL and DDPG training.
 
-    def __init__(self, env, config: TrainConfig, policy: Optional[Callable] = None, learn_long: bool = True):
+    A subclass creates its nets from `init_rng` and supplies `_act(x)`, the
+    noiseless action; `_updates()`, a generator that runs one env step's
+    updates and yields (log column, loss) after each, 0 for l1 and 1 for
+    l2; and `loss_iters`, the updates per step behind each column, or None
+    for a column it does not fill (logged as NaN).
+    """
+
+    def __init__(self, env, config):
         self.env = env
         self.cfg = config
-        self.policy = policy
-        self.learn_long = learn_long
         self.dtype = np.dtype(config.dtype)
-
         ss = np.random.SeedSequence(config.seed)
-        init_rng, self.noise_rng, self.sample_rng, self.env_rng = (
+        self.init_rng, self.noise_rng, self.sample_rng, self.env_rng = (
             np.random.default_rng(c) for c in ss.spawn(4)
         )
+        self.buffer = ReplayBuffer(config.buffer_capacity, env.state_dim, env.action_dim)
+        self.noise = ExplorationNoise(config.sigma0, config.sigma_decay, config.sigma_floor)
+        self.normalizer = Normalizer.identity(env.state_dim)
+        self.normalizer_frozen = False
+
+    def _episodes(self):
+        """Run the configured episodes, yielding each one's EpisodeStats."""
+        cfg, env = self.cfg, self.env
+        for episode in range(1, cfg.episodes + 1):
+            x = env.reset(int(self.env_rng.integers(0, 2**31 - 1)))
+            ep_reward = 0.0
+            loss_sums = [0.0, 0.0]
+            steps = 0
+            steps_to_goal = -1
+            for k in range(env.horizon):
+                noise = self.noise.sample(self.noise_rng, env.action_dim)
+                u = np.clip(self._act(x) + noise, env.action_low, env.action_high)
+                step = env.step(x, u)
+                self.buffer.add(Transition(x, u, step.next_state, step.reward, step.done))
+                ep_reward += step.reward
+                steps = k + 1
+                if not self.normalizer_frozen and len(self.buffer) >= cfg.normalizer_samples:
+                    self.normalizer = Normalizer.fit(self.buffer.states(cfg.normalizer_samples))
+                    self.normalizer_frozen = True
+                try:
+                    for column, loss in self._updates():
+                        if not math.isfinite(loss):
+                            name = ("l1", "l2")[column]
+                            raise TrainingDiverged(
+                                f"{name} loss became non-finite at episode {episode}, step {k}",
+                                {"episode": episode, "step": k, "kind": name, "loss": loss,
+                                 "sigma": self.noise.sigma},
+                            )
+                        loss_sums[column] += loss
+                except NonFiniteGradientError as exc:
+                    raise TrainingDiverged(
+                        str(exc),
+                        {"episode": episode, "step": k, "sigma": self.noise.sigma, "reason": str(exc)},
+                    ) from exc
+                x = step.next_state
+                if step.done:
+                    if env.goal_reached(x):
+                        steps_to_goal = steps
+                    break
+            self.noise.update(ep_reward)
+            # every step ran one round of updates
+            l1, l2 = (
+                total / (max(steps, 1) * iters) if iters else math.nan
+                for total, iters in zip(loss_sums, self.loss_iters)
+            )
+            yield EpisodeStats(episode, ep_reward, steps, l1, l2, self.noise.sigma, steps_to_goal)
+
+
+class _Trainer(_EpisodeTrainer):
+    """LLQL training: the dynamics nets f, g and, unless dynamics-only, the
+    value nets V, h, d; acts greedily, or by `policy` when one is given."""
+
+    def __init__(self, env, config: TrainConfig, policy: Optional[Callable] = None, learn_long: bool = True):
+        super().__init__(env, config)
+        self.policy = policy
+        self.learn_long = learn_long
+        self.loss_iters = (config.short_iters, config.long_iters if learn_long else None)
 
         s, a = env.state_dim, env.action_dim
         hidden = tuple(config.hidden_sizes)
-        self.f_net = Mlp.create((s, *hidden, s), init_rng, self.dtype)
-        self.g_net = Mlp.create((s, *hidden, s * a), init_rng, self.dtype)
-        self.v_net = Mlp.create((s, *hidden, 1), init_rng, self.dtype)
-        self.h_net = Mlp.create((s, *hidden, a), init_rng, self.dtype)
-        self.d_net = Mlp.create((s, *hidden, a * a), init_rng, self.dtype)
+        self.f_net = Mlp.create((s, *hidden, s), self.init_rng, self.dtype)
+        self.g_net = Mlp.create((s, *hidden, s * a), self.init_rng, self.dtype)
+        self.v_net = Mlp.create((s, *hidden, 1), self.init_rng, self.dtype)
+        self.h_net = Mlp.create((s, *hidden, a), self.init_rng, self.dtype)
+        self.d_net = Mlp.create((s, *hidden, a * a), self.init_rng, self.dtype)
         self.v_target = self.v_net.copy()
         self.h_target = self.h_net.copy()
         self.d_target = self.d_net.copy()
@@ -362,11 +428,6 @@ class _Trainer:
         self.adam_v = Adam(self.v_net, config.lr_long)
         self.adam_h = Adam(self.h_net, config.lr_long)
         self.adam_d = Adam(self.d_net, config.lr_long)
-
-        self.buffer = ReplayBuffer(config.buffer_capacity, s, a)
-        self.noise = ExplorationNoise(config.sigma0, config.sigma_decay, config.sigma_floor)
-        self.normalizer = Normalizer.identity(s)
-        self.normalizer_frozen = False
 
     # -- model views -------------------------------------------------------
 
@@ -389,18 +450,22 @@ class _Trainer:
     # -- per-step pieces ----------------------------------------------------
 
     def _act(self, x: np.ndarray) -> np.ndarray:
-        noise = self.noise.sample(self.noise_rng, self.env.action_dim)
         if self.policy is not None:
-            u = np.asarray(self.policy(x), dtype=np.float64).reshape(-1) + noise
-        else:
-            z = self.normalizer.normalize(x)
-            h = self.h_net.forward(z).astype(np.float64)
-            d = self.d_net.forward(z).astype(np.float64).reshape(-1, self.env.action_dim)
-            if np.linalg.norm(d) < self.cfg.eps_d:
-                u = noise
-            else:
-                u = linalg.pinv_action(h, d) + noise
-        return np.clip(u, self.env.action_low, self.env.action_high)
+            return np.asarray(self.policy(x), dtype=np.float64).reshape(-1)
+        z = self.normalizer.normalize(x)
+        h = self.h_net.forward(z).astype(np.float64)
+        d = self.d_net.forward(z).astype(np.float64).reshape(-1, self.env.action_dim)
+        if np.linalg.norm(d) < self.cfg.eps_d:
+            return np.zeros(self.env.action_dim)
+        return linalg.pinv_action(h, d)
+
+    def _updates(self):
+        cfg = self.cfg
+        for _ in range(cfg.short_iters):
+            yield 0, self._short_update(self.buffer.sample(cfg.short_batch, self.sample_rng))
+        if self.learn_long:
+            for _ in range(cfg.long_iters):
+                yield 1, self._long_update(self.buffer.sample(cfg.long_batch, self.sample_rng))
 
     def _short_update(self, batch: TransitionBatch) -> float:
         # divergence surfaces as a non-finite loss (checked by the caller),
@@ -483,79 +548,17 @@ class _Trainer:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
         log = []
         best_reward = -math.inf
-        for episode in range(1, cfg.episodes + 1):
-            env_seed = int(self.env_rng.integers(0, 2**31 - 1))
-            x = self.env.reset(env_seed)
-            ep_reward = 0.0
-            l1_sum = l2_sum = 0.0
-            n_updates = 0
-            steps = 0
-            steps_to_goal = -1
-            for k in range(self.env.horizon):
-                u = self._act(x)
-                step = self.env.step(x, u)
-                self.buffer.add(Transition(x, u, step.next_state, step.reward, step.done))
-                ep_reward += step.reward
-                steps = k + 1
-                if not self.normalizer_frozen and len(self.buffer) >= cfg.normalizer_samples:
-                    self.normalizer = Normalizer.fit(self.buffer.states(cfg.normalizer_samples))
-                    self.normalizer_frozen = True
-                try:
-                    for _ in range(cfg.short_iters):
-                        l1 = self._short_update(self.buffer.sample(cfg.short_batch, self.sample_rng))
-                        self._check_finite(l1, "short-term", episode, k)
-                        l1_sum += l1
-                    if self.learn_long:
-                        for _ in range(cfg.long_iters):
-                            l2 = self._long_update(self.buffer.sample(cfg.long_batch, self.sample_rng))
-                            self._check_finite(l2, "long-term", episode, k)
-                            l2_sum += l2
-                    n_updates += 1
-                except NonFiniteGradientError as exc:
-                    raise TrainingDiverged(
-                        str(exc),
-                        {"episode": episode, "step": k, "sigma": self.noise.sigma, "reason": str(exc)},
-                    ) from exc
-                x = step.next_state
-                if step.done:
-                    if self.env.goal_reached(x):
-                        steps_to_goal = steps
-                    break
-            self.noise.update(ep_reward)
-            denom = max(n_updates, 1)
-            log.append(
-                EpisodeStats(
-                    episode,
-                    ep_reward,
-                    steps,
-                    l1_sum / (denom * cfg.short_iters),
-                    l2_sum / (denom * cfg.long_iters) if self.learn_long else float("nan"),
-                    self.noise.sigma,
-                    steps_to_goal,
-                )
-            )
+        for stats in self._episodes():
+            log.append(stats)
             if checkpoint_dir is not None:
-                if ep_reward > best_reward:
-                    best_reward = ep_reward
-                    self.save(checkpoint_dir / "best.model", episode)
-                if cfg.checkpoint_every and episode % cfg.checkpoint_every == 0:
-                    self.save(checkpoint_dir / f"ep{episode:04d}.model", episode)
+                if stats.cumulative_reward > best_reward:
+                    best_reward = stats.cumulative_reward
+                    self.save(checkpoint_dir / "best.model", stats.episode)
+                if cfg.checkpoint_every and stats.episode % cfg.checkpoint_every == 0:
+                    self.save(checkpoint_dir / f"ep{stats.episode:04d}.model", stats.episode)
         if checkpoint_dir is not None:
             self.save(checkpoint_dir / "final.model", cfg.episodes)
         return TrainResult(self.dynamics_model(), self.q_model() if self.learn_long else None, log)
-
-    def _check_finite(self, loss: float, kind: str, episode: int, step: int) -> None:
-        if not math.isfinite(loss):
-            raise TrainingDiverged(
-                f"{kind} loss became non-finite at episode {episode}, step {step}",
-                {
-                    "episode": episode,
-                    "step": step,
-                    "kind": kind,
-                    "loss": loss,
-                    "sigma": self.noise.sigma,
-                },
-            )
 
     def save(self, path, episode: int) -> None:
         save_llql_model(

@@ -139,7 +139,7 @@ class MountainCar:
         reward = -0.1 * force * force + (100.0 if reached else 0.0)
         self._k += 1
         done = reached or self._k >= self.horizon
-        return StepResult(next_state, reward, done, self._k)
+        return StepResult(next_state, float(reward), done, self._k)
 
 
 class Pendulum:
@@ -226,7 +226,7 @@ class Pendulum:
         next_state = np.array([math.cos(theta), math.sin(theta), theta_dot])
         self._k += 1
         done = self._k >= self.horizon
-        return StepResult(next_state, reward, done, self._k)
+        return StepResult(next_state, float(reward), done, self._k)
 
 
 def make_env(name: str, *, goal_position: float = 0.45, horizon: Optional[int] = None):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import baselines, control, core
 from .envs import make_env
+from .nets import load_model, write_atomic
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +236,82 @@ def _config_key(prefix: str, payload: dict) -> str:
     return f"{prefix}-{digest}"
 
 
-def _log_rows_to_dicts(log) -> list:
-    return [dataclasses.asdict(r) for r in log]
+def train_and_save(env, method: str, config, model_path, meta: dict, *, reward_mod=None,
+                   policy=None, checkpoint_dir=None) -> list:
+    """Train one model and write it to `model_path`; returns its episode log.
+
+    `method` is "llql" (TrainConfig, optional checkpoints), "dynamics"
+    (TrainConfig, data collected by `policy`) or "ddpg" (DdpgConfig,
+    optional reward-mod id, recorded in the file).  The file's metadata is
+    the env spec and config plus `meta`.
+    """
+    meta = {"env": env.spec.to_dict(), "config": config.to_dict(), **meta}
+    if method == "ddpg":
+        mod = baselines.get_reward_mod(reward_mod) if reward_mod else None
+        model, log = baselines.ddpg_train(env, config, mod)
+        baselines.save_ddpg_model(model_path, model, meta={**meta, "reward_mod": reward_mod})
+        return log
+    if method == "llql":
+        result = core.train(env, config, checkpoint_dir=checkpoint_dir)
+    elif method == "dynamics":
+        result = core.train_dynamics(env, config, policy)
+    else:
+        raise ValueError(f"unknown training method {method!r}")
+    core.save_llql_model(model_path, result.dynamics, result.qmodel, meta=meta)
+    return result.log
 
 
-def _log_dicts_to_rows(rows) -> list:
-    return [core.EpisodeStats(**r) for r in rows]
+def _train_job(job: dict) -> None:
+    env = make_env(job["env"], goal_position=job["goal_position"], horizon=job["horizon"])
+    cfg, stem = job["config"], Path(job["stem"])
+    meta = {"episode": cfg.episodes} if job["method"] == "llql" else {}
+    log = train_and_save(env, job["method"], cfg, stem.with_suffix(".model"), meta, reward_mod=job["mod"])
+    # the log lands last: a model without its log is not a cache entry
+    write_atomic(stem.with_suffix(".log.json"), json.dumps([dataclasses.asdict(r) for r in log]).encode())
 
 
-def _train_llql_job(payload: dict) -> dict:
-    env = make_env(
-        payload["env"], goal_position=payload["goal_position"], horizon=payload["horizon"]
-    )
-    cfg = core.TrainConfig(**payload["config"])
-    result = core.train(env, cfg)
-    core.save_llql_model(
-        payload["model_path"], result.dynamics, result.qmodel,
-        meta={"env": env.spec.to_dict(), "config": cfg.to_dict(), "episode": cfg.episodes},
-    )
-    Path(payload["log_path"]).write_text(json.dumps(_log_rows_to_dicts(result.log)))
-    return payload
+def _train_cached(method, env_name, config, variants, cache_dir, workers, goal_position, horizon) -> dict:
+    """Train each (seed, mod id) variant whose model and log are not yet in
+    `cache_dir` (named by a hash of what determines them), in a worker
+    pool; returns {variant: TrainedRun}."""
+    cache_dir = Path(cache_dir)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    jobs = []
+    stems = {}
+    for seed, mod_id in variants:
+        cfg = dataclasses.replace(config, seed=seed)
+        payload = {"config": cfg.to_dict(), "goal_position": goal_position, "horizon": horizon}
+        if method == "llql":
+            prefix = f"llql-{env_name}"
+        else:
+            prefix = f"ddpg-{env_name}-{mod_id or 'plain'}"
+            payload["mod"] = mod_id
+        stem = cache_dir / _config_key(prefix, payload)
+        stems[seed, mod_id] = stem
+        if not (stem.with_suffix(".model").exists() and stem.with_suffix(".log.json").exists()):
+            jobs.append(
+                {
+                    "method": method,
+                    "env": env_name,
+                    "goal_position": goal_position,
+                    "horizon": horizon,
+                    "config": cfg,
+                    "mod": mod_id,
+                    "stem": str(stem),
+                }
+            )
+    if workers > 1 and jobs:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(_train_job, jobs))
+    else:
+        for job in jobs:
+            _train_job(job)
+    runs = {}
+    for (seed, mod_id), stem in stems.items():
+        rows = json.loads(stem.with_suffix(".log.json").read_text())
+        log = [core.EpisodeStats(**r) for r in rows]
+        runs[seed, mod_id] = TrainedRun(seed, str(stem.with_suffix(".model")), log[-1].cumulative_reward, log)
+    return runs
 
 
 def train_llql_batch(
@@ -269,68 +325,16 @@ def train_llql_batch(
     horizon: Optional[int] = None,
 ) -> list:
     """Train one model per seed (cached by config hash), in a worker pool."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    stems = {}
-    for seed in seeds:
-        cfg = dataclasses.replace(config, seed=seed)
-        key = _config_key(
-            f"llql-{env_name}",
-            {"config": cfg.to_dict(), "goal_position": goal_position, "horizon": horizon},
-        )
-        stem = cache_dir / key
-        stems[seed] = stem
-        if not (stem.with_suffix(".model").exists() and stem.with_suffix(".log.json").exists()):
-            jobs.append(
-                {
-                    "env": env_name,
-                    "goal_position": goal_position,
-                    "horizon": horizon,
-                    "config": cfg.to_dict(),
-                    "model_path": str(stem.with_suffix(".model")),
-                    "log_path": str(stem.with_suffix(".log.json")),
-                }
-            )
-    if jobs:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(_train_llql_job, jobs))
-        else:
-            for job in jobs:
-                _train_llql_job(job)
-    runs = []
-    for seed in seeds:
-        stem = stems[seed]
-        log = _log_dicts_to_rows(json.loads(stem.with_suffix(".log.json").read_text()))
-        runs.append(
-            TrainedRun(seed, str(stem.with_suffix(".model")), log[-1].cumulative_reward, log)
-        )
-    return runs
+    runs = _train_cached(
+        "llql", env_name, config, [(seed, None) for seed in seeds], cache_dir, workers,
+        goal_position, horizon,
+    )
+    return [runs[seed, None] for seed in seeds]
 
 
 def top_k_runs(runs, k: int) -> list:
     """The k runs with the highest final cumulative reward (ties: lower seed)."""
     return sorted(runs, key=lambda r: (-r.final_reward, r.seed))[:k]
-
-
-def _train_ddpg_job(payload: dict) -> dict:
-    env = make_env(
-        payload["env"], goal_position=payload["goal_position"], horizon=payload["horizon"]
-    )
-    cfg = baselines.DdpgConfig(**payload["config"])
-    mod = baselines.get_reward_mod(payload["mod"]) if payload["mod"] else None
-    model, log = baselines.ddpg_train(env, cfg, mod)
-    baselines.save_ddpg_model(
-        payload["model_path"], model,
-        meta={
-            "env": env.spec.to_dict(),
-            "config": cfg.to_dict(),
-            "reward_mod": payload["mod"],
-        },
-    )
-    Path(payload["log_path"]).write_text(json.dumps(_log_rows_to_dicts(log)))
-    return payload
 
 
 def train_ddpg_batch(
@@ -344,49 +348,9 @@ def train_ddpg_batch(
     horizon: Optional[int] = None,
 ) -> dict:
     """Train DDPG variants (cached); returns {(seed, mod_id): TrainedRun}."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    stems = {}
-    for seed, mod_id in jobs_spec:
-        cfg = dataclasses.replace(config, seed=seed)
-        key = _config_key(
-            f"ddpg-{env_name}-{mod_id or 'plain'}",
-            {
-                "config": cfg.to_dict(),
-                "mod": mod_id,
-                "goal_position": goal_position,
-                "horizon": horizon,
-            },
-        )
-        stem = cache_dir / key
-        stems[(seed, mod_id)] = stem
-        if not (stem.with_suffix(".model").exists() and stem.with_suffix(".log.json").exists()):
-            jobs.append(
-                {
-                    "env": env_name,
-                    "goal_position": goal_position,
-                    "horizon": horizon,
-                    "config": cfg.to_dict(),
-                    "mod": mod_id,
-                    "model_path": str(stem.with_suffix(".model")),
-                    "log_path": str(stem.with_suffix(".log.json")),
-                }
-            )
-    if jobs:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(_train_ddpg_job, jobs))
-        else:
-            for job in jobs:
-                _train_ddpg_job(job)
-    out = {}
-    for (seed, mod_id), stem in stems.items():
-        log = _log_dicts_to_rows(json.loads(stem.with_suffix(".log.json").read_text()))
-        out[(seed, mod_id)] = TrainedRun(
-            seed, str(stem.with_suffix(".model")), log[-1].cumulative_reward, log
-        )
-    return out
+    return _train_cached(
+        "ddpg", env_name, config, list(jobs_spec), cache_dir, workers, goal_position, horizon
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +392,6 @@ def load_policy(path_or_cmd: str, rng: Optional[np.random.Generator] = None):
     an external process speaking the JSON-lines protocol."""
     if path_or_cmd.startswith("cmd:"):
         return control.ExternalProcessPolicy(path_or_cmd[4:].split())
-    from .nets import load_model
-
     meta = load_model(path_or_cmd).meta
     role = meta.get("role")
     if role == "llql":

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
-from typing import Iterable, Optional, Sequence
+from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -273,6 +275,22 @@ class ModelFile:
     meta: dict
 
 
+class ModelFileError(ValueError):
+    """Raised when a model file is truncated, malformed or of another format."""
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it into
+    place, so a reader never sees a partly written file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_model(path, nets: dict, normalizer: Optional[Normalizer] = None, meta: Optional[dict] = None) -> None:
     header = {
         "format": MODEL_FORMAT,
@@ -285,26 +303,38 @@ def save_model(path, nets: dict, normalizer: Optional[Normalizer] = None, meta: 
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = np.concatenate([net.flat_params.astype(np.float64) for net in nets.values()])
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(blob.astype("<f8").tobytes())
+    write_atomic(path, struct.pack("<Q", len(header_bytes)) + header_bytes + blob.astype("<f8").tobytes())
 
 
 def load_model(path) -> ModelFile:
-    with open(path, "rb") as fh:
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header.get("format") != MODEL_FORMAT:
-            raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
-        blob = np.frombuffer(fh.read(), dtype="<f8")
+    data = Path(path).read_bytes()
+    if len(data) < 8:
+        raise ModelFileError(f"{path}: truncated model file ({len(data)} bytes, no header length)")
+    (header_len,) = struct.unpack_from("<Q", data)
+    blob_start = 8 + header_len
+    if blob_start > len(data):
+        raise ModelFileError(f"{path}: truncated model header (needs {header_len} bytes)")
+    try:
+        header = json.loads(data[8:blob_start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelFileError(f"{path}: unreadable model header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+        raise ModelFileError(f"{path}: not a {MODEL_FORMAT} file")
+    counts = [
+        sum((a + 1) * b for a, b in zip(entry["layer_sizes"][:-1], entry["layer_sizes"][1:]))
+        for entry in header["nets"]
+    ]
+    if len(data) - blob_start != 8 * sum(counts):
+        raise ModelFileError(
+            f"{path}: parameter blob holds {len(data) - blob_start} bytes, "
+            f"the header lists {8 * sum(counts)}"
+        )
+    blob = np.frombuffer(data, dtype="<f8", offset=blob_start)
     nets = {}
     offset = 0
-    for entry in header["nets"]:
-        sizes = entry["layer_sizes"]
-        n = sum((a + 1) * b for a, b in zip(sizes[:-1], sizes[1:]))
+    for entry, n in zip(header["nets"], counts):
         flat = blob[offset : offset + n].astype(entry["dtype"])
         offset += n
-        nets[entry["name"]] = Mlp(sizes, flat)
+        nets[entry["name"]] = Mlp(entry["layer_sizes"], flat)
     normalizer = Normalizer.from_dict(header["normalizer"]) if header["normalizer"] else None
     return ModelFile(nets=nets, normalizer=normalizer, meta=header["meta"])

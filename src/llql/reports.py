@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import EvalReport, compute_aggregates
+from .experiments import EvalReport, top_k_runs
 
 
 def _fmt(value) -> str:
@@ -71,22 +71,11 @@ def emit_report(report: EvalReport, out_dir, basename: str = "report", formats=(
     return written
 
 
-def top_k_logs(logs, k: int = 5):
-    """Indices of the k logs with the highest final cumulative reward.
-
-    Ties break toward the lower index (lower seed when logs are in seed
-    order).
-    """
-    order = sorted(range(len(logs)), key=lambda i: (-logs[i][-1].cumulative_reward, i))
-    return order[:k]
-
-
-def write_curves(logs_by_method: dict, path, top_k: int = 5) -> None:
-    """Per-episode mean/std reward curves over the top-k logs per method."""
+def write_curves(runs_by_method: dict, path, top_k: int = 5) -> None:
+    """Per-episode mean/std reward curves over the top-k runs per method."""
     lines = ["episode,mean_reward,std_reward,method"]
-    for method in sorted(logs_by_method):
-        logs = logs_by_method[method]
-        chosen = [logs[i] for i in top_k_logs(logs, top_k)]
+    for method in sorted(runs_by_method):
+        chosen = [run.log for run in top_k_runs(runs_by_method[method], top_k)]
         episodes = min(len(log) for log in chosen)
         for e in range(episodes):
             rewards = np.asarray([log[e].cumulative_reward for log in chosen])

@@ -129,17 +129,11 @@ def synthetic_logs(n, final_rewards):
     return logs
 
 
-def test_top_k_selection_and_tie_break():
-    finals = [5.0, 9.0, 9.0, 1.0, 7.0, 9.0]
-    logs = synthetic_logs(6, finals)
-    chosen = reports.top_k_logs(logs, 3)
-    assert chosen == [1, 2, 5]  # ties break toward lower index
-
-
 def test_curves_use_top_five_of_twenty(tmp_path):
     finals = list(range(20))
     logs = synthetic_logs(20, [float(f) for f in finals])
-    reports.write_curves({"llql": logs}, tmp_path / "curves.csv")
+    runs = [experiments.TrainedRun(i, f"m{i}", log[-1].cumulative_reward, log) for i, log in enumerate(logs)]
+    reports.write_curves({"llql": runs}, tmp_path / "curves.csv")
     lines = (tmp_path / "curves.csv").read_text().splitlines()
     assert lines[0] == "episode,mean_reward,std_reward,method"
     last = lines[-1].split(",")
@@ -211,6 +205,66 @@ def test_top_k_runs_tie_break():
     ]
     top = experiments.top_k_runs(runs, 2)
     assert [r.seed for r in top] == [2, 1]
+
+    finals = [5.0, 9.0, 9.0, 1.0, 7.0, 9.0]
+    runs = [experiments.TrainedRun(seed, "m", final, []) for seed, final in enumerate(finals)]
+    assert [r.seed for r in experiments.top_k_runs(runs, 3)] == [1, 2, 5]  # ties: lower seed
+
+
+def test_cached_training_retrains_after_a_failed_log_write(tmp_path, monkeypatch):
+    cfg = tiny_train_config()
+    trainings = []
+    real_train = core.train
+    monkeypatch.setattr(core, "train", lambda *a, **kw: trainings.append(1) or real_train(*a, **kw))
+
+    def crash_midway(write):
+        def patched(self, data, *args, **kwargs):
+            if ".log.json" in self.name:
+                write(self, data[: len(data) // 2], *args, **kwargs)
+                raise OSError("killed while writing the log")
+            return write(self, data, *args, **kwargs)
+        return patched
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_bytes", crash_midway(Path.write_bytes))
+        m.setattr(Path, "write_text", crash_midway(Path.write_text))
+        with pytest.raises(OSError):
+            experiments.train_llql_batch("mountain_car", cfg, [0], tmp_path, horizon=10)
+    assert not list(tmp_path.glob("*.log.json"))  # the model alone is no cache entry
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    runs = experiments.train_llql_batch("mountain_car", cfg, [0], tmp_path, horizon=10)
+    assert len(trainings) == 2
+    assert runs[0].log == core.train(MountainCar(horizon=10), cfg).log
+
+
+def test_log_csv_of_direct_and_cached_training_agree(tmp_path):
+    cfg = tiny_train_config(episodes=2)
+    direct = core.train(MountainCar(horizon=10), cfg)
+    cached = experiments.train_llql_batch("mountain_car", cfg, [cfg.seed], tmp_path, horizon=10)
+    core.log_to_csv(direct.log, tmp_path / "direct.csv")
+    core.log_to_csv(cached[0].log, tmp_path / "cached.csv")
+    text = (tmp_path / "direct.csv").read_text()
+    assert text == (tmp_path / "cached.csv").read_text()
+    for line in text.splitlines()[1:]:
+        [float(cell) for cell in line.split(",")]
+
+
+@pytest.mark.parametrize("env_name", ["mountain_car", "pendulum"])
+def test_report_csv_numeric_cells_parse(tmp_path, env_name):
+    from llql.envs import make_env
+
+    env = make_env(env_name, horizon=30)
+    rows = evaluate(
+        env, lambda seed: (lambda x: np.array([0.5])), runs=2,
+        hazard_index=1, hazard_limit=0.01, vel_index=1, vel_target=0.0,
+        vel_mode="active_mean", vel_active=lambda x, k: True,
+    )
+    reports.write_report_csv(EvalReport(rows, env.spec.to_dict(), {}), tmp_path / "r.csv")
+    for line in (tmp_path / "r.csv").read_text().splitlines()[1:]:
+        seed, steps, success, vel_error, s_out, cum_reward = line.split(",")
+        assert success in ("true", "false")
+        [float(cell) for cell in (seed, steps, vel_error, s_out, cum_reward)]
 
 
 def test_run_experiment_llql_and_dim_check(tmp_path):
@@ -292,6 +346,16 @@ def test_cli_eval_missing_model_exits_two(tmp_path, capsys):
     code = main(["eval", "--model", str(tmp_path / "nope.model")])
     assert code == 2
     assert "nope.model" in capsys.readouterr().err
+
+
+def test_cli_eval_truncated_model_exits_two(tmp_path, capsys):
+    runs = experiments.train_llql_batch(
+        "mountain_car", tiny_train_config(), [0], tmp_path, workers=1, horizon=10
+    )
+    truncated = tmp_path / "truncated.model"
+    truncated.write_bytes(Path(runs[0].model_path).read_bytes()[:-100])
+    assert main(["eval", "--model", str(truncated), "--out", str(tmp_path)]) == 2
+    assert "truncated.model" in capsys.readouterr().err
 
 
 def test_cli_adjust_requires_goal(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from llql.nets import (
     Adam,
     Grads,
     Mlp,
+    ModelFileError,
     NonFiniteGradientError,
     Normalizer,
     load_model,
@@ -253,8 +258,46 @@ def test_model_file_round_trip_bitwise(tmp_path, dtype):
 def test_model_file_rejects_other_formats(tmp_path):
     path = tmp_path / "bogus.model"
     path.write_bytes(b"\x05\x00\x00\x00\x00\x00\x00\x00{...}")
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFileError):
         load_model(path)
+    header = json.dumps({"format": "other-v1", "nets": [], "normalizer": None, "meta": {}}).encode()
+    path.write_bytes(struct.pack("<Q", len(header)) + header)
+    with pytest.raises(ModelFileError, match="not a llql-model-v1 file"):
+        load_model(path)
+
+
+def saved_model(tmp_path):
+    path = tmp_path / "net.model"
+    save_model(path, {"net": make_net((3, 6, 2), seed=11)}, None, {"env": "test"})
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["blob_cut", "blob_padded", "header_cut", "length_cut"])
+def test_model_file_rejects_truncated_or_padded_files(tmp_path, damage):
+    path, data = saved_model(tmp_path)
+    (header_len,) = struct.unpack("<Q", data[:8])
+    damaged = {
+        "blob_cut": data[:-100],
+        "blob_padded": data + bytes(8),
+        "header_cut": data[: 8 + header_len // 2],
+        "length_cut": data[:5],
+    }[damage]
+    path.write_bytes(damaged)
+    with pytest.raises(ModelFileError):
+        load_model(path)
+
+
+def test_failed_model_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    path, data = saved_model(tmp_path)
+
+    def no_space(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", no_space)
+    with pytest.raises(OSError):
+        save_model(path, {"net": make_net((3, 6, 2), seed=12)}, None, {})
+    assert path.read_bytes() == data
+    assert [p.name for p in tmp_path.iterdir()] == ["net.model"]  # no temporary file left
 
 
 def test_mlp_requires_finite_parameters():
