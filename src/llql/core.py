@@ -348,7 +348,6 @@ class _EpisodeTrainer:
         self.init_rng, self.noise_rng, self.sample_rng, self.env_rng = (
             np.random.default_rng(c) for c in ss.spawn(4)
         )
-        self.buffer = ReplayBuffer(config.buffer_capacity, env.state_dim, env.action_dim)
         self.noise = ExplorationNoise(config.sigma0, config.sigma_decay, config.sigma_floor)
         self.normalizer = Normalizer.identity(env.state_dim)
         self.normalizer_frozen = False
@@ -356,6 +355,10 @@ class _EpisodeTrainer:
     def _episodes(self):
         """Run the configured episodes, yielding each one's EpisodeStats."""
         cfg, env = self.cfg, self.env
+        # allocated here, after the subclass's nets, as before the driver
+        # existed: allocating the (by default 1e6-row) buffer first left the
+        # heap laid out so that the peak RSS of repeated trainings grew
+        self.buffer = ReplayBuffer(cfg.buffer_capacity, env.state_dim, env.action_dim)
         for episode in range(1, cfg.episodes + 1):
             x = env.reset(int(self.env_rng.integers(0, 2**31 - 1)))
             ep_reward = 0.0

@@ -279,13 +279,15 @@ class ModelFileError(ValueError):
     """Raised when a model file is truncated, malformed or of another format."""
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to a temporary file beside `path`, then rename it into
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write `chunks` to a temporary file beside `path`, then rename it into
     place, so a reader never sees a partly written file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -303,33 +305,33 @@ def save_model(path, nets: dict, normalizer: Optional[Normalizer] = None, meta: 
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = np.concatenate([net.flat_params.astype(np.float64) for net in nets.values()])
-    write_atomic(path, struct.pack("<Q", len(header_bytes)) + header_bytes + blob.astype("<f8").tobytes())
+    write_atomic(path, struct.pack("<Q", len(header_bytes)), header_bytes, blob.astype("<f8").tobytes())
 
 
 def load_model(path) -> ModelFile:
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise ModelFileError(f"{path}: truncated model file ({len(data)} bytes, no header length)")
-    (header_len,) = struct.unpack_from("<Q", data)
-    blob_start = 8 + header_len
-    if blob_start > len(data):
-        raise ModelFileError(f"{path}: truncated model header (needs {header_len} bytes)")
-    try:
-        header = json.loads(data[8:blob_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFileError(f"{path}: unreadable model header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
-        raise ModelFileError(f"{path}: not a {MODEL_FORMAT} file")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 8:
+            raise ModelFileError(f"{path}: truncated model file ({size} bytes, no header length)")
+        (header_len,) = struct.unpack("<Q", fh.read(8))
+        if 8 + header_len > size:
+            raise ModelFileError(f"{path}: truncated model header (needs {header_len} bytes)")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ModelFileError(f"{path}: unreadable model header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+            raise ModelFileError(f"{path}: not a {MODEL_FORMAT} file")
+        data = fh.read()
     counts = [
         sum((a + 1) * b for a, b in zip(entry["layer_sizes"][:-1], entry["layer_sizes"][1:]))
         for entry in header["nets"]
     ]
-    if len(data) - blob_start != 8 * sum(counts):
+    if len(data) != 8 * sum(counts):
         raise ModelFileError(
-            f"{path}: parameter blob holds {len(data) - blob_start} bytes, "
-            f"the header lists {8 * sum(counts)}"
+            f"{path}: parameter blob holds {len(data)} bytes, the header lists {8 * sum(counts)}"
         )
-    blob = np.frombuffer(data, dtype="<f8", offset=blob_start)
+    blob = np.frombuffer(data, dtype="<f8")
     nets = {}
     offset = 0
     for entry, n in zip(header["nets"], counts):

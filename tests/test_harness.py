@@ -217,17 +217,15 @@ def test_cached_training_retrains_after_a_failed_log_write(tmp_path, monkeypatch
     real_train = core.train
     monkeypatch.setattr(core, "train", lambda *a, **kw: trainings.append(1) or real_train(*a, **kw))
 
-    def crash_midway(write):
-        def patched(self, data, *args, **kwargs):
-            if ".log.json" in self.name:
-                write(self, data[: len(data) // 2], *args, **kwargs)
-                raise OSError("killed while writing the log")
-            return write(self, data, *args, **kwargs)
-        return patched
+    real_replace = os.replace
+
+    def fail_on_log(src, dst):
+        if str(dst).endswith(".log.json"):
+            raise OSError("killed while writing the log")
+        real_replace(src, dst)
 
     with monkeypatch.context() as m:
-        m.setattr(Path, "write_bytes", crash_midway(Path.write_bytes))
-        m.setattr(Path, "write_text", crash_midway(Path.write_text))
+        m.setattr(os, "replace", fail_on_log)
         with pytest.raises(OSError):
             experiments.train_llql_batch("mountain_car", cfg, [0], tmp_path, horizon=10)
     assert not list(tmp_path.glob("*.log.json"))  # the model alone is no cache entry
