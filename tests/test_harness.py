@@ -8,7 +8,7 @@ import pytest
 from llql import cli, core, experiments, reports
 from llql.cli import ConfigError, build_config, main, parse_config_file
 from llql.experiments import EvalReport, EvalRow, compute_aggregates, evaluate, goal_from_dict
-from llql.envs import MountainCar
+from llql.envs import MountainCar, make_env
 
 
 def rows_fixture():
@@ -250,8 +250,6 @@ def test_log_csv_of_direct_and_cached_training_agree(tmp_path):
 
 @pytest.mark.parametrize("env_name", ["mountain_car", "pendulum"])
 def test_report_csv_numeric_cells_parse(tmp_path, env_name):
-    from llql.envs import make_env
-
     env = make_env(env_name, horizon=30)
     rows = evaluate(
         env, lambda seed: (lambda x: np.array([0.5])), runs=2,
