@@ -206,6 +206,8 @@ def test_top_k_runs_tie_break():
     top = experiments.top_k_runs(runs, 2)
     assert [r.seed for r in top] == [2, 1]
 
+
+def test_top_k_selection_and_tie_break():
     finals = [5.0, 9.0, 9.0, 1.0, 7.0, 9.0]
     runs = [experiments.TrainedRun(seed, "m", final, []) for seed, final in enumerate(finals)]
     assert [r.seed for r in experiments.top_k_runs(runs, 3)] == [1, 2, 5]  # ties: lower seed
