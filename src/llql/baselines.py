@@ -268,7 +268,6 @@ def load_ddpg_model(path) -> tuple:
 class MpcConfig:
     horizon: int = 15
     candidates: int = 1000
-    resample: bool = True
 
     def __post_init__(self):
         if self.horizon < 1 or self.candidates < 1:
@@ -322,19 +321,9 @@ class MpcPolicy:
         self.rng = rng
         self.low = action_low
         self.high = action_high
-        self._frozen = None
-        if not cfg.resample:
-            self._frozen = rng.uniform(
-                np.asarray(action_low, dtype=np.float64),
-                np.asarray(action_high, dtype=np.float64),
-                size=(cfg.candidates, cfg.horizon, len(np.atleast_1d(action_low))),
-            )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return mpc_action(
-            self.dyn, x, self.reward_fn, self.cfg, self.rng, self.low, self.high,
-            candidates=self._frozen,
-        )
+        return mpc_action(self.dyn, x, self.reward_fn, self.cfg, self.rng, self.low, self.high)
 
 
 def mountain_car_reward_fn(goal_position: float, mod: Optional[RewardMod] = None) -> Callable:

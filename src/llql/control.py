@@ -251,7 +251,7 @@ def approx_trajectory_action(
     x = np.asarray(x, dtype=np.float64)
     x_d_next = np.asarray(x_d_next, dtype=np.float64)
     u_raw = _stacked_solve(
-        gamma1 * np.eye(dyn.action_dim),
+        gamma1 * np.eye(g.shape[1]),
         gamma1 * u_n,
         g,
         gamma2 * (x + dyn.delta * f - x_d_next),

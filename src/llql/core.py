@@ -21,6 +21,7 @@ import numpy as np
 from . import linalg
 from .nets import (
     Adam,
+    HeadBank,
     Mlp,
     NonFiniteGradientError,
     Normalizer,
@@ -62,17 +63,21 @@ class TransitionBatch:
 
 
 class ReplayBuffer:
-    """FIFO ring buffer of transitions with uniform sampling (replacement)."""
+    """FIFO ring buffer of transitions with uniform sampling (replacement).
+
+    Storage grows by doubling up to `capacity` rows, so a short run does
+    not hold a full-capacity buffer.
+    """
 
     def __init__(self, capacity: int, state_dim: int, action_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self._states = np.zeros((capacity, state_dim))
-        self._actions = np.zeros((capacity, action_dim))
-        self._next_states = np.zeros((capacity, state_dim))
-        self._rewards = np.zeros(capacity)
-        self._dones = np.zeros(capacity, dtype=bool)
+        # states, actions, next states, rewards, dones
+        self._columns = [
+            np.zeros((0, state_dim)), np.zeros((0, action_dim)), np.zeros((0, state_dim)),
+            np.zeros(0), np.zeros(0, dtype=bool),
+        ]
         self._idx = 0
         self._size = 0
 
@@ -81,11 +86,14 @@ class ReplayBuffer:
 
     def add(self, t: Transition) -> None:
         i = self._idx
-        self._states[i] = t.state
-        self._actions[i] = t.action
-        self._next_states[i] = t.next_state
-        self._rewards[i] = t.reward
-        self._dones[i] = t.done
+        if i == len(self._columns[0]):  # full below capacity
+            rows = min(self.capacity, max(1024, 2 * i))
+            for k, col in enumerate(self._columns):
+                grown = np.zeros((rows,) + col.shape[1:], dtype=col.dtype)
+                grown[:i] = col
+                self._columns[k] = grown
+        for col, value in zip(self._columns, (t.state, t.action, t.next_state, t.reward, t.done)):
+            col[i] = value
         self._idx = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -93,18 +101,12 @@ class ReplayBuffer:
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=n)
-        return TransitionBatch(
-            self._states[idx],
-            self._actions[idx],
-            self._next_states[idx],
-            self._rewards[idx],
-            self._dones[idx],
-        )
+        return TransitionBatch(*(col[idx] for col in self._columns))
 
     def states(self, n: Optional[int] = None) -> np.ndarray:
         """The first n stored states (insertion order while not yet wrapped)."""
         n = self._size if n is None else min(n, self._size)
-        return self._states[:n]
+        return self._columns[0][:n]
 
 
 @dataclasses.dataclass
@@ -170,80 +172,80 @@ class TrainConfig:
 
 @dataclasses.dataclass
 class DynamicsModel:
-    """One-step prediction model x' = x + delta * (f(x) + g(x) u)."""
+    """One-step prediction model x' = x + delta * (f(x) + g(x) u), with the
+    heads f and g in one bank."""
 
-    f_net: Mlp
-    g_net: Mlp
+    bank: HeadBank
     delta: float
     normalizer: Normalizer
-    state_dim: int
-    action_dim: int
+
+    @staticmethod
+    def head_shapes(state_dim: int, action_dim: int) -> tuple:
+        return (state_dim,), (state_dim, action_dim)
+
+    @property
+    def f_net(self) -> Mlp:
+        return self.bank.heads[0]
+
+    @property
+    def g_net(self) -> Mlp:
+        return self.bank.heads[1]
 
     def coefficients(self, x: np.ndarray):
         """Evaluate (f(x), g(x)) at one state, in float64."""
-        z = self.normalizer.normalize(x)
-        f = self.f_net.forward(z).astype(np.float64)
-        g = self.g_net.forward(z).astype(np.float64).reshape(self.state_dim, self.action_dim)
-        return f, g
+        return self.bank.forward(self.normalizer.normalize(x))
 
     def predict_next(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Raw model prediction of the next state (no clipping)."""
         f, g = self.coefficients(x)
-        u = np.asarray(u, dtype=np.float64).reshape(self.action_dim)
+        u = np.asarray(u, dtype=np.float64).reshape(-1)
         return np.asarray(x, dtype=np.float64) + self.delta * (f + g @ u)
 
     def predict_next_batch(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        Z = self.normalizer.normalize(X)
-        F = self.f_net.forward(Z).astype(np.float64)
-        G = self.g_net.forward(Z).astype(np.float64).reshape(-1, self.state_dim, self.action_dim)
+        F, G = self.bank.forward(self.normalizer.normalize(X))
         U = np.asarray(U, dtype=np.float64)
         return np.asarray(X, dtype=np.float64) + self.delta * (F + np.einsum("nsa,na->ns", G, U))
 
 
 @dataclasses.dataclass
 class QModel:
-    """Value model Q(x, u) = V(x) - ||h(x) + d(x) u|| with target copies."""
+    """Value model Q(x, u) = V(x) - ||h(x) + d(x) u||, with the heads V, h
+    and d in one bank and their slowly-updated copies in `target`."""
 
-    v_net: Mlp
-    h_net: Mlp
-    d_net: Mlp
-    v_target: Mlp
-    h_target: Mlp
-    d_target: Mlp
-    tau: float
+    bank: HeadBank
+    target: HeadBank
     normalizer: Normalizer
-    state_dim: int
-    action_dim: int
     action_low: np.ndarray
     action_high: np.ndarray
 
+    @staticmethod
+    def head_shapes(action_dim: int) -> tuple:
+        return (), (action_dim,), (action_dim, action_dim)
+
     @property
-    def advantage_rows(self) -> int:
-        return self.action_dim
+    def v_net(self) -> Mlp:
+        return self.bank.heads[0]
+
+    @property
+    def h_net(self) -> Mlp:
+        return self.bank.heads[1]
+
+    @property
+    def d_net(self) -> Mlp:
+        return self.bank.heads[2]
 
     def coefficients(self, x: np.ndarray):
         """Evaluate (V(x), h(x), d(x)) at one state, in float64."""
-        z = self.normalizer.normalize(x)
-        v = float(self.v_net.forward(z)[0])
-        h = self.h_net.forward(z).astype(np.float64)
-        d = self.d_net.forward(z).astype(np.float64).reshape(self.advantage_rows, self.action_dim)
-        return v, h, d
-
-    def target_coefficients(self, x: np.ndarray):
-        z = self.normalizer.normalize(x)
-        v = float(self.v_target.forward(z)[0])
-        h = self.h_target.forward(z).astype(np.float64)
-        d = self.d_target.forward(z).astype(np.float64).reshape(self.advantage_rows, self.action_dim)
-        return v, h, d
+        v, h, d = self.bank.forward(self.normalizer.normalize(x))
+        return float(v), h, d
 
     def q_value(self, x: np.ndarray, u: np.ndarray) -> float:
         v, h, d = self.coefficients(x)
-        u = np.asarray(u, dtype=np.float64).reshape(self.action_dim)
+        u = np.asarray(u, dtype=np.float64).reshape(-1)
         return v - float(np.linalg.norm(h + d @ u))
 
     def value(self, x: np.ndarray) -> float:
-        z = self.normalizer.normalize(x)
-        return float(self.v_net.forward(z)[0])
+        return self.coefficients(x)[0]
 
 
 def short_term_loss(dyn: DynamicsModel, batch: TransitionBatch) -> float:
@@ -259,10 +261,7 @@ def greedy_target_q(q: QModel, x_next: np.ndarray, eps_d: float = EPS_D) -> floa
 
 
 def _greedy_target_q_batch(q: QModel, X: np.ndarray, eps_d: float) -> np.ndarray:
-    Z = q.normalizer.normalize(X)
-    v = q.v_target.forward(Z).astype(np.float64)[:, 0]
-    H = q.h_target.forward(Z).astype(np.float64)
-    D = q.d_target.forward(Z).astype(np.float64).reshape(-1, q.advantage_rows, q.action_dim)
+    v, H, D = q.target.forward(q.normalizer.normalize(X))
     U = linalg.pinv_action_batch(H, D)
     np.clip(U, q.action_low, q.action_high, out=U)
     resid = np.linalg.norm(H + np.einsum("nma,na->nm", D, U), axis=1)
@@ -284,10 +283,7 @@ def long_term_loss(
     instead of absolute.
     """
     y = _bellman_targets(q, batch, gamma, eps_d)
-    Z = q.normalizer.normalize(batch.states)
-    v = q.v_net.forward(Z).astype(np.float64)[:, 0]
-    H = q.h_net.forward(Z).astype(np.float64)
-    D = q.d_net.forward(Z).astype(np.float64).reshape(-1, q.advantage_rows, q.action_dim)
+    v, H, D = q.bank.forward(q.normalizer.normalize(batch.states))
     S = H + np.einsum("nma,na->nm", D, batch.actions)
     q_values = v - np.linalg.norm(S, axis=1)
     res = y - q_values
@@ -351,14 +347,11 @@ class _EpisodeTrainer:
         self.noise = ExplorationNoise(config.sigma0, config.sigma_decay, config.sigma_floor)
         self.normalizer = Normalizer.identity(env.state_dim)
         self.normalizer_frozen = False
+        self.buffer = ReplayBuffer(config.buffer_capacity, env.state_dim, env.action_dim)
 
     def _episodes(self):
         """Run the configured episodes, yielding each one's EpisodeStats."""
         cfg, env = self.cfg, self.env
-        # allocated after the subclass's nets: with the (by default 1e6-row)
-        # buffer allocated first, the heap layout made the peak RSS of five
-        # short trainings in one process grow from 43 to 89 MB
-        self.buffer = ReplayBuffer(cfg.buffer_capacity, env.state_dim, env.action_dim)
         for episode in range(1, cfg.episodes + 1):
             x = env.reset(int(self.env_rng.integers(0, 2**31 - 1)))
             ep_reward = 0.0
@@ -373,7 +366,10 @@ class _EpisodeTrainer:
                 ep_reward += step.reward
                 steps = k + 1
                 if not self.normalizer_frozen and len(self.buffer) >= cfg.normalizer_samples:
-                    self.normalizer = Normalizer.fit(self.buffer.states(cfg.normalizer_samples))
+                    # fitted in place: the models built on it see the fit
+                    fitted = Normalizer.fit(self.buffer.states(cfg.normalizer_samples))
+                    self.normalizer.mean[...] = fitted.mean
+                    self.normalizer.std[...] = fitted.std
                     self.normalizer_frozen = True
                 try:
                     for column, loss in self._updates():
@@ -405,59 +401,36 @@ class _EpisodeTrainer:
 
 
 class _Trainer(_EpisodeTrainer):
-    """LLQL training: the dynamics nets f, g and, unless dynamics-only, the
-    value nets V, h, d; acts greedily, or by `policy` when one is given."""
+    """LLQL training: the dynamics bank (f, g) and, unless dynamics-only,
+    the value bank (V, h, d); acts greedily, or by `policy` when one is given."""
 
     def __init__(self, env, config: TrainConfig, policy: Optional[Callable] = None, learn_long: bool = True):
         super().__init__(env, config)
         self.policy = policy
-        self.learn_long = learn_long
         self.loss_iters = (config.short_iters, config.long_iters if learn_long else None)
 
         s, a = env.state_dim, env.action_dim
         hidden = tuple(config.hidden_sizes)
-        self.f_net = Mlp.create((s, *hidden, s), self.init_rng, self.dtype)
-        self.g_net = Mlp.create((s, *hidden, s * a), self.init_rng, self.dtype)
-        self.v_net = Mlp.create((s, *hidden, 1), self.init_rng, self.dtype)
-        self.h_net = Mlp.create((s, *hidden, a), self.init_rng, self.dtype)
-        self.d_net = Mlp.create((s, *hidden, a * a), self.init_rng, self.dtype)
-        self.v_target = self.v_net.copy()
-        self.h_target = self.h_net.copy()
-        self.d_target = self.d_net.copy()
-
-        sched = dict(lr_after=config.lr_short_after, switch_step=config.lr_short_switch_step)
-        self.adam_f = Adam(self.f_net, config.lr_short, **sched)
-        self.adam_g = Adam(self.g_net, config.lr_short, **sched)
-        self.adam_v = Adam(self.v_net, config.lr_long)
-        self.adam_h = Adam(self.h_net, config.lr_long)
-        self.adam_d = Adam(self.d_net, config.lr_long)
-
-    # -- model views -------------------------------------------------------
-
-    def dynamics_model(self) -> DynamicsModel:
-        return DynamicsModel(
-            self.f_net, self.g_net, self.cfg.delta, self.normalizer,
-            self.env.state_dim, self.env.action_dim,
-        )
-
-    def q_model(self) -> QModel:
-        return QModel(
-            self.v_net, self.h_net, self.d_net,
-            self.v_target, self.h_target, self.d_target,
-            self.cfg.tau, self.normalizer,
-            self.env.state_dim, self.env.action_dim,
-            np.asarray(self.env.action_low, dtype=np.float64),
-            np.asarray(self.env.action_high, dtype=np.float64),
-        )
+        bank = HeadBank.create(s, hidden, DynamicsModel.head_shapes(s, a), self.init_rng, self.dtype)
+        self.dyn = DynamicsModel(bank, config.delta, self.normalizer)
+        self.adam_dyn = Adam(bank, config.lr_short, lr_after=config.lr_short_after,
+                             switch_step=config.lr_short_switch_step)
+        self.q = None
+        if learn_long:
+            bank = HeadBank.create(s, hidden, QModel.head_shapes(a), self.init_rng, self.dtype)
+            self.q = QModel(
+                bank, bank.copy(), self.normalizer,
+                np.asarray(env.action_low, dtype=np.float64),
+                np.asarray(env.action_high, dtype=np.float64),
+            )
+            self.adam_q = Adam(bank, config.lr_long)
 
     # -- per-step pieces ----------------------------------------------------
 
     def _act(self, x: np.ndarray) -> np.ndarray:
         if self.policy is not None:
             return np.asarray(self.policy(x), dtype=np.float64).reshape(-1)
-        z = self.normalizer.normalize(x)
-        h = self.h_net.forward(z).astype(np.float64)
-        d = self.d_net.forward(z).astype(np.float64).reshape(-1, self.env.action_dim)
+        _, h, d = self.q.coefficients(x)
         if np.linalg.norm(d) < self.cfg.eps_d:
             return np.zeros(self.env.action_dim)
         return linalg.pinv_action(h, d)
@@ -466,58 +439,41 @@ class _Trainer(_EpisodeTrainer):
         cfg = self.cfg
         for _ in range(cfg.short_iters):
             yield 0, self._short_update(self.buffer.sample(cfg.short_batch, self.sample_rng))
-        if self.learn_long:
+        if self.q is not None:
             for _ in range(cfg.long_iters):
                 yield 1, self._long_update(self.buffer.sample(cfg.long_batch, self.sample_rng))
 
+    # divergence surfaces as a non-finite loss (checked by the caller), so
+    # numpy overflow warnings in the updates are noise
+    @np.errstate(over="ignore", invalid="ignore")
     def _short_update(self, batch: TransitionBatch) -> float:
-        # divergence surfaces as a non-finite loss (checked by the caller),
-        # so numpy overflow warnings on that path are noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._short_update_inner(batch)
-
-    def _short_update_inner(self, batch: TransitionBatch) -> float:
         dt = self.dtype
         n = len(batch)
-        s, a = self.env.state_dim, self.env.action_dim
-        Z = self.normalizer.normalize(batch.states).astype(dt)
+        bank = self.dyn.bank
         U = batch.actions.astype(dt)
-        F, cache_f = self.f_net.forward_cached(Z)
-        G_raw, cache_g = self.g_net.forward_cached(Z)
-        G = G_raw.reshape(n, s, a)
+        (F, G), caches = bank.forward_cached(self.normalizer.normalize(batch.states).astype(dt))
         residual = (batch.next_states - batch.states).astype(dt)
         residual -= self.cfg.delta * (F + np.einsum("nsa,na->ns", G, U))
         norms = np.linalg.norm(residual, axis=1)
         loss = float(norms.mean())
         dirs = residual / np.maximum(norms, np.finfo(dt).tiny)[:, None]
         gF = (-self.cfg.delta / n) * dirs
-        gG = (gF[:, :, None] * U[:, None, :]).reshape(n, s * a)
-        grads_f, _ = self.f_net.backward_cached(cache_f, gF, need_input_grad=False)
-        grads_g, _ = self.g_net.backward_cached(cache_g, gG, need_input_grad=False)
-        self.adam_f.step(self.f_net, grads_f, context="short-term loss")
-        self.adam_g.step(self.g_net, grads_g, context="short-term loss")
+        gG = gF[:, :, None] * U[:, None, :]
+        self.adam_dyn.step(bank, bank.backward_cached(caches, (gF, gG)), context="short-term loss")
         return loss
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _long_update(self, batch: TransitionBatch) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._long_update_inner(batch)
-
-    def _long_update_inner(self, batch: TransitionBatch) -> float:
         dt = self.dtype
         n = len(batch)
-        m, a = self.env.action_dim, self.env.action_dim
-        q = self.q_model()
+        q, bank = self.q, self.q.bank
         y = _bellman_targets(q, batch, self.cfg.discount, self.cfg.eps_d)
 
-        Z = self.normalizer.normalize(batch.states).astype(dt)
         U = batch.actions.astype(dt)
-        V, cache_v = self.v_net.forward_cached(Z)
-        H, cache_h = self.h_net.forward_cached(Z)
-        D_raw, cache_d = self.d_net.forward_cached(Z)
-        D = D_raw.reshape(n, m, a)
+        (V, H, D), caches = bank.forward_cached(self.normalizer.normalize(batch.states).astype(dt))
         S = H + np.einsum("nma,na->nm", D, U)
         norms = np.linalg.norm(S.astype(np.float64), axis=1)
-        q_values = V[:, 0].astype(np.float64) - norms
+        q_values = V.astype(np.float64) - norms
         res = y - q_values
         if self.cfg.squared_bellman:
             loss = float((res**2).mean())
@@ -526,20 +482,10 @@ class _Trainer(_EpisodeTrainer):
             loss = float(np.abs(res).mean())
             dq = (-1.0 / n) * np.sign(res)
         dq = dq.astype(dt)
-        gV = dq[:, None]
         dS = (-dq)[:, None] * (S / np.maximum(norms, np.finfo(dt).tiny).astype(dt)[:, None])
-        gH = dS
-        gD = (dS[:, :, None] * U[:, None, :]).reshape(n, m * a)
-        grads_v, _ = self.v_net.backward_cached(cache_v, gV, need_input_grad=False)
-        grads_h, _ = self.h_net.backward_cached(cache_h, gH, need_input_grad=False)
-        grads_d, _ = self.d_net.backward_cached(cache_d, gD, need_input_grad=False)
-        self.adam_v.step(self.v_net, grads_v, context="long-term loss")
-        self.adam_h.step(self.h_net, grads_h, context="long-term loss")
-        self.adam_d.step(self.d_net, grads_d, context="long-term loss")
-
-        soft_update(self.v_target, self.v_net, self.cfg.tau)
-        soft_update(self.h_target, self.h_net, self.cfg.tau)
-        soft_update(self.d_target, self.d_net, self.cfg.tau)
+        gD = dS[:, :, None] * U[:, None, :]
+        self.adam_q.step(bank, bank.backward_cached(caches, (dq, dS, gD)), context="long-term loss")
+        soft_update(q.target, bank, self.cfg.tau)
         return loss
 
     # -- main loop -----------------------------------------------------------
@@ -561,13 +507,13 @@ class _Trainer(_EpisodeTrainer):
                     self.save(checkpoint_dir / f"ep{stats.episode:04d}.model", stats.episode)
         if checkpoint_dir is not None:
             self.save(checkpoint_dir / "final.model", cfg.episodes)
-        return TrainResult(self.dynamics_model(), self.q_model() if self.learn_long else None, log)
+        return TrainResult(self.dyn, self.q, log)
 
     def save(self, path, episode: int) -> None:
         save_llql_model(
             path,
-            self.dynamics_model(),
-            self.q_model() if self.learn_long else None,
+            self.dyn,
+            self.q,
             meta={
                 "env": self.env.spec.to_dict(),
                 "config": self.cfg.to_dict(),
@@ -608,13 +554,15 @@ def load_llql_model(path):
     meta = mf.meta
     env_spec = meta["env"]
     s, a = env_spec["state_dim"], env_spec["action_dim"]
-    dyn = DynamicsModel(mf.nets["f"], mf.nets["g"], meta["delta"], mf.normalizer, s, a)
+    nets = mf.nets
+    dyn = DynamicsModel(
+        HeadBank.of((nets["f"], nets["g"]), DynamicsModel.head_shapes(s, a)), meta["delta"], mf.normalizer
+    )
     q = None
     if meta.get("role") == "llql":
+        bank = HeadBank.of((nets["v"], nets["h"], nets["d"]), QModel.head_shapes(a))
         q = QModel(
-            mf.nets["v"], mf.nets["h"], mf.nets["d"],
-            mf.nets["v"].copy(), mf.nets["h"].copy(), mf.nets["d"].copy(),
-            meta["config"]["tau"], mf.normalizer, s, a,
+            bank, bank.copy(), mf.normalizer,
             np.asarray(env_spec["action_low"], dtype=np.float64),
             np.asarray(env_spec["action_high"], dtype=np.float64),
         )

@@ -498,10 +498,8 @@ def sweep_short_term(
     *,
     runs: int = 10,
     seed0: int = 10_000,
-    goal_position: float = 0.45,
     gamma1: float = 1.0,
     gamma2: float = 2000.0,
-    margin_offset: float = 0.0,
 ) -> list:
     """Evaluate a trained mountain-car model across short-term goal values.
 
@@ -512,9 +510,9 @@ def sweep_short_term(
     dyn, q, _ = core.load_llql_model(model_path)
     out = []
     for value in values:
-        env = make_env("mountain_car", goal_position=goal_position)
+        env = make_env("mountain_car")
         if kind == "constraint":
-            goal = mc_speed_limit_goal(bound=value, margin=value - margin_offset)
+            goal = mc_speed_limit_goal(bound=value, margin=value)
         elif kind == "trajectory":
             goal = mc_velocity_goal(v_d=value, gamma1=gamma1, gamma2=gamma2)
         else:

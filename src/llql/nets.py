@@ -3,15 +3,17 @@
 Hand-rolled MLPs (ReLU hidden layers, identity output) with exact
 backpropagation, an adaptive-moment optimizer with a two-phase learning
 rate schedule, soft target updates, state normalization, and a binary
-model-file format.  Parameters live in one flat vector per network;
-weights and biases are reshaped views into it, which keeps optimizer and
-target-update passes to a handful of vectorized operations.
+model-file format.  Parameters live in one flat vector per network, or
+per bank of heads that share an input; weights and biases are reshaped
+views into it, which keeps optimizer and target-update passes to a
+handful of vectorized operations.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -24,23 +26,45 @@ class NonFiniteGradientError(RuntimeError):
     """Raised when an optimizer step receives NaN or infinite gradients."""
 
 
-class Grads:
-    """Per-parameter gradients for one Mlp, backed by a flat vector."""
+def _layers(layer_sizes) -> list:
+    """(fan_in, fan_out) of every layer of an Mlp, or of every head of a
+    HeadBank in order when `layer_sizes` holds one tuple per head."""
+    if len(layer_sizes) and isinstance(layer_sizes[0], (tuple, list)):
+        return [pair for sizes in layer_sizes for pair in _layers(sizes)]
+    return list(zip(layer_sizes[:-1], layer_sizes[1:]))
 
-    def __init__(self, layer_sizes: Sequence[int], dtype, flat: Optional[np.ndarray] = None):
-        n = sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
-        self.flat = np.empty(n, dtype=dtype) if flat is None else flat
-        self.weights, self.biases = _views(self.flat, layer_sizes)
+
+def _n_params(layer_sizes) -> int:
+    """Parameter count of an Mlp's (or a HeadBank's) `layer_sizes`."""
+    return sum((a + 1) * b for a, b in _layers(layer_sizes))
 
 
-def _views(flat: np.ndarray, layer_sizes: Sequence[int]):
+def _views(flat: np.ndarray, layer_sizes):
     weights, biases, offset = [], [], 0
-    for a, b in zip(layer_sizes[:-1], layer_sizes[1:]):
+    for a, b in _layers(layer_sizes):
         weights.append(flat[offset : offset + a * b].reshape(a, b))
         offset += a * b
         biases.append(flat[offset : offset + b])
         offset += b
     return weights, biases
+
+
+def _init_params(layer_sizes, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
+    """A flat parameter vector for `layer_sizes`: weights uniform in
+    +-1/sqrt(fan_in), drawn layer by layer (head by head for a bank), biases zero."""
+    flat = np.zeros(_n_params(layer_sizes), dtype=dtype)
+    for W in _views(flat, layer_sizes)[0]:
+        bound = 1.0 / np.sqrt(W.shape[0])
+        W[...] = rng.uniform(-bound, bound, size=W.shape).astype(dtype)
+    return flat
+
+
+class Grads:
+    """Per-parameter gradients for one Mlp or HeadBank, backed by a flat vector."""
+
+    def __init__(self, layer_sizes: Sequence, dtype, flat: Optional[np.ndarray] = None):
+        self.flat = np.empty(_n_params(layer_sizes), dtype=dtype) if flat is None else flat
+        self.weights, self.biases = _views(self.flat, layer_sizes)
 
 
 class Mlp:
@@ -53,7 +77,7 @@ class Mlp:
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layer sizes")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self._flat = flat
+        self.flat_params, self.dtype, self.n_params = flat, flat.dtype, flat.size
         self.weights, self.biases = _views(flat, self.layer_sizes)
         if not np.all(np.isfinite(flat)):
             raise ValueError("network parameters must be finite")
@@ -61,28 +85,10 @@ class Mlp:
     @classmethod
     def create(cls, layer_sizes: Sequence[int], rng: np.random.Generator, dtype=np.float64) -> "Mlp":
         """Initialize weights uniform in +-1/sqrt(fan_in), biases zero."""
-        n = sum((a + 1) * b for a, b in zip(layer_sizes[:-1], layer_sizes[1:]))
-        flat = np.zeros(n, dtype=dtype)
-        net = cls(layer_sizes, flat)
-        for W in net.weights:
-            bound = 1.0 / np.sqrt(W.shape[0])
-            W[...] = rng.uniform(-bound, bound, size=W.shape).astype(dtype)
-        return net
-
-    @property
-    def dtype(self):
-        return self._flat.dtype
-
-    @property
-    def n_params(self) -> int:
-        return self._flat.size
-
-    @property
-    def flat_params(self) -> np.ndarray:
-        return self._flat
+        return cls(layer_sizes, _init_params(layer_sizes, rng, dtype))
 
     def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, self._flat.copy())
+        return Mlp(self.layer_sizes, self.flat_params.copy())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Evaluate the network on a single input vector or a batch."""
@@ -145,6 +151,68 @@ class Mlp:
         return grads, (gin[0] if single else gin)
 
 
+class HeadBank:
+    """Mlp heads on one input whose parameters are consecutive slices of one
+    flat vector, so one Adam step or one soft update covers every head.
+
+    `shapes` gives each head's output shape (`()` for a scalar); a head's
+    output size is the product of its shape.
+    """
+
+    def __init__(self, layer_sizes: Sequence[Sequence[int]], shapes, flat: np.ndarray):
+        self.shapes = tuple(tuple(int(n) for n in shape) for shape in shapes)
+        self.flat_params, self.dtype, self.n_params = flat, flat.dtype, flat.size
+        self.heads = []
+        offset = 0
+        for sizes, shape in zip(layer_sizes, self.shapes, strict=True):
+            if sizes[-1] != math.prod(shape):
+                raise ValueError(f"a head of {sizes[-1]} outputs cannot take the shape {shape}")
+            n = _n_params(sizes)
+            self.heads.append(Mlp(sizes, flat[offset : offset + n]))
+            offset += n
+        self.layer_sizes = tuple(head.layer_sizes for head in self.heads)
+
+    @classmethod
+    def create(cls, in_dim: int, hidden: Sequence[int], shapes, rng: np.random.Generator,
+               dtype=np.float64) -> "HeadBank":
+        """Heads of `in_dim` inputs and `hidden` layers, initialized head by
+        head as `Mlp.create` would initialize each of them."""
+        sizes = [(in_dim, *hidden, math.prod(shape)) for shape in shapes]
+        return cls(sizes, shapes, _init_params(sizes, rng, dtype))
+
+    @classmethod
+    def of(cls, nets: Sequence[Mlp], shapes) -> "HeadBank":
+        """A bank holding a copy of each net's parameters."""
+        return cls([net.layer_sizes for net in nets], shapes, np.concatenate([net.flat_params for net in nets]))
+
+    def copy(self) -> "HeadBank":
+        return HeadBank(self.layer_sizes, self.shapes, self.flat_params.copy())
+
+    def forward(self, x: np.ndarray) -> list:
+        """Every head's output in float64, shaped by its head's shape, at one
+        input vector or behind a leading batch axis for a batch."""
+        lead = np.shape(x)[:-1]
+        return [
+            head.forward(x).astype(np.float64).reshape(lead + shape)
+            for head, shape in zip(self.heads, self.shapes)
+        ]
+
+    def forward_cached(self, x: np.ndarray):
+        """Batch forward in the bank's dtype: (outputs shaped per head, caches
+        for `backward_cached`)."""
+        outs, caches = zip(*(head.forward_cached(x) for head in self.heads))
+        return [out.reshape((len(out),) + shape) for out, shape in zip(outs, self.shapes)], caches
+
+    def backward_cached(self, caches: list, grad_outs) -> Grads:
+        """Parameter gradients of every head in one flat vector, given each
+        head's output gradient (batch first, shaped like its output)."""
+        flat = np.concatenate([
+            head.backward_cached(acts, g.reshape(len(g), -1), need_input_grad=False)[0].flat
+            for head, acts, g in zip(self.heads, caches, grad_outs)
+        ])
+        return Grads(self.layer_sizes, self.dtype, flat)
+
+
 class Adam:
     """Adaptive-moment optimizer with an optional learning-rate switch.
 
@@ -154,7 +222,7 @@ class Adam:
 
     def __init__(
         self,
-        net: Mlp,
+        net: Mlp | HeadBank,
         lr: float,
         *,
         lr_after: Optional[float] = None,
@@ -179,10 +247,9 @@ class Adam:
             return self.lr_after
         return self.lr
 
-    def step(self, net: Mlp, grads: Grads, context: str = "") -> None:
+    def step(self, net: Mlp | HeadBank, grads: Grads, context: str = "") -> None:
         g = grads.flat
-        # sum-based check: any NaN/inf in g makes the total non-finite
-        if not np.isfinite(float(g.sum())):
+        if not np.isfinite(g).all():
             raise NonFiniteGradientError(
                 f"non-finite gradients{f' in {context}' if context else ''}; step rejected"
             )
@@ -209,7 +276,7 @@ class Adam:
         net.flat_params[...] -= buf
 
 
-def soft_update(target: Mlp, source: Mlp, tau: float) -> Mlp:
+def soft_update(target: Mlp | HeadBank, source: Mlp | HeadBank, tau: float) -> Mlp | HeadBank:
     """Blend target parameters toward source: t <- tau*s + (1-tau)*t."""
     if target.layer_sizes != source.layer_sizes:
         raise ValueError("soft_update requires identical architectures")
@@ -323,10 +390,7 @@ def load_model(path) -> ModelFile:
         if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
             raise ModelFileError(f"{path}: not a {MODEL_FORMAT} file")
         data = fh.read()
-    counts = [
-        sum((a + 1) * b for a, b in zip(entry["layer_sizes"][:-1], entry["layer_sizes"][1:]))
-        for entry in header["nets"]
-    ]
+    counts = [_n_params(entry["layer_sizes"]) for entry in header["nets"]]
     if len(data) != 8 * sum(counts):
         raise ModelFileError(
             f"{path}: parameter blob holds {len(data)} bytes, the header lists {8 * sum(counts)}"

@@ -56,26 +56,22 @@ def write_report_json(report: EvalReport, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def emit_report(report: EvalReport, out_dir, basename: str = "report", formats=("csv", "json")) -> list:
+def emit_report(report: EvalReport, out_dir, basename: str = "report") -> list:
+    """Write the report as `<basename>.csv` and `<basename>.json`."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "csv" in formats:
-        p = out_dir / f"{basename}.csv"
-        write_report_csv(report, p)
-        written.append(p)
-    if "json" in formats:
-        p = out_dir / f"{basename}.json"
-        write_report_json(report, p)
-        written.append(p)
-    return written
+    csv_path, json_path = out_dir / f"{basename}.csv", out_dir / f"{basename}.json"
+    write_report_csv(report, csv_path)
+    write_report_json(report, json_path)
+    return [csv_path, json_path]
 
 
-def write_curves(runs_by_method: dict, path, top_k: int = 5) -> None:
-    """Per-episode mean/std reward curves over the top-k runs per method."""
+def write_curves(runs_by_method: dict, path) -> None:
+    """Per-episode mean/std reward curves over the top 5 runs per method
+    (the paper's top-5 protocol)."""
     lines = ["episode,mean_reward,std_reward,method"]
     for method in sorted(runs_by_method):
-        chosen = [run.log for run in top_k_runs(runs_by_method[method], top_k)]
+        chosen = [run.log for run in top_k_runs(runs_by_method[method], 5)]
         episodes = min(len(log) for log in chosen)
         for e in range(episodes):
             rewards = np.asarray([log[e].cumulative_reward for log in chosen])

@@ -15,7 +15,7 @@ from llql.baselines import (
 )
 from llql.core import DynamicsModel
 from llql.envs import MountainCar, Pendulum
-from llql.nets import Mlp, Normalizer
+from llql.nets import HeadBank, Mlp, Normalizer
 
 
 def constant_net(in_dim, out_values):
@@ -28,11 +28,14 @@ def constant_net(in_dim, out_values):
 
 def identity_dynamics():
     """x' = x + delta * u with delta-scaled gain one per component."""
-    return DynamicsModel(
-        constant_net(2, [0.0, 0.0]),
-        constant_net(2, [1000.0, 0.0]),  # position gains u strongly, velocity none
-        0.001, Normalizer.identity(2), 2, 1,
+    bank = HeadBank.of(
+        (
+            constant_net(2, [0.0, 0.0]),
+            constant_net(2, [1000.0, 0.0]),  # position gains u strongly, velocity none
+        ),
+        DynamicsModel.head_shapes(2, 1),
     )
+    return DynamicsModel(bank, 0.001, Normalizer.identity(2))
 
 
 # ---------------------------------------------------------------------------

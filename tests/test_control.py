@@ -21,7 +21,7 @@ from llql.control import (
     trajectory_action,
 )
 from llql.core import DynamicsModel, QModel
-from llql.nets import Mlp, Normalizer
+from llql.nets import HeadBank, Mlp, Normalizer
 
 
 def constant_net(in_dim, out_values):
@@ -36,16 +36,9 @@ def make_qmodel(v, h, d, state_dim=1, low=-10.0, high=10.0):
     h = np.atleast_1d(np.asarray(h, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     m, a = d.shape
-    v_net, h_net, d_net = (
-        constant_net(state_dim, [v]),
-        constant_net(state_dim, h),
-        constant_net(state_dim, d.reshape(-1)),
-    )
-    return QModel(
-        v_net, h_net, d_net, v_net.copy(), h_net.copy(), d_net.copy(),
-        0.001, Normalizer.identity(state_dim), state_dim, a,
-        np.full(a, low), np.full(a, high),
-    )
+    nets = (constant_net(state_dim, [v]), constant_net(state_dim, h), constant_net(state_dim, d.reshape(-1)))
+    bank = HeadBank.of(nets, QModel.head_shapes(a))
+    return QModel(bank, bank.copy(), Normalizer.identity(state_dim), np.full(a, low), np.full(a, high))
 
 
 def make_dynamics(f, g, delta=0.001, state_dim=None, action_dim=None):
@@ -53,10 +46,14 @@ def make_dynamics(f, g, delta=0.001, state_dim=None, action_dim=None):
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
     state_dim = state_dim or len(f)
     action_dim = action_dim or g.shape[1]
-    return DynamicsModel(
-        constant_net(state_dim, f), constant_net(state_dim, g.reshape(-1)),
-        delta, Normalizer.identity(state_dim), state_dim, action_dim,
+    bank = HeadBank.of(
+        (constant_net(state_dim, np.zeros(f.size)), constant_net(state_dim, np.zeros(g.size))),
+        DynamicsModel.head_shapes(state_dim, action_dim),
     )
+    # set after construction, which rejects non-finite parameters
+    bank.heads[0].biases[0][...] = f
+    bank.heads[1].biases[0][...] = g.reshape(-1)
+    return DynamicsModel(bank, delta, Normalizer.identity(state_dim))
 
 
 def rng():

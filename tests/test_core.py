@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from llql import core
 from llql.envs import MountainCar
-from llql.nets import Mlp, Normalizer
+from llql.nets import HeadBank, Mlp, Normalizer
 
 
 def constant_net(in_dim, out_values):
@@ -17,23 +18,23 @@ def constant_net(in_dim, out_values):
     return net
 
 
+def dynamics_of(f_net, g_net, delta, state_dim, action_dim):
+    bank = HeadBank.of((f_net, g_net), core.DynamicsModel.head_shapes(state_dim, action_dim))
+    return core.DynamicsModel(bank, delta, Normalizer.identity(state_dim))
+
+
 def scalar_dynamics(f=1.0, g=2.0, delta=0.001):
-    return core.DynamicsModel(
-        constant_net(1, [f]), constant_net(1, [g]), delta, Normalizer.identity(1), 1, 1
-    )
+    return dynamics_of(constant_net(1, [f]), constant_net(1, [g]), delta, 1, 1)
 
 
 def make_qmodel(v, h, d, state_dim=1, low=-1.0, high=1.0):
     h = np.atleast_1d(np.asarray(h, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     m, a = d.shape
-    v_net = constant_net(state_dim, [v])
-    h_net = constant_net(state_dim, h)
-    d_net = constant_net(state_dim, d.reshape(-1))
+    nets = (constant_net(state_dim, [v]), constant_net(state_dim, h), constant_net(state_dim, d.reshape(-1)))
+    bank = HeadBank.of(nets, core.QModel.head_shapes(a))
     return core.QModel(
-        v_net, h_net, d_net,
-        v_net.copy(), h_net.copy(), d_net.copy(),
-        0.001, Normalizer.identity(state_dim), state_dim, a,
+        bank, bank.copy(), Normalizer.identity(state_dim),
         np.full(a, low), np.full(a, high),
     )
 
@@ -107,19 +108,13 @@ def test_short_term_loss_zero_for_perfect_model():
 
 
 def test_short_term_loss_single_residual_norm():
-    dyn = core.DynamicsModel(
-        constant_net(2, [0.0, 0.0]), constant_net(2, [0.0, 0.0]), 0.001,
-        Normalizer.identity(2), 2, 1,
-    )
+    dyn = dynamics_of(constant_net(2, [0.0, 0.0]), constant_net(2, [0.0, 0.0]), 0.001, 2, 1)
     batch = batch_of([[0.0, 0.0]], [[0.0]], [[0.3, 0.4]])
     assert core.short_term_loss(dyn, batch) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_short_term_loss_is_mean_of_norms():
-    dyn = core.DynamicsModel(
-        constant_net(2, [0.0, 0.0]), constant_net(2, [0.0, 0.0]), 0.001,
-        Normalizer.identity(2), 2, 1,
-    )
+    dyn = dynamics_of(constant_net(2, [0.0, 0.0]), constant_net(2, [0.0, 0.0]), 0.001, 2, 1)
     batch = batch_of(
         [[0.0, 0.0], [0.0, 0.0]], [[0.0], [0.0]], [[0.5, 0.0], [0.0, 1.5]]
     )
@@ -137,7 +132,7 @@ def test_long_term_loss_myopic_fixed_point():
 
 def test_long_term_loss_terminal_ignores_targets():
     q = make_qmodel(v=2.0, h=[0.0], d=[[1.0]])
-    q.v_target.biases[-1][...] = 1e6  # would dominate if bootstrapped
+    q.target.heads[0].biases[-1][...] = 1e6  # would dominate if bootstrapped
     batch = batch_of([[0.0]], [[0.0]], [[0.0]], rewards=[2.0], dones=[True])
     assert core.long_term_loss(q, batch, gamma=0.999) == pytest.approx(0.0, abs=1e-12)
 
@@ -213,6 +208,30 @@ def test_buffer_empty_sampling_rejected():
         buf.sample(1, np.random.default_rng(0))
 
 
+def test_buffer_grows_instead_of_allocating_its_capacity():
+    tracemalloc.start()
+    try:
+        buf = core.ReplayBuffer(1_000_000, 2, 1)
+        for i in range(10):
+            buf.add(transition(i))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == 10
+    assert peak < 1_000_000
+
+
+def test_buffer_sampling_unchanged_across_growth():
+    buf = core.ReplayBuffer(capacity=3000, state_dim=2, action_dim=1)
+    for i in range(2500):  # grows twice
+        buf.add(transition(i))
+    batch = buf.sample(200, np.random.default_rng(4))
+    idx = np.random.default_rng(4).integers(0, 2500, size=200)
+    assert np.array_equal(batch.states[:, 0], idx.astype(float))
+    assert np.array_equal(batch.rewards, idx.astype(float))
+    assert np.array_equal(buf.states(5)[:, 0], np.arange(5.0))
+
+
 def test_noise_decay_rules():
     noise = core.ExplorationNoise(sigma=0.5, decay=0.99, floor=0.01)
     noise.update(-3.0)
@@ -251,6 +270,26 @@ def test_train_bookkeeping_buffer_size():
     trainer = core._Trainer(env, tiny_config())
     trainer.run()
     assert len(trainer.buffer) == 3
+
+
+def test_one_adam_step_per_update_and_one_soft_update_per_long_update(monkeypatch):
+    calls = {"adam": 0, "soft": 0}
+    step, soft = core.Adam.step, core.soft_update
+
+    def counting_step(self, *args, **kwargs):
+        calls["adam"] += 1
+        return step(self, *args, **kwargs)
+
+    def counting_soft(*args):
+        calls["soft"] += 1
+        return soft(*args)
+
+    monkeypatch.setattr(core.Adam, "step", counting_step)
+    monkeypatch.setattr(core, "soft_update", counting_soft)
+    trainer = core._Trainer(MountainCar(horizon=3), tiny_config())
+    trainer.run()
+    assert calls == {"adam": 3 * (5 + 5), "soft": 3 * 5}
+    assert sum(isinstance(v, core.Adam) for v in vars(trainer).values()) == 2
 
 
 def test_train_determinism():

@@ -5,7 +5,8 @@ recorder, so the parameters stay where the gradients were taken, and then
 compares the recorded gradients with central differences of a loss written
 independently of the update: `core.short_term_loss`, `core.long_term_loss`,
 and the DDPG critic MSE and actor objective built from the model's forward
-passes.
+passes.  An LLQL optimiser steps a whole head bank, so its gradient and the
+differences cover every parameter of every head.
 """
 
 import numpy as np
@@ -20,12 +21,13 @@ H = 1e-6
 
 @pytest.fixture
 def adam_grads(monkeypatch):
-    """Gradients passed to every Adam step, keyed by id(net); no step is taken."""
+    """(stepped net or bank, gradient) of every Adam step, keyed by id of the
+    optimiser; no step is taken."""
     captured = {}
 
     def record(self, net, grads, context=""):
-        assert id(net) not in captured, "one gradient per network per update"
-        captured[id(net)] = np.array(grads.flat, dtype=np.float64)
+        assert id(self) not in captured, "one gradient per optimiser per update"
+        captured[id(self)] = (net, np.array(grads.flat, dtype=np.float64))
 
     monkeypatch.setattr(nets.Adam, "step", record)
     return captured
@@ -48,7 +50,10 @@ def prepare(trainer, env, nets_, rng):
     zero exactly on the ReLU kink, where the subgradient 0 and a central
     difference disagree.  Random biases keep every unit off it.
     """
-    trainer.normalizer = Normalizer.fit(rng.normal(0.3, 2.0, size=(50, env.state_dim)))
+    fitted = Normalizer.fit(rng.normal(0.3, 2.0, size=(50, env.state_dim)))
+    # in place, as training fits it: the trainer's models hold this normalizer
+    trainer.normalizer.mean[...] = fitted.mean
+    trainer.normalizer.std[...] = fitted.std
     for net in nets_:
         net.flat_params[...] += rng.normal(0.0, 0.1, size=net.n_params)
 
@@ -68,9 +73,12 @@ def finite_difference(net, loss):
 
 
 def assert_matches_fd(net, captured, loss):
-    analytic = captured[id(net)]
+    (analytic,) = [g for stepped, g in captured.values() if stepped is net]
     numeric = finite_difference(net, loss)
-    assert np.abs(analytic).max() > 1e-6  # a vacuous all-zero gradient would pass below
+    # a vacuous all-zero gradient of any head would pass below
+    ends = np.cumsum([head.n_params for head in getattr(net, "heads", [net])])
+    for start, end in zip([0, *ends[:-1]], ends):
+        assert np.abs(analytic[start:end]).max() > 1e-6
     np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
 
 
@@ -84,16 +92,16 @@ def llql_trainer(env_name, **kw):
 def test_short_update_gradients_match_short_term_loss(env_name, adam_grads):
     env, trainer = llql_trainer(env_name)
     rng = np.random.default_rng(11)
-    prepare(trainer, env, (trainer.f_net, trainer.g_net), rng)
+    prepare(trainer, env, (trainer.dyn.bank,), rng)
     batch = random_batch(env, 9, rng)
 
     trainer._short_update(batch)
+    assert len(adam_grads) == 1
 
     def loss():
-        return core.short_term_loss(trainer.dynamics_model(), batch)
+        return core.short_term_loss(trainer.dyn, batch)
 
-    assert_matches_fd(trainer.f_net, adam_grads, loss)
-    assert_matches_fd(trainer.g_net, adam_grads, loss)
+    assert_matches_fd(trainer.dyn.bank, adam_grads, loss)
 
 
 @pytest.mark.parametrize("squared", [False, True])
@@ -101,23 +109,22 @@ def test_short_update_gradients_match_short_term_loss(env_name, adam_grads):
 def test_long_update_gradients_match_long_term_loss(env_name, squared, adam_grads):
     env, trainer = llql_trainer(env_name, squared_bellman=squared)
     rng = np.random.default_rng(12)
-    prepare(trainer, env, (trainer.v_net, trainer.h_net, trainer.d_net,
-                           trainer.v_target, trainer.h_target, trainer.d_target), rng)
-    targets = [t.flat_params.copy() for t in (trainer.v_target, trainer.h_target, trainer.d_target)]
+    q = trainer.q
+    prepare(trainer, env, (q.bank, q.target), rng)
+    target = q.target.flat_params.copy()
     batch = random_batch(env, 8, rng)
 
     trainer._long_update(batch)
+    assert len(adam_grads) == 1
     # undo the soft update so the loss sees the targets the update used
-    for t, saved in zip((trainer.v_target, trainer.h_target, trainer.d_target), targets):
-        t.flat_params[...] = saved
+    q.target.flat_params[...] = target
 
     cfg = trainer.cfg
 
     def loss():
-        return core.long_term_loss(trainer.q_model(), batch, cfg.discount, cfg.eps_d, squared=squared)
+        return core.long_term_loss(q, batch, cfg.discount, cfg.eps_d, squared=squared)
 
-    for net in (trainer.v_net, trainer.h_net, trainer.d_net):
-        assert_matches_fd(net, adam_grads, loss)
+    assert_matches_fd(q.bank, adam_grads, loss)
 
 
 @pytest.mark.parametrize("env_name", ["mountain_car", "pendulum"])

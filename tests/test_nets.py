@@ -8,6 +8,7 @@ import pytest
 from llql.nets import (
     Adam,
     Grads,
+    HeadBank,
     Mlp,
     ModelFileError,
     NonFiniteGradientError,
@@ -170,6 +171,18 @@ def test_adam_rejects_non_finite_gradients():
     assert adam.t == 0
 
 
+def test_adam_accepts_large_finite_float32_gradients():
+    # the entries sum past the float32 range, yet every one is finite
+    net = make_net((2, 1), seed=3, dtype=np.float32)
+    adam = Adam(net, lr=0.1)
+    g = Grads(net.layer_sizes, net.dtype)
+    g.flat[:] = [3e38, 3e38, 0.0]
+    with np.errstate(over="ignore"):  # the squared-gradient moment overflows to inf
+        adam.step(net, g)
+    assert adam.t == 1
+    assert np.all(np.isfinite(net.flat_params))
+
+
 def test_soft_update_endpoints_and_blend():
     src = make_net((2, 3, 1), seed=5)
     tgt = make_net((2, 3, 1), seed=6)
@@ -303,3 +316,69 @@ def test_failed_model_save_keeps_the_previous_file(tmp_path, monkeypatch):
 def test_mlp_requires_finite_parameters():
     with pytest.raises(ValueError):
         Mlp((1, 1), np.array([np.nan, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# Head banks
+# ---------------------------------------------------------------------------
+
+SHAPES = ((), (2,), (2, 2))
+
+
+def make_bank(seed=0, dtype=np.float64):
+    return HeadBank.create(3, (5, 4), SHAPES, np.random.default_rng(seed), dtype)
+
+
+def test_bank_heads_are_views_of_one_vector_initialized_like_separate_nets():
+    bank = make_bank(seed=9, dtype=np.float32)
+    rng = np.random.default_rng(9)
+    nets = [Mlp.create((3, 5, 4, n), rng, np.float32) for n in (1, 2, 4)]
+    assert bank.layer_sizes == tuple(net.layer_sizes for net in nets)
+    assert bank.n_params == sum(net.n_params for net in nets)
+    assert np.array_equal(bank.flat_params, np.concatenate([net.flat_params for net in nets]))
+    bank.heads[1].biases[-1][...] = 7.0
+    assert np.count_nonzero(bank.flat_params == 7.0) == 2
+
+
+def test_bank_forward_shapes_each_head_for_one_input_and_a_batch():
+    bank = make_bank()
+    X = np.random.default_rng(1).standard_normal((4, 3))
+    v, h, d = bank.forward(X)
+    assert (v.shape, h.shape, d.shape) == ((4,), (4, 2), (4, 2, 2))
+    assert np.array_equal(d, bank.heads[2].forward(X).reshape(4, 2, 2))
+    v1, h1, d1 = bank.forward(X[0])
+    assert (v1.shape, h1.shape, d1.shape) == ((), (2,), (2, 2))
+    assert np.array_equal(d1, bank.heads[2].forward(X[0]).reshape(2, 2))
+    assert np.allclose(h1, h[0], atol=1e-12) and np.allclose(v1, v[0], atol=1e-12)
+    assert v1.dtype == np.float64
+
+
+def test_bank_backward_stacks_the_heads_gradients():
+    bank = make_bank(seed=2)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 3))
+    outs, caches = bank.forward_cached(X)
+    g_outs = [rng.standard_normal(out.shape) for out in outs]
+    grads = bank.backward_cached(caches, g_outs)
+    expected = [head.backward(X, g.reshape(6, -1))[0].flat for head, g in zip(bank.heads, g_outs)]
+    assert np.array_equal(grads.flat, np.concatenate(expected))
+
+
+def test_bank_takes_one_adam_step_and_one_soft_update():
+    bank = make_bank(seed=4)
+    target = bank.copy()
+    adam = Adam(bank, lr=0.1)
+    g = Grads(bank.layer_sizes, bank.dtype)
+    g.flat[:] = 1.0
+    adam.step(bank, g)
+    assert np.all(bank.flat_params < target.flat_params)
+    soft_update(target, bank, 1.0)
+    assert np.array_equal(target.flat_params, bank.flat_params)
+    with pytest.raises(ValueError):
+        soft_update(target, HeadBank.create(3, (5,), SHAPES, np.random.default_rng(0)), 0.5)
+
+
+def test_bank_rejects_a_head_that_cannot_take_its_shape():
+    nets = [make_net((3, 1)), make_net((3, 3))]
+    with pytest.raises(ValueError, match="shape"):
+        HeadBank.of(nets, ((), (2,)))
