@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import DynamicsModel, _EpisodeTrainer
-from .nets import Adam, Mlp, Normalizer, save_model, load_model, soft_update
+from .nets import Adam, Mlp, ModelFile, Normalizer, save_model, load_model, soft_update
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +248,18 @@ def load_ddpg_model(path) -> tuple:
     mf = load_model(path)
     if mf.meta.get("role") != "ddpg":
         raise ValueError(f"{path} does not hold a ddpg model")
+    return ddpg_model_from(mf), mf.meta
+
+
+def ddpg_model_from(mf: ModelFile) -> DdpgModel:
     env_spec = mf.meta["env"]
-    model = DdpgModel(
+    return DdpgModel(
         mf.nets["actor"], mf.nets["critic"],
         mf.nets["actor"].copy(), mf.nets["critic"].copy(),
         mf.normalizer,
         np.asarray(env_spec["action_low"], dtype=np.float64),
         np.asarray(env_spec["action_high"], dtype=np.float64),
     )
-    return model, mf.meta
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,17 @@ synthesis without retraining:
 
 * trajectory goals stack a weighted tracking residual
   gamma2 * (x_d - x - delta * (f + g u)) on top of the weighted advantage
-  residual gamma1 * (h + d u) and solve the joint least-squares system;
-* constraint goals minimize the advantage residual subject to a one-sided
-  bound on one predicted state component; the KKT multiplier has a closed
-  form, and complementary slackness decides whether it binds.
+  residual gamma1 * (h + d u) and solve the joint least-squares system
+  (`_track`);
+* constraint goals project the greedy action onto the half-space of
+  actions whose predicted component satisfies a one-sided bound, in the
+  metric d^T d of the advantage residual; the KKT multiplier has a closed
+  form, and complementary slackness decides whether it binds (`_project`).
 
-The approximation variants substitute a pre-trained policy's action u_N
-for the advantage term, so they need only the dynamics model: trajectory
-adjustment trades off gamma1 * (u - u_N) against the tracking residual,
-and constraint adjustment is the minimum-norm projection of u_N onto the
-half-space of actions whose predicted component satisfies the bound.
+The approximation layer is the same synthesis with the advantage residual
+replaced by ||u - u_N||, that is (h, d) = (-u_N, I), where u_N is a
+pre-trained policy's action: it needs only the dynamics model, and its
+constraint adjustment is the minimum-norm projection of u_N.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ class ConstraintGoal:
             else:
                 self.active = lambda x, k: x[self.state_index] < self.margin
 
+    @property
+    def sign(self) -> float:
+        """+1 for an upper bound, -1 for a lower one (which reflects to upper)."""
+        return 1.0 if self.direction == "upper" else -1.0
+
 
 @dataclasses.dataclass
 class SymmetricConstraintGoal:
@@ -141,8 +147,6 @@ class ActionResult:
 @dataclasses.dataclass
 class KktSolution:
     lambda_star: float
-    alpha1: np.ndarray
-    alpha2: np.ndarray
     action: np.ndarray
     action_raw: np.ndarray
     predicted: float          # constrained component predicted at action_raw
@@ -162,31 +166,29 @@ def _clip(u: np.ndarray, low, high) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def long_term_action(
-    q: QModel,
-    x: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    ridge: float = linalg.RIDGE,
-    eps_d: float = EPS_D,
-) -> ActionResult:
+def long_term_action(q: QModel, x: np.ndarray, rng: np.random.Generator) -> ActionResult:
     """Greedy action: least-squares minimizer of ||h(x) + d(x) u||.
 
     Falls back to a uniform random in-bounds action when the gain d(x) is
     numerically zero (the model predicts the action has no effect).
     """
     _, h, d = q.coefficients(x)
-    if np.linalg.norm(d) < eps_d:
+    if np.linalg.norm(d) < EPS_D:
         u = rng.uniform(q.action_low, q.action_high)
         return ActionResult(u, u.copy(), fallback="degenerate-gain")
-    u_raw = linalg.pinv_action(h, d, ridge)
+    u_raw = linalg.pinv_action(h, d)
     return ActionResult(_clip(u_raw, q.action_low, q.action_high), u_raw)
 
 
-def _stacked_solve(top, z_top, g, z_bot, gamma2, delta, ridge):
-    M = np.vstack([top, -gamma2 * delta * g])
-    z = np.concatenate([z_top, z_bot])
-    u = linalg.solve_least_squares(M, z, ridge)
+def _track(h, d, dyn: DynamicsModel, x, x_d_next, gamma1: float, gamma2: float):
+    """Minimize ||gamma1 (h + d u)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2
+    by one stacked least-squares solve; None when the solve is not finite."""
+    f, g = dyn.coefficients(x)
+    x = np.asarray(x, dtype=np.float64)
+    x_d_next = np.asarray(x_d_next, dtype=np.float64)
+    M = np.vstack([gamma1 * d, -gamma2 * dyn.delta * g])
+    z = np.concatenate([-gamma1 * h, gamma2 * (x + dyn.delta * f - x_d_next)])
+    u = linalg.solve_least_squares(M, z)
     return u if np.all(np.isfinite(u)) else None
 
 
@@ -198,9 +200,6 @@ def trajectory_action(
     gamma1: float,
     gamma2: float,
     rng: np.random.Generator,
-    *,
-    ridge: float = linalg.RIDGE,
-    eps_d: float = EPS_D,
 ) -> ActionResult:
     """Blend the greedy objective with tracking a desired next state.
 
@@ -208,21 +207,10 @@ def trajectory_action(
     ||gamma1 (h + d u)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2.
     """
     _, h, d = q.coefficients(x)
-    f, g = dyn.coefficients(x)
-    x = np.asarray(x, dtype=np.float64)
-    x_d_next = np.asarray(x_d_next, dtype=np.float64)
-    u_raw = _stacked_solve(
-        gamma1 * d,
-        -gamma1 * h,
-        g,
-        gamma2 * (x + dyn.delta * f - x_d_next),
-        gamma2,
-        dyn.delta,
-        ridge,
-    )
+    u_raw = _track(h, d, dyn, x, x_d_next, gamma1, gamma2)
     if u_raw is None:
         logger.warning("trajectory synthesis was singular; falling back to the long-term action")
-        result = long_term_action(q, x, rng, ridge=ridge, eps_d=eps_d)
+        result = long_term_action(q, x, rng)
         return ActionResult(result.action, result.action_raw, fallback="singular")
     return ActionResult(_clip(u_raw, q.action_low, q.action_high), u_raw)
 
@@ -235,30 +223,19 @@ def approx_trajectory_action(
     gamma1: float,
     gamma2: float,
     *,
-    ridge: float = linalg.RIDGE,
     action_low=None,
     action_high=None,
 ) -> ActionResult:
     """Trajectory adjustment around a pre-trained policy's action u_n.
 
     Minimizes ||gamma1 (u - u_n)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2
-    using only the dynamics model.  gamma2 = 0 returns u_n unchanged.
+    using only the dynamics model: the agent's trajectory synthesis with
+    (h, d) = (-u_n, I).  gamma2 = 0 returns u_n unchanged.
     """
     u_n = np.asarray(u_n, dtype=np.float64).reshape(-1)
     if gamma2 == 0.0:
         return ActionResult(_clip(u_n, action_low, action_high), u_n.copy())
-    f, g = dyn.coefficients(x)
-    x = np.asarray(x, dtype=np.float64)
-    x_d_next = np.asarray(x_d_next, dtype=np.float64)
-    u_raw = _stacked_solve(
-        gamma1 * np.eye(g.shape[1]),
-        gamma1 * u_n,
-        g,
-        gamma2 * (x + dyn.delta * f - x_d_next),
-        gamma2,
-        dyn.delta,
-        ridge,
-    )
+    u_raw = _track(-u_n, np.eye(u_n.size), dyn, x, x_d_next, gamma1, gamma2)
     if u_raw is None:
         logger.warning("trajectory adjustment was singular; keeping the policy action")
         return ActionResult(_clip(u_n, action_low, action_high), u_n.copy(), fallback="singular")
@@ -270,11 +247,31 @@ def approx_trajectory_action(
 # ---------------------------------------------------------------------------
 
 
-def _oriented(x, f, g, goal: ConstraintGoal):
-    """Reflect lower-bound constraints so the math sees x_i' <= c."""
-    i = goal.state_index
-    sign = 1.0 if goal.direction == "upper" else -1.0
-    return sign, sign * float(x[i]), sign * float(f[i]), sign * g[i, :], sign * goal.bound
+def _project(u0, w, dg, x, f, g, delta: float, goal: ConstraintGoal, low, high) -> KktSolution:
+    """KKT solution u = u0 - lambda* w of min (u - u0)^T W (u - u0) subject
+    to x_i + delta (f_i + g_i u) <= c, where dg = delta g_i and w = W^-1 dg
+    (both reflected for a lower bound, which then reads as an upper one):
+    lambda* = max(0, (x_i + delta f_i + dg . u0 - c) / (dg . w)), so a
+    binding bound puts the raw action's predicted component exactly on c.
+    Also flags a binding bound that clipping to [low, high] breaks."""
+    i, sign = goal.state_index, goal.sign
+    predicted0 = sign * float(x[i]) + delta * (sign * float(f[i])) + float(dg @ u0)
+    c = sign * goal.bound
+    if predicted0 <= c:
+        lam, active, u_raw = 0.0, False, u0.copy()
+    else:
+        lam, active = (predicted0 - c) / float(dg @ w), True
+        u_raw = u0 - lam * w
+    predicted = float(x[i] + delta * (f[i] + g[i, :] @ u_raw))
+    u = _clip(u_raw, low, high)
+    predicted_clipped = float(x[i] + delta * (f[i] + g[i, :] @ u))
+    clip_violates = bool(active and sign * predicted_clipped > c + 1e-9)
+    if clip_violates:
+        logger.warning(
+            "action clipping broke the constraint: predicted %s=%.6g vs bound %.6g",
+            i, predicted_clipped, goal.bound,
+        )
+    return KktSolution(lam, u, u_raw, predicted, predicted_clipped, active, clip_violates)
 
 
 def constraint_action(
@@ -283,62 +280,29 @@ def constraint_action(
     x: np.ndarray,
     goal: ConstraintGoal,
     rng: np.random.Generator,
-    *,
-    ridge: float = linalg.RIDGE,
-    eps_d: float = EPS_D,
-    eps_kkt: float = EPS_KKT,
 ) -> KktSolution:
     """Greedy action subject to a bound on one predicted state component.
 
-    Solves min 1/2 ||h + d u||^2 s.t. x_i + delta (f_i + g_i u) <= c via the
-    KKT conditions.  With alpha1 = delta g_i d^T (d d^T)^-1 and
-    alpha2 = delta g_i (d^T d)^-1 d^T, the multiplier is
-    lambda* = (x_i + delta f_i - c - alpha2 h) / (alpha2 . alpha1), clamped
-    to 0 when the unconstrained action already satisfies the bound; the
-    constrained action is u = -(d^T d)^-1 d^T (h + lambda* alpha1), whose
-    predicted component lands exactly on c.
+    The KKT solution of min 1/2 ||h + d u||^2 + ridge/2 ||u||^2 s.t.
+    x_i + delta (f_i + g_i u) <= c is the greedy action projected onto the
+    bound in the metric W = d^T d + ridge I: u = u0 - lambda* W^-1 delta g_i
+    with u0 = `pinv_action(h, d)`.
     """
     _, h, d = q.coefficients(x)
     f, g = dyn.coefficients(x)
-    if np.linalg.norm(d) < eps_d:
+    if np.linalg.norm(d) < EPS_D:
         raise UncontrollableConstraintError(
             "advantage gain d(x) is numerically zero; constrained synthesis is undefined"
         )
-    sign, xi, fi, gi, c = _oriented(x, f, g, goal)
-    delta = dyn.delta
-
-    m = d.shape[0]
-    gram_right = d @ d.T + ridge * np.eye(m)            # (d d^T + ridge I)
-    gram_left = d.T @ d + ridge * np.eye(d.shape[1])    # (d^T d + ridge I)
-    alpha1 = delta * np.linalg.solve(gram_right, d @ gi)        # = delta g_i d^T (d d^T)^-1
-    alpha2 = delta * (d @ np.linalg.solve(gram_left, gi))       # = delta g_i (d^T d)^-1 d^T
-    denom = float(alpha2 @ alpha1)
-    if abs(denom) < eps_kkt:
+    dg = goal.sign * dyn.delta * g[goal.state_index]
+    w = np.linalg.solve(d.T @ d + linalg.RIDGE * np.eye(d.shape[1]), dg)
+    gain = float(dg @ w)
+    if abs(gain) < EPS_KKT:
         raise UncontrollableConstraintError(
             f"constraint on state component {goal.state_index} is uncontrollable "
-            f"(alpha1 . alpha2 = {denom:.3e})"
+            f"(delta g_i . W^-1 delta g_i = {gain:.3e})"
         )
-
-    lam = (xi + delta * fi - c - float(alpha2 @ h)) / denom
-    if lam <= 0.0:
-        lam = 0.0
-        active = False
-        u_raw = linalg.pinv_action(h, d, ridge)
-    else:
-        active = True
-        u_raw = -np.linalg.solve(gram_left, d.T @ (h + lam * alpha1))
-
-    i = goal.state_index
-    predicted = float(x[i] + delta * (f[i] + g[i, :] @ u_raw))
-    u = _clip(u_raw, q.action_low, q.action_high)
-    predicted_clipped = float(x[i] + delta * (f[i] + g[i, :] @ u))
-    clip_violates = bool(active and sign * predicted_clipped > sign * goal.bound + 1e-9)
-    if clip_violates:
-        logger.warning(
-            "action clipping broke the constraint: predicted %s=%.6g vs bound %.6g",
-            goal.state_index, predicted_clipped, goal.bound,
-        )
-    return KktSolution(lam, alpha1, alpha2, u, u_raw, predicted, predicted_clipped, active, clip_violates)
+    return _project(linalg.pinv_action(h, d), w, dg, x, f, g, dyn.delta, goal, q.action_low, q.action_high)
 
 
 def approx_constraint_action(
@@ -347,7 +311,6 @@ def approx_constraint_action(
     x: np.ndarray,
     goal: ConstraintGoal,
     *,
-    eps_kkt: float = EPS_KKT,
     action_low=None,
     action_high=None,
 ) -> KktSolution:
@@ -355,41 +318,18 @@ def approx_constraint_action(
 
     u = u_n - lambda* delta g_i^T with
     lambda* = (x_i + delta f_i - c + delta g_i u_n) / (delta g_i . delta g_i),
-    clamped to 0 when the predicted component already satisfies the bound.
+    clamped to 0 when the predicted component already satisfies the bound:
+    the agent's constraint synthesis with (h, d) = (-u_n, I) and no ridge.
     """
     u_n = np.asarray(u_n, dtype=np.float64).reshape(-1)
     f, g = dyn.coefficients(x)
-    sign, xi, fi, gi, c = _oriented(x, f, g, goal)
-    delta = dyn.delta
-    dg = delta * gi
-    gain = float(dg @ dg)
-    if np.linalg.norm(dg) < eps_kkt:
+    dg = goal.sign * dyn.delta * g[goal.state_index]
+    if np.linalg.norm(dg) < EPS_KKT:
         raise UncontrollableConstraintError(
             f"constraint on state component {goal.state_index} is uncontrollable "
             f"(||delta g_i|| = {np.linalg.norm(dg):.3e})"
         )
-
-    predicted_n = xi + delta * fi + float(dg @ u_n)
-    if predicted_n <= c:
-        lam = 0.0
-        active = False
-        u_raw = u_n.copy()
-    else:
-        lam = (predicted_n - c) / gain
-        active = True
-        u_raw = u_n - lam * dg
-
-    i = goal.state_index
-    predicted = float(x[i] + delta * (f[i] + g[i, :] @ u_raw))
-    u = _clip(u_raw, action_low, action_high)
-    predicted_clipped = float(x[i] + delta * (f[i] + g[i, :] @ u))
-    clip_violates = bool(active and sign * predicted_clipped > sign * goal.bound + 1e-9)
-    if clip_violates:
-        logger.warning(
-            "action clipping broke the adjusted constraint: predicted %s=%.6g vs bound %.6g",
-            goal.state_index, predicted_clipped, goal.bound,
-        )
-    return KktSolution(lam, dg.copy(), dg.copy(), u, u_raw, predicted, predicted_clipped, active, clip_violates)
+    return _project(u_n, dg, dg, x, f, g, dyn.delta, goal, action_low, action_high)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +351,9 @@ class GoalController:
     when `qmodel` is given, or from `policy` (any callable state -> action)
     in the approximation setting.  While the goal's activation predicate
     holds, actions come from the matching goal-aware synthesis op; once the
-    goal expires the controller reverts to the base policy.
+    goal expires the controller reverts to the base policy.  A step on which
+    the constraint is uncontrollable takes the base action, on branch
+    "fallback", instead of ending the episode.
     """
 
     def __init__(
@@ -462,15 +404,21 @@ class GoalController:
             decision = Decision(res.action, "trajectory", res)
         else:
             resolved = goal.resolve(x) if isinstance(goal, SymmetricConstraintGoal) else goal
-            if self.qmodel is not None:
-                sol = constraint_action(self.qmodel, self.dyn, x, resolved, self.rng)
+            u_n = None if self.policy is None else np.asarray(self.policy(x), dtype=np.float64).reshape(-1)
+            try:
+                if u_n is None:
+                    sol = constraint_action(self.qmodel, self.dyn, x, resolved, self.rng)
+                else:
+                    sol = approx_constraint_action(
+                        u_n, self.dyn, x, resolved,
+                        action_low=self.action_low, action_high=self.action_high,
+                    )
+            except UncontrollableConstraintError as exc:
+                logger.warning("%s; taking the base action", exc)
+                base = self._base(x).action if u_n is None else _clip(u_n, self.action_low, self.action_high)
+                decision = Decision(base, "fallback", exc)
             else:
-                u_n = np.asarray(self.policy(x), dtype=np.float64).reshape(-1)
-                sol = approx_constraint_action(
-                    u_n, self.dyn, x, resolved,
-                    action_low=self.action_low, action_high=self.action_high,
-                )
-            decision = Decision(sol.action, "constraint", sol)
+                decision = Decision(sol.action, "constraint", sol)
         self.branch_counts[decision.branch] = self.branch_counts.get(decision.branch, 0) + 1
         return decision
 

@@ -23,6 +23,7 @@ from .nets import (
     Adam,
     HeadBank,
     Mlp,
+    ModelFile,
     NonFiniteGradientError,
     Normalizer,
     load_model,
@@ -550,7 +551,11 @@ def save_llql_model(path, dyn: DynamicsModel, q: Optional[QModel], meta: dict) -
 
 def load_llql_model(path):
     """Load (DynamicsModel, QModel or None, meta) from a model file."""
-    mf = load_model(path)
+    return llql_model_from(load_model(path))
+
+
+def llql_model_from(mf: ModelFile):
+    """(DynamicsModel, QModel or None, meta) from a loaded model file."""
     meta = mf.meta
     env_spec = meta["env"]
     s, a = env_spec["state_dim"], env_spec["action_dim"]

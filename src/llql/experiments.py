@@ -164,8 +164,9 @@ def mc_velocity_goal(
     )
 
 
-def mc_speed_limit_goal(bound: float = 0.033, margin: float = 0.033) -> control.SymmetricConstraintGoal:
-    """Keep |velocity| at or below `bound`, engaging once |v| exceeds `margin`."""
+def mc_speed_limit_goal(bound: float = 0.033, margin: Optional[float] = None) -> control.SymmetricConstraintGoal:
+    """Keep |velocity| at or below `bound`, engaging once |v| exceeds `margin`
+    (by default the bound itself)."""
     return control.SymmetricConstraintGoal(state_index=1, bound=bound, margin=margin)
 
 
@@ -205,7 +206,7 @@ def goal_from_dict(d: Optional[dict]):
             switch_position=d.get("switch_position", 0.0),
         )
     if kind == "mc_constraint":
-        return mc_speed_limit_goal(bound=d.get("bound", 0.033), margin=d.get("margin", 0.033))
+        return mc_speed_limit_goal(bound=d.get("bound", 0.033), margin=d.get("margin"))
     if kind == "pendulum_trajectory":
         return pendulum_upright_velocity_goal(
             gamma1=d.get("gamma1", 1.0),
@@ -392,14 +393,12 @@ def load_policy(path_or_cmd: str, rng: Optional[np.random.Generator] = None):
     an external process speaking the JSON-lines protocol."""
     if path_or_cmd.startswith("cmd:"):
         return control.ExternalProcessPolicy(path_or_cmd[4:].split())
-    meta = load_model(path_or_cmd).meta
-    role = meta.get("role")
+    mf = load_model(path_or_cmd)
+    role = mf.meta.get("role")
     if role == "llql":
-        _, q, _ = core.load_llql_model(path_or_cmd)
-        return control.LlqlPolicy(q, rng)
+        return control.LlqlPolicy(core.llql_model_from(mf)[1], rng)
     if role == "ddpg":
-        model, _ = baselines.load_ddpg_model(path_or_cmd)
-        return model
+        return baselines.ddpg_model_from(mf)
     raise ValueError(f"{path_or_cmd}: role {role!r} is not a loadable policy")
 
 

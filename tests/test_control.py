@@ -431,6 +431,25 @@ def test_hybrid_policy_mode_uses_approximation():
     assert calls  # the policy supplied u_N
 
 
+def test_uncontrollable_step_falls_back_to_the_base_action():
+    # the bound on velocity is broken, but g has no effect on it
+    dyn = make_dynamics([0.0, 0.0], np.array([[1.0], [0.0]]), state_dim=2)
+    q = make_qmodel(v=0.0, h=[0.5], d=[[1.0]], state_dim=2, low=-1.0, high=1.0)
+    goal = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.0)
+    x = np.array([-0.5, 0.05])
+    agent = GoalController(dyn, goal, qmodel=q, rng=rng())
+    approx = GoalController(
+        dyn, goal, policy=lambda x: np.array([1.5]), action_low=np.array([-1.0]), action_high=np.array([1.0]),
+    )
+    for ctl, base in ((agent, long_term_action(q, x, rng()).action), (approx, np.array([1.0]))):
+        out = ctl.act(x, 0)
+        assert out.branch == "fallback"
+        assert isinstance(out.detail, UncontrollableConstraintError)
+        assert np.array_equal(out.action, base)
+        ctl.act(np.array([-0.5, 0.0]), 1)  # v = 0 is inside the margin
+        assert ctl.branch_counts == {"fallback": 1, "long_term" if ctl is agent else "policy": 1}
+
+
 def test_goal_controller_requires_exactly_one_source():
     q, dyn = mc_like_models()
     with pytest.raises(ValueError):

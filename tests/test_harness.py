@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llql import cli, core, experiments, reports
+from llql import baselines, cli, core, experiments, reports
+from llql.control import LlqlPolicy
 from llql.cli import ConfigError, build_config, main, parse_config_file
 from llql.experiments import EvalReport, EvalRow, compute_aggregates, evaluate, goal_from_dict
 from llql.envs import MountainCar, make_env
@@ -176,6 +177,14 @@ def test_goal_from_dict_variants():
         goal_from_dict({"kind": "nope"})
 
 
+def test_speed_limit_margin_defaults_to_the_bound():
+    for goal in (goal_from_dict({"kind": "mc_constraint", "bound": 0.02}), experiments.mc_speed_limit_goal(0.02)):
+        assert goal.margin == 0.02
+        assert goal.active(np.array([-0.5, 0.03]), 0)  # the limit is already broken
+        assert not goal.active(np.array([-0.5, 0.015]), 0)
+    assert goal_from_dict({"kind": "mc_constraint"}).margin == 0.033
+
+
 def tiny_train_config(**kw):
     defaults = dict(episodes=1, hidden_sizes=(8, 8), normalizer_samples=10,
                     short_batch=4, long_batch=4)
@@ -298,6 +307,34 @@ def test_run_experiment_adjust_with_goal(tmp_path):
     )
     report = experiments.run_experiment(spec)
     assert report.rows[0].s_out == 0
+
+
+@pytest.mark.parametrize("role", ["llql", "ddpg"])
+def test_load_policy_reads_the_model_file_once(tmp_path, monkeypatch, role):
+    env = MountainCar(horizon=10)
+    path = tmp_path / f"{role}.model"
+    meta = {"env": env.spec.to_dict()}
+    if role == "llql":
+        result = core.train(env, tiny_train_config())
+        core.save_llql_model(path, result.dynamics, result.qmodel, meta)
+        reference = LlqlPolicy(core.load_llql_model(path)[1])
+    else:
+        cfg = baselines.DdpgConfig(episodes=1, hidden_sizes=(8, 8), normalizer_samples=10, batch=4)
+        baselines.save_ddpg_model(path, baselines.ddpg_train(env, cfg)[0], meta)
+        reference = baselines.load_ddpg_model(path)[0]
+    reads = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    policy = experiments.load_policy(str(path))
+    assert len(reads) == 1
+    x = np.array([-0.5, 0.01])
+    assert np.array_equal(policy(x), reference(x))
 
 
 # ---------------------------------------------------------------------------

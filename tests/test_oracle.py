@@ -82,22 +82,21 @@ def test_oracle_is_exact_while_nothing_clips():
         np.testing.assert_allclose(dyn.predict_next(x, u), env.step(x, u).next_state, rtol=0, atol=1e-12)
 
 
-def speed_limit_controllers():
-    goal = SymmetricConstraintGoal(state_index=1, bound=BOUND, margin=0.0)
-    dyn = OracleDynamics()
-    return {
-        "agent": lambda: GoalController(dyn, goal, qmodel=OracleQ()),
-        "approximation": lambda: GoalController(
-            dyn, goal, policy=pump, action_low=np.array([-1.0]), action_high=np.array([1.0])
-        ),
-    }
+def controller(which, goal):
+    """The agent's synthesis on `OracleQ`, or the approximation layer around `pump`."""
+    if which == "agent":
+        return GoalController(OracleDynamics(), goal, qmodel=OracleQ())
+    return GoalController(
+        OracleDynamics(), goal, policy=pump, action_low=np.array([-1.0]), action_high=np.array([1.0])
+    )
 
 
 @pytest.mark.parametrize("which", ["agent", "approximation"])
 def test_speed_limit_holds_wherever_reachable(which):
+    goal = SymmetricConstraintGoal(state_index=1, bound=BOUND, margin=0.0)
     reachable_steps = engaged = 0
     for seed in SEEDS:
-        for x, x_next, decision in rollout(speed_limit_controllers()[which](), seed):
+        for x, x_next, decision in rollout(controller(which, goal), seed):
             v_free = free_velocity(x)
             if v_free - POWER > BOUND or v_free + POWER < -BOUND:
                 continue  # gravity alone carries the car past the bound
@@ -122,16 +121,10 @@ def test_pumping_alone_breaks_the_limit():
 @pytest.mark.parametrize("v_d", [0.0, 0.01, -0.01])
 def test_large_gamma2_trajectory_lands_on_target_velocity(which, v_d):
     goal = TrajectoryGoal(lambda x, k: np.array([x[0] + v_d, v_d]), gamma1=1.0, gamma2=1e6)
-    dyn = OracleDynamics()
-    if which == "agent":
-        controller = GoalController(dyn, goal, qmodel=OracleQ())
-    else:
-        controller = GoalController(
-            dyn, goal, policy=pump, action_low=np.array([-1.0]), action_high=np.array([1.0])
-        )
+    ctl = controller(which, goal)
     landed = 0
     for seed in SEEDS:
-        for x, x_next, decision in rollout(controller, seed, steps=100):
+        for x, x_next, decision in rollout(ctl, seed, steps=100):
             assert decision.branch == "trajectory"
             if abs(v_d - free_velocity(x)) > POWER:
                 continue  # the target needs more force than [-1, 1] allows
