@@ -382,3 +382,42 @@ def test_bank_rejects_a_head_that_cannot_take_its_shape():
     nets = [make_net((3, 1)), make_net((3, 3))]
     with pytest.raises(ValueError, match="shape"):
         HeadBank.of(nets, ((), (2,)))
+
+
+def head_indices(bank):
+    """Each head's parameters as indices into the bank's flat vector, in the
+    head's own (model-file) order, whatever the bank's layout."""
+    saved = bank.flat_params.copy()
+    bank.flat_params[...] = np.arange(bank.n_params)
+    indices = [np.asarray(head.flat_params).astype(np.int64) for head in bank.heads]
+    bank.flat_params[...] = saved
+    return indices
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [(5, 4), ()], ids=["hidden", "no_hidden"])
+@pytest.mark.parametrize("n", [1, 10, 100, 1000])
+def test_bank_results_equal_each_heads_own_results_bitwise(n, hidden, dtype):
+    bank = HeadBank.create(3, hidden, SHAPES, np.random.default_rng(5), dtype)
+    rng = np.random.default_rng(n)
+    bank.flat_params[...] += rng.normal(0.0, 0.1, size=bank.n_params).astype(dtype)  # nonzero biases
+    X = rng.standard_normal((n, 3))
+    Xd = X.astype(dtype)
+    outs = bank.forward(X)
+    cached, caches = bank.forward_cached(Xd)
+    g_outs = [rng.standard_normal(out.shape).astype(dtype) for out in cached]
+    expected_cached = [head.forward_cached(Xd) for head in bank.heads]
+    # compare the cached outputs before the bank's next call
+    for (out, _), got, shape in zip(expected_cached, cached, SHAPES):
+        assert np.array_equal(got, out.reshape((n,) + shape))
+    grads = bank.backward_cached(caches, g_outs)
+    for head, shape, out, (_, acts), g, idx in zip(
+        bank.heads, SHAPES, outs, expected_cached, g_outs, head_indices(bank)
+    ):
+        assert out.dtype == np.float64
+        assert np.array_equal(out, head.forward(X).astype(np.float64).reshape((n,) + shape))
+        expected, _ = head.backward_cached(acts, g.reshape(n, -1), need_input_grad=False)
+        assert np.array_equal(grads.flat[idx], expected.flat)
+    if n == 1:
+        for out, one in zip(outs, bank.forward(X[0])):
+            assert np.array_equal(one, out[0])

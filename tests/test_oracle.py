@@ -1,10 +1,13 @@
-"""Runtime-goal synthesis on an exact model of the mountain-car physics.
+"""Runtime-goal synthesis on exact models of the mountain-car and pendulum
+physics.
 
 While neither the force, the velocity nor the position clips, the car's
 step is affine in the force: v' = v + 0.0015 u - 0.0025 cos(3 p) and
 p' = p + v'.  The stand-in below writes that step as x' = x + delta (f + g u),
 so the synthesis ops see the true dynamics and their promises can be
-checked on the real environment without any training.
+checked on the real environment without any training.  The pendulum's
+angular velocity is likewise affine in the torque while neither the torque
+(+-2) nor the speed (+-8) clips: theta_dot' = theta_dot + 0.05 (15 sin(theta) + 3 u).
 """
 
 import math
@@ -14,7 +17,7 @@ import pytest
 
 from llql import control
 from llql.control import GoalController, SymmetricConstraintGoal, TrajectoryGoal
-from llql.envs import MountainCar
+from llql.envs import MountainCar, Pendulum
 
 DELTA = 0.001
 POWER = MountainCar.POWER
@@ -144,3 +147,114 @@ def test_oracle_constraint_ops_agree_on_their_common_case():
         approx = control.approx_constraint_action(pump(x), dyn, x, goal)
         assert agent.active == approx.active
         np.testing.assert_allclose(agent.action_raw, approx.action_raw, rtol=1e-6, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Pendulum
+# ---------------------------------------------------------------------------
+
+TORQUE = Pendulum.MAX_TORQUE
+DT = Pendulum.DT
+GAIN = 3.0 * DT  # theta_dot change per unit torque
+SPIN_BOUND = 1.0
+
+
+class PendulumOracleDynamics:
+    """Exact pendulum model of theta_dot while nothing clips.  Its cos and
+    sin rows are 0, so it predicts them unchanged: the goals below target
+    theta_dot only and hold those components where they are."""
+
+    delta = DT
+
+    def coefficients(self, x):
+        gravity = 1.5 * Pendulum.G / Pendulum.L * float(x[1]) * DT  # 0.75 sin(theta)
+        return np.array([0.0, 0.0, gravity]) / DT, np.array([[0.0], [0.0], [GAIN]]) / DT
+
+    def predict_next(self, x, u):
+        f, g = self.coefficients(x)
+        return np.asarray(x, dtype=np.float64) + DT * (f + g @ np.asarray(u, dtype=np.float64))
+
+
+def spin(x):
+    """Bang-bang pumping: full torque along the angular velocity."""
+    return np.array([TORQUE if x[2] >= 0 else -TORQUE])
+
+
+class PendulumOracleQ:
+    """Value model whose greedy action is `spin`: h = -spin(x), d = 1."""
+
+    action_low = np.array([-TORQUE])
+    action_high = np.array([TORQUE])
+
+    def coefficients(self, x):
+        return 0.0, -spin(x), np.eye(1)
+
+
+def free_spin(x):
+    """Next angular velocity at zero torque."""
+    return PendulumOracleDynamics().predict_next(x, np.zeros(1))[2]
+
+
+def pendulum_controller(which, goal):
+    """The agent's synthesis on `PendulumOracleQ`, or the approximation layer around `spin`."""
+    if which == "agent":
+        return GoalController(PendulumOracleDynamics(), goal, qmodel=PendulumOracleQ())
+    return GoalController(
+        PendulumOracleDynamics(), goal, policy=spin,
+        action_low=PendulumOracleQ.action_low, action_high=PendulumOracleQ.action_high,
+    )
+
+
+def pendulum_rollout(controller, seed, steps):
+    env = Pendulum(horizon=steps)
+    x = env.reset(seed)
+    pairs = []
+    for k in range(steps):
+        decision = controller.act(x, k)
+        x_next = env.step(x, decision.action).next_state
+        pairs.append((x, x_next, decision))
+        x = x_next
+    return pairs
+
+
+def test_pendulum_oracle_is_exact_while_nothing_clips():
+    dyn, env = PendulumOracleDynamics(), Pendulum()
+    rnd = np.random.default_rng(0)
+    for _ in range(200):
+        theta = rnd.uniform(-math.pi, math.pi)
+        x = np.array([math.cos(theta), math.sin(theta), rnd.uniform(-6.0, 6.0)])
+        u = rnd.uniform(-TORQUE, TORQUE, size=1)
+        assert dyn.predict_next(x, u)[2] == pytest.approx(env.step(x, u).next_state[2], abs=1e-12)
+
+
+@pytest.mark.parametrize("which", ["agent", "approximation"])
+def test_pendulum_spin_limit_holds_wherever_reachable(which):
+    goal = SymmetricConstraintGoal(state_index=2, bound=SPIN_BOUND, margin=0.0)
+    reachable_steps = engaged = 0
+    for seed in SEEDS:
+        for x, x_next, decision in pendulum_rollout(pendulum_controller(which, goal), seed, 200):
+            w_free = free_spin(x)
+            if w_free - GAIN * TORQUE > SPIN_BOUND or w_free + GAIN * TORQUE < -SPIN_BOUND:
+                continue  # gravity alone carries the pendulum past the bound
+            reachable_steps += 1
+            if decision.branch == "constraint":
+                engaged += decision.detail.active
+                assert not decision.detail.clip_violates
+            assert abs(x_next[2]) <= SPIN_BOUND + 1e-9
+    assert reachable_steps > 400 and engaged > 100
+
+
+@pytest.mark.parametrize("which", ["agent", "approximation"])
+@pytest.mark.parametrize("w_d", [0.0, 1.0, -1.0])
+def test_pendulum_large_gamma2_trajectory_lands_on_target_spin(which, w_d):
+    goal = TrajectoryGoal(lambda x, k: np.array([x[0], x[1], w_d]), gamma1=1.0, gamma2=1e6)
+    ctl = pendulum_controller(which, goal)
+    landed = 0
+    for seed in SEEDS:
+        for x, x_next, decision in pendulum_rollout(ctl, seed, 100):
+            assert decision.branch == "trajectory"
+            if abs(w_d - free_spin(x)) > GAIN * TORQUE:
+                continue  # the target needs more torque than [-2, 2] allows
+            landed += 1
+            assert x_next[2] == pytest.approx(w_d, abs=1e-8)
+    assert landed > 40
