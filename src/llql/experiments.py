@@ -21,7 +21,7 @@ import numpy as np
 
 from . import baselines, control, core
 from .envs import make_env
-from .nets import load_model, write_atomic
+from .nets import ModelFile, load_model, write_atomic
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +393,16 @@ def load_policy(path_or_cmd: str, rng: Optional[np.random.Generator] = None):
     an external process speaking the JSON-lines protocol."""
     if path_or_cmd.startswith("cmd:"):
         return control.ExternalProcessPolicy(path_or_cmd[4:].split())
-    mf = load_model(path_or_cmd)
+    return _policy_from(load_model(path_or_cmd), path_or_cmd, rng)
+
+
+def _policy_from(mf: ModelFile, path: str, rng: Optional[np.random.Generator] = None):
     role = mf.meta.get("role")
     if role == "llql":
         return control.LlqlPolicy(core.llql_model_from(mf)[1], rng)
     if role == "ddpg":
         return baselines.ddpg_model_from(mf)
-    raise ValueError(f"{path_or_cmd}: role {role!r} is not a loadable policy")
+    raise ValueError(f"{path}: role {role!r} is not a loadable policy")
 
 
 def _metric_kwargs(env_name: str, spec: ExperimentSpec, goal) -> dict:
@@ -462,11 +465,15 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     elif spec.method == "adjust":
         if goal is None:
             raise ValueError("adjust requires a goal")
-        dyn, _, dyn_meta = core.load_llql_model(spec.dynamics_path)
+        mf = load_model(spec.dynamics_path)
+        dyn, _, dyn_meta = core.llql_model_from(mf)
         _check_env_match(env, dyn_meta, spec.dynamics_path)
         meta["dynamics"] = spec.dynamics_path
         meta["policy"] = spec.policy_path
-        policy = load_policy(spec.policy_path)
+        if spec.policy_path == spec.dynamics_path:  # one file read serves both
+            policy = _policy_from(mf, spec.policy_path)
+        else:
+            policy = load_policy(spec.policy_path)
 
         def factory(seed):
             return control.GoalController(

@@ -12,6 +12,7 @@ handful of vectorized operations.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -40,23 +41,29 @@ def _n_params(layer_sizes) -> int:
 
 
 def _views(flat: np.ndarray, layer_sizes):
-    weights, biases, offset = [], [], 0
-    for a, b in _layers(layer_sizes):
-        weights.append(flat[offset : offset + a * b].reshape(a, b))
-        offset += a * b
-        biases.append(flat[offset : offset + b])
-        offset += b
-    return weights, biases
+    """Weight and bias views into `flat`, layer by layer for an Mlp.  For a
+    HeadBank (one tuple of sizes per head) the hidden layers come first, each
+    as a (heads, fan_in, fan_out) weight block and a (heads, fan_out) bias
+    block, then each head's output layer."""
+    if len(layer_sizes) and isinstance(layer_sizes[0], (tuple, list)):
+        heads = len(layer_sizes)
+        shapes = [((heads, a, b), (heads, b)) for a, b in _layers(layer_sizes[0])[:-1]]
+        shapes += [((a, b), (b,)) for sizes in layer_sizes for a, b in _layers(sizes)[-1:]]
+    else:
+        shapes = [((a, b), (b,)) for a, b in _layers(layer_sizes)]
+    views, offset = [], 0
+    for shape in (shape for pair in shapes for shape in pair):
+        n = math.prod(shape)
+        views.append(flat[offset : offset + n].reshape(shape))
+        offset += n
+    return views[0::2], views[1::2]
 
 
-def _init_params(layer_sizes, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
-    """A flat parameter vector for `layer_sizes`: weights uniform in
-    +-1/sqrt(fan_in), drawn layer by layer (head by head for a bank), biases zero."""
-    flat = np.zeros(_n_params(layer_sizes), dtype=dtype)
-    for W in _views(flat, layer_sizes)[0]:
+def _draw_weights(weights, rng: np.random.Generator) -> None:
+    """Weights uniform in +-1/sqrt(fan_in), drawn layer by layer."""
+    for W in weights:
         bound = 1.0 / np.sqrt(W.shape[0])
-        W[...] = rng.uniform(-bound, bound, size=W.shape).astype(dtype)
-    return flat
+        W[...] = rng.uniform(-bound, bound, size=W.shape).astype(W.dtype)
 
 
 class Grads:
@@ -77,15 +84,36 @@ class Mlp:
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layer sizes")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self.flat_params, self.dtype, self.n_params = flat, flat.dtype, flat.size
+        self._flat, self.dtype, self.n_params = flat, flat.dtype, flat.size
         self.weights, self.biases = _views(flat, self.layer_sizes)
         if not np.all(np.isfinite(flat)):
             raise ValueError("network parameters must be finite")
 
     @classmethod
+    def _head(cls, layer_sizes: tuple, weights: list, biases: list) -> "Mlp":
+        """A HeadBank's head: its layers are views into the bank's blocks."""
+        net = cls.__new__(cls)
+        net.layer_sizes, net.weights, net.biases = layer_sizes, weights, biases
+        net._flat, net.dtype, net.n_params = None, weights[0].dtype, _n_params(layer_sizes)
+        return net
+
+    @property
+    def flat_params(self) -> np.ndarray:
+        """The parameters as one vector, layer by layer (weight matrix, then
+        bias).  A head of a HeadBank has no vector of its own, so for a head
+        this is a read-only copy."""
+        if self._flat is not None:
+            return self._flat
+        flat = np.concatenate([p.reshape(-1) for pair in zip(self.weights, self.biases) for p in pair])
+        flat.flags.writeable = False
+        return flat
+
+    @classmethod
     def create(cls, layer_sizes: Sequence[int], rng: np.random.Generator, dtype=np.float64) -> "Mlp":
         """Initialize weights uniform in +-1/sqrt(fan_in), biases zero."""
-        return cls(layer_sizes, _init_params(layer_sizes, rng, dtype))
+        net = cls(layer_sizes, np.zeros(_n_params(layer_sizes), dtype=dtype))
+        _draw_weights(net.weights, rng)
+        return net
 
     def copy(self) -> "Mlp":
         return Mlp(self.layer_sizes, self.flat_params.copy())
@@ -152,25 +180,46 @@ class Mlp:
 
 
 class HeadBank:
-    """Mlp heads on one input whose parameters are consecutive slices of one
-    flat vector, so one Adam step or one soft update covers every head.
+    """Mlp heads on one input, with equal hidden layers, whose parameters
+    share one flat vector, so one Adam step or one soft update covers every
+    head.
 
-    `shapes` gives each head's output shape (`()` for a scalar); a head's
-    output size is the product of its shape.
+    Each hidden layer of all heads is one (heads, fan_in, fan_out) weight
+    block and one (heads, fan_out) bias block, which one stacked matmul
+    evaluates for every head; each head keeps its own output layer.  Every
+    slice of a stacked matmul is the GEMM a head alone would run, so the
+    bank's results equal its heads' own bit for bit.  `heads` are Mlp views
+    into the blocks.  `shapes` gives each head's output shape (`()` for a
+    scalar); a head's output size is the product of its shape.
+
+    Hidden activations, backward deltas and the gradient vector live in
+    workspaces that the bank keeps across calls and grows to the largest
+    batch it has seen.  So the caches of `forward_cached` and the Grads of
+    `backward_cached` stay valid until the bank's next call, and a bank
+    must not be called from two threads at once.
     """
 
     def __init__(self, layer_sizes: Sequence[Sequence[int]], shapes, flat: np.ndarray):
         self.shapes = tuple(tuple(int(n) for n in shape) for shape in shapes)
-        self.flat_params, self.dtype, self.n_params = flat, flat.dtype, flat.size
-        self.heads = []
-        offset = 0
-        for sizes, shape in zip(layer_sizes, self.shapes, strict=True):
+        self.layer_sizes = tuple(tuple(int(n) for n in sizes) for sizes in layer_sizes)
+        if len(self.layer_sizes) != len(self.shapes):
+            raise ValueError(f"{len(self.layer_sizes)} heads but {len(self.shapes)} output shapes")
+        if any(sizes[:-1] != self.layer_sizes[0][:-1] for sizes in self.layer_sizes):
+            raise ValueError(f"the heads of a bank need equal input and hidden sizes, not {self.layer_sizes}")
+        for sizes, shape in zip(self.layer_sizes, self.shapes):
             if sizes[-1] != math.prod(shape):
                 raise ValueError(f"a head of {sizes[-1]} outputs cannot take the shape {shape}")
-            n = _n_params(sizes)
-            self.heads.append(Mlp(sizes, flat[offset : offset + n]))
-            offset += n
-        self.layer_sizes = tuple(head.layer_sizes for head in self.heads)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("network parameters must be finite")
+        self.flat_params, self.dtype, self.n_params = flat, flat.dtype, flat.size
+        self.weights, self.biases = _views(flat, self.layer_sizes)
+        L = self._n_hidden = len(self.layer_sizes[0]) - 2
+        self.heads = [
+            Mlp._head(sizes, [W[k] for W in self.weights[:L]] + [self.weights[L + k]],
+                      [b[k] for b in self.biases[:L]] + [self.biases[L + k]])
+            for k, sizes in enumerate(self.layer_sizes)
+        ]
+        self._work, self._batch_views, self._grads = {}, {}, None
 
     @classmethod
     def create(cls, in_dim: int, hidden: Sequence[int], shapes, rng: np.random.Generator,
@@ -178,39 +227,121 @@ class HeadBank:
         """Heads of `in_dim` inputs and `hidden` layers, initialized head by
         head as `Mlp.create` would initialize each of them."""
         sizes = [(in_dim, *hidden, math.prod(shape)) for shape in shapes]
-        return cls(sizes, shapes, _init_params(sizes, rng, dtype))
+        bank = cls(sizes, shapes, np.zeros(_n_params(sizes), dtype=dtype))
+        for head in bank.heads:
+            _draw_weights(head.weights, rng)
+        return bank
 
     @classmethod
     def of(cls, nets: Sequence[Mlp], shapes) -> "HeadBank":
         """A bank holding a copy of each net's parameters."""
-        return cls([net.layer_sizes for net in nets], shapes, np.concatenate([net.flat_params for net in nets]))
+        sizes = [net.layer_sizes for net in nets]
+        bank = cls(sizes, shapes, np.zeros(_n_params(sizes), dtype=np.result_type(*(net.dtype for net in nets))))
+        for head, net in zip(bank.heads, nets):
+            for dst, src in zip(head.weights + head.biases, net.weights + net.biases):
+                dst[...] = src
+        return bank
 
     def copy(self) -> "HeadBank":
         return HeadBank(self.layer_sizes, self.shapes, self.flat_params.copy())
 
+    def _workspace(self, kind: str, n: int) -> list:
+        """Views for a batch of n rows into the bank's `kind` workspace, a
+        vector kept across calls that grows to the largest batch seen; the
+        views of each batch size are kept too.  "forward": each hidden
+        layer's (heads, n, width) activations, each head's (n, outputs)
+        output, then every output as one vector.  "backward": each hidden
+        layer's delta and ReLU mask."""
+        views = self._batch_views.get((kind, n))
+        if views is None:
+            heads, L = len(self.heads), self._n_hidden
+            hidden = [(heads, n, W.shape[2]) for W in self.weights[:L]]
+            if kind == "forward":
+                shapes = hidden + [(n, W.shape[1]) for W in self.weights[L:]]
+            else:
+                shapes = [shape for shape in hidden for _ in ("delta", "mask")]
+            bounds = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
+            buf = self._work.get(kind)
+            if buf is None or buf.size < bounds[-1]:
+                buf = self._work[kind] = np.empty(bounds[-1], dtype=self.dtype)
+                self._batch_views = {key: v for key, v in self._batch_views.items() if key[0] != kind}
+            views = [buf[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
+            if kind == "forward":
+                views.append(buf[bounds[L] : bounds[-1]])
+            self._batch_views[kind, n] = views
+        return views
+
+    def _run(self, x: np.ndarray) -> list:
+        """Forward pass of every head on the batch `x` in the bank's dtype,
+        into the forward workspace; returns its views."""
+        if x.shape[1] != self.layer_sizes[0][0]:
+            raise ValueError(
+                f"input has {x.shape[1]} features, network expects {self.layer_sizes[0][0]}"
+            )
+        L = self._n_hidden
+        views = self._workspace("forward", len(x))
+        a = x
+        for W, b, out in zip(self.weights[:L], self.biases[:L], views):
+            np.matmul(a, W, out=out)
+            out += b[:, None, :]
+            np.maximum(out, 0.0, out=out)
+            a = out
+        for k, (W, b, out) in enumerate(zip(self.weights[L:], self.biases[L:], views[L:])):
+            np.matmul(a[k] if L else x, W, out=out)
+            out += b
+        return views
+
     def forward(self, x: np.ndarray) -> list:
         """Every head's output in float64, shaped by its head's shape, at one
         input vector or behind a leading batch axis for a batch."""
-        lead = np.shape(x)[:-1]
-        return [
-            head.forward(x).astype(np.float64).reshape(lead + shape)
-            for head, shape in zip(self.heads, self.shapes)
-        ]
+        x = np.asarray(x, dtype=self.dtype)
+        lead = x.shape[:-1]
+        batch = x.reshape(1, -1) if x.ndim == 1 else x
+        flat = self._run(batch)[-1].astype(np.float64)
+        outs, offset = [], 0
+        for sizes, shape in zip(self.layer_sizes, self.shapes):
+            end = offset + len(batch) * sizes[-1]
+            outs.append(flat[offset:end].reshape(lead + shape))
+            offset = end
+        return outs
 
     def forward_cached(self, x: np.ndarray):
         """Batch forward in the bank's dtype: (outputs shaped per head, caches
-        for `backward_cached`)."""
-        outs, caches = zip(*(head.forward_cached(x) for head in self.heads))
-        return [out.reshape((len(out),) + shape) for out, shape in zip(outs, self.shapes)], caches
+        for `backward_cached`), both valid until the bank's next call."""
+        x = np.asarray(x, dtype=self.dtype)
+        views = self._run(x)
+        L = self._n_hidden
+        outs = [out.reshape((len(x),) + shape) for out, shape in zip(views[L:], self.shapes)]
+        return outs, [x, *views[:L]]
 
     def backward_cached(self, caches: list, grad_outs) -> Grads:
         """Parameter gradients of every head in one flat vector, given each
-        head's output gradient (batch first, shaped like its output)."""
-        flat = np.concatenate([
-            head.backward_cached(acts, g.reshape(len(g), -1), need_input_grad=False)[0].flat
-            for head, acts, g in zip(self.heads, caches, grad_outs)
-        ])
-        return Grads(self.layer_sizes, self.dtype, flat)
+        head's output gradient (batch first, shaped like its output).  The
+        Grads are the bank's workspace, valid until its next call."""
+        if self._grads is None:
+            self._grads = Grads(self.layer_sizes, self.dtype)
+        gW, gb = self._grads.weights, self._grads.biases
+        L, acts = self._n_hidden, caches
+        work = self._workspace("backward", len(acts[0]))
+        for k, g in enumerate(grad_outs):
+            g = np.asarray(g, dtype=self.dtype).reshape(len(g), -1)
+            a = acts[L][k] if L else acts[0]
+            np.matmul(a.T, g, out=gW[L + k])
+            g.sum(axis=0, out=gb[L + k])
+            if L:
+                np.matmul(g, self.weights[L + k].T, out=work[2 * L - 2][k])
+        for i in range(L - 1, -1, -1):
+            delta, mask = work[2 * i], work[2 * i + 1]
+            # ReLU subgradient: the sign of a unit's output (>= 0) is 1 where
+            # it is positive, else 0; a mask in the bank's dtype, as a bool
+            # one would be cast through a buffer on every call
+            np.sign(acts[i + 1], out=mask)
+            delta *= mask
+            np.matmul(acts[i].transpose(0, 2, 1) if i else acts[0].T, delta, out=gW[i])
+            delta.sum(axis=1, out=gb[i])
+            if i:
+                np.matmul(delta, self.weights[i].transpose(0, 2, 1), out=work[2 * i - 2])
+        return self._grads
 
 
 class Adam:

@@ -337,6 +337,29 @@ def test_load_policy_reads_the_model_file_once(tmp_path, monkeypatch, role):
     assert np.array_equal(policy(x), reference(x))
 
 
+def test_adjust_reads_a_shared_model_file_once(tmp_path, monkeypatch):
+    env = MountainCar(horizon=10)
+    path = tmp_path / "llql.model"
+    result = core.train(env, tiny_train_config())
+    core.save_llql_model(path, result.dynamics, result.qmodel, {"env": env.spec.to_dict()})
+    spec = experiments.ExperimentSpec(
+        env="mountain_car", method="adjust", policy_path=str(path), dynamics_path=str(path),
+        goal={"kind": "mc_constraint", "bound": 0.02}, eval_runs=2, horizon=10,
+    )
+    expected = experiments.run_experiment(spec).rows
+    reads = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == str(path):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert experiments.run_experiment(spec).rows == expected
+    assert len(reads) == 1
+
+
 # ---------------------------------------------------------------------------
 # Config files and CLI
 # ---------------------------------------------------------------------------

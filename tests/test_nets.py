@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,13 +330,27 @@ def make_bank(seed=0, dtype=np.float64):
     return HeadBank.create(3, (5, 4), SHAPES, np.random.default_rng(seed), dtype)
 
 
+def head_indices(bank):
+    """Each head's parameters as indices into the bank's flat vector, in the
+    head's own (model-file) order, whatever the bank's layout."""
+    saved = bank.flat_params.copy()
+    bank.flat_params[...] = np.arange(bank.n_params)
+    indices = [np.asarray(head.flat_params).astype(np.int64) for head in bank.heads]
+    bank.flat_params[...] = saved
+    return indices
+
+
 def test_bank_heads_are_views_of_one_vector_initialized_like_separate_nets():
     bank = make_bank(seed=9, dtype=np.float32)
     rng = np.random.default_rng(9)
     nets = [Mlp.create((3, 5, 4, n), rng, np.float32) for n in (1, 2, 4)]
     assert bank.layer_sizes == tuple(net.layer_sizes for net in nets)
     assert bank.n_params == sum(net.n_params for net in nets)
-    assert np.array_equal(bank.flat_params, np.concatenate([net.flat_params for net in nets]))
+    indices = head_indices(bank)
+    assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(bank.n_params))
+    for head, net, idx in zip(bank.heads, nets, indices):
+        assert np.array_equal(head.flat_params, net.flat_params)
+        assert np.array_equal(bank.flat_params[idx], net.flat_params)
     bank.heads[1].biases[-1][...] = 7.0
     assert np.count_nonzero(bank.flat_params == 7.0) == 2
 
@@ -361,7 +376,10 @@ def test_bank_backward_stacks_the_heads_gradients():
     g_outs = [rng.standard_normal(out.shape) for out in outs]
     grads = bank.backward_cached(caches, g_outs)
     expected = [head.backward(X, g.reshape(6, -1))[0].flat for head, g in zip(bank.heads, g_outs)]
-    assert np.array_equal(grads.flat, np.concatenate(expected))
+    indices = head_indices(bank)
+    assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(bank.n_params))
+    for idx, flat in zip(indices, expected):
+        assert np.array_equal(grads.flat[idx], flat)
 
 
 def test_bank_takes_one_adam_step_and_one_soft_update():
@@ -384,18 +402,14 @@ def test_bank_rejects_a_head_that_cannot_take_its_shape():
         HeadBank.of(nets, ((), (2,)))
 
 
-def head_indices(bank):
-    """Each head's parameters as indices into the bank's flat vector, in the
-    head's own (model-file) order, whatever the bank's layout."""
-    saved = bank.flat_params.copy()
-    bank.flat_params[...] = np.arange(bank.n_params)
-    indices = [np.asarray(head.flat_params).astype(np.int64) for head in bank.heads]
-    bank.flat_params[...] = saved
-    return indices
+def test_bank_rejects_heads_of_unequal_input_or_hidden_sizes():
+    for sizes in ((3, 4, 2), (2, 5, 2), (3, 5, 5, 2)):
+        with pytest.raises(ValueError, match="equal input and hidden sizes"):
+            HeadBank.of([make_net((3, 5, 1)), make_net(sizes)], ((), (2,)))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("hidden", [(5, 4), ()], ids=["hidden", "no_hidden"])
+@pytest.mark.parametrize("hidden", [(5, 4), (6,), ()], ids=["hidden", "one_hidden", "no_hidden"])
 @pytest.mark.parametrize("n", [1, 10, 100, 1000])
 def test_bank_results_equal_each_heads_own_results_bitwise(n, hidden, dtype):
     bank = HeadBank.create(3, hidden, SHAPES, np.random.default_rng(5), dtype)
@@ -421,3 +435,52 @@ def test_bank_results_equal_each_heads_own_results_bitwise(n, hidden, dtype):
     if n == 1:
         for out, one in zip(outs, bank.forward(X[0])):
             assert np.array_equal(one, out[0])
+
+
+def test_bank_workspaces_follow_the_batch_size_up_and_down():
+    bank = HeadBank.create(3, (5, 4), SHAPES, np.random.default_rng(6), np.float32)
+    bank.flat_params[...] += np.random.default_rng(7).normal(0.0, 0.1, size=bank.n_params).astype(np.float32)
+    indices = head_indices(bank)
+    rng = np.random.default_rng(8)
+    for n in (10, 1000, 1, 100, 1000, 3):
+        X = rng.standard_normal((n, 3)).astype(np.float32)
+        for head, shape, out in zip(bank.heads, SHAPES, bank.forward(X)):
+            assert np.array_equal(out, head.forward(X).astype(np.float64).reshape((n,) + shape))
+        outs, caches = bank.forward_cached(X)
+        g_outs = [rng.standard_normal(out.shape).astype(np.float32) for out in outs]
+        grads = bank.backward_cached(caches, g_outs)
+        for head, g, idx in zip(bank.heads, g_outs, indices):
+            assert np.array_equal(grads.flat[idx], head.backward(X, g.reshape(n, -1))[0].flat)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that `fn()` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bank_calls_allocate_no_batch_sized_block_after_a_warm_up():
+    # one (2, 1000, 200) float32 activation would be 1.6 MB; the workspaces
+    # the bank keeps across calls leave the outputs, the input cast and
+    # numpy's fixed-size ufunc buffer for the broadcast bias add
+    rng = np.random.default_rng(0)
+    dyn = HeadBank.create(2, (200, 200), ((2,), (2, 1)), rng, np.float32)
+    X = rng.standard_normal((1000, 2))
+    dyn.forward(X)
+    assert traced_peak(lambda: dyn.forward(X)) < 64 * 1024
+
+    q = HeadBank.create(2, (200, 200), ((), (1,), (1, 1)), rng, np.float32)
+    Xb = rng.standard_normal((100, 2)).astype(np.float32)
+    outs, caches = q.forward_cached(Xb)
+    g_outs = [rng.standard_normal(out.shape).astype(np.float32) for out in outs]
+    q.backward_cached(caches, g_outs)
+
+    def update():
+        _, caches = q.forward_cached(Xb)
+        q.backward_cached(caches, g_outs)
+
+    assert traced_peak(update) < 64 * 1024

@@ -1,0 +1,209 @@
+"""Print one sha256 per output family of llql, to check that a change keeps
+its results bitwise identical.
+
+    PYTHONPATH=src python tools/identity_digest.py [--tiny]
+
+Run it on two checkouts (same machine, same numpy) and compare the lines;
+`--tiny` shrinks every size so that the whole run takes about a second.
+The families:
+
+- `train/<env>/<dtype>`: the LLQL (with checkpoints), dynamics-only and
+  DDPG (with a catalog reward mod) training logs and model-file bytes;
+- `synthesis`: the coefficients and the output of every synthesis op on
+  3,000 states of the bench set-up model (mountain car, seed 7, one
+  30-step episode), plus `predict_next_batch` on all of them at once;
+- `reports`: the `run_experiment` report CSVs for greedy, constraint,
+  trajectory, adjust, adjust_external and mpc on that model.
+
+It needs nothing beyond llql's own dependencies; the external policy of
+adjust_external is a bang-bang sign(v) child run by this interpreter.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as the CLI runs, so digests do not depend on the thread count
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import logging  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from llql import baselines, control, core, experiments, reports  # noqa: E402
+from llql.envs import make_env  # noqa: E402
+
+ENVS = ("mountain_car", "pendulum")
+DTYPES = ("float32", "float64")
+CONSTRAINT_GOAL = {"kind": "mc_constraint", "bound": 0.02, "margin": 0.0}
+TRAJECTORY_GOAL = {"kind": "mc_trajectory", "v_d": 0.025, "switch_position": -1.2}
+CHILD_POLICY = """\
+import json, sys
+for line in sys.stdin:
+    v = json.loads(line)["state"][-1]
+    print(json.dumps({"action": [1.0 if v >= 0 else -1.0]}), flush=True)
+"""
+
+
+@dataclasses.dataclass(frozen=True)
+class Sizes:
+    hidden: tuple = (200, 200)
+    episodes: int = 2
+    horizon: int = 40
+    normalizer_samples: int = 30
+    setup_horizon: int = 30
+    setup_normalizer_samples: int = 20
+    states: int = 3000
+    eval_horizon: int = 150
+    mpc_horizon: int = 5
+    mpc_candidates: int = 1000
+    mpc_plan: int = 15
+
+
+FULL = Sizes()
+TINY = Sizes(hidden=(8, 8), episodes=2, horizon=6, normalizer_samples=4, setup_horizon=6,
+             setup_normalizer_samples=4, states=30, eval_horizon=5, mpc_horizon=2,
+             mpc_candidates=20, mpc_plan=3)
+
+
+def _feed(h, obj) -> None:
+    """Hash `obj` (arrays, numbers, strings, dataclasses, sequences) by value."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj):
+        _feed(h, [getattr(obj, f.name) for f in dataclasses.fields(obj)])
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for item in obj:
+            _feed(h, item)
+        h.update(b"]")
+    else:
+        h.update(repr(obj).encode())
+
+
+def _feed_files(h, paths) -> None:
+    for path in sorted(paths):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+
+
+def train_digest(env_name: str, dtype: str, sz: Sizes, work: Path) -> str:
+    env = make_env(env_name, horizon=sz.horizon)
+    cfg = core.TrainConfig(episodes=sz.episodes, hidden_sizes=sz.hidden, dtype=dtype, seed=3,
+                           normalizer_samples=sz.normalizer_samples, checkpoint_every=1)
+    out = work / f"train-{env_name}-{dtype}"
+    out.mkdir()
+    h = hashlib.sha256()
+    log = experiments.train_and_save(env, "llql", cfg, out / "llql.model", {}, checkpoint_dir=out / "ckpt")
+    core.log_to_csv(log, out / "llql.csv")
+    rng = np.random.default_rng(5)
+    policy = lambda x: rng.uniform(env.action_low, env.action_high)  # noqa: E731
+    log = experiments.train_and_save(env, "dynamics", cfg, out / "dynamics.model", {}, policy=policy)
+    core.log_to_csv(log, out / "dynamics.csv")
+    dcfg = baselines.DdpgConfig(episodes=sz.episodes, hidden_sizes=sz.hidden, dtype=dtype, seed=4,
+                                normalizer_samples=sz.normalizer_samples)
+    log = experiments.train_and_save(env, "ddpg", dcfg, out / "ddpg.model", {}, reward_mod="t1")
+    core.log_to_csv(log, out / "ddpg.csv")
+    _feed_files(h, [p for p in out.rglob("*") if p.is_file()])
+    return h.hexdigest()
+
+
+def setup_model(sz: Sizes, work: Path) -> Path:
+    """The bench set-up model: mountain car, seed 7, one short episode."""
+    env = make_env("mountain_car", horizon=sz.setup_horizon)
+    cfg = core.TrainConfig(episodes=1, seed=7, hidden_sizes=sz.hidden,
+                           normalizer_samples=sz.setup_normalizer_samples)
+    path = work / "setup.model"
+    experiments.train_and_save(env, "llql", cfg, path, {"episode": 1})
+    return path
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except control.UncontrollableConstraintError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def synthesis_digest(model: Path, sz: Sizes) -> str:
+    dyn, q, _ = core.load_llql_model(model)
+    rng = np.random.default_rng(11)
+    X = np.column_stack([rng.uniform(-1.2, 0.6, sz.states), rng.uniform(-0.07, 0.07, sz.states)])
+    U_n = rng.uniform(-1.0, 1.0, size=(sz.states, 1))
+    low, high = q.action_low, q.action_high
+    limit = control.SymmetricConstraintGoal(state_index=1, bound=0.02, margin=0.0)
+    h = hashlib.sha256()
+    _feed(h, dyn.predict_next_batch(X, U_n))
+    for x, u_n in zip(X, U_n):
+        goal = limit.resolve(x)
+        x_d = np.array([x[0] + 0.025, 0.025])
+        _feed(h, [
+            dyn.coefficients(x), q.coefficients(x),
+            control.long_term_action(q, x, np.random.default_rng(0)),
+            control.trajectory_action(q, dyn, x, x_d, 1.0, 2000.0, np.random.default_rng(0)),
+            _outcome(control.constraint_action, q, dyn, x, goal, np.random.default_rng(0)),
+            control.approx_trajectory_action(u_n, dyn, x, x_d, 1.0, 2000.0, action_low=low, action_high=high),
+            _outcome(control.approx_constraint_action, u_n, dyn, x, goal, action_low=low, action_high=high),
+        ])
+    return h.hexdigest()
+
+
+def reports_digest(model: Path, sz: Sizes, work: Path) -> str:
+    child = work / "child_policy.py"
+    child.write_text(CHILD_POLICY)
+    common = dict(env="mountain_car", eval_runs=2, horizon=sz.eval_horizon)
+    model = str(model)
+    specs = {
+        "greedy": experiments.ExperimentSpec(method="llql", model_path=model, **common),
+        "constraint": experiments.ExperimentSpec(method="llql", model_path=model, goal=CONSTRAINT_GOAL, **common),
+        "trajectory": experiments.ExperimentSpec(method="llql", model_path=model, goal=TRAJECTORY_GOAL, **common),
+        "adjust": experiments.ExperimentSpec(method="adjust", policy_path=model, dynamics_path=model,
+                                             goal=CONSTRAINT_GOAL, **common),
+        "adjust_external": experiments.ExperimentSpec(
+            method="adjust", policy_path=f"cmd:{sys.executable} {child}", dynamics_path=model,
+            goal=TRAJECTORY_GOAL, **common),
+        "mpc": experiments.ExperimentSpec(
+            env="mountain_car", method="mpc", model_path=model, eval_runs=1, horizon=sz.mpc_horizon,
+            mpc_candidates=sz.mpc_candidates, mpc_horizon=sz.mpc_plan),
+    }
+    h = hashlib.sha256()
+    for name, spec in specs.items():
+        path = work / f"{name}.csv"
+        reports.write_report_csv(experiments.run_experiment(spec), path)
+        _feed_files(h, [path])
+    return h.hexdigest()
+
+
+def digests(sz: Sizes) -> dict:
+    """{family: sha256 hex digest} for every output family."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for env_name in ENVS:
+            for dtype in DTYPES:
+                out[f"train/{env_name}/{dtype}"] = train_digest(env_name, dtype, sz, work)
+        model = setup_model(sz, work)
+        out["synthesis"] = synthesis_digest(model, sz)
+        out["reports"] = reports_digest(model, sz, work)
+    return out
+
+
+def main(argv=None) -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--tiny", action="store_true", help="tiny sizes, for the smoke test")
+    args = p.parse_args(argv)
+    logging.getLogger("llql").setLevel(logging.ERROR)  # clip warnings from the reports
+    for family, digest in digests(TINY if args.tiny else FULL).items():
+        print(f"{family} {digest}")
+
+
+if __name__ == "__main__":
+    main()
