@@ -295,7 +295,7 @@ def constraint_action(
             "advantage gain d(x) is numerically zero; constrained synthesis is undefined"
         )
     dg = goal.sign * dyn.delta * g[goal.state_index]
-    w = np.linalg.solve(d.T @ d + linalg.RIDGE * np.eye(d.shape[1]), dg)
+    w = linalg.ridge_solve(d.T @ d, dg)
     gain = float(dg @ w)
     if abs(gain) < EPS_KKT:
         raise UncontrollableConstraintError(

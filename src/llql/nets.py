@@ -506,7 +506,26 @@ def save_model(path, nets: dict, normalizer: Optional[Normalizer] = None, meta: 
     write_atomic(path, struct.pack("<Q", len(header_bytes)), header_bytes, blob.astype("<f8").tobytes())
 
 
+def _net_entries(header: dict) -> list:
+    """(name, layer_sizes, dtype) of each network a model header lists;
+    KeyError, TypeError or ValueError when an entry is malformed."""
+    entries = []
+    for entry in header["nets"]:
+        name, sizes, dtype = entry["name"], entry["layer_sizes"], np.dtype(entry["dtype"])
+        if not (isinstance(sizes, list) and len(sizes) >= 2
+                and all(type(n) is int and n > 0 for n in sizes)):
+            raise ValueError(f"net {name!r}: layer_sizes {sizes!r} are not two or more positive integers")
+        if dtype.kind != "f":
+            raise ValueError(f"net {name!r}: dtype {dtype} is not a float type")
+        entries.append((str(name), sizes, dtype))
+    return entries
+
+
 def load_model(path) -> ModelFile:
+    """Read a model file, one network at a time through one float64 buffer
+    the size of the largest network; ModelFileError when the file is
+    truncated, padded, malformed, of another format or holds non-finite
+    parameters."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < 8:
@@ -520,18 +539,27 @@ def load_model(path) -> ModelFile:
             raise ModelFileError(f"{path}: unreadable model header: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
             raise ModelFileError(f"{path}: not a {MODEL_FORMAT} file")
-        data = fh.read()
-    counts = [_n_params(entry["layer_sizes"]) for entry in header["nets"]]
-    if len(data) != 8 * sum(counts):
-        raise ModelFileError(
-            f"{path}: parameter blob holds {len(data)} bytes, the header lists {8 * sum(counts)}"
-        )
-    blob = np.frombuffer(data, dtype="<f8")
-    nets = {}
-    offset = 0
-    for entry, n in zip(header["nets"], counts):
-        flat = blob[offset : offset + n].astype(entry["dtype"])
-        offset += n
-        nets[entry["name"]] = Mlp(entry["layer_sizes"], flat)
-    normalizer = Normalizer.from_dict(header["normalizer"]) if header["normalizer"] else None
-    return ModelFile(nets=nets, normalizer=normalizer, meta=header["meta"])
+        try:
+            entries = _net_entries(header)
+            normalizer = Normalizer.from_dict(header["normalizer"]) if header["normalizer"] else None
+            meta = header["meta"]
+            if not isinstance(meta, dict):
+                raise TypeError(f"meta is a {type(meta).__name__}, not an object")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFileError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from exc
+        counts = [_n_params(sizes) for _, sizes, _ in entries]
+        blob_len = size - 8 - header_len
+        if blob_len != 8 * sum(counts):
+            raise ModelFileError(
+                f"{path}: parameter blob holds {blob_len} bytes, the header lists {8 * sum(counts)}"
+            )
+        buffer = np.empty(max(counts, default=0), dtype="<f8")
+        nets = {}
+        for (name, sizes, dtype), n in zip(entries, counts):
+            if fh.readinto(buffer[:n]) != 8 * n:
+                raise ModelFileError(f"{path}: model file shrank while it was read")
+            try:
+                nets[name] = Mlp(sizes, buffer[:n].astype(dtype))
+            except ValueError as exc:
+                raise ModelFileError(f"{path}: net {name!r}: {exc}") from exc
+    return ModelFile(nets=nets, normalizer=normalizer, meta=meta)

@@ -416,6 +416,20 @@ def test_cli_eval_truncated_model_exits_two(tmp_path, capsys):
     assert "truncated.model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [
+    {"format": "llql-model-v1"},
+    {"format": "llql-model-v1", "normalizer": None, "meta": {},
+     "nets": [{"name": "f", "dtype": "float64"}]},
+])
+def test_cli_eval_malformed_model_header_exits_two(tmp_path, capsys, header):
+    path = tmp_path / "malformed.model"
+    data = json.dumps(header).encode()
+    path.write_bytes(len(data).to_bytes(8, "little") + data)
+    assert main(["eval", "--model", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed.model" in err and "malformed model header" in err
+
+
 def test_cli_adjust_requires_goal(tmp_path, capsys):
     code = main(["adjust", "--policy", "cmd:true", "--dynamics", str(tmp_path / "no.model")])
     assert code == 2

@@ -301,6 +301,76 @@ def test_model_file_rejects_truncated_or_padded_files(tmp_path, damage):
         load_model(path)
 
 
+def write_with_header(path, header: dict, blob: bytes = b"") -> None:
+    data = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(data)) + data + blob)
+
+
+GOOD_ENTRY = {"name": "net", "layer_sizes": [3, 6, 2], "dtype": "float64"}
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {},
+        {"nets": [GOOD_ENTRY], "normalizer": None},
+        {"nets": [GOOD_ENTRY], "meta": {}},
+        {"nets": [GOOD_ENTRY], "normalizer": None, "meta": []},
+        {"nets": 5, "normalizer": None, "meta": {}},
+        {"nets": ["net"], "normalizer": None, "meta": {}},
+        {"nets": [{"name": "net", "dtype": "float64"}], "normalizer": None, "meta": {}},
+        {"nets": [{"name": "net", "layer_sizes": [3, 6, 2]}], "normalizer": None, "meta": {}},
+        {"nets": [{**GOOD_ENTRY, "layer_sizes": [3]}], "normalizer": None, "meta": {}},
+        {"nets": [{**GOOD_ENTRY, "layer_sizes": [3, "6", 2]}], "normalizer": None, "meta": {}},
+        {"nets": [{**GOOD_ENTRY, "layer_sizes": [3, 0, 2]}], "normalizer": None, "meta": {}},
+        {"nets": [{**GOOD_ENTRY, "layer_sizes": 32}], "normalizer": None, "meta": {}},
+        {"nets": [{**GOOD_ENTRY, "dtype": "int32"}], "normalizer": None, "meta": {}},
+        {"nets": [{**GOOD_ENTRY, "dtype": "no-such-type"}], "normalizer": None, "meta": {}},
+        {"nets": [GOOD_ENTRY], "normalizer": {"mean": [0.0, 0.0, 0.0]}, "meta": {}},
+    ],
+)
+def test_model_file_rejects_malformed_headers(tmp_path, header):
+    """A file with the right format tag but a malformed header is a model
+    file error, whatever part of the header is wrong."""
+    path = tmp_path / "bad.model"
+    write_with_header(path, {"format": "llql-model-v1", **header}, bytes(8 * 32))
+    with pytest.raises(ModelFileError, match="malformed model header"):
+        load_model(path)
+
+
+def test_model_file_rejects_nonfinite_parameters(tmp_path):
+    path, data = saved_model(tmp_path)
+    path.write_bytes(data[:-8] + struct.pack("<d", np.nan))
+    with pytest.raises(ModelFileError, match="finite"):
+        load_model(path)
+
+
+def test_model_file_blob_is_checked_before_it_is_read(tmp_path):
+    # a header that lists a 1e12-parameter net is rejected by the file size
+    # alone, before any buffer for it is allocated
+    path = tmp_path / "huge.model"
+    write_with_header(path, {"format": "llql-model-v1", "normalizer": None, "meta": {},
+                             "nets": [{**GOOD_ENTRY, "layer_sizes": [1_000_000, 1_000_000]}]})
+    with pytest.raises(ModelFileError, match="parameter blob holds 0 bytes"):
+        load_model(path)
+
+
+def test_loading_a_default_model_allocates_less_than_its_file(tmp_path):
+    """The blob is read one network at a time into one reused float64
+    buffer, so loading the five float32 200x200 heads of a mountain-car
+    model peaks below the file's size: the float32 nets plus one float64
+    copy of the largest."""
+    rng = np.random.default_rng(0)
+    sizes = {"f": 2, "g": 2, "v": 1, "h": 1, "d": 1}
+    nets = {name: Mlp.create((2, 200, 200, out), rng, np.float32) for name, out in sizes.items()}
+    path = tmp_path / "mc.model"
+    save_model(path, nets, Normalizer.identity(2), {"env": "test"})
+    load_model(path)  # warm up
+    size = path.stat().st_size
+    assert size > 1_600_000
+    assert traced_peak(lambda: load_model(path)) < size
+
+
 def test_failed_model_save_keeps_the_previous_file(tmp_path, monkeypatch):
     path, data = saved_model(tmp_path)
 

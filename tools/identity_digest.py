@@ -12,6 +12,9 @@ The families:
 - `synthesis`: the coefficients and the output of every synthesis op on
   3,000 states of the bench set-up model (mountain car, seed 7, one
   30-step episode), plus `predict_next_batch` on all of them at once;
+- `synthesis/pendulum`: the same on a pendulum set-up model trained the
+  same way, whose states have three components, so the trajectory solve's
+  normal equation sums four products where mountain car's sums three;
 - `reports`: the `run_experiment` report CSVs for greedy, constraint,
   trajectory, adjust, adjust_external and mpc on that model.
 
@@ -116,14 +119,35 @@ def train_digest(env_name: str, dtype: str, sz: Sizes, work: Path) -> str:
     return h.hexdigest()
 
 
-def setup_model(sz: Sizes, work: Path) -> Path:
-    """The bench set-up model: mountain car, seed 7, one short episode."""
-    env = make_env("mountain_car", horizon=sz.setup_horizon)
+def setup_model(sz: Sizes, work: Path, env_name: str = "mountain_car") -> Path:
+    """The bench set-up model (mountain car, seed 7, one short episode), or
+    the same set-up on another env."""
+    env = make_env(env_name, horizon=sz.setup_horizon)
     cfg = core.TrainConfig(episodes=1, seed=7, hidden_sizes=sz.hidden,
                            normalizer_samples=sz.setup_normalizer_samples)
-    path = work / "setup.model"
+    path = work / f"setup-{env_name}.model"
     experiments.train_and_save(env, "llql", cfg, path, {"episode": 1})
     return path
+
+
+def _mountain_car_case(rng, n: int):
+    """States, policy actions, speed limit, trajectory target and gamma2."""
+    X = np.column_stack([rng.uniform(-1.2, 0.6, n), rng.uniform(-0.07, 0.07, n)])
+    U_n = rng.uniform(-1.0, 1.0, size=(n, 1))
+    limit = control.SymmetricConstraintGoal(state_index=1, bound=0.02, margin=0.0)
+    return X, U_n, limit, lambda x: np.array([x[0] + 0.025, 0.025]), 2000.0
+
+
+def _pendulum_case(rng, n: int):
+    """As `_mountain_car_case`, with the pendulum's speed limit and its
+    upright-velocity target."""
+    theta = rng.uniform(-np.pi, np.pi, n)
+    X = np.column_stack([np.cos(theta), np.sin(theta), rng.uniform(-8.0, 8.0, n)])
+    U_n = rng.uniform(-2.0, 2.0, size=(n, 1))
+    return X, U_n, experiments.pendulum_speed_limit_goal(), lambda x: np.array([x[0], x[1], 0.0]), 100.0
+
+
+SYNTHESIS_CASES = {"mountain_car": _mountain_car_case, "pendulum": _pendulum_case}
 
 
 def _outcome(fn, *args, **kwargs):
@@ -133,24 +157,21 @@ def _outcome(fn, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
-def synthesis_digest(model: Path, sz: Sizes) -> str:
+def synthesis_digest(model: Path, sz: Sizes, env_name: str = "mountain_car") -> str:
     dyn, q, _ = core.load_llql_model(model)
-    rng = np.random.default_rng(11)
-    X = np.column_stack([rng.uniform(-1.2, 0.6, sz.states), rng.uniform(-0.07, 0.07, sz.states)])
-    U_n = rng.uniform(-1.0, 1.0, size=(sz.states, 1))
+    X, U_n, limit, target, gamma2 = SYNTHESIS_CASES[env_name](np.random.default_rng(11), sz.states)
     low, high = q.action_low, q.action_high
-    limit = control.SymmetricConstraintGoal(state_index=1, bound=0.02, margin=0.0)
     h = hashlib.sha256()
     _feed(h, dyn.predict_next_batch(X, U_n))
     for x, u_n in zip(X, U_n):
         goal = limit.resolve(x)
-        x_d = np.array([x[0] + 0.025, 0.025])
+        x_d = target(x)
         _feed(h, [
             dyn.coefficients(x), q.coefficients(x),
             control.long_term_action(q, x, np.random.default_rng(0)),
-            control.trajectory_action(q, dyn, x, x_d, 1.0, 2000.0, np.random.default_rng(0)),
+            control.trajectory_action(q, dyn, x, x_d, 1.0, gamma2, np.random.default_rng(0)),
             _outcome(control.constraint_action, q, dyn, x, goal, np.random.default_rng(0)),
-            control.approx_trajectory_action(u_n, dyn, x, x_d, 1.0, 2000.0, action_low=low, action_high=high),
+            control.approx_trajectory_action(u_n, dyn, x, x_d, 1.0, gamma2, action_low=low, action_high=high),
             _outcome(control.approx_constraint_action, u_n, dyn, x, goal, action_low=low, action_high=high),
         ])
     return h.hexdigest()
@@ -192,6 +213,7 @@ def digests(sz: Sizes) -> dict:
                 out[f"train/{env_name}/{dtype}"] = train_digest(env_name, dtype, sz, work)
         model = setup_model(sz, work)
         out["synthesis"] = synthesis_digest(model, sz)
+        out["synthesis/pendulum"] = synthesis_digest(setup_model(sz, work, "pendulum"), sz, "pendulum")
         out["reports"] = reports_digest(model, sz, work)
     return out
 
