@@ -9,10 +9,10 @@ so their systems are 1x1, and there it divides: the LU factors of a 1x1
 matrix are 1 and the matrix itself, and the triangular solve divides the
 right-hand side by that pivot, so `rhs / (normal + RIDGE)` has the bits
 LAPACK's `gesv` returns, NaN and infinities included, without the call
-overhead of `np.linalg.solve` (a 1x1 `pinv_action` takes about 10 us
-instead of 20 us).  Multiplying by the reciprocal instead rounds twice and
-differs in the last bit on about a quarter of inputs.  Larger systems go
-to `np.linalg.solve`.
+overhead of `np.linalg.solve` (a 1x1 `pinv_action` took 5-10 us instead
+of 20 us by timeit, one BLAS thread on a 2-core x86-64 VM).  Multiplying
+by the reciprocal instead rounds twice and differs in the last bit on
+about a quarter of inputs.  Larger systems go to `np.linalg.solve`.
 """
 
 from __future__ import annotations
