@@ -16,7 +16,9 @@ The families:
   same way, whose states have three components, so the trajectory solve's
   normal equation sums four products where mountain car's sums three;
 - `reports`: the `run_experiment` report CSVs for greedy, constraint,
-  trajectory, adjust, adjust_external and mpc on that model.
+  trajectory, adjust, adjust_external and mpc on that model;
+- `sweep`: the `sweep_short_term` CSVs of both kinds on that model, two
+  goal values each, over the env's full horizon.
 
 It needs nothing beyond llql's own dependencies; the external policy of
 adjust_external is a bang-bang sign(v) child run by this interpreter.
@@ -68,12 +70,14 @@ class Sizes:
     mpc_horizon: int = 5
     mpc_candidates: int = 1000
     mpc_plan: int = 15
+    sweep_runs: int = 2
 
 
 FULL = Sizes()
 TINY = Sizes(hidden=(8, 8), episodes=2, horizon=6, normalizer_samples=4, setup_horizon=6,
              setup_normalizer_samples=4, states=30, eval_horizon=5, mpc_horizon=2,
-             mpc_candidates=20, mpc_plan=3)
+             mpc_candidates=20, mpc_plan=3, sweep_runs=1)
+SWEEP_VALUES = {"constraint": (0.02, 0.05), "trajectory": (0.0, 0.025)}
 
 
 def _feed(h, obj) -> None:
@@ -203,6 +207,15 @@ def reports_digest(model: Path, sz: Sizes, work: Path) -> str:
     return h.hexdigest()
 
 
+def sweep_digest(model: Path, sz: Sizes, work: Path) -> str:
+    h = hashlib.sha256()
+    for kind, values in SWEEP_VALUES.items():
+        path = work / f"sweep-{kind}.csv"
+        reports.write_sweep(experiments.sweep_short_term(str(model), kind, values, runs=sz.sweep_runs), path)
+        _feed_files(h, [path])
+    return h.hexdigest()
+
+
 def digests(sz: Sizes) -> dict:
     """{family: sha256 hex digest} for every output family."""
     out = {}
@@ -215,6 +228,7 @@ def digests(sz: Sizes) -> dict:
         out["synthesis"] = synthesis_digest(model, sz)
         out["synthesis/pendulum"] = synthesis_digest(setup_model(sz, work, "pendulum"), sz, "pendulum")
         out["reports"] = reports_digest(model, sz, work)
+        out["sweep"] = sweep_digest(model, sz, work)
     return out
 
 
