@@ -132,12 +132,8 @@ class DdpgModel:
         half = (self.action_high - self.action_low) / 2.0
         return center + half * np.tanh(np.asarray(raw, dtype=np.float64))
 
-    def act(self, x: np.ndarray) -> np.ndarray:
-        z = self.normalizer.normalize(x)
-        return self._squash(self.actor.forward(z))
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.act(x)
+        return self._squash(self.actor.forward(self.normalizer.normalize(x)))
 
 
 class _ShapedEnv:
@@ -181,7 +177,7 @@ class _DdpgTrainer(_EpisodeTrainer):
         )
 
     def _act(self, x: np.ndarray) -> np.ndarray:
-        return self.model().act(x)
+        return self.model()(x)
 
     def _updates(self):
         yield 1, self._update(self.buffer.sample(self.cfg.batch, self.sample_rng))
@@ -252,7 +248,7 @@ def load_ddpg_model(path) -> tuple:
 
 
 def ddpg_model_from(mf: ModelFile) -> DdpgModel:
-    env_spec = mf.meta["env"]
+    (env_spec,) = mf.meta_entries("env")
     return DdpgModel(
         mf.nets["actor"], mf.nets["critic"],
         mf.nets["actor"].copy(), mf.nets["critic"].copy(),

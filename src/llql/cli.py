@@ -3,7 +3,8 @@
 Subcommands: train, eval, adjust, compare, sweep.  Config files are flat
 `key = value` text (one pair per line, `#` comments); keys must match the
 target config's fields.  Exit codes: 0 success, 2 configuration or file
-error (including a truncated or malformed model file), 3 runtime failure.
+error (including a truncated or malformed model file, and a goal option
+the goal does not take), 3 runtime failure.
 """
 
 import os
@@ -86,38 +87,20 @@ def _out_dir(args) -> Path:
     return path
 
 
+# the goal options of the eval and adjust subcommands; each goal takes some
+# of them (experiments.GOALS), and its factory's signature holds the defaults
+GOAL_OPTIONS = ("v_d", "gamma1", "gamma2", "switch_position", "bound", "margin")
+
+
+def _given(args, names) -> dict:
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _goal_dict_from_args(args, env_name: str):
-    if args.goal in (None, "none"):
+    if args.goal == "none":
         return None
-    if args.goal == "trajectory":
-        if env_name == "pendulum":
-            return {
-                "kind": "pendulum_trajectory",
-                "v_d": args.v_d if args.v_d is not None else 0.0,
-                "gamma1": args.gamma1,
-                "gamma2": args.gamma2 if args.gamma2 is not None else 100.0,
-            }
-        return {
-            "kind": "mc_trajectory",
-            "v_d": args.v_d if args.v_d is not None else 0.025,
-            "gamma1": args.gamma1,
-            "gamma2": args.gamma2 if args.gamma2 is not None else 2000.0,
-            "switch_position": args.switch_position,
-        }
-    if args.goal == "constraint":
-        if env_name == "pendulum":
-            return {
-                "kind": "pendulum_constraint",
-                "bound": args.bound if args.bound is not None else 5.8,
-                "margin": args.margin if args.margin is not None else 0.0,
-            }
-        bound = args.bound if args.bound is not None else 0.033
-        return {
-            "kind": "mc_constraint",
-            "bound": bound,
-            "margin": args.margin if args.margin is not None else bound,
-        }
-    raise ConfigError(f"unknown goal {args.goal!r}")
+    prefix = "mc" if env_name == "mountain_car" else "pendulum"
+    return {"kind": f"{prefix}_{args.goal}", **_given(args, GOAL_OPTIONS)}
 
 
 def _require_file(path, what: str) -> str:
@@ -165,8 +148,7 @@ def cmd_train(args) -> int:
 def _model_env_name(path: str) -> tuple:
     from .nets import load_model
 
-    meta = load_model(path).meta
-    env_spec = meta.get("env", {})
+    (env_spec,) = load_model(path).meta_entries("env")
     return env_spec.get("name"), env_spec
 
 
@@ -267,8 +249,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad --values list: {exc}") from exc
     rows = experiments.sweep_short_term(
-        model, args.kind, values, runs=args.runs, seed0=args.seed0,
-        gamma1=args.gamma1, gamma2=args.gamma2 if args.gamma2 is not None else 2000.0,
+        model, args.kind, values, runs=args.runs, seed0=args.seed0, **_given(args, ("gamma1", "gamma2"))
     )
     out = _out_dir(args)
     path = out / "sweep.csv"
@@ -285,9 +266,9 @@ def cmd_sweep(args) -> int:
 def _add_goal_args(p):
     p.add_argument("--goal", choices=["none", "trajectory", "constraint"], default="none")
     p.add_argument("--v-d", dest="v_d", type=float, default=None)
-    p.add_argument("--gamma1", type=float, default=1.0)
+    p.add_argument("--gamma1", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)
-    p.add_argument("--switch-position", dest="switch_position", type=float, default=0.0)
+    p.add_argument("--switch-position", dest="switch_position", type=float, default=None)
     p.add_argument("--bound", type=float, default=None)
     p.add_argument("--margin", type=float, default=None)
     p.add_argument("--hazard", type=float, default=None, help="|state| limit for counting s_out")
@@ -358,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=False)
     p.add_argument("--kind", choices=["constraint", "trajectory"], required=True)
     p.add_argument("--values", required=True, help="comma-separated goal values")
-    p.add_argument("--gamma1", type=float, default=1.0)
+    p.add_argument("--gamma1", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed0", type=int, default=10_000)
@@ -369,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .experiments import GoalError
     from .nets import ModelFileError
 
     parser = build_parser()
@@ -378,7 +360,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, ModelFileError) as exc:
+    except (ConfigError, FileNotFoundError, ModelFileError, GoalError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure contract

@@ -16,31 +16,49 @@ from typing import Optional
 from . import baselines, core, experiments, reports
 from .envs import make_env
 
-TRAJECTORY_COLUMNS = ["method", "reward_mod", "vel_error", "steps", "success", "runs"]
-CONSTRAINT_COLUMNS = ["method", "reward_mod", "s_out", "steps", "success", "runs"]
-PENDULUM_TRAJ_COLUMNS = ["policy", "vel_error", "vel_error_adjusted", "reward", "reward_adjusted"]
-PENDULUM_CONS_COLUMNS = ["policy", "s_out", "s_out_adjusted", "reward", "reward_adjusted"]
+# The tables' settings.  Mountain car: the desired hilltop velocity and its
+# tracking weights; the speed limit, engaged at the limit itself; the |v|
+# that counts as a hazard in s_out.
+MC_V_D = 0.025
+MC_GAMMA1, MC_GAMMA2 = 1.0, 2000.0
+MC_MARGIN = 0.033
+MC_HAZARD = 0.035
+# Pendulum: the speed limit; the |angular velocity| that counts as a
+# hazard; the velocity goal's tracking weights and upright window.
+PENDULUM_BOUND = 5.8
+PENDULUM_HAZARD = 6.0
+PENDULUM_GAMMA1, PENDULUM_GAMMA2 = 1.0, 100.0
+PENDULUM_COS_THRESHOLD = experiments.UPRIGHT_COS
+
+# Per table: the goal of the LLQL (mountain car) or adjusted (pendulum)
+# rows, the spec fields that score every row, and the metric column.
+TABLES = {
+    "trajectory": (
+        {"kind": "mc_trajectory", "v_d": MC_V_D, "gamma1": MC_GAMMA1, "gamma2": MC_GAMMA2},
+        {"v_d": MC_V_D}, "vel_error",
+    ),
+    "constraint": (
+        {"kind": "mc_constraint", "bound": MC_MARGIN, "margin": MC_MARGIN},
+        {"hazard_limit": MC_HAZARD}, "s_out",
+    ),
+    "pendulum_trajectory": (
+        {"kind": "pendulum_trajectory", "v_d": 0.0, "gamma1": PENDULUM_GAMMA1,
+         "gamma2": PENDULUM_GAMMA2, "cos_threshold": PENDULUM_COS_THRESHOLD},
+        {"v_d": 0.0}, "vel_error",
+    ),
+    "pendulum_constraint": (
+        {"kind": "pendulum_constraint", "bound": PENDULUM_BOUND, "margin": 0.0},
+        {"hazard_limit": PENDULUM_HAZARD}, "s_out",
+    ),
+}
+# the reward mods of the mountain-car tables' DDPG rows and MPC row
+DDPG_MODS = {"trajectory": ("t1", "t2", "t3", "t4"), "constraint": ("c1", "c2", "c3", "c4")}
+MPC_MOD = {"trajectory": "t1", "constraint": "c1"}
 
 
 def _best_ddpg(runs_by_key, mod_id):
     candidates = [run for (seed, mod), run in runs_by_key.items() if mod == mod_id]
     return experiments.top_k_runs(candidates, 1)[0]
-
-
-def _row_from_report(report, method, mod, kind) -> dict:
-    agg = report.aggregates()
-    row = {
-        "method": method,
-        "reward_mod": mod or "-",
-        "steps": agg["mean_steps"],
-        "success": agg["success"],
-        "runs": agg["runs"],
-    }
-    if kind == "trajectory":
-        row["vel_error"] = agg["mean_vel_error"]
-    else:
-        row["s_out"] = agg["mean_s_out"]
-    return row
 
 
 def build_mountain_car_table(
@@ -52,78 +70,42 @@ def build_mountain_car_table(
     llql_seeds=tuple(range(20)),
     ddpg_seeds=(0, 1, 2),
     runs: int = 10,
-    v_d: float = 0.025,
-    gamma1: float = 1.0,
-    gamma2: float = 2000.0,
-    hazard: float = 0.035,
-    margin: float = 0.033,
-    mpc_mods=("t1",),
     mpc_horizon: int = 15,
     mpc_candidates: int = 1000,
     llql_config: Optional[core.TrainConfig] = None,
     ddpg_config: Optional[baselines.DdpgConfig] = None,
 ) -> tuple:
     """Build the trajectory or constraint comparison rows for mountain car."""
-    cache_dir = Path(cache_dir)
-    llql_config = llql_config or core.TrainConfig()
-    ddpg_config = ddpg_config or baselines.DdpgConfig()
-    mods = ["t1", "t2", "t3", "t4"] if kind == "trajectory" else ["c1", "c2", "c3", "c4"]
-    if kind == "constraint":
-        mpc_mods = tuple(m if m.startswith("c") else "c1" for m in mpc_mods)
-
+    goal, scoring, column = TABLES[kind]
     llql_runs = experiments.train_llql_batch(
-        "mountain_car", llql_config, llql_seeds, cache_dir, workers=workers
+        "mountain_car", llql_config or core.TrainConfig(), llql_seeds, cache_dir, workers=workers
     )
     best = experiments.top_k_runs(llql_runs, 1)[0]
     ddpg_runs = experiments.train_ddpg_batch(
-        "mountain_car", ddpg_config,
-        [(seed, mod) for mod in mods for seed in ddpg_seeds],
+        "mountain_car", ddpg_config or baselines.DdpgConfig(),
+        [(seed, mod) for mod in DDPG_MODS[kind] for seed in ddpg_seeds],
         cache_dir, workers=workers,
     )
-
+    mpc = {"reward_mod": MPC_MOD[kind], "mpc_horizon": mpc_horizon, "mpc_candidates": mpc_candidates}
     rows = []
-    for mod in mods:
-        run = _best_ddpg(ddpg_runs, mod)
+    for method, mod, fields in [
+        *(("ddpg", mod, {"model_path": _best_ddpg(ddpg_runs, mod).model_path}) for mod in DDPG_MODS[kind]),
+        ("mpc", MPC_MOD[kind], {"model_path": best.model_path, **mpc}),
+        ("llql", None, {"model_path": best.model_path, "goal": goal}),
+    ]:
         spec = experiments.ExperimentSpec(
-            env="mountain_car", method="ddpg", model_path=run.model_path,
-            eval_runs=runs,
-            hazard_limit=hazard if kind == "constraint" else None,
-            v_d=v_d if kind == "trajectory" else None,
+            env="mountain_car", method=method, eval_runs=runs, **scoring, **fields
         )
-        rows.append(_row_from_report(experiments.run_experiment(spec), "ddpg", mod, kind))
-
-    mpc_rows = []
-    for mod in mpc_mods:
-        spec = experiments.ExperimentSpec(
-            env="mountain_car", method="mpc", model_path=best.model_path,
-            reward_mod=mod, eval_runs=runs,
-            mpc_horizon=mpc_horizon, mpc_candidates=mpc_candidates,
-            hazard_limit=hazard if kind == "constraint" else None,
-            v_d=v_d if kind == "trajectory" else None,
-        )
-        mpc_rows.append(experiments.run_experiment(spec))
-    pooled = [r for rep in mpc_rows for r in rep.rows]
-    pooled_report = experiments.EvalReport(pooled, mpc_rows[0].env, mpc_rows[0].meta)
-    row = _row_from_report(pooled_report, "mpc", ",".join(mpc_mods), kind)
-    rows.append(row)
-
-    if kind == "trajectory":
-        goal = {"kind": "mc_trajectory", "v_d": v_d, "gamma1": gamma1, "gamma2": gamma2}
-    else:
-        goal = {"kind": "mc_constraint", "bound": margin, "margin": margin}
-    spec = experiments.ExperimentSpec(
-        env="mountain_car", method="llql", model_path=best.model_path, goal=goal,
-        eval_runs=runs,
-        hazard_limit=hazard if kind == "constraint" else None,
-        v_d=v_d if kind == "trajectory" else None,
-    )
-    rows.append(_row_from_report(experiments.run_experiment(spec), "llql", None, kind))
+        agg = experiments.run_experiment(spec).aggregates()
+        rows.append({
+            "method": method, "reward_mod": mod or "-", column: agg[f"mean_{column}"],
+            "steps": agg["mean_steps"], "success": agg["success"], "runs": agg["runs"],
+        })
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = TRAJECTORY_COLUMNS if kind == "trajectory" else CONSTRAINT_COLUMNS
     table_path = out_dir / f"{kind}.csv"
-    reports.write_table(rows, columns, table_path)
+    reports.write_table(rows, ["method", "reward_mod", column, "steps", "success", "runs"], table_path)
     curves_path = out_dir / "curves.csv"
     reports.write_curves({"llql": llql_runs}, curves_path)
     return rows, [table_path, curves_path]
@@ -165,98 +147,56 @@ def build_pendulum_tables(
     *,
     workers: int = 2,
     runs: int = 10,
-    hazard: float = 6.0,
-    bound: float = 5.8,
-    gamma1: float = 1.0,
-    gamma2: float = 100.0,
-    cos_threshold: float = 0.99,
     which: str = "both",
     llql_config: Optional[core.TrainConfig] = None,
     ddpg_config: Optional[baselines.DdpgConfig] = None,
     dynamics_config: Optional[core.TrainConfig] = None,
 ) -> tuple:
-    """Adjustment-layer tables on pendulum with locally trained subjects."""
-    cache_dir = Path(cache_dir)
+    """Adjustment-layer tables on pendulum with locally trained subjects:
+    one row per subject, without and with the adjustment layer.  Returns
+    ({table name: rows}, written paths)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    llql_config = llql_config or core.TrainConfig(episodes=100)
-    ddpg_config = ddpg_config or baselines.DdpgConfig(episodes=150)
-    dynamics_config = dynamics_config or core.TrainConfig(episodes=50)
-
-    subjects = _train_pendulum_subjects(cache_dir, workers, llql_config, ddpg_config)
-    dyn_path = _pendulum_dynamics(cache_dir, subjects["ddpg"].model_path, dynamics_config)
-    env_spec = make_env("pendulum").spec.to_dict()
-
-    traj_rows, cons_rows = [], []
+    subjects = _train_pendulum_subjects(
+        cache_dir, workers, llql_config or core.TrainConfig(episodes=100),
+        ddpg_config or baselines.DdpgConfig(episodes=150),
+    )
+    dyn_path = _pendulum_dynamics(
+        cache_dir, subjects["ddpg"].model_path, dynamics_config or core.TrainConfig(episodes=50)
+    )
+    kinds = ("trajectory", "constraint") if which == "both" else (which,)
+    tables = {f"pendulum_{kind}": [] for kind in kinds}
     for name, run in subjects.items():
-        policy = experiments.load_policy(run.model_path)
-        traj_goal = {
-            "kind": "pendulum_trajectory", "v_d": 0.0,
-            "gamma1": gamma1, "gamma2": gamma2, "cos_threshold": cos_threshold,
-        }
-        cons_goal = {"kind": "pendulum_constraint", "bound": bound, "margin": 0.0}
-
-        if which in ("both", "trajectory"):
-            base = experiments.evaluate(
-                make_env("pendulum"), lambda seed: policy, runs=runs,
-                vel_index=2, vel_target=0.0, vel_mode="active_mean",
-                vel_active=lambda x, k: x[0] > cos_threshold,
-            )
-            adj_spec = experiments.ExperimentSpec(
-                env="pendulum", method="adjust", policy_path=run.model_path,
-                dynamics_path=dyn_path, goal=traj_goal, eval_runs=runs, v_d=0.0,
-            )
-            adj = experiments.run_experiment(adj_spec).rows
-            traj_rows.append(
-                {
-                    "policy": name,
-                    "vel_error": experiments.compute_aggregates(base)["mean_vel_error"],
-                    "vel_error_adjusted": experiments.compute_aggregates(adj)["mean_vel_error"],
-                    "reward": experiments.compute_aggregates(base)["mean_reward"],
-                    "reward_adjusted": experiments.compute_aggregates(adj)["mean_reward"],
-                }
-            )
-
-        if which in ("both", "constraint"):
-            base = experiments.evaluate(
-                make_env("pendulum"), lambda seed: policy, runs=runs,
-                hazard_index=2, hazard_limit=hazard,
-            )
-            adj_spec = experiments.ExperimentSpec(
-                env="pendulum", method="adjust", policy_path=run.model_path,
-                dynamics_path=dyn_path, goal=cons_goal, eval_runs=runs,
-                hazard_limit=hazard,
-            )
-            adj = experiments.run_experiment(adj_spec).rows
-            cons_rows.append(
-                {
-                    "policy": name,
-                    "s_out": experiments.compute_aggregates(base)["mean_s_out"],
-                    "s_out_adjusted": experiments.compute_aggregates(adj)["mean_s_out"],
-                    "reward": experiments.compute_aggregates(base)["mean_reward"],
-                    "reward_adjusted": experiments.compute_aggregates(adj)["mean_reward"],
-                }
-            )
+        for table, rows in tables.items():
+            goal, scoring, column = TABLES[table]
+            common = dict(env="pendulum", eval_runs=runs, **scoring)
+            base, adjusted = (experiments.run_experiment(spec).aggregates() for spec in (
+                experiments.ExperimentSpec(method=name, model_path=run.model_path, **common),
+                experiments.ExperimentSpec(method="adjust", policy_path=run.model_path,
+                                           dynamics_path=dyn_path, goal=goal, **common),
+            ))
+            rows.append({
+                "policy": name, column: base[f"mean_{column}"],
+                f"{column}_adjusted": adjusted[f"mean_{column}"],
+                "reward": base["mean_reward"], "reward_adjusted": adjusted["mean_reward"],
+            })
 
     paths = []
+    for table, rows in tables.items():
+        column = TABLES[table][2]
+        paths.append(out_dir / f"{table}.csv")
+        columns = ["policy", column, f"{column}_adjusted", "reward", "reward_adjusted"]
+        reports.write_table(rows, columns, paths[-1])
     note = {
         "note": "policies are locally trained stand-ins for published pre-trained checkpoints",
         "subjects": {k: v.model_path for k, v in subjects.items()},
         "dynamics": dyn_path,
-        "env": env_spec,
+        "env": make_env("pendulum").spec.to_dict(),
     }
-    if which in ("both", "trajectory"):
-        p = out_dir / "pendulum_trajectory.csv"
-        reports.write_table(traj_rows, PENDULUM_TRAJ_COLUMNS, p)
-        paths.append(p)
-    if which in ("both", "constraint"):
-        p = out_dir / "pendulum_constraint.csv"
-        reports.write_table(cons_rows, PENDULUM_CONS_COLUMNS, p)
-        paths.append(p)
     meta_path = out_dir / "pendulum_meta.json"
     meta_path.write_text(json.dumps(note, sort_keys=True, indent=2) + "\n")
     paths.append(meta_path)
-    return (traj_rows, cons_rows), paths
+    return tables, paths
 
 
 def build_table(name: str, cache_dir, out_dir, *, workers=2, llql_seeds=tuple(range(20)),

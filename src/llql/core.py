@@ -557,11 +557,11 @@ def load_llql_model(path):
 def llql_model_from(mf: ModelFile):
     """(DynamicsModel, QModel or None, meta) from a loaded model file."""
     meta = mf.meta
-    env_spec = meta["env"]
+    env_spec, delta = mf.meta_entries("env", "delta")
     s, a = env_spec["state_dim"], env_spec["action_dim"]
     nets = mf.nets
     dyn = DynamicsModel(
-        HeadBank.of((nets["f"], nets["g"]), DynamicsModel.head_shapes(s, a)), meta["delta"], mf.normalizer
+        HeadBank.of((nets["f"], nets["g"]), DynamicsModel.head_shapes(s, a)), delta, mf.normalizer
     )
     q = None
     if meta.get("role") == "llql":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -77,7 +78,7 @@ def compute_aggregates(rows) -> dict:
 
 
 def _as_step_fn(obj) -> Callable:
-    if hasattr(obj, "act"):
+    if isinstance(obj, control.GoalController):
         return lambda x, k: obj.act(x, k).action
     return lambda x, k: obj(x)
 
@@ -97,8 +98,9 @@ def evaluate(
 ) -> list:
     """Run seeded evaluation episodes and compute per-run metric rows.
 
-    `controller_factory(seed)` builds a fresh controller per run (either a
-    callable state -> action or an object with .act(state, k) -> Decision).
+    `controller_factory(seed)` builds a fresh controller per run: a
+    `control.GoalController`, whose `act(state, k)` decision carries the
+    action, or else a policy, called as `policy(state) -> action`.
     Velocity error is measured at the goal-reaching step ("at_goal") or as
     the mean over steps where `vel_active(state, k)` holds ("active_mean").
     Hazard violations count visited states with |state[hazard_index]| >
@@ -146,6 +148,9 @@ def evaluate(
 # Benchmark goal factories
 # ---------------------------------------------------------------------------
 
+# the pendulum is upright, where its velocity error is scored, while cos(theta) > UPRIGHT_COS
+UPRIGHT_COS = 0.99
+
 
 def mc_velocity_goal(
     v_d: float = 0.025,
@@ -173,7 +178,7 @@ def mc_speed_limit_goal(bound: float = 0.033, margin: Optional[float] = None) ->
 def pendulum_upright_velocity_goal(
     gamma1: float = 1.0,
     gamma2: float = 100.0,
-    cos_threshold: float = 0.99,
+    cos_threshold: float = UPRIGHT_COS,
     v_d: float = 0.0,
 ) -> control.TrajectoryGoal:
     """Drive angular velocity to v_d whenever the pendulum is near upright."""
@@ -193,30 +198,37 @@ def pendulum_speed_limit_goal(bound: float = 5.8, margin: float = 0.0) -> contro
     return control.SymmetricConstraintGoal(state_index=2, bound=bound, margin=margin)
 
 
+GOALS = {
+    "mc_trajectory": mc_velocity_goal,
+    "mc_constraint": mc_speed_limit_goal,
+    "pendulum_trajectory": pendulum_upright_velocity_goal,
+    "pendulum_constraint": pendulum_speed_limit_goal,
+}
+
+
+class GoalError(ValueError):
+    """A goal description names an unknown kind or a parameter its factory does not take."""
+
+
+def goal_params(d: dict) -> dict:
+    """The flat goal description `d` with every parameter its factory leaves
+    out filled in from the factory's signature, which holds the defaults."""
+    kind = d["kind"]
+    if kind not in GOALS:
+        raise GoalError(f"unknown goal kind {kind!r}")
+    params = inspect.signature(GOALS[kind]).parameters
+    unknown = sorted(set(d) - {"kind", *params})
+    if unknown:
+        raise GoalError(f"goal {kind} takes no {', '.join(unknown)}; it takes {', '.join(params)}")
+    return {"kind": kind, **{name: d.get(name, p.default) for name, p in params.items()}}
+
+
 def goal_from_dict(d: Optional[dict]):
     """Build a goal from its flat description (as used by the CLI/config)."""
     if d is None:
         return None
-    kind = d["kind"]
-    if kind == "mc_trajectory":
-        return mc_velocity_goal(
-            v_d=d.get("v_d", 0.025),
-            gamma1=d.get("gamma1", 1.0),
-            gamma2=d.get("gamma2", 2000.0),
-            switch_position=d.get("switch_position", 0.0),
-        )
-    if kind == "mc_constraint":
-        return mc_speed_limit_goal(bound=d.get("bound", 0.033), margin=d.get("margin"))
-    if kind == "pendulum_trajectory":
-        return pendulum_upright_velocity_goal(
-            gamma1=d.get("gamma1", 1.0),
-            gamma2=d.get("gamma2", 100.0),
-            cos_threshold=d.get("cos_threshold", 0.99),
-            v_d=d.get("v_d", 0.0),
-        )
-    if kind == "pendulum_constraint":
-        return pendulum_speed_limit_goal(bound=d.get("bound", 5.8), margin=d.get("margin", 0.0))
-    raise ValueError(f"unknown goal kind {kind!r}")
+    params = goal_params(d)
+    return GOALS[params.pop("kind")](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +387,7 @@ class ExperimentSpec:
     goal_position: float = 0.45
     horizon: Optional[int] = None
     hazard_limit: Optional[float] = None
-    v_d: Optional[float] = None
+    v_d: Optional[float] = None          # velocity target scored; None: the goal's own v_d, if any
 
 
 def _check_env_match(env, meta, path):
@@ -405,26 +417,33 @@ def _policy_from(mf: ModelFile, path: str, rng: Optional[np.random.Generator] = 
     raise ValueError(f"{path}: role {role!r} is not a loadable policy")
 
 
-def _metric_kwargs(env_name: str, spec: ExperimentSpec, goal) -> dict:
+def _upright(x, k) -> bool:
+    return x[0] > UPRIGHT_COS
+
+
+def _metric_kwargs(spec: ExperimentSpec, goal: Optional[dict]) -> dict:
+    """`evaluate`'s metric options for `spec`, whose goal has the parameters
+    `goal`: velocity error against `spec.v_d`, or else the goal's own v_d."""
     kwargs: dict = {}
-    vel_index = 1 if env_name == "mountain_car" else 2
+    vel_index = 1 if spec.env == "mountain_car" else 2
     if spec.hazard_limit is not None:
         kwargs.update(hazard_index=vel_index, hazard_limit=spec.hazard_limit)
-    if isinstance(goal, control.TrajectoryGoal) or spec.v_d is not None:
-        v_d = spec.v_d if spec.v_d is not None else 0.025
+    v_d = spec.v_d if spec.v_d is not None else (goal or {}).get("v_d")
+    if v_d is not None:
         kwargs.update(vel_index=vel_index, vel_target=v_d)
-        if env_name == "mountain_car":
+        if spec.env == "mountain_car":
             kwargs.update(vel_mode="at_goal")
         else:
-            kwargs.update(vel_mode="active_mean", vel_active=goal.active if goal else None)
+            kwargs.update(vel_mode="active_mean", vel_active=_upright)
     return kwargs
 
 
 def run_experiment(spec: ExperimentSpec) -> EvalReport:
     """Evaluate one configured method, returning the metric report."""
     env = make_env(spec.env, goal_position=spec.goal_position, horizon=spec.horizon)
-    goal = goal_from_dict(spec.goal)
-    meta: dict = {"method": spec.method, "goal": spec.goal, "reward_mod": spec.reward_mod}
+    params = goal_params(spec.goal) if spec.goal is not None else None
+    goal = goal_from_dict(params)
+    meta: dict = {"method": spec.method, "goal": params, "reward_mod": spec.reward_mod}
 
     if spec.method == "llql":
         dyn, q, model_meta = core.load_llql_model(spec.model_path)
@@ -487,7 +506,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
 
     rows = evaluate(
         env, factory, runs=spec.eval_runs, seed0=spec.eval_seed0,
-        **_metric_kwargs(spec.env, spec, goal),
+        **_metric_kwargs(spec, params),
     )
     return EvalReport(rows=rows, env=env.spec.to_dict(), meta=meta)
 
@@ -497,45 +516,28 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def sweep_short_term(
-    model_path: str,
-    kind: str,
-    values,
-    *,
-    runs: int = 10,
-    seed0: int = 10_000,
-    gamma1: float = 1.0,
-    gamma2: float = 2000.0,
-) -> list:
+def sweep_short_term(model_path: str, kind: str, values, *, runs: int = 10, seed0: int = 10_000,
+                     **options) -> list:
     """Evaluate a trained mountain-car model across short-term goal values.
 
     kind "constraint" sweeps the speed limit; kind "trajectory" sweeps the
-    desired hilltop velocity.  Returns one row per value with mean/std
-    steps to goal and the success count over `runs` episodes each.
+    desired hilltop velocity, and `options` (gamma1, gamma2, ...) go to its
+    goal.  Returns one row per value with mean/std steps to goal and the
+    success count over `runs` episodes each.
     """
-    dyn, q, _ = core.load_llql_model(model_path)
     out = []
     for value in values:
-        env = make_env("mountain_car")
         if kind == "constraint":
-            goal = mc_speed_limit_goal(bound=value, margin=value)
+            goal = {"kind": "mc_constraint", **options, "bound": value, "margin": value}
         elif kind == "trajectory":
-            goal = mc_velocity_goal(v_d=value, gamma1=gamma1, gamma2=gamma2)
+            goal = {"kind": "mc_trajectory", **options, "v_d": value}
         else:
             raise ValueError(f"unknown sweep kind {kind!r}")
-
-        def factory(seed):
-            return control.GoalController(dyn, goal, qmodel=q, rng=np.random.default_rng(seed))
-
-        rows = evaluate(env, factory, runs=runs, seed0=seed0)
-        steps_mean, steps_std = _mean_std([r.steps for r in rows])
-        out.append(
-            {
-                "value": float(value),
-                "mean_steps": steps_mean,
-                "std_steps": steps_std,
-                "success": sum(1 for r in rows if r.success),
-                "runs": runs,
-            }
-        )
+        spec = ExperimentSpec(env="mountain_car", method="llql", model_path=model_path, goal=goal,
+                              eval_runs=runs, eval_seed0=seed0)
+        agg = run_experiment(spec).aggregates()
+        out.append({
+            "value": float(value), "mean_steps": agg["mean_steps"], "std_steps": agg["std_steps"],
+            "success": agg["success"], "runs": agg["runs"],
+        })
     return out

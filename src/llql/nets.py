@@ -466,15 +466,23 @@ class Normalizer:
 MODEL_FORMAT = "llql-model-v1"
 
 
+class ModelFileError(ValueError):
+    """Raised when a model file is truncated, malformed or of another format."""
+
+
 @dataclasses.dataclass
 class ModelFile:
     nets: dict
     normalizer: Optional[Normalizer]
     meta: dict
+    path: str
 
-
-class ModelFileError(ValueError):
-    """Raised when a model file is truncated, malformed or of another format."""
+    def meta_entries(self, *keys) -> list:
+        """The meta entries `keys`; ModelFileError when one is missing."""
+        missing = [key for key in keys if key not in self.meta]
+        if missing:
+            raise ModelFileError(f"{self.path}: model meta has no {', '.join(missing)}")
+        return [self.meta[key] for key in keys]
 
 
 def write_atomic(path, *chunks: bytes) -> None:
@@ -562,4 +570,4 @@ def load_model(path) -> ModelFile:
                 nets[name] = Mlp(sizes, buffer[:n].astype(dtype))
             except ValueError as exc:
                 raise ModelFileError(f"{path}: net {name!r}: {exc}") from exc
-    return ModelFile(nets=nets, normalizer=normalizer, meta=meta)
+    return ModelFile(nets=nets, normalizer=normalizer, meta=meta, path=str(path))

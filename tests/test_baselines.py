@@ -198,7 +198,7 @@ def test_ddpg_actor_respects_bounds():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = np.array([*rng.uniform(-1, 1, 2), rng.uniform(-8, 8)])
-        u = model.act(x)
+        u = model(x)
         assert -2.0 <= u[0] <= 2.0
 
 
@@ -216,7 +216,7 @@ def test_ddpg_save_load_round_trip(tmp_path):
     save_ddpg_model(path, model, {"env": env.spec.to_dict(), "reward_mod": "c1"})
     loaded, meta = load_ddpg_model(path)
     x = np.array([-0.5, 0.01])
-    assert np.array_equal(loaded.act(x), model.act(x))
+    assert np.array_equal(loaded(x), model(x))
     assert meta["reward_mod"] == "c1"
 
 

@@ -165,7 +165,7 @@ def test_ddpg_update_gradients_match_critic_mse_and_actor_objective(env_name, ad
         return float(((y - q) ** 2).mean())
 
     def actor_objective():  # minimised: -mean Q(x, mu(x))
-        u = model.act(batch.states)
+        u = model(batch.states)
         return -float(model.critic.forward(np.concatenate([Z, u], axis=1))[:, 0].mean())
 
     assert_matches_fd(trainer.critic, adam_grads, critic_mse)

@@ -10,6 +10,7 @@ from llql.control import LlqlPolicy
 from llql.cli import ConfigError, build_config, main, parse_config_file
 from llql.experiments import EvalReport, EvalRow, compute_aggregates, evaluate, goal_from_dict
 from llql.envs import MountainCar, make_env
+from llql.nets import ModelFileError, load_model, save_model
 
 
 def rows_fixture():
@@ -483,3 +484,144 @@ def test_cli_train_bad_config_key_exits_two(tmp_path, capsys):
     code = main(["train", "--env", "mountain_car", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 2
     assert "not_a_key" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# One evaluation path: DDPG, goal parameters, velocity targets, model meta
+# ---------------------------------------------------------------------------
+
+
+def tiny_ddpg_config(**kw):
+    return baselines.DdpgConfig(**{**dict(episodes=1, hidden_sizes=(8, 8), normalizer_samples=10, batch=4), **kw})
+
+
+def saved_model(path, env, method="llql"):
+    """Train a tiny model of `method` on `env` and save it with its env spec."""
+    if method == "ddpg":
+        baselines.save_ddpg_model(path, baselines.ddpg_train(env, tiny_ddpg_config())[0], {"env": env.spec.to_dict()})
+    else:
+        result = core.train(env, tiny_train_config())
+        core.save_llql_model(path, result.dynamics, result.qmodel, {"env": env.spec.to_dict()})
+    return str(path)
+
+
+def test_run_experiment_ddpg_rows_equal_a_rollout_of_the_model(tmp_path):
+    env = MountainCar(horizon=15)
+    path = saved_model(tmp_path / "ddpg.model", env, "ddpg")
+    spec = experiments.ExperimentSpec(env="mountain_car", method="ddpg", model_path=path, eval_runs=3,
+                                      horizon=15, eval_seed0=40)
+    model = baselines.load_ddpg_model(path)[0]
+    expected = []
+    for seed in range(40, 43):
+        x, total = env.reset(seed), 0.0
+        for k in range(env.horizon):
+            step = env.step(x, model(x))
+            x, total = step.next_state, total + step.reward
+            if step.done:
+                break
+        expected.append(EvalRow(seed, k + 1, env.goal_reached(x), None, 0, total))
+    assert experiments.run_experiment(spec).rows == expected
+
+
+def test_cli_eval_ddpg_exits_zero(tmp_path, capsys):
+    cfg = tmp_path / "ddpg.cfg"
+    cfg.write_text("episodes = 1\nhidden_sizes = 8,8\nnormalizer_samples = 10\nbatch = 4\n")
+    out = tmp_path / "run"
+    assert main(["train", "--method", "ddpg", "--env", "mountain_car", "--config", str(cfg),
+                 "--horizon", "12", "--out", str(out)]) == 0
+    assert main(["eval", "--method", "ddpg", "--model", str(out / "model.model"), "--runs", "2",
+                 "--horizon", "12", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["rows"]) == 2 and report["meta"]["method"] == "ddpg"
+
+
+def test_goal_from_dict_rejects_a_parameter_its_goal_does_not_take():
+    with pytest.raises(ValueError, match="bnd"):
+        goal_from_dict({"kind": "mc_constraint", "bnd": 0.02})
+    with pytest.raises(ValueError, match="switch_position"):
+        goal_from_dict({"kind": "pendulum_trajectory", "switch_position": 0.0})
+
+
+def test_goal_params_fill_in_the_factory_defaults():
+    assert experiments.goal_params({"kind": "mc_constraint", "bound": 0.02}) == {
+        "kind": "mc_constraint", "bound": 0.02, "margin": None,
+    }
+    assert experiments.goal_params({"kind": "pendulum_trajectory"}) == {
+        "kind": "pendulum_trajectory", "gamma1": 1.0, "gamma2": 100.0, "cos_threshold": 0.99, "v_d": 0.0,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["--goal", "constraint", "--gamma2", "5"],
+    ["--goal", "trajectory", "--bound", "0.02"],
+])
+def test_cli_eval_goal_option_the_goal_does_not_take_exits_two(tmp_path, capsys, argv):
+    path = saved_model(tmp_path / "llql.model", MountainCar(horizon=10))
+    assert main(["eval", "--model", path, "--runs", "1", "--horizon", "5", "--out", str(tmp_path), *argv]) == 2
+    assert "takes no" in capsys.readouterr().err
+
+
+def test_cli_sweep_gamma_on_a_constraint_sweep_exits_two(tmp_path, capsys):
+    path = saved_model(tmp_path / "llql.model", MountainCar(horizon=10))
+    assert main(["sweep", "--model", path, "--kind", "constraint", "--values", "0.05", "--gamma2", "5",
+                 "--runs", "1", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_eval_report_meta_records_every_goal_parameter(tmp_path):
+    path = saved_model(tmp_path / "llql.model", MountainCar(horizon=10))
+    assert main(["eval", "--model", path, "--goal", "trajectory", "--gamma2", "500", "--runs", "1",
+                 "--horizon", "5", "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "report.json").read_text())["meta"]
+    assert meta["goal"] == {"kind": "mc_trajectory", "v_d": 0.025, "gamma1": 1.0, "gamma2": 500.0,
+                            "switch_position": 0.0}
+
+
+@pytest.mark.parametrize("command", ["eval", "adjust"])
+def test_cli_pendulum_trajectory_scores_velocity_against_the_goals_target(tmp_path, command):
+    path = saved_model(tmp_path / "pendulum.model", make_env("pendulum", horizon=10))
+    common = dict(env="pendulum", goal={"kind": "pendulum_trajectory"}, eval_runs=3, horizon=30)
+    if command == "eval":
+        argv = ["eval", "--model", path]
+        spec = experiments.ExperimentSpec(method="llql", model_path=path, v_d=0.0, **common)
+    else:
+        argv = ["adjust", "--policy", path, "--dynamics", path]
+        spec = experiments.ExperimentSpec(method="adjust", policy_path=path, dynamics_path=path, v_d=0.0, **common)
+    assert main([*argv, "--goal", "trajectory", "--runs", "3", "--horizon", "30", "--out", str(tmp_path)]) == 0
+    expected = experiments.run_experiment(spec).rows
+    assert any(row.vel_error is not None for row in expected)  # the pendulum passed upright
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    assert [EvalRow(**row) for row in rows] == expected
+
+
+def without_meta(path, key):
+    """A copy of model file `path` whose meta lacks `key`."""
+    mf = load_model(path)
+    copy = Path(path).with_name(f"no-{key}-{Path(path).name}")
+    save_model(copy, mf.nets, mf.normalizer, {k: v for k, v in mf.meta.items() if k != key})
+    return str(copy)
+
+
+@pytest.mark.parametrize("key", ["env", "delta"])
+@pytest.mark.parametrize("command", ["eval", "adjust"])
+def test_cli_model_meta_without_env_or_delta_exits_two(tmp_path, capsys, key, command):
+    bad = without_meta(saved_model(tmp_path / "llql.model", MountainCar(horizon=10)), key)
+    argv = ["eval", "--model", bad] if command == "eval" else ["adjust", "--policy", bad, "--dynamics", bad]
+    assert main([*argv, "--goal", "constraint", "--runs", "1", "--horizon", "5", "--out", str(tmp_path)]) == 2
+    assert f"model meta has no {key}" in capsys.readouterr().err
+
+
+def test_cli_adjust_ddpg_policy_without_env_exits_two(tmp_path, capsys):
+    env = MountainCar(horizon=10)
+    dynamics = saved_model(tmp_path / "llql.model", env)
+    policy = without_meta(saved_model(tmp_path / "ddpg.model", env, "ddpg"), "env")
+    assert main(["adjust", "--policy", policy, "--dynamics", dynamics, "--goal", "constraint", "--runs", "1",
+                 "--horizon", "5", "--out", str(tmp_path)]) == 2
+    assert "model meta has no env" in capsys.readouterr().err
+
+
+def test_model_from_without_env_raises_model_file_error(tmp_path):
+    env = MountainCar(horizon=10)
+    for method, model_from in (("llql", core.llql_model_from), ("ddpg", baselines.ddpg_model_from)):
+        bad = without_meta(saved_model(tmp_path / f"{method}.model", env, method), "env")
+        with pytest.raises(ModelFileError, match="no env"):
+            model_from(load_model(bad))
