@@ -24,6 +24,40 @@ def make_net(sizes, seed=0, dtype=np.float64):
     return Mlp.create(sizes, np.random.default_rng(seed), dtype)
 
 
+# A plain numpy MLP on a net's (or a head's) weight and bias views, in the
+# net's dtype: one 2-D matmul per layer, the reference the network engine is
+# checked against, bit for bit.
+
+
+def ref_forward(net, X) -> list:
+    """Every layer's output on the batch `X`, the input first."""
+    acts = [np.asarray(X, dtype=net.dtype)]
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+        a = acts[-1] @ W + b
+        acts.append(np.maximum(a, 0.0) if i < len(net.weights) - 1 else a)
+    return acts
+
+
+def ref_backward(net, X, G) -> tuple:
+    """(parameter gradient in model-file order, input gradient) of the
+    outputs on the batch `X` contracted with `G`; ReLU's subgradient at 0 is 0."""
+    acts = ref_forward(net, X)
+    g = np.asarray(G, dtype=net.dtype)
+    parts = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        parts = [acts[i].T @ g, g.sum(axis=0)] + parts
+        g = g @ net.weights[i].T
+        if i:
+            g = g * (acts[i] > 0)
+    return np.concatenate([p.reshape(-1) for p in parts]), g
+
+
+def own_backward(net, X, G) -> tuple:
+    """(Grads, input gradient) from the net's own cached passes."""
+    _, acts = net.forward_cached(X)
+    return net.backward_cached(acts, G, need_input_grad=True)
+
+
 def test_forward_zero_parameters_gives_zero():
     net = make_net((3, 4, 2))
     net.flat_params[:] = 0.0
@@ -65,7 +99,7 @@ def test_forward_dimension_mismatch():
 
 def test_backward_zero_output_gradient():
     net = make_net((3, 5, 2), seed=1)
-    grads, gin = net.backward(np.ones(3), np.zeros(2))
+    grads, gin = own_backward(net, np.ones((1, 3)), np.zeros((1, 2)))
     assert not grads.flat.any()
     assert not gin.any()
 
@@ -74,11 +108,10 @@ def test_backward_linear_net():
     net = make_net((1, 1))
     net.weights[0][...] = 4.0
     net.biases[0][...] = 1.0
-    x = np.array([3.0])
-    grads, gin = net.backward(x, np.array([1.0]))
+    grads, gin = own_backward(net, np.array([[3.0]]), np.array([[1.0]]))
     assert grads.weights[0][0, 0] == 3.0  # dy/dw = x
     assert grads.biases[0][0] == 1.0      # dy/db = 1
-    assert gin[0] == 4.0                  # dy/dx = w
+    assert gin[0, 0] == 4.0               # dy/dx = w
 
 
 def test_backward_matches_finite_differences():
@@ -86,20 +119,26 @@ def test_backward_matches_finite_differences():
     for trial in range(10):
         sizes = (rng.integers(1, 4), rng.integers(2, 6), rng.integers(1, 4))
         net = Mlp.create(sizes, rng)
-        x = rng.standard_normal(sizes[0])
-        gout = rng.standard_normal(sizes[-1])
-        grads, _ = net.backward(x, gout)
-        flat = net.flat_params
+        x = rng.standard_normal((1, sizes[0]))
+        gout = rng.standard_normal((1, sizes[-1]))
+        ref, ref_gin = ref_backward(net, x, gout)
+        grads, gin = own_backward(net, x, gout)
+        assert np.array_equal(grads.flat, ref) and np.array_equal(gin, ref_gin)
+
+        def objective():
+            return float(ref_forward(net, x)[-1][0] @ gout[0])
+
         eps = 1e-5
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            up = float(net.forward(x) @ gout)
-            flat[i] = keep - eps
-            down = float(net.forward(x) @ gout)
-            flat[i] = keep
-            numeric = (up - down) / (2 * eps)
-            assert abs(numeric - grads.flat[i]) <= 1e-4 * max(abs(numeric), 1e-8) + 1e-9
+        for values, analytic in ((net.flat_params, ref), (x[0], ref_gin[0])):
+            for i in range(values.size):
+                keep = values[i]
+                values[i] = keep + eps
+                up = objective()
+                values[i] = keep - eps
+                down = objective()
+                values[i] = keep
+                numeric = (up - down) / (2 * eps)
+                assert abs(numeric - analytic[i]) <= 1e-4 * max(abs(numeric), 1e-8) + 1e-9
 
 
 def test_relu_subgradient_at_zero_is_zero():
@@ -108,9 +147,9 @@ def test_relu_subgradient_at_zero_is_zero():
     net.biases[0][...] = 0.0
     net.weights[1][...] = 1.0
     net.biases[1][...] = 0.0
-    grads, gin = net.backward(np.array([0.0]), np.array([1.0]))  # hidden pre-activation exactly 0
+    grads, gin = own_backward(net, np.array([[0.0]]), np.array([[1.0]]))  # hidden pre-activation exactly 0
     assert grads.weights[0][0, 0] == 0.0
-    assert gin[0] == 0.0
+    assert gin[0, 0] == 0.0
 
 
 def test_adam_zero_gradient_fixed_point():
@@ -430,10 +469,10 @@ def test_bank_forward_shapes_each_head_for_one_input_and_a_batch():
     X = np.random.default_rng(1).standard_normal((4, 3))
     v, h, d = bank.forward(X)
     assert (v.shape, h.shape, d.shape) == ((4,), (4, 2), (4, 2, 2))
-    assert np.array_equal(d, bank.heads[2].forward(X).reshape(4, 2, 2))
+    assert np.array_equal(d, ref_forward(bank.heads[2], X)[-1].reshape(4, 2, 2))
     v1, h1, d1 = bank.forward(X[0])
     assert (v1.shape, h1.shape, d1.shape) == ((), (2,), (2, 2))
-    assert np.array_equal(d1, bank.heads[2].forward(X[0]).reshape(2, 2))
+    assert np.array_equal(d1, ref_forward(bank.heads[2], X[:1])[-1].reshape(2, 2))
     assert np.allclose(h1, h[0], atol=1e-12) and np.allclose(v1, v[0], atol=1e-12)
     assert v1.dtype == np.float64
 
@@ -445,7 +484,7 @@ def test_bank_backward_stacks_the_heads_gradients():
     outs, caches = bank.forward_cached(X)
     g_outs = [rng.standard_normal(out.shape) for out in outs]
     grads = bank.backward_cached(caches, g_outs)
-    expected = [head.backward(X, g.reshape(6, -1))[0].flat for head, g in zip(bank.heads, g_outs)]
+    expected = [ref_backward(head, X, g.reshape(6, -1))[0] for head, g in zip(bank.heads, g_outs)]
     indices = head_indices(bank)
     assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(bank.n_params))
     for idx, flat in zip(indices, expected):
@@ -490,18 +529,13 @@ def test_bank_results_equal_each_heads_own_results_bitwise(n, hidden, dtype):
     outs = bank.forward(X)
     cached, caches = bank.forward_cached(Xd)
     g_outs = [rng.standard_normal(out.shape).astype(dtype) for out in cached]
-    expected_cached = [head.forward_cached(Xd) for head in bank.heads]
-    # compare the cached outputs before the bank's next call
-    for (out, _), got, shape in zip(expected_cached, cached, SHAPES):
-        assert np.array_equal(got, out.reshape((n,) + shape))
+    for head, shape, out, got in zip(bank.heads, SHAPES, outs, cached):
+        expected = ref_forward(head, Xd)[-1].reshape((n,) + shape)
+        assert got.dtype == dtype and np.array_equal(got, expected)
+        assert out.dtype == np.float64 and np.array_equal(out, expected.astype(np.float64))
     grads = bank.backward_cached(caches, g_outs)
-    for head, shape, out, (_, acts), g, idx in zip(
-        bank.heads, SHAPES, outs, expected_cached, g_outs, head_indices(bank)
-    ):
-        assert out.dtype == np.float64
-        assert np.array_equal(out, head.forward(X).astype(np.float64).reshape((n,) + shape))
-        expected, _ = head.backward_cached(acts, g.reshape(n, -1), need_input_grad=False)
-        assert np.array_equal(grads.flat[idx], expected.flat)
+    for head, g, idx in zip(bank.heads, g_outs, head_indices(bank)):
+        assert np.array_equal(grads.flat[idx], ref_backward(head, Xd, g.reshape(n, -1))[0])
     if n == 1:
         for out, one in zip(outs, bank.forward(X[0])):
             assert np.array_equal(one, out[0])
@@ -515,12 +549,12 @@ def test_bank_workspaces_follow_the_batch_size_up_and_down():
     for n in (10, 1000, 1, 100, 1000, 3):
         X = rng.standard_normal((n, 3)).astype(np.float32)
         for head, shape, out in zip(bank.heads, SHAPES, bank.forward(X)):
-            assert np.array_equal(out, head.forward(X).astype(np.float64).reshape((n,) + shape))
+            assert np.array_equal(out, ref_forward(head, X)[-1].astype(np.float64).reshape((n,) + shape))
         outs, caches = bank.forward_cached(X)
         g_outs = [rng.standard_normal(out.shape).astype(np.float32) for out in outs]
         grads = bank.backward_cached(caches, g_outs)
         for head, g, idx in zip(bank.heads, g_outs, indices):
-            assert np.array_equal(grads.flat[idx], head.backward(X, g.reshape(n, -1))[0].flat)
+            assert np.array_equal(grads.flat[idx], ref_backward(head, X, g.reshape(n, -1))[0])
 
 
 def traced_peak(fn) -> int:
