@@ -18,7 +18,11 @@ The families:
 - `reports`: the `run_experiment` report CSVs for greedy, constraint,
   trajectory, adjust, adjust_external and mpc on that model;
 - `sweep`: the `sweep_short_term` CSVs of both kinds on that model, two
-  goal values each, over the env's full horizon.
+  goal values each, over the env's full horizon;
+- `ddpg_eval`: the `run_experiment` report CSVs of a DDPG set-up model
+  (one 30-step episode, seed 7) on each env, and of adjust with the
+  pendulum one as policy on the pendulum set-up model, under the speed
+  limit.
 
 It needs nothing beyond llql's own dependencies; the external policy of
 adjust_external is a bang-bang sign(v) child run by this interpreter.
@@ -134,6 +138,16 @@ def setup_model(sz: Sizes, work: Path, env_name: str = "mountain_car") -> Path:
     return path
 
 
+def ddpg_setup_model(sz: Sizes, work: Path, env_name: str) -> Path:
+    """A DDPG model trained as `setup_model` trains the LLQL one."""
+    env = make_env(env_name, horizon=sz.setup_horizon)
+    cfg = baselines.DdpgConfig(episodes=1, seed=7, hidden_sizes=sz.hidden,
+                               normalizer_samples=sz.setup_normalizer_samples)
+    path = work / f"ddpg-{env_name}.model"
+    experiments.train_and_save(env, "ddpg", cfg, path, {})
+    return path
+
+
 def _mountain_car_case(rng, n: int):
     """States, policy actions, speed limit, trajectory target and gamma2."""
     X = np.column_stack([rng.uniform(-1.2, 0.6, n), rng.uniform(-0.07, 0.07, n)])
@@ -216,6 +230,24 @@ def sweep_digest(model: Path, sz: Sizes, work: Path) -> str:
     return h.hexdigest()
 
 
+def ddpg_eval_digest(pendulum_model: Path, sz: Sizes, work: Path) -> str:
+    h = hashlib.sha256()
+    policies = {env_name: str(ddpg_setup_model(sz, work, env_name)) for env_name in ENVS}
+    specs = {
+        env_name: experiments.ExperimentSpec(env=env_name, method="ddpg", model_path=policy, eval_runs=2,
+                                             horizon=sz.eval_horizon)
+        for env_name, policy in policies.items()
+    }
+    specs["adjust"] = experiments.ExperimentSpec(
+        env="pendulum", method="adjust", policy_path=policies["pendulum"], dynamics_path=str(pendulum_model),
+        goal={"kind": "pendulum_constraint"}, eval_runs=2, horizon=sz.eval_horizon)
+    for name, spec in specs.items():
+        path = work / f"ddpg-{name}.csv"
+        reports.write_report_csv(experiments.run_experiment(spec), path)
+        _feed_files(h, [path])
+    return h.hexdigest()
+
+
 def digests(sz: Sizes) -> dict:
     """{family: sha256 hex digest} for every output family."""
     out = {}
@@ -226,9 +258,11 @@ def digests(sz: Sizes) -> dict:
                 out[f"train/{env_name}/{dtype}"] = train_digest(env_name, dtype, sz, work)
         model = setup_model(sz, work)
         out["synthesis"] = synthesis_digest(model, sz)
-        out["synthesis/pendulum"] = synthesis_digest(setup_model(sz, work, "pendulum"), sz, "pendulum")
+        pendulum = setup_model(sz, work, "pendulum")
+        out["synthesis/pendulum"] = synthesis_digest(pendulum, sz, "pendulum")
         out["reports"] = reports_digest(model, sz, work)
         out["sweep"] = sweep_digest(model, sz, work)
+        out["ddpg_eval"] = ddpg_eval_digest(pendulum, sz, work)
     return out
 
 
