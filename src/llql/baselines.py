@@ -117,12 +117,10 @@ class DdpgConfig:
 
 @dataclasses.dataclass
 class DdpgModel:
-    """Actor-critic pair with target copies; the actor output is squashed to bounds."""
+    """Actor-critic pair; the actor output is squashed to bounds."""
 
     actor: Mlp
     critic: Mlp
-    actor_target: Mlp
-    critic_target: Mlp
     normalizer: Normalizer
     action_low: np.ndarray
     action_high: np.ndarray
@@ -153,7 +151,8 @@ class _ShapedEnv:
 
 
 class _DdpgTrainer(_EpisodeTrainer):
-    """DDPG training: one critic and one actor update per env step."""
+    """DDPG training: one critic and one actor update per env step, with
+    target copies of both nets."""
 
     loss_iters = (None, 1)
 
@@ -169,15 +168,10 @@ class _DdpgTrainer(_EpisodeTrainer):
         self.adam_critic = Adam(self.critic, config.critic_lr)
         self.low = np.asarray(env.action_low, dtype=np.float64)
         self.high = np.asarray(env.action_high, dtype=np.float64)
-
-    def model(self) -> DdpgModel:
-        return DdpgModel(
-            self.actor, self.critic, self.actor_target, self.critic_target,
-            self.normalizer, self.low, self.high,
-        )
+        self.model = DdpgModel(self.actor, self.critic, self.normalizer, self.low, self.high)
 
     def _act(self, x: np.ndarray) -> np.ndarray:
-        return self.model()(x)
+        return self.model(x)
 
     def _updates(self):
         yield 1, self._update(self.buffer.sample(self.cfg.batch, self.sample_rng))
@@ -186,14 +180,14 @@ class _DdpgTrainer(_EpisodeTrainer):
         dt = self.dtype
         n = len(batch)
         cfg = self.cfg
-        squash = self.model()._squash
+        squash = self.model._squash
         Z = self.normalizer.normalize(batch.states).astype(dt)
         Z2 = self.normalizer.normalize(batch.next_states).astype(dt)
         U = batch.actions.astype(dt)
 
         # critic target: y = r + gamma * (1 - done) * Q'(x', mu'(x'))
         u2 = squash(self.actor_target.forward(Z2)).astype(dt)
-        q2 = self.critic_target.forward(np.concatenate([Z2, u2], axis=1)).astype(np.float64)[:, 0]
+        q2 = self.critic_target.forward(np.concatenate([Z2, u2], axis=1))[:, 0]
         y = batch.rewards + cfg.discount * (~batch.dones) * q2
 
         # critic regression (mean squared Bellman error)
@@ -202,7 +196,7 @@ class _DdpgTrainer(_EpisodeTrainer):
         res = y - q[:, 0].astype(np.float64)
         loss = float((res**2).mean())
         gq = ((-2.0 / n) * res).astype(dt)[:, None]
-        grads_c, _ = self.critic.backward_cached(cache_c, gq, need_input_grad=False)
+        grads_c, _ = self.critic.backward_cached(cache_c, gq)
         self.adam_critic.step(self.critic, grads_c, context="critic loss")
 
         # actor ascends Q(x, mu(x)): gradient of -mean Q through the critic input
@@ -210,11 +204,12 @@ class _DdpgTrainer(_EpisodeTrainer):
         u_pi = squash(raw).astype(dt)
         inp_pi = np.concatenate([Z, u_pi], axis=1)
         _, cache_q = self.critic.forward_cached(inp_pi)
-        _, gin = self.critic.backward_cached(cache_q, np.full((n, 1), -1.0 / n, dtype=dt))
+        _, gin = self.critic.backward_cached(cache_q, np.full((n, 1), -1.0 / n, dtype=dt),
+                                             need_input_grad=True)
         du = gin[:, self.env.state_dim :].astype(np.float64)
         half = (self.high - self.low) / 2.0
         draw = (du * half * (1.0 - np.tanh(raw.astype(np.float64)) ** 2)).astype(dt)
-        grads_a, _ = self.actor.backward_cached(cache_a, draw, need_input_grad=False)
+        grads_a, _ = self.actor.backward_cached(cache_a, draw)
         self.adam_actor.step(self.actor, grads_a, context="actor objective")
 
         soft_update(self.critic_target, self.critic, cfg.tau)
@@ -226,7 +221,7 @@ def ddpg_train(env, config: DdpgConfig, reward_mod: Optional[RewardMod] = None):
     """Train DDPG; deterministic given (env, config.seed, reward_mod)."""
     trainer = _DdpgTrainer(env, config, reward_mod)
     log = list(trainer._episodes())
-    return trainer.model(), log
+    return trainer.model, log
 
 
 def save_ddpg_model(path, model: DdpgModel, meta: dict) -> None:
@@ -250,9 +245,7 @@ def load_ddpg_model(path) -> tuple:
 def ddpg_model_from(mf: ModelFile) -> DdpgModel:
     (env_spec,) = mf.meta_entries("env")
     return DdpgModel(
-        mf.nets["actor"], mf.nets["critic"],
-        mf.nets["actor"].copy(), mf.nets["critic"].copy(),
-        mf.normalizer,
+        mf.nets["actor"], mf.nets["critic"], mf.normalizer,
         np.asarray(env_spec["action_low"], dtype=np.float64),
         np.asarray(env_spec["action_high"], dtype=np.float64),
     )

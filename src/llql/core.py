@@ -460,7 +460,7 @@ class _Trainer(_EpisodeTrainer):
         dirs = residual / np.maximum(norms, np.finfo(dt).tiny)[:, None]
         gF = (-self.cfg.delta / n) * dirs
         gG = gF[:, :, None] * U[:, None, :]
-        self.adam_dyn.step(bank, bank.backward_cached(caches, (gF, gG)), context="short-term loss")
+        self.adam_dyn.step(bank, bank.backward_cached(caches, (gF, gG))[0], context="short-term loss")
         return loss
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -485,7 +485,7 @@ class _Trainer(_EpisodeTrainer):
         dq = dq.astype(dt)
         dS = (-dq)[:, None] * (S / np.maximum(norms, np.finfo(dt).tiny).astype(dt)[:, None])
         gD = dS[:, :, None] * U[:, None, :]
-        self.adam_q.step(bank, bank.backward_cached(caches, (dq, dS, gD)), context="long-term loss")
+        self.adam_q.step(bank, bank.backward_cached(caches, (dq, dS, gD))[0], context="long-term loss")
         soft_update(q.target, bank, self.cfg.tau)
         return loss
 

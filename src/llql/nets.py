@@ -12,6 +12,7 @@ handful of vectorized operations.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -77,33 +78,42 @@ class Grads:
 class Mlp:
     """Fully-connected network: ReLU hidden activations, identity output.
 
-    The ReLU subgradient at exactly 0 is taken to be 0.
+    The ReLU subgradient at exactly 0 is taken to be 0.  An Mlp runs on a
+    one-head HeadBank, whose layout for one head is the Mlp's own: over the
+    net's flat vector, or for a bank's head over views of its slice of the
+    bank's blocks.  So its caches and Grads are the bank's workspaces, valid
+    until the net's next call.
     """
 
     def __init__(self, layer_sizes: Sequence[int], flat: np.ndarray):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layer sizes")
-        self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        self._flat, self.dtype, self.n_params = flat, flat.dtype, flat.size
-        self.weights, self.biases = _views(flat, self.layer_sizes)
-        if not np.all(np.isfinite(flat)):
-            raise ValueError("network parameters must be finite")
+        sizes = tuple(int(s) for s in layer_sizes)
+        self._on(HeadBank((sizes,), ((sizes[-1],),), flat))
+
+    def _on(self, bank: "HeadBank") -> "Mlp":
+        L = bank._n_hidden
+        self._bank, self.layer_sizes = bank, bank.layer_sizes[0]
+        self.dtype, self.n_params, self._grads = bank.dtype, bank.n_params, None
+        self.weights = [W[0] for W in bank.weights[:L]] + bank.weights[L:]
+        self.biases = [b[0] for b in bank.biases[:L]] + bank.biases[L:]
+        return self
 
     @classmethod
-    def _head(cls, layer_sizes: tuple, weights: list, biases: list) -> "Mlp":
-        """A HeadBank's head: its layers are views into the bank's blocks."""
-        net = cls.__new__(cls)
-        net.layer_sizes, net.weights, net.biases = layer_sizes, weights, biases
-        net._flat, net.dtype, net.n_params = None, weights[0].dtype, _n_params(layer_sizes)
-        return net
+    def _head(cls, bank: "HeadBank", k: int) -> "Mlp":
+        """Head k of `bank`, on views of its slice of the bank's blocks."""
+        L, sizes = bank._n_hidden, bank.layer_sizes[k]
+        views = ([W[k : k + 1] for W in bank.weights[:L]] + [bank.weights[L + k]],
+                 [b[k : k + 1] for b in bank.biases[:L]] + [bank.biases[L + k]])
+        return cls.__new__(cls)._on(HeadBank((sizes,), ((sizes[-1],),), None, views))
 
     @property
     def flat_params(self) -> np.ndarray:
         """The parameters as one vector, layer by layer (weight matrix, then
         bias).  A head of a HeadBank has no vector of its own, so for a head
         this is a read-only copy."""
-        if self._flat is not None:
-            return self._flat
+        if self._bank.flat_params is not None:
+            return self._bank.flat_params
         flat = np.concatenate([p.reshape(-1) for pair in zip(self.weights, self.biases) for p in pair])
         flat.flags.writeable = False
         return flat
@@ -119,64 +129,21 @@ class Mlp:
         return Mlp(self.layer_sizes, self.flat_params.copy())
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the network on a single input vector or a batch."""
-        x = np.asarray(x, dtype=self.dtype)
-        single = x.ndim == 1
-        a = x.reshape(1, -1) if single else x
-        if a.shape[1] != self.layer_sizes[0]:
-            raise ValueError(
-                f"input has {a.shape[1]} features, network expects {self.layer_sizes[0]}"
-            )
-        last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ W + b
-            if i < last:
-                np.maximum(a, 0.0, out=a)
-        return a[0] if single else a
+        """The output in float64 at a single input vector or for a batch."""
+        return self._bank.forward(x)[0]
 
     def forward_cached(self, x: np.ndarray):
-        """Batch forward pass returning (output, activations) for backward."""
-        a = np.asarray(x, dtype=self.dtype)
-        acts = [a]
-        last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ W + b
-            if i < last:
-                np.maximum(a, 0.0, out=a)
-            acts.append(a)
-        return acts[-1], acts
+        """Batch forward in the net's dtype: (output, caches for `backward_cached`)."""
+        (out,), caches = self._bank.forward_cached(x)
+        return out, caches
 
-    def backward_cached(self, acts: list, grad_out: np.ndarray, need_input_grad: bool = True) -> tuple:
-        """Backpropagate `grad_out` through cached activations.
-
-        Returns (Grads, input gradient).  Gradients are exact partial
-        derivatives of the forward output contracted with `grad_out`.
-        With `need_input_grad=False` the returned input gradient is None
-        (skips one matmul; training updates never use it).
-        """
-        grads = Grads(self.layer_sizes, self.dtype)
-        g = np.asarray(grad_out, dtype=self.dtype)
-        for i in range(len(self.weights) - 1, -1, -1):
-            np.matmul(acts[i].T, g, out=grads.weights[i])
-            g.sum(axis=0, out=grads.biases[i])
-            if i == 0 and not need_input_grad:
-                return grads, None
-            g = g @ self.weights[i].T
-            if i > 0:
-                g *= acts[i] > 0
-        return grads, g
-
-    def backward(self, x: np.ndarray, grad_out: np.ndarray) -> tuple:
-        """Forward + backward for a single input vector or a batch."""
-        x = np.asarray(x, dtype=self.dtype)
-        g = np.asarray(grad_out, dtype=self.dtype)
-        single = x.ndim == 1
-        if single:
-            x = x.reshape(1, -1)
-            g = g.reshape(1, -1)
-        _, acts = self.forward_cached(x)
-        grads, gin = self.backward_cached(acts, g)
-        return grads, (gin[0] if single else gin)
+    def backward_cached(self, caches: list, grad_out: np.ndarray, need_input_grad: bool = False) -> tuple:
+        """(Grads, input gradient) of `grad_out` through the cached pass;
+        see `HeadBank.backward_cached`."""
+        grads, gin = self._bank.backward_cached(caches, (grad_out,), need_input_grad)
+        if self._grads is None:
+            self._grads = Grads(self.layer_sizes, self.dtype, grads.flat)
+        return self._grads, gin
 
 
 class HeadBank:
@@ -190,7 +157,9 @@ class HeadBank:
     slice of a stacked matmul is the GEMM a head alone would run, so the
     bank's results equal its heads' own bit for bit.  `heads` are Mlp views
     into the blocks.  `shapes` gives each head's output shape (`()` for a
-    scalar); a head's output size is the product of its shape.
+    scalar); a head's output size is the product of its shape.  A head's
+    own one-head bank has no flat vector: it is given `views`, the
+    (weights, biases) of its slice of its parent's blocks.
 
     Hidden activations, backward deltas and the gradient vector live in
     workspaces that the bank keeps across calls and grows to the largest
@@ -199,7 +168,8 @@ class HeadBank:
     must not be called from two threads at once.
     """
 
-    def __init__(self, layer_sizes: Sequence[Sequence[int]], shapes, flat: np.ndarray):
+    def __init__(self, layer_sizes: Sequence[Sequence[int]], shapes, flat: Optional[np.ndarray],
+                 views: Optional[tuple] = None):
         self.shapes = tuple(tuple(int(n) for n in shape) for shape in shapes)
         self.layer_sizes = tuple(tuple(int(n) for n in sizes) for sizes in layer_sizes)
         if len(self.layer_sizes) != len(self.shapes):
@@ -209,17 +179,17 @@ class HeadBank:
         for sizes, shape in zip(self.layer_sizes, self.shapes):
             if sizes[-1] != math.prod(shape):
                 raise ValueError(f"a head of {sizes[-1]} outputs cannot take the shape {shape}")
-        if not np.all(np.isfinite(flat)):
+        if flat is not None and not np.all(np.isfinite(flat)):
             raise ValueError("network parameters must be finite")
-        self.flat_params, self.dtype, self.n_params = flat, flat.dtype, flat.size
-        self.weights, self.biases = _views(flat, self.layer_sizes)
-        L = self._n_hidden = len(self.layer_sizes[0]) - 2
-        self.heads = [
-            Mlp._head(sizes, [W[k] for W in self.weights[:L]] + [self.weights[L + k]],
-                      [b[k] for b in self.biases[:L]] + [self.biases[L + k]])
-            for k, sizes in enumerate(self.layer_sizes)
-        ]
+        self.flat_params, self.n_params = flat, _n_params(self.layer_sizes)
+        self.weights, self.biases = _views(flat, self.layer_sizes) if views is None else views
+        self.dtype = self.weights[0].dtype
+        self._n_hidden = len(self.layer_sizes[0]) - 2
         self._work, self._batch_views, self._grads = {}, {}, None
+
+    @functools.cached_property
+    def heads(self) -> list:
+        return [Mlp._head(self, k) for k in range(len(self.shapes))]
 
     @classmethod
     def create(cls, in_dim: int, hidden: Sequence[int], shapes, rng: np.random.Generator,
@@ -314,14 +284,16 @@ class HeadBank:
         outs = [out.reshape((len(x),) + shape) for out, shape in zip(views[L:], self.shapes)]
         return outs, [x, *views[:L]]
 
-    def backward_cached(self, caches: list, grad_outs) -> Grads:
-        """Parameter gradients of every head in one flat vector, given each
-        head's output gradient (batch first, shaped like its output).  The
-        Grads are the bank's workspace, valid until its next call."""
+    def backward_cached(self, caches: list, grad_outs, need_input_grad: bool = False) -> tuple:
+        """(Grads, input gradient) given each head's output gradient (batch
+        first, shaped like its output): every head's parameter gradients in
+        one flat vector, and with `need_input_grad` the gradient at the
+        input of the heads' outputs summed, else None.  The Grads are the
+        bank's workspace, valid until its next call."""
         if self._grads is None:
             self._grads = Grads(self.layer_sizes, self.dtype)
         gW, gb = self._grads.weights, self._grads.biases
-        L, acts = self._n_hidden, caches
+        L, acts, gin = self._n_hidden, caches, None
         work = self._workspace("backward", len(acts[0]))
         for k, g in enumerate(grad_outs):
             g = np.asarray(g, dtype=self.dtype).reshape(len(g), -1)
@@ -330,6 +302,8 @@ class HeadBank:
             g.sum(axis=0, out=gb[L + k])
             if L:
                 np.matmul(g, self.weights[L + k].T, out=work[2 * L - 2][k])
+            elif need_input_grad:
+                gin = g @ self.weights[k].T if gin is None else gin + g @ self.weights[k].T
         for i in range(L - 1, -1, -1):
             delta, mask = work[2 * i], work[2 * i + 1]
             # ReLU subgradient: the sign of a unit's output (>= 0) is 1 where
@@ -341,7 +315,9 @@ class HeadBank:
             delta.sum(axis=1, out=gb[i])
             if i:
                 np.matmul(delta, self.weights[i].transpose(0, 2, 1), out=work[2 * i - 2])
-        return self._grads
+            elif need_input_grad:
+                gin = np.matmul(delta, self.weights[0].transpose(0, 2, 1)).sum(axis=0)
+        return self._grads, gin
 
 
 class Adam:

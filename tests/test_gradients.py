@@ -153,13 +153,13 @@ def test_ddpg_update_gradients_match_critic_mse_and_actor_objective(env_name, ad
     for t, saved in zip((trainer.actor_target, trainer.critic_target), targets):
         t.flat_params[...] = saved
 
-    model = trainer.model()
+    model = trainer.model
     Z = model.normalizer.normalize(batch.states)
     Z2 = model.normalizer.normalize(batch.next_states)
 
     def critic_mse():
-        u2 = model._squash(model.actor_target.forward(Z2))
-        q2 = model.critic_target.forward(np.concatenate([Z2, u2], axis=1))[:, 0]
+        u2 = model._squash(trainer.actor_target.forward(Z2))
+        q2 = trainer.critic_target.forward(np.concatenate([Z2, u2], axis=1))[:, 0]
         y = batch.rewards + cfg.discount * (~batch.dones) * q2
         q = model.critic.forward(np.concatenate([Z, batch.actions], axis=1))[:, 0]
         return float(((y - q) ** 2).mean())

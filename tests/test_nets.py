@@ -483,7 +483,7 @@ def test_bank_backward_stacks_the_heads_gradients():
     X = rng.standard_normal((6, 3))
     outs, caches = bank.forward_cached(X)
     g_outs = [rng.standard_normal(out.shape) for out in outs]
-    grads = bank.backward_cached(caches, g_outs)
+    grads, _ = bank.backward_cached(caches, g_outs)
     expected = [ref_backward(head, X, g.reshape(6, -1))[0] for head, g in zip(bank.heads, g_outs)]
     indices = head_indices(bank)
     assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(bank.n_params))
@@ -533,7 +533,7 @@ def test_bank_results_equal_each_heads_own_results_bitwise(n, hidden, dtype):
         expected = ref_forward(head, Xd)[-1].reshape((n,) + shape)
         assert got.dtype == dtype and np.array_equal(got, expected)
         assert out.dtype == np.float64 and np.array_equal(out, expected.astype(np.float64))
-    grads = bank.backward_cached(caches, g_outs)
+    grads, _ = bank.backward_cached(caches, g_outs)
     for head, g, idx in zip(bank.heads, g_outs, head_indices(bank)):
         assert np.array_equal(grads.flat[idx], ref_backward(head, Xd, g.reshape(n, -1))[0])
     if n == 1:
@@ -552,7 +552,7 @@ def test_bank_workspaces_follow_the_batch_size_up_and_down():
             assert np.array_equal(out, ref_forward(head, X)[-1].astype(np.float64).reshape((n,) + shape))
         outs, caches = bank.forward_cached(X)
         g_outs = [rng.standard_normal(out.shape).astype(np.float32) for out in outs]
-        grads = bank.backward_cached(caches, g_outs)
+        grads, _ = bank.backward_cached(caches, g_outs)
         for head, g, idx in zip(bank.heads, g_outs, indices):
             assert np.array_equal(grads.flat[idx], ref_backward(head, X, g.reshape(n, -1))[0])
 
@@ -588,3 +588,36 @@ def test_bank_calls_allocate_no_batch_sized_block_after_a_warm_up():
         q.backward_cached(caches, g_outs)
 
     assert traced_peak(update) < 64 * 1024
+
+
+def test_mlp_pass_pair_allocates_no_layer_sized_block_after_a_warm_up():
+    # a DDPG critic's update passes and an act: the caches and Grads are the
+    # net's workspaces, so what is left is the outputs, the input gradient
+    # and the input casts
+    rng = np.random.default_rng(0)
+    net = Mlp.create((3, 200, 200, 1), rng, np.float32)
+    X = rng.standard_normal((8, 3)).astype(np.float32)
+    G = rng.standard_normal((8, 1)).astype(np.float32)
+
+    def passes():
+        _, caches = net.forward_cached(X)
+        net.backward_cached(caches, G, need_input_grad=True)
+        net.forward(X[0])
+
+    passes()
+    assert traced_peak(passes) < 64 * 1024
+
+
+@pytest.mark.parametrize("hidden", [(5, 4), ()], ids=["hidden", "no_hidden"])
+def test_bank_input_gradient_sums_the_heads_input_gradients(hidden):
+    bank = HeadBank.create(3, hidden, SHAPES, np.random.default_rng(10), np.float32)
+    rng = np.random.default_rng(11)
+    bank.flat_params[...] += rng.normal(0.0, 0.1, size=bank.n_params).astype(np.float32)
+    X = rng.standard_normal((6, 3)).astype(np.float32)
+    outs, caches = bank.forward_cached(X)
+    g_outs = [rng.standard_normal(out.shape).astype(np.float32) for out in outs]
+    _, gin = bank.backward_cached(caches, g_outs, need_input_grad=True)
+    v, h, d = (ref_backward(head, X, g.reshape(6, -1))[1] for head, g in zip(bank.heads, g_outs))
+    assert gin.dtype == np.float32 and np.array_equal(gin, v + h + d)
+    outs, caches = bank.forward_cached(X)
+    assert bank.backward_cached(caches, g_outs)[1] is None
