@@ -3,8 +3,9 @@
 Subcommands: train, eval, adjust, compare, sweep.  Config files are flat
 `key = value` text (one pair per line, `#` comments); keys must match the
 target config's fields.  Exit codes: 0 success, 2 configuration or file
-error (including a truncated or malformed model file, and a goal option
-the goal does not take), 3 runtime failure.
+error (including a truncated or malformed model file, a goal option the
+goal does not take, and a goal option other than --v-d without --goal),
+3 runtime failure.
 """
 
 import os
@@ -98,6 +99,11 @@ def _given(args, names) -> dict:
 
 def _goal_dict_from_args(args, env_name: str):
     if args.goal == "none":
+        # --v-d alone is the velocity target a goal-less run is scored against
+        stray = _given(args, GOAL_OPTIONS[1:])
+        if stray:
+            options = ", ".join("--" + name.replace("_", "-") for name in stray)
+            raise ConfigError(f"{options} needs --goal trajectory or --goal constraint")
         return None
     prefix = "mc" if env_name == "mountain_car" else "pendulum"
     return {"kind": f"{prefix}_{args.goal}", **_given(args, GOAL_OPTIONS)}

@@ -561,6 +561,18 @@ def test_cli_eval_goal_option_the_goal_does_not_take_exits_two(tmp_path, capsys,
     assert "takes no" in capsys.readouterr().err
 
 
+def test_cli_eval_goal_option_without_a_goal_exits_two(tmp_path, capsys):
+    path = saved_model(tmp_path / "llql.model", MountainCar(horizon=10))
+    argv = ["eval", "--model", path, "--runs", "1", "--horizon", "5", "--out", str(tmp_path)]
+    for options in (["--bound", "0.001"], ["--gamma2", "5", "--switch-position", "0.1"]):
+        assert main([*argv, *options]) == 2
+        assert "needs --goal" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    # the velocity target alone scores a greedy run
+    assert main([*argv, "--v-d", "0.02"]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["meta"]["goal"] is None
+
+
 def test_cli_sweep_gamma_on_a_constraint_sweep_exits_two(tmp_path, capsys):
     path = saved_model(tmp_path / "llql.model", MountainCar(horizon=10))
     assert main(["sweep", "--model", path, "--kind", "constraint", "--values", "0.05", "--gamma2", "5",
