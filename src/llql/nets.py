@@ -92,6 +92,7 @@ class Mlp:
         self._on(HeadBank((sizes,), ((sizes[-1],),), flat))
 
     def _on(self, bank: "HeadBank") -> "Mlp":
+        """Run on the one-head `bank`; the layers are 2-D views of its blocks."""
         L = bank._n_hidden
         self._bank, self.layer_sizes = bank, bank.layer_sizes[0]
         self.dtype, self.n_params, self._grads = bank.dtype, bank.n_params, None
