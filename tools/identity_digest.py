@@ -22,7 +22,12 @@ The families:
 - `ddpg_eval`: the `run_experiment` report CSVs of a DDPG set-up model
   (one 30-step episode, seed 7) on each env, and of adjust with the
   pendulum one as policy on the pendulum set-up model, under the speed
-  limit.
+  limit;
+- `scoring`: the `run_experiment` report CSVs and `report.json` files (work
+  directory replaced by a fixed string) of greedy, DDPG, trajectory-goal
+  and adjust-under-constraint rows on each env, each scored with two
+  (`hazard_limit`, `v_d`) pairs; mountain car's hilltop is lowered so that
+  some runs reach it and score their velocity.
 
 It needs nothing beyond llql's own dependencies; the external policy of
 adjust_external is a bang-bang sign(v) child run by this interpreter.
@@ -82,6 +87,13 @@ TINY = Sizes(hidden=(8, 8), episodes=2, horizon=6, normalizer_samples=4, setup_h
              setup_normalizer_samples=4, states=30, eval_horizon=5, mpc_horizon=2,
              mpc_candidates=20, mpc_plan=3, sweep_runs=1)
 SWEEP_VALUES = {"constraint": (0.02, 0.05), "trajectory": (0.0, 0.025)}
+# per env: the (hazard_limit, v_d) pairs, the trajectory and constraint goals,
+# and the env settings of the scoring family
+SCORING = {
+    "mountain_car": ([(0.005, 0.025), (0.01, 0.0)], TRAJECTORY_GOAL, CONSTRAINT_GOAL,
+                     {"goal_position": -0.45}),
+    "pendulum": ([(2.0, 0.0), (6.0, 0.5)], {"kind": "pendulum_trajectory"}, {"kind": "pendulum_constraint"}, {}),
+}
 
 
 def _feed(h, obj) -> None:
@@ -230,9 +242,8 @@ def sweep_digest(model: Path, sz: Sizes, work: Path) -> str:
     return h.hexdigest()
 
 
-def ddpg_eval_digest(pendulum_model: Path, sz: Sizes, work: Path) -> str:
+def ddpg_eval_digest(policies: dict, pendulum_model: Path, sz: Sizes, work: Path) -> str:
     h = hashlib.sha256()
-    policies = {env_name: str(ddpg_setup_model(sz, work, env_name)) for env_name in ENVS}
     specs = {
         env_name: experiments.ExperimentSpec(env=env_name, method="ddpg", model_path=policy, eval_runs=2,
                                              horizon=sz.eval_horizon)
@@ -245,6 +256,31 @@ def ddpg_eval_digest(pendulum_model: Path, sz: Sizes, work: Path) -> str:
         path = work / f"ddpg-{name}.csv"
         reports.write_report_csv(experiments.run_experiment(spec), path)
         _feed_files(h, [path])
+    return h.hexdigest()
+
+
+def scoring_digest(models: dict, policies: dict, sz: Sizes, work: Path) -> str:
+    h = hashlib.sha256()
+    out = work / "scoring"
+    for env_name, (pairs, trajectory, constraint, settings) in SCORING.items():
+        model, policy = str(models[env_name]), policies[env_name]
+        for i, (hazard_limit, v_d) in enumerate(pairs):
+            common = dict(env=env_name, eval_runs=3, horizon=sz.eval_horizon, hazard_limit=hazard_limit,
+                          v_d=v_d, **settings)
+            specs = {
+                "greedy": experiments.ExperimentSpec(method="llql", model_path=model, **common),
+                "ddpg": experiments.ExperimentSpec(method="ddpg", model_path=policy, **common),
+                "trajectory": experiments.ExperimentSpec(method="llql", model_path=model, goal=trajectory,
+                                                         **common),
+                "adjust": experiments.ExperimentSpec(method="adjust", policy_path=policy, dynamics_path=model,
+                                                     goal=constraint, **common),
+            }
+            for name, spec in specs.items():
+                csv_path, json_path = reports.emit_report(experiments.run_experiment(spec), out,
+                                                          basename=f"{env_name}-{i}-{name}")
+                _feed_files(h, [csv_path])
+                h.update(json_path.name.encode())
+                h.update(json_path.read_text().replace(str(work), "<work>").encode())
     return h.hexdigest()
 
 
@@ -262,7 +298,9 @@ def digests(sz: Sizes) -> dict:
         out["synthesis/pendulum"] = synthesis_digest(pendulum, sz, "pendulum")
         out["reports"] = reports_digest(model, sz, work)
         out["sweep"] = sweep_digest(model, sz, work)
-        out["ddpg_eval"] = ddpg_eval_digest(pendulum, sz, work)
+        policies = {env_name: str(ddpg_setup_model(sz, work, env_name)) for env_name in ENVS}
+        out["ddpg_eval"] = ddpg_eval_digest(policies, pendulum, sz, work)
+        out["scoring"] = scoring_digest({"mountain_car": model, "pendulum": pendulum}, policies, sz, work)
     return out
 
 
