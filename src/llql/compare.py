@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import baselines, core, experiments, reports
-from .envs import make_env
+from .envs import UPRIGHT_COS, make_env
 
 # The tables' settings.  Mountain car: the desired hilltop velocity and its
 # tracking weights; the speed limit, engaged at the limit itself; the |v|
@@ -28,7 +28,7 @@ MC_HAZARD = 0.035
 PENDULUM_BOUND = 5.8
 PENDULUM_HAZARD = 6.0
 PENDULUM_GAMMA1, PENDULUM_GAMMA2 = 1.0, 100.0
-PENDULUM_COS_THRESHOLD = experiments.UPRIGHT_COS
+PENDULUM_COS_THRESHOLD = UPRIGHT_COS
 
 # Per table: the goal of the LLQL (mountain car) or adjusted (pendulum)
 # rows, the spec fields that score every row, and the metric column.

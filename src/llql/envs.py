@@ -17,6 +17,10 @@ from typing import Optional
 import numpy as np
 
 
+# the pendulum is upright, where its velocity error is scored, while cos(theta) > UPRIGHT_COS
+UPRIGHT_COS = 0.99
+
+
 class InvalidActionError(ValueError):
     """Raised when an action contains NaN or infinite entries."""
 
@@ -76,9 +80,11 @@ class MountainCar:
     State is [position, velocity] with position in [-1.2, 0.6] and velocity
     in [-0.07, 0.07].  The force action is clipped to [-1, 1].  Per-step
     reward is -0.1 * u**2, with +100 added on the step that first reaches
-    the goal position.  Episodes truncate after `horizon` steps.
+    the goal position.  Episodes truncate after `horizon` steps.  Velocity
+    error is scored at the hilltop (`scored`).
     """
 
+    VELOCITY = 1  # the state component that is the velocity
     MIN_POSITION = -1.2
     MAX_POSITION = 0.6
     MAX_SPEED = 0.07
@@ -122,6 +128,8 @@ class MountainCar:
     def goal_reached(self, state: np.ndarray) -> bool:
         return bool(state[0] >= self.goal_position)
 
+    scored = goal_reached  # where velocity error counts
+
     def step(self, state: np.ndarray, action) -> StepResult:
         u = _validate_action(action, 1)[0]
         force = min(max(u, -1.0), 1.0)
@@ -148,9 +156,11 @@ class Pendulum:
     The observed state is [cos(theta), sin(theta), theta_dot] with angular
     velocity clipped to [-8, 8] and torque clipped to [-2, 2].  Reward is
     -(wrap(theta)**2 + 0.1 * theta_dot**2 + 0.001 * u**2); there is no
-    terminal goal, so episodes end only at the horizon.
+    terminal goal, so episodes end only at the horizon.  Velocity error is
+    scored while the pendulum is upright (`scored`).
     """
 
+    VELOCITY = 2  # the state component that is the velocity
     MAX_SPEED = 8.0
     MAX_TORQUE = 2.0
     DT = 0.05
@@ -205,6 +215,10 @@ class Pendulum:
 
     def goal_reached(self, state: np.ndarray) -> bool:
         return False
+
+    def scored(self, state: np.ndarray) -> bool:
+        """Whether velocity error counts at `state`: while upright."""
+        return bool(state[0] > UPRIGHT_COS)
 
     def step(self, state: np.ndarray, action) -> StepResult:
         u = _validate_action(action, 1)[0]

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import baselines, control, core
-from .envs import make_env
+from .envs import UPRIGHT_COS, make_env
 from .nets import ModelFile, load_model, write_atomic
 
 
@@ -30,14 +30,20 @@ from .nets import ModelFile, load_model, write_atomic
 # ---------------------------------------------------------------------------
 
 
+def _stat(name: str):
+    """An `EvalRow` column whose mean and std the aggregates report as
+    mean_<name> and std_<name>, over the rows where it is set."""
+    return dataclasses.field(metadata={"stat": name})
+
+
 @dataclasses.dataclass
 class EvalRow:
     seed: int
-    steps: int
+    steps: int = _stat("steps")
     success: bool
-    vel_error: Optional[float]
-    s_out: int
-    cum_reward: float
+    vel_error: Optional[float] = _stat("vel_error")
+    s_out: int = _stat("s_out")
+    cum_reward: float = _stat("reward")
 
 
 @dataclasses.dataclass
@@ -58,23 +64,13 @@ def _mean_std(values) -> tuple:
 
 
 def compute_aggregates(rows) -> dict:
-    steps_mean, steps_std = _mean_std([r.steps for r in rows])
-    vel = [r.vel_error for r in rows if r.vel_error is not None]
-    vel_mean, vel_std = _mean_std(vel)
-    sout_mean, sout_std = _mean_std([r.s_out for r in rows])
-    rew_mean, rew_std = _mean_std([r.cum_reward for r in rows])
-    return {
-        "runs": len(rows),
-        "success": sum(1 for r in rows if r.success),
-        "mean_steps": steps_mean,
-        "std_steps": steps_std,
-        "mean_vel_error": vel_mean,
-        "std_vel_error": vel_std,
-        "mean_s_out": sout_mean,
-        "std_s_out": sout_std,
-        "mean_reward": rew_mean,
-        "std_reward": rew_std,
-    }
+    agg = {"runs": len(rows), "success": sum(1 for r in rows if r.success)}
+    for field in dataclasses.fields(EvalRow):
+        if "stat" in field.metadata:
+            values = [v for v in (getattr(r, field.name) for r in rows) if v is not None]
+            name = field.metadata["stat"]
+            agg[f"mean_{name}"], agg[f"std_{name}"] = _mean_std(values)
+    return agg
 
 
 def _as_step_fn(obj) -> Callable:
@@ -89,22 +85,17 @@ def evaluate(
     *,
     runs: int = 10,
     seed0: int = 10_000,
-    hazard_index: Optional[int] = None,
     hazard_limit: Optional[float] = None,
-    vel_index: Optional[int] = None,
     vel_target: Optional[float] = None,
-    vel_mode: str = "at_goal",
-    vel_active: Optional[Callable] = None,
 ) -> list:
     """Run seeded evaluation episodes and compute per-run metric rows.
 
     `controller_factory(seed)` builds a fresh controller per run: a
     `control.GoalController`, whose `act(state, k)` decision carries the
     action, or else a policy, called as `policy(state) -> action`.
-    Velocity error is measured at the goal-reaching step ("at_goal") or as
-    the mean over steps where `vel_active(state, k)` holds ("active_mean").
-    Hazard violations count visited states with |state[hazard_index]| >
-    hazard_limit.
+    Velocity error is the mean of |state[env.VELOCITY] - vel_target| over
+    the visited states that `env.scored` accepts, None when there are none;
+    s_out counts the visited states with |state[env.VELOCITY]| > hazard_limit.
     """
     rows = []
     for j in range(runs):
@@ -116,30 +107,21 @@ def evaluate(
         success = False
         s_out = 0
         vel_errors = []
-        vel_at_goal = None
         for k in range(env.horizon):
             u = step_fn(x, k)
             sr = env.step(x, u)
             total += sr.reward
             steps = k + 1
             x = sr.next_state
-            if hazard_index is not None and abs(x[hazard_index]) > hazard_limit:
+            v = float(x[env.VELOCITY])
+            if hazard_limit is not None and abs(v) > hazard_limit:
                 s_out += 1
-            if vel_index is not None and vel_mode == "active_mean" and vel_active is not None:
-                if vel_active(x, k):
-                    vel_errors.append(abs(float(x[vel_index]) - vel_target))
+            if vel_target is not None and env.scored(x):
+                vel_errors.append(abs(v - vel_target))
             if sr.done:
-                if env.goal_reached(x):
-                    success = True
-                    if vel_index is not None and vel_mode == "at_goal":
-                        vel_at_goal = abs(float(x[vel_index]) - vel_target)
+                success = env.goal_reached(x)
                 break
-        if vel_index is None:
-            vel_error = None
-        elif vel_mode == "at_goal":
-            vel_error = vel_at_goal
-        else:
-            vel_error = float(np.mean(vel_errors)) if vel_errors else None
+        vel_error = float(np.mean(vel_errors)) if vel_errors else None
         rows.append(EvalRow(seed, steps, success, vel_error, s_out, total))
     return rows
 
@@ -147,10 +129,6 @@ def evaluate(
 # ---------------------------------------------------------------------------
 # Benchmark goal factories
 # ---------------------------------------------------------------------------
-
-# the pendulum is upright, where its velocity error is scored, while cos(theta) > UPRIGHT_COS
-UPRIGHT_COS = 0.99
-
 
 def mc_velocity_goal(
     v_d: float = 0.025,
@@ -417,27 +395,6 @@ def _policy_from(mf: ModelFile, path: str, rng: Optional[np.random.Generator] = 
     raise ValueError(f"{path}: role {role!r} is not a loadable policy")
 
 
-def _upright(x, k) -> bool:
-    return x[0] > UPRIGHT_COS
-
-
-def _metric_kwargs(spec: ExperimentSpec, goal: Optional[dict]) -> dict:
-    """`evaluate`'s metric options for `spec`, whose goal has the parameters
-    `goal`: velocity error against `spec.v_d`, or else the goal's own v_d."""
-    kwargs: dict = {}
-    vel_index = 1 if spec.env == "mountain_car" else 2
-    if spec.hazard_limit is not None:
-        kwargs.update(hazard_index=vel_index, hazard_limit=spec.hazard_limit)
-    v_d = spec.v_d if spec.v_d is not None else (goal or {}).get("v_d")
-    if v_d is not None:
-        kwargs.update(vel_index=vel_index, vel_target=v_d)
-        if spec.env == "mountain_car":
-            kwargs.update(vel_mode="at_goal")
-        else:
-            kwargs.update(vel_mode="active_mean", vel_active=_upright)
-    return kwargs
-
-
 def run_experiment(spec: ExperimentSpec) -> EvalReport:
     """Evaluate one configured method, returning the metric report."""
     env = make_env(spec.env, goal_position=spec.goal_position, horizon=spec.horizon)
@@ -504,9 +461,10 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     else:
         raise ValueError(f"unknown method {spec.method!r}")
 
+    # velocity error against spec.v_d, or else the goal's own v_d
+    v_d = spec.v_d if spec.v_d is not None else (params or {}).get("v_d")
     rows = evaluate(
-        env, factory, runs=spec.eval_runs, seed0=spec.eval_seed0,
-        **_metric_kwargs(spec, params),
+        env, factory, runs=spec.eval_runs, seed0=spec.eval_seed0, hazard_limit=spec.hazard_limit, vel_target=v_d,
     )
     return EvalReport(rows=rows, env=env.spec.to_dict(), meta=meta)
 

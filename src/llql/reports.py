@@ -6,12 +6,13 @@ emissions of the same data are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .experiments import EvalReport, top_k_runs
+from .experiments import EvalReport, EvalRow, top_k_runs
 
 
 def _fmt(value) -> str:
@@ -25,14 +26,8 @@ def _fmt(value) -> str:
 
 
 def write_report_csv(report: EvalReport, path) -> None:
-    lines = ["seed,steps,success,vel_error,s_out,cum_reward"]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (r.seed, r.steps, r.success, r.vel_error, r.s_out, r.cum_reward)
-            )
-        )
+    lines = [",".join(f.name for f in dataclasses.fields(EvalRow))]
+    lines += [",".join(_fmt(v) for v in dataclasses.astuple(r)) for r in report.rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -40,17 +35,7 @@ def write_report_json(report: EvalReport, path) -> None:
     payload = {
         "env": report.env,
         "meta": report.meta,
-        "rows": [
-            {
-                "seed": r.seed,
-                "steps": r.steps,
-                "success": r.success,
-                "vel_error": r.vel_error,
-                "s_out": r.s_out,
-                "cum_reward": r.cum_reward,
-            }
-            for r in report.rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in report.rows],
         "aggregates": report.aggregates(),
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -93,6 +93,16 @@ def test_pendulum_upright_fixed_point():
     assert r.reward == 0.0
 
 
+def test_scored_states_are_the_hilltop_and_the_upright_window():
+    car, pendulum = MountainCar(goal_position=0.45), Pendulum()
+    assert car.VELOCITY == 1 and pendulum.VELOCITY == 2
+    for position in (0.44, 0.45, 0.5):
+        x = np.array([position, 0.01])
+        assert car.scored(x) == car.goal_reached(x) == (position >= 0.45)
+    for theta, upright in ((0.0, True), (0.14, True), (0.15, False), (np.pi, False)):
+        assert pendulum.scored(np.array([np.cos(theta), np.sin(theta), 1.0])) == upright
+
+
 def test_pendulum_reward_nonpositive():
     env = Pendulum()
     rng = np.random.default_rng(3)

@@ -48,10 +48,7 @@ def test_evaluate_metrics_on_scripted_policy():
     def factory(seed):
         return lambda x: np.array([1.0])
 
-    rows = evaluate(
-        env, factory, runs=3, seed0=123, hazard_index=1, hazard_limit=0.002,
-        vel_index=1, vel_target=0.0, vel_mode="at_goal",
-    )
+    rows = evaluate(env, factory, runs=3, seed0=123, hazard_limit=0.002, vel_target=0.0)
     assert len(rows) == 3
     for row in rows:
         assert row.steps == 50 and not row.success
@@ -60,18 +57,13 @@ def test_evaluate_metrics_on_scripted_policy():
         assert row.cum_reward == pytest.approx(-0.1 * 50)
 
 
-def test_evaluate_active_mean_velocity_error():
-    env = MountainCar(horizon=10)
-
-    def factory(seed):
-        return lambda x: np.array([0.0])
-
-    rows = evaluate(
-        env, factory, runs=1, seed0=5, vel_index=1, vel_target=0.0,
-        vel_mode="active_mean", vel_active=lambda x, k: True,
-    )
-    assert rows[0].vel_error is not None
-    assert rows[0].vel_error > 0
+def test_evaluate_scores_mountain_car_velocity_at_the_hilltop():
+    # a hilltop at the left wall: the first step reaches it and is scored
+    env = MountainCar(goal_position=-1.2, horizon=10)
+    rows = evaluate(env, lambda seed: (lambda x: np.array([0.0])), runs=1, seed0=5, vel_target=0.01)
+    x = env.step(env.reset(5), np.array([0.0])).next_state
+    assert rows[0].steps == 1 and rows[0].success
+    assert rows[0].vel_error == abs(x[1] - 0.01) > 0
 
 
 def test_evaluate_zero_runs_gives_empty_report():
@@ -262,12 +254,10 @@ def test_log_csv_of_direct_and_cached_training_agree(tmp_path):
 
 @pytest.mark.parametrize("env_name", ["mountain_car", "pendulum"])
 def test_report_csv_numeric_cells_parse(tmp_path, env_name):
-    env = make_env(env_name, horizon=30)
-    rows = evaluate(
-        env, lambda seed: (lambda x: np.array([0.5])), runs=2,
-        hazard_index=1, hazard_limit=0.01, vel_index=1, vel_target=0.0,
-        vel_mode="active_mean", vel_active=lambda x, k: True,
-    )
+    # full force along the velocity reaches the hilltop and swings the pendulum upright
+    env = make_env(env_name, horizon=200)
+    pump = lambda x: np.array([env.action_high[0] if x[env.VELOCITY] >= 0 else env.action_low[0]])  # noqa: E731
+    rows = evaluate(env, lambda seed: pump, runs=2, hazard_limit=0.01, vel_target=0.0)
     reports.write_report_csv(EvalReport(rows, env.spec.to_dict(), {}), tmp_path / "r.csv")
     for line in (tmp_path / "r.csv").read_text().splitlines()[1:]:
         seed, steps, success, vel_error, s_out, cum_reward = line.split(",")
