@@ -47,7 +47,10 @@ def pinv_action(h: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def pinv_action_batch(H: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Batched `pinv_action`: H is (n, m), D is (n, m, a); returns (n, a)."""
+    """Batched `pinv_action`: H is (n, m), D is (n, m, a); returns (n, a).
+    Stacked matmuls form each row's normal equations as `pinv_action`'s
+    matmuls do, so every row has the bits of its single solve."""
     H = np.asarray(H, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
-    return ridge_solve(np.einsum("nma,nmb->nab", D, D), -np.einsum("nma,nm->na", D, H))
+    DT = np.swapaxes(D, -1, -2)
+    return ridge_solve(DT @ D, -(DT @ H[..., None])[..., 0])

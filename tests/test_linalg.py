@@ -59,8 +59,7 @@ def test_one_action_pinv_covers_nonfinite_results():
 
 def test_one_action_batch_rows_equal_single_solves():
     """Training's batch: h is (n, 1) and d is (n, 1, 1), one product per
-    normal equation, so the batch's einsums and the single solve's matmuls
-    form the same normal equations."""
+    normal equation, with every special value."""
     rnd = np.random.default_rng(17)
     H, D = wild(rnd, (N_SYSTEMS, 1)), wild(rnd, (N_SYSTEMS, 1, 1))
     with np.errstate(all="ignore"):
@@ -70,12 +69,24 @@ def test_one_action_batch_rows_equal_single_solves():
             assert same_bits(u, pinv_action(h, d)), (h, d)
 
 
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_batch_rows_equal_single_solves_at_any_action_count(a):
+    """With two or more actions a normal equation sums several products; the
+    batch's stacked matmuls sum them as the single solve's matmuls do."""
+    rnd = np.random.default_rng(30 + a)
+    H, D = rnd.uniform(-5, 5, size=(2000, 3)), rnd.uniform(-2, 2, size=(2000, 3, a))
+    U = pinv_action_batch(H, D)
+    for u, h, d in zip(U, H, D):
+        assert same_bits(u, pinv_action(h, d)), (h, d)
+
+
 def test_two_action_batch_equals_lapack():
     rnd = np.random.default_rng(5)
     H, D = rnd.uniform(-5, 5, size=(500, 2)), rnd.uniform(-2, 2, size=(500, 2, 2))
-    normal = np.einsum("nma,nmb->nab", D, D) + RIDGE * np.eye(2)
-    rhs = -np.einsum("nma,nm->na", D, H)
-    assert same_bits(pinv_action_batch(H, D), np.linalg.solve(normal, rhs[..., None])[..., 0])
+    DT = np.swapaxes(D, -1, -2)
+    normal = DT @ D + RIDGE * np.eye(2)
+    rhs = -(DT @ H[..., None])
+    assert same_bits(pinv_action_batch(H, D), np.linalg.solve(normal, rhs)[..., 0])
 
 
 def test_two_action_pinv_equals_lapack():
