@@ -211,10 +211,10 @@ class DynamicsModel:
 @dataclasses.dataclass
 class QModel:
     """Value model Q(x, u) = V(x) - ||h(x) + d(x) u||, with the heads V, h
-    and d in one bank and their slowly-updated copies in `target`."""
+    and d in one bank.  Training keeps a second QModel over a slowly-updated
+    copy of the bank, the target."""
 
     bank: HeadBank
-    target: HeadBank
     normalizer: Normalizer
     action_low: np.ndarray
     action_high: np.ndarray
@@ -256,15 +256,15 @@ def short_term_loss(dyn: DynamicsModel, batch: TransitionBatch) -> float:
     return float(np.linalg.norm(residuals, axis=1).mean())
 
 
-def greedy_target_q(q: QModel, x_next: np.ndarray, eps_d: float = EPS_D) -> float:
-    """Target-network Q at the greedy (bound-clipped) least-squares action."""
-    return float(_greedy_target_q_batch(q, np.asarray(x_next).reshape(1, -1), eps_d)[0])
+def greedy_target_q(target: QModel, x_next: np.ndarray, eps_d: float = EPS_D) -> float:
+    """The target model's Q at its greedy (bound-clipped) least-squares action."""
+    return float(_greedy_target_q_batch(target, np.asarray(x_next).reshape(1, -1), eps_d)[0])
 
 
-def _greedy_target_q_batch(q: QModel, X: np.ndarray, eps_d: float) -> np.ndarray:
-    v, H, D = q.target.forward(q.normalizer.normalize(X))
+def _greedy_target_q_batch(target: QModel, X: np.ndarray, eps_d: float) -> np.ndarray:
+    v, H, D = target.bank.forward(target.normalizer.normalize(X))
     U = linalg.pinv_action_batch(H, D)
-    np.clip(U, q.action_low, q.action_high, out=U)
+    np.clip(U, target.action_low, target.action_high, out=U)
     resid = np.linalg.norm(H + np.einsum("nma,na->nm", D, U), axis=1)
     degenerate = np.linalg.norm(D.reshape(len(D), -1), axis=1) < eps_d
     resid[degenerate] = 0.0
@@ -273,17 +273,18 @@ def _greedy_target_q_batch(q: QModel, X: np.ndarray, eps_d: float) -> np.ndarray
 
 def long_term_loss(
     q: QModel,
+    target: QModel,
     batch: TransitionBatch,
     gamma: float,
     eps_d: float = EPS_D,
     squared: bool = False,
 ) -> float:
-    """Mean Bellman residual |y - Q(x, u)| with y from the target networks.
+    """Mean Bellman residual |y - Q(x, u)| with y from the target model.
 
     Terminal transitions use y = r.  With `squared` the residual is squared
     instead of absolute.
     """
-    y = _bellman_targets(q, batch, gamma, eps_d)
+    y = _bellman_targets(target, batch, gamma, eps_d)
     v, H, D = q.bank.forward(q.normalizer.normalize(batch.states))
     S = H + np.einsum("nma,na->nm", D, batch.actions)
     q_values = v - np.linalg.norm(S, axis=1)
@@ -291,11 +292,11 @@ def long_term_loss(
     return float((res**2).mean() if squared else np.abs(res).mean())
 
 
-def _bellman_targets(q: QModel, batch: TransitionBatch, gamma: float, eps_d: float) -> np.ndarray:
+def _bellman_targets(target: QModel, batch: TransitionBatch, gamma: float, eps_d: float) -> np.ndarray:
     y = batch.rewards.astype(np.float64).copy()
     live = ~batch.dones
     if live.any():
-        y[live] += gamma * _greedy_target_q_batch(q, batch.next_states[live], eps_d)
+        y[live] += gamma * _greedy_target_q_batch(target, batch.next_states[live], eps_d)
     return y
 
 
@@ -420,10 +421,11 @@ class _Trainer(_EpisodeTrainer):
         if learn_long:
             bank = HeadBank.create(s, hidden, QModel.head_shapes(a), self.init_rng, self.dtype)
             self.q = QModel(
-                bank, bank.copy(), self.normalizer,
+                bank, self.normalizer,
                 np.asarray(env.action_low, dtype=np.float64),
                 np.asarray(env.action_high, dtype=np.float64),
             )
+            self.q_target = dataclasses.replace(self.q, bank=bank.copy())
             self.adam_q = Adam(bank, config.lr_long)
 
     # -- per-step pieces ----------------------------------------------------
@@ -467,8 +469,8 @@ class _Trainer(_EpisodeTrainer):
     def _long_update(self, batch: TransitionBatch) -> float:
         dt = self.dtype
         n = len(batch)
-        q, bank = self.q, self.q.bank
-        y = _bellman_targets(q, batch, self.cfg.discount, self.cfg.eps_d)
+        bank = self.q.bank
+        y = _bellman_targets(self.q_target, batch, self.cfg.discount, self.cfg.eps_d)
 
         U = batch.actions.astype(dt)
         (V, H, D), caches = bank.forward_cached(self.normalizer.normalize(batch.states).astype(dt))
@@ -486,7 +488,7 @@ class _Trainer(_EpisodeTrainer):
         dS = (-dq)[:, None] * (S / np.maximum(norms, np.finfo(dt).tiny).astype(dt)[:, None])
         gD = dS[:, :, None] * U[:, None, :]
         self.adam_q.step(bank, bank.backward_cached(caches, (dq, dS, gD))[0], context="long-term loss")
-        soft_update(q.target, bank, self.cfg.tau)
+        soft_update(self.q_target.bank, bank, self.cfg.tau)
         return loss
 
     # -- main loop -----------------------------------------------------------
@@ -565,9 +567,8 @@ def llql_model_from(mf: ModelFile):
     )
     q = None
     if meta.get("role") == "llql":
-        bank = HeadBank.of((nets["v"], nets["h"], nets["d"]), QModel.head_shapes(a))
         q = QModel(
-            bank, bank.copy(), mf.normalizer,
+            HeadBank.of((nets["v"], nets["h"], nets["d"]), QModel.head_shapes(a)), mf.normalizer,
             np.asarray(env_spec["action_low"], dtype=np.float64),
             np.asarray(env_spec["action_high"], dtype=np.float64),
         )

@@ -38,7 +38,7 @@ def make_qmodel(v, h, d, state_dim=1, low=-10.0, high=10.0):
     m, a = d.shape
     nets = (constant_net(state_dim, [v]), constant_net(state_dim, h), constant_net(state_dim, d.reshape(-1)))
     bank = HeadBank.of(nets, QModel.head_shapes(a))
-    return QModel(bank, bank.copy(), Normalizer.identity(state_dim), np.full(a, low), np.full(a, high))
+    return QModel(bank, Normalizer.identity(state_dim), np.full(a, low), np.full(a, high))
 
 
 def make_dynamics(f, g, delta=0.001, state_dim=None, action_dim=None):

@@ -33,10 +33,7 @@ def make_qmodel(v, h, d, state_dim=1, low=-1.0, high=1.0):
     m, a = d.shape
     nets = (constant_net(state_dim, [v]), constant_net(state_dim, h), constant_net(state_dim, d.reshape(-1)))
     bank = HeadBank.of(nets, core.QModel.head_shapes(a))
-    return core.QModel(
-        bank, bank.copy(), Normalizer.identity(state_dim),
-        np.full(a, low), np.full(a, high),
-    )
+    return core.QModel(bank, Normalizer.identity(state_dim), np.full(a, low), np.full(a, high))
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +123,15 @@ def test_long_term_loss_myopic_fixed_point():
     x = np.array([[0.0]])
     u = np.array([[0.5]])
     reward = q.q_value(x[0], u[0])
-    loss = core.long_term_loss(q, batch_of(x, u, x, [reward]), gamma=1e-12)
+    loss = core.long_term_loss(q, q, batch_of(x, u, x, [reward]), gamma=1e-12)
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
 def test_long_term_loss_terminal_ignores_targets():
     q = make_qmodel(v=2.0, h=[0.0], d=[[1.0]])
-    q.target.heads[0].biases[-1][...] = 1e6  # would dominate if bootstrapped
+    target = make_qmodel(v=1e6, h=[0.0], d=[[1.0]])  # would dominate if bootstrapped
     batch = batch_of([[0.0]], [[0.0]], [[0.0]], rewards=[2.0], dones=[True])
-    assert core.long_term_loss(q, batch, gamma=0.999) == pytest.approx(0.0, abs=1e-12)
+    assert core.long_term_loss(q, target, batch, gamma=0.999) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_long_term_loss_hand_example():
@@ -142,13 +139,13 @@ def test_long_term_loss_hand_example():
     # |1 + 0.999*2 - 2| = 0.998
     q = make_qmodel(v=2.0, h=[0.0], d=[[1.0]])
     batch = batch_of([[0.0]], [[0.0]], [[0.0]], rewards=[1.0])
-    assert core.long_term_loss(q, batch, gamma=0.999) == pytest.approx(0.998, abs=1e-9)
+    assert core.long_term_loss(q, q, batch, gamma=0.999) == pytest.approx(0.998, abs=1e-9)
 
 
 def test_long_term_loss_squared_variant():
     q = make_qmodel(v=2.0, h=[0.0], d=[[1.0]])
     batch = batch_of([[0.0]], [[0.0]], [[0.0]], rewards=[1.0])
-    loss = core.long_term_loss(q, batch, gamma=0.999, squared=True)
+    loss = core.long_term_loss(q, q, batch, gamma=0.999, squared=True)
     assert loss == pytest.approx(0.998**2, abs=1e-9)
 
 

@@ -120,20 +120,20 @@ def test_short_update_gradients_match_short_term_loss(env_name, adam_grads):
 def test_long_update_gradients_match_long_term_loss(env_name, squared, adam_grads):
     env, trainer = llql_trainer(env_name, squared_bellman=squared)
     rng = np.random.default_rng(12)
-    q = trainer.q
-    prepare(trainer, env, (q.bank, q.target), rng)
-    target = q.target.flat_params.copy()
+    q, target = trainer.q, trainer.q_target
+    prepare(trainer, env, (q.bank, target.bank), rng)
+    saved = target.bank.flat_params.copy()
     batch = random_batch(env, 8, rng)
 
     trainer._long_update(batch)
     assert len(adam_grads) == 1
     # undo the soft update so the loss sees the targets the update used
-    q.target.flat_params[...] = target
+    target.bank.flat_params[...] = saved
 
     cfg = trainer.cfg
 
     def loss():
-        return core.long_term_loss(q, batch, cfg.discount, cfg.eps_d, squared=squared)
+        return core.long_term_loss(q, target, batch, cfg.discount, cfg.eps_d, squared=squared)
 
     assert_matches_fd(q.bank, adam_grads, loss)
 
