@@ -4,7 +4,8 @@ Subcommands: train, eval, adjust, compare, sweep.  Config files are flat
 `key = value` text (one pair per line, `#` comments); keys must match the
 target config's fields.  Exit codes: 0 success, 2 configuration or file
 error (including a truncated or malformed model file, a goal option the
-goal does not take, and a goal option other than --v-d without --goal),
+goal does not take, a goal option other than --v-d without --goal, and a
+goal, reward mod or env that the method would ignore or cannot run),
 3 runtime failure.
 """
 
@@ -109,6 +110,22 @@ def _goal_dict_from_args(args, env_name: str):
     return {"kind": f"{prefix}_{args.goal}", **_given(args, GOAL_OPTIONS)}
 
 
+def _reward_mod(args, method: str, env_name: str):
+    """`--reward-mod`, which only `--method <method>` applies, on mountain car."""
+    from .baselines import reward_mod_catalog
+
+    if args.reward_mod is None:
+        return None
+    if args.method != method:
+        raise ConfigError(f"--reward-mod needs --method {method}")
+    if env_name != "mountain_car":
+        raise ConfigError(f"the reward mods shape mountain_car rewards, not {env_name}")
+    ids = [mod.id for mod in reward_mod_catalog()]
+    if args.reward_mod not in ids:
+        raise ConfigError(f"unknown reward mod {args.reward_mod!r}; the mods are {', '.join(ids)}")
+    return args.reward_mod
+
+
 def _require_file(path, what: str) -> str:
     if path is None:
         raise ConfigError(f"missing required {what}")
@@ -126,6 +143,7 @@ def cmd_train(args) -> int:
     from . import baselines, core, experiments
     from .envs import make_env
 
+    reward_mod = _reward_mod(args, "ddpg", args.env)
     overrides = parse_config_file(args.config) if args.config else {}
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
@@ -135,7 +153,7 @@ def cmd_train(args) -> int:
     if args.method == "ddpg":
         cfg = build_config(baselines.DdpgConfig, overrides)
         log = experiments.train_and_save(
-            env, "ddpg", cfg, out / "model.model", {}, reward_mod=args.reward_mod
+            env, "ddpg", cfg, out / "model.model", {}, reward_mod=reward_mod
         )
     else:
         cfg = build_config(core.TrainConfig, overrides)
@@ -163,6 +181,8 @@ def cmd_eval(args) -> int:
 
     model = _require_file(args.model, "model path")
     env_name, env_spec = _model_env_name(model)
+    if args.method == "mpc" and env_name != "mountain_car":
+        raise ConfigError(f"--method mpc runs on mountain_car models, not {env_name}")
     goal_position = args.goal_position
     if goal_position is None:
         goal_position = env_spec.get("goal_position") or 0.45
@@ -171,7 +191,7 @@ def cmd_eval(args) -> int:
         method=args.method,
         model_path=model,
         goal=_goal_dict_from_args(args, env_name),
-        reward_mod=args.reward_mod,
+        reward_mod=_reward_mod(args, "mpc", env_name),
         mpc_horizon=args.mpc_horizon,
         mpc_candidates=args.mpc_candidates,
         eval_runs=args.runs,

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import baselines, core, experiments, reports
-from .envs import UPRIGHT_COS, make_env
+from .envs import make_env
 
 # The tables' settings.  Mountain car: the desired hilltop velocity and its
 # tracking weights; the speed limit, engaged at the limit itself; the |v|
@@ -24,11 +24,10 @@ MC_GAMMA1, MC_GAMMA2 = 1.0, 2000.0
 MC_MARGIN = 0.033
 MC_HAZARD = 0.035
 # Pendulum: the speed limit; the |angular velocity| that counts as a
-# hazard; the velocity goal's tracking weights and upright window.
+# hazard; the velocity goal's tracking weights.
 PENDULUM_BOUND = 5.8
 PENDULUM_HAZARD = 6.0
 PENDULUM_GAMMA1, PENDULUM_GAMMA2 = 1.0, 100.0
-PENDULUM_COS_THRESHOLD = UPRIGHT_COS
 
 # Per table: the goal of the LLQL (mountain car) or adjusted (pendulum)
 # rows, the spec fields that score every row, and the metric column.
@@ -42,8 +41,7 @@ TABLES = {
         {"hazard_limit": MC_HAZARD}, "s_out",
     ),
     "pendulum_trajectory": (
-        {"kind": "pendulum_trajectory", "v_d": 0.0, "gamma1": PENDULUM_GAMMA1,
-         "gamma2": PENDULUM_GAMMA2, "cos_threshold": PENDULUM_COS_THRESHOLD},
+        {"kind": "pendulum_trajectory", "v_d": 0.0, "gamma1": PENDULUM_GAMMA1, "gamma2": PENDULUM_GAMMA2},
         {"v_d": 0.0}, "vel_error",
     ),
     "pendulum_constraint": (

@@ -80,8 +80,7 @@ class MountainCar:
     State is [position, velocity] with position in [-1.2, 0.6] and velocity
     in [-0.07, 0.07].  The force action is clipped to [-1, 1].  Per-step
     reward is -0.1 * u**2, with +100 added on the step that first reaches
-    the goal position.  Episodes truncate after `horizon` steps.  Velocity
-    error is scored at the hilltop (`scored`).
+    the goal position.  Episodes truncate after `horizon` steps.
     """
 
     VELOCITY = 1  # the state component that is the velocity
@@ -156,8 +155,7 @@ class Pendulum:
     The observed state is [cos(theta), sin(theta), theta_dot] with angular
     velocity clipped to [-8, 8] and torque clipped to [-2, 2].  Reward is
     -(wrap(theta)**2 + 0.1 * theta_dot**2 + 0.001 * u**2); there is no
-    terminal goal, so episodes end only at the horizon.  Velocity error is
-    scored while the pendulum is upright (`scored`).
+    terminal goal, so episodes end only at the horizon.
     """
 
     VELOCITY = 2  # the state component that is the velocity
@@ -216,8 +214,7 @@ class Pendulum:
     def goal_reached(self, state: np.ndarray) -> bool:
         return False
 
-    def scored(self, state: np.ndarray) -> bool:
-        """Whether velocity error counts at `state`: while upright."""
+    def scored(self, state: np.ndarray) -> bool:  # where velocity error counts: upright
         return bool(state[0] > UPRIGHT_COS)
 
     def step(self, state: np.ndarray, action) -> StepResult:

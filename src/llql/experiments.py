@@ -30,20 +30,17 @@ from .nets import ModelFile, load_model, write_atomic
 # ---------------------------------------------------------------------------
 
 
-def _stat(name: str):
-    """An `EvalRow` column whose mean and std the aggregates report as
-    mean_<name> and std_<name>, over the rows where it is set."""
-    return dataclasses.field(metadata={"stat": name})
-
-
 @dataclasses.dataclass
 class EvalRow:
+    """One run's report columns.  The aggregates count runs and successes and
+    hold mean_<stat> and std_<stat> of each column with a `stat` name."""
+
     seed: int
-    steps: int = _stat("steps")
+    steps: int = dataclasses.field(metadata={"stat": "steps"})
     success: bool
-    vel_error: Optional[float] = _stat("vel_error")
-    s_out: int = _stat("s_out")
-    cum_reward: float = _stat("reward")
+    vel_error: Optional[float] = dataclasses.field(metadata={"stat": "vel_error"})  # None: no scored state
+    s_out: int = dataclasses.field(metadata={"stat": "s_out"})
+    cum_reward: float = dataclasses.field(metadata={"stat": "reward"})
 
 
 @dataclasses.dataclass
@@ -108,8 +105,7 @@ def evaluate(
         s_out = 0
         vel_errors = []
         for k in range(env.horizon):
-            u = step_fn(x, k)
-            sr = env.step(x, u)
+            sr = env.step(x, step_fn(x, k))
             total += sr.reward
             steps = k + 1
             x = sr.next_state
@@ -185,7 +181,8 @@ GOALS = {
 
 
 class GoalError(ValueError):
-    """A goal description names an unknown kind or a parameter its factory does not take."""
+    """A goal description names an unknown kind or a parameter its factory
+    does not take, or goes to a method that applies no goal."""
 
 
 def goal_params(d: dict) -> dict:
@@ -399,6 +396,8 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     """Evaluate one configured method, returning the metric report."""
     env = make_env(spec.env, goal_position=spec.goal_position, horizon=spec.horizon)
     params = goal_params(spec.goal) if spec.goal is not None else None
+    if params is not None and spec.method in ("ddpg", "mpc"):
+        raise GoalError(f"method {spec.method} applies no goal; give the goal to llql or adjust")
     goal = goal_from_dict(params)
     meta: dict = {"method": spec.method, "goal": params, "reward_mod": spec.reward_mod}
 
@@ -461,7 +460,6 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     else:
         raise ValueError(f"unknown method {spec.method!r}")
 
-    # velocity error against spec.v_d, or else the goal's own v_d
     v_d = spec.v_d if spec.v_d is not None else (params or {}).get("v_d")
     rows = evaluate(
         env, factory, runs=spec.eval_runs, seed0=spec.eval_seed0, hazard_limit=spec.hazard_limit, vel_target=v_d,

@@ -47,9 +47,8 @@ def pinv_action(h: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def pinv_action_batch(H: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Batched `pinv_action`: H is (n, m), D is (n, m, a); returns (n, a).
-    Stacked matmuls form each row's normal equations as `pinv_action`'s
-    matmuls do, so every row has the bits of its single solve."""
+    """Batched `pinv_action`: H is (n, m), D is (n, m, a); returns (n, a),
+    each row with the bits of its single solve (the same matmuls, stacked)."""
     H = np.asarray(H, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
     DT = np.swapaxes(D, -1, -2)

@@ -67,13 +67,7 @@ def write_curves(runs_by_method: dict, path) -> None:
 
 
 def write_sweep(rows, path) -> None:
-    lines = ["value,mean_steps,std_steps,success,runs"]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r['value'])},{_fmt(r['mean_steps'])},{_fmt(r['std_steps'])},"
-            f"{r['success']},{r['runs']}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(rows, ["value", "mean_steps", "std_steps", "success", "runs"], path)
 
 
 def write_table(rows: list, columns: list, path) -> None:

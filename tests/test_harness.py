@@ -525,6 +525,61 @@ def test_cli_eval_ddpg_exits_zero(tmp_path, capsys):
     assert len(report["rows"]) == 2 and report["meta"]["method"] == "ddpg"
 
 
+@pytest.mark.parametrize("method", ["ddpg", "mpc"])
+def test_cli_eval_goal_with_ddpg_or_mpc_exits_two(tmp_path, capsys, method):
+    path = saved_model(tmp_path / "m.model", MountainCar(horizon=10), "ddpg" if method == "ddpg" else "llql")
+    assert main(["eval", "--method", method, "--model", path, "--goal", "constraint",
+                 *tiny_run_args(tmp_path, "eval"), "--out", str(tmp_path)]) == 2
+    assert "applies no goal" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def tiny_run_args(tmp_path, command):
+    """Options that keep a `command` run tiny, should it start."""
+    if command == "eval":
+        return ["--runs", "1", "--horizon", "3", "--mpc-candidates", "4"]
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("episodes = 1\nhidden_sizes = 8,8\nnormalizer_samples = 10\n")
+    return ["--config", str(cfg), "--horizon", "5"]
+
+
+@pytest.mark.parametrize("command, method", [("eval", "llql"), ("eval", "ddpg"), ("train", "llql"),
+                                             ("train", "dynamics")])
+def test_cli_reward_mod_the_method_ignores_exits_two(tmp_path, capsys, command, method):
+    if command == "eval":
+        argv = ["eval", "--model", saved_model(tmp_path / "m.model", MountainCar(horizon=10), method)]
+    else:
+        argv = ["train", "--env", "mountain_car"]
+    assert main([*argv, *tiny_run_args(tmp_path, command), "--method", method, "--reward-mod", "c1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "--reward-mod needs --method" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_cli_unknown_reward_mod_exits_two(tmp_path, capsys, command):
+    if command == "eval":
+        argv = ["eval", "--method", "mpc", "--model", saved_model(tmp_path / "m.model", MountainCar(horizon=10))]
+    else:
+        argv = ["train", "--method", "ddpg", "--env", "mountain_car"]
+    assert main([*argv, *tiny_run_args(tmp_path, command), "--reward-mod", "c9", "--out", str(tmp_path / "out")]) == 2
+    assert "unknown reward mod 'c9'" in capsys.readouterr().err
+
+
+def test_cli_train_pendulum_ddpg_with_a_reward_mod_exits_two(tmp_path, capsys):
+    # the mods would read sin(theta) as the car's velocity
+    assert main(["train", "--method", "ddpg", "--env", "pendulum", "--reward-mod", "c1",
+                 *tiny_run_args(tmp_path, "train"), "--out", str(tmp_path / "out")]) == 2
+    assert "not pendulum" in capsys.readouterr().err
+
+
+def test_cli_eval_mpc_on_a_pendulum_model_exits_two(tmp_path, capsys):
+    path = saved_model(tmp_path / "pendulum.model", make_env("pendulum", horizon=10))
+    assert main(["eval", "--method", "mpc", "--model", path, *tiny_run_args(tmp_path, "eval"),
+                 "--out", str(tmp_path)]) == 2
+    assert "not pendulum" in capsys.readouterr().err
+
+
 def test_goal_from_dict_rejects_a_parameter_its_goal_does_not_take():
     with pytest.raises(ValueError, match="bnd"):
         goal_from_dict({"kind": "mc_constraint", "bnd": 0.02})
