@@ -105,7 +105,8 @@ def evaluate(
         s_out = 0
         vel_errors = []
         for k in range(env.horizon):
-            sr = env.step(x, step_fn(x, k))
+            u = step_fn(x, k)
+            sr = env.step(x, u)
             total += sr.reward
             steps = k + 1
             x = sr.next_state
@@ -461,9 +462,8 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
         raise ValueError(f"unknown method {spec.method!r}")
 
     v_d = spec.v_d if spec.v_d is not None else (params or {}).get("v_d")
-    rows = evaluate(
-        env, factory, runs=spec.eval_runs, seed0=spec.eval_seed0, hazard_limit=spec.hazard_limit, vel_target=v_d,
-    )
+    rows = evaluate(env, factory, runs=spec.eval_runs, seed0=spec.eval_seed0,
+                    hazard_limit=spec.hazard_limit, vel_target=v_d)
     return EvalReport(rows=rows, env=env.spec.to_dict(), meta=meta)
 
 
