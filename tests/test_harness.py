@@ -525,15 +525,6 @@ def test_cli_eval_ddpg_exits_zero(tmp_path, capsys):
     assert len(report["rows"]) == 2 and report["meta"]["method"] == "ddpg"
 
 
-@pytest.mark.parametrize("method", ["ddpg", "mpc"])
-def test_cli_eval_goal_with_ddpg_or_mpc_exits_two(tmp_path, capsys, method):
-    path = saved_model(tmp_path / "m.model", MountainCar(horizon=10), "ddpg" if method == "ddpg" else "llql")
-    assert main(["eval", "--method", method, "--model", path, "--goal", "constraint",
-                 *tiny_run_args(tmp_path, "eval"), "--out", str(tmp_path)]) == 2
-    assert "applies no goal" in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
-
-
 def tiny_run_args(tmp_path, command):
     """Options that keep a `command` run tiny, should it start."""
     if command == "eval":
@@ -541,6 +532,15 @@ def tiny_run_args(tmp_path, command):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("episodes = 1\nhidden_sizes = 8,8\nnormalizer_samples = 10\n")
     return ["--config", str(cfg), "--horizon", "5"]
+
+
+@pytest.mark.parametrize("method", ["ddpg", "mpc"])
+def test_cli_eval_goal_with_ddpg_or_mpc_exits_two(tmp_path, capsys, method):
+    path = saved_model(tmp_path / "m.model", MountainCar(horizon=10), "ddpg" if method == "ddpg" else "llql")
+    assert main(["eval", "--method", method, "--model", path, "--goal", "constraint",
+                 *tiny_run_args(tmp_path, "eval"), "--out", str(tmp_path)]) == 2
+    assert "applies no goal" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command, method", [("eval", "llql"), ("eval", "ddpg"), ("train", "llql"),
@@ -559,10 +559,12 @@ def test_cli_reward_mod_the_method_ignores_exits_two(tmp_path, capsys, command, 
 @pytest.mark.parametrize("command", ["eval", "train"])
 def test_cli_unknown_reward_mod_exits_two(tmp_path, capsys, command):
     if command == "eval":
-        argv = ["eval", "--method", "mpc", "--model", saved_model(tmp_path / "m.model", MountainCar(horizon=10))]
+        path = saved_model(tmp_path / "m.model", MountainCar(horizon=10))
+        argv = ["eval", "--method", "mpc", "--model", path]
     else:
         argv = ["train", "--method", "ddpg", "--env", "mountain_car"]
-    assert main([*argv, *tiny_run_args(tmp_path, command), "--reward-mod", "c9", "--out", str(tmp_path / "out")]) == 2
+    assert main([*argv, *tiny_run_args(tmp_path, command), "--reward-mod", "c9",
+                 "--out", str(tmp_path / "out")]) == 2
     assert "unknown reward mod 'c9'" in capsys.readouterr().err
 
 
