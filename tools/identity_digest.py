@@ -27,7 +27,13 @@ The families:
   directory replaced by a fixed string) of greedy, DDPG, trajectory-goal
   and adjust-under-constraint rows on each env, each scored with two
   (`hazard_limit`, `v_d`) pairs; mountain car's hilltop is lowered so that
-  some runs reach it and score their velocity.
+  some runs reach it and score their velocity;
+- `lockstep`: the `run_experiment` report CSVs of greedy, constraint,
+  trajectory, adjust, adjust_external and DDPG on mountain car with its
+  hilltop lowered so that the runs of one evaluation end at different
+  steps, of mpc at two runs, and of pendulum greedy and adjust (the
+  set-up model as its own policy) under the speed limit; several runs per
+  evaluation, each scored with a hazard limit and a velocity target.
 
 It needs nothing beyond llql's own dependencies; the external policy of
 adjust_external is a bang-bang sign(v) child run by this interpreter.
@@ -80,12 +86,13 @@ class Sizes:
     mpc_candidates: int = 1000
     mpc_plan: int = 15
     sweep_runs: int = 2
+    lockstep_runs: int = 5
 
 
 FULL = Sizes()
 TINY = Sizes(hidden=(8, 8), episodes=2, horizon=6, normalizer_samples=4, setup_horizon=6,
              setup_normalizer_samples=4, states=30, eval_horizon=5, mpc_horizon=2,
-             mpc_candidates=20, mpc_plan=3, sweep_runs=1)
+             mpc_candidates=20, mpc_plan=3, sweep_runs=1, lockstep_runs=3)
 SWEEP_VALUES = {"constraint": (0.02, 0.05), "trajectory": (0.0, 0.025)}
 # per env: the (hazard_limit, v_d) pairs, the trajectory and constraint goals,
 # and the env settings of the scoring family
@@ -284,6 +291,39 @@ def scoring_digest(models: dict, policies: dict, sz: Sizes, work: Path) -> str:
     return h.hexdigest()
 
 
+def lockstep_digest(models: dict, ddpg_policy: str, sz: Sizes, work: Path) -> str:
+    child = work / "child_policy.py"
+    child.write_text(CHILD_POLICY)
+    model, pendulum = str(models["mountain_car"]), str(models["pendulum"])
+    car = dict(env="mountain_car", eval_runs=sz.lockstep_runs, horizon=sz.eval_horizon, goal_position=-0.45,
+               hazard_limit=0.01, v_d=0.025)
+    specs = {
+        "greedy": experiments.ExperimentSpec(method="llql", model_path=model, **car),
+        "constraint": experiments.ExperimentSpec(method="llql", model_path=model, goal=CONSTRAINT_GOAL, **car),
+        "trajectory": experiments.ExperimentSpec(method="llql", model_path=model, goal=TRAJECTORY_GOAL, **car),
+        "adjust": experiments.ExperimentSpec(method="adjust", policy_path=model, dynamics_path=model,
+                                             goal=CONSTRAINT_GOAL, **car),
+        "adjust_external": experiments.ExperimentSpec(
+            method="adjust", policy_path=f"cmd:{sys.executable} {child}", dynamics_path=model,
+            goal=TRAJECTORY_GOAL, **car),
+        "ddpg": experiments.ExperimentSpec(method="ddpg", model_path=ddpg_policy, **car),
+        "mpc": experiments.ExperimentSpec(
+            env="mountain_car", method="mpc", model_path=model, eval_runs=2, horizon=sz.mpc_horizon,
+            goal_position=-0.45, mpc_candidates=sz.mpc_candidates, mpc_horizon=sz.mpc_plan),
+    }
+    swing = dict(env="pendulum", eval_runs=sz.lockstep_runs, horizon=sz.eval_horizon, hazard_limit=2.0, v_d=0.0)
+    specs["pendulum-greedy"] = experiments.ExperimentSpec(method="llql", model_path=pendulum, **swing)
+    specs["pendulum-adjust"] = experiments.ExperimentSpec(
+        method="adjust", policy_path=pendulum, dynamics_path=pendulum, goal={"kind": "pendulum_constraint"},
+        **swing)
+    h = hashlib.sha256()
+    for name, spec in specs.items():
+        path = work / f"lockstep-{name}.csv"
+        reports.write_report_csv(experiments.run_experiment(spec), path)
+        _feed_files(h, [path])
+    return h.hexdigest()
+
+
 def digests(sz: Sizes) -> dict:
     """{family: sha256 hex digest} for every output family."""
     out = {}
@@ -300,7 +340,9 @@ def digests(sz: Sizes) -> dict:
         out["sweep"] = sweep_digest(model, sz, work)
         policies = {env_name: str(ddpg_setup_model(sz, work, env_name)) for env_name in ENVS}
         out["ddpg_eval"] = ddpg_eval_digest(policies, pendulum, sz, work)
-        out["scoring"] = scoring_digest({"mountain_car": model, "pendulum": pendulum}, policies, sz, work)
+        models = {"mountain_car": model, "pendulum": pendulum}
+        out["scoring"] = scoring_digest(models, policies, sz, work)
+        out["lockstep"] = lockstep_digest(models, policies["mountain_car"], sz, work)
     return out
 
 
