@@ -8,7 +8,8 @@ Run it on two checkouts (same machine, same numpy) and compare the lines;
 The families:
 
 - `train/<env>/<dtype>`: the LLQL (with checkpoints), dynamics-only and
-  DDPG (with a catalog reward mod) training logs and model-file bytes;
+  DDPG (with a catalog reward mod on mountain car) training logs and
+  model-file bytes;
 - `synthesis`: the coefficients and the output of every synthesis op on
   3,000 states of the bench set-up model (mountain car, seed 7, one
   30-step episode), plus `predict_next_batch` on all of them at once;
@@ -140,7 +141,9 @@ def train_digest(env_name: str, dtype: str, sz: Sizes, work: Path) -> str:
     core.log_to_csv(log, out / "dynamics.csv")
     dcfg = baselines.DdpgConfig(episodes=sz.episodes, hidden_sizes=sz.hidden, dtype=dtype, seed=4,
                                 normalizer_samples=sz.normalizer_samples)
-    log = experiments.train_and_save(env, "ddpg", dcfg, out / "ddpg.model", {}, reward_mod="t1")
+    # the catalog's reward mods shape mountain car's position and velocity
+    mod = "t1" if env_name == "mountain_car" else None
+    log = experiments.train_and_save(env, "ddpg", dcfg, out / "ddpg.model", {}, reward_mod=mod)
     core.log_to_csv(log, out / "ddpg.csv")
     _feed_files(h, [p for p in out.rglob("*") if p.is_file()])
     return h.hexdigest()
