@@ -131,7 +131,9 @@ class DdpgModel:
         return center + half * np.tanh(np.asarray(raw, dtype=np.float64))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._squash(self.actor.forward(self.normalizer.normalize(x)))
+        """The action at one state, or at each of the rows of x, each row
+        a one-row batch (`HeadBank._run`), so it has the bits it has alone."""
+        return self._squash(self.actor.forward(self.normalizer.normalize(x)[..., None, :])[..., 0, :])
 
 
 class _ShapedEnv:
@@ -218,7 +220,11 @@ class _DdpgTrainer(_EpisodeTrainer):
 
 
 def ddpg_train(env, config: DdpgConfig, reward_mod: Optional[RewardMod] = None):
-    """Train DDPG; deterministic given (env, config.seed, reward_mod)."""
+    """Train DDPG; deterministic given (env, config.seed, reward_mod).  A
+    reward mod shapes mountain car's position and velocity, so it is
+    rejected (ValueError) on any other env."""
+    if reward_mod is not None and env.spec.name != "mountain_car":
+        raise ValueError(f"reward mod {reward_mod.id} shapes mountain car's reward, not {env.spec.name}'s")
     trainer = _DdpgTrainer(env, config, reward_mod)
     log = list(trainer._episodes())
     return trainer.model, log
@@ -301,21 +307,6 @@ def mpc_action(
         X = Xn
     best = int(np.argmax(scores))
     return candidates[best, 0].copy()
-
-
-class MpcPolicy:
-    """Stateful wrapper running `mpc_action` each step (callable x -> u)."""
-
-    def __init__(self, dyn, reward_fn, cfg: MpcConfig, rng, action_low, action_high):
-        self.dyn = dyn
-        self.reward_fn = reward_fn
-        self.cfg = cfg
-        self.rng = rng
-        self.low = action_low
-        self.high = action_high
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return mpc_action(self.dyn, x, self.reward_fn, self.cfg, self.rng, self.low, self.high)
 
 
 def mountain_car_reward_fn(goal_position: float, mod: Optional[RewardMod] = None) -> Callable:

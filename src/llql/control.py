@@ -17,6 +17,14 @@ The approximation layer is the same synthesis with the advantage residual
 replaced by ||u - u_N||, that is (h, d) = (-u_N, I), where u_N is a
 pre-trained policy's action: it needs only the dynamics model, and its
 constraint adjustment is the minimum-norm projection of u_N.
+
+Every op takes one state or rows of states (a leading row axis), and
+works on rows: lockstep evaluation passes the states of all its live
+runs at once.  Each row is computed as it would be alone, bit for bit:
+the models evaluate it as a one-row batch, and every product over an
+action or state axis is a stacked matmul whose slice is the product one
+state runs (`np.vecdot` runs per row the dot product a 1-D `a @ b`
+runs).  A randomized fallback draws from the row's own generator.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import os
 import select
 import subprocess
 import time
+from itertools import compress
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +55,9 @@ class UncontrollableConstraintError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Short-term goal declarations
+#
+# A goal's callables receive what the controller was given: one state, or
+# rows of states, for which they return one value per row.
 # ---------------------------------------------------------------------------
 
 
@@ -95,14 +107,18 @@ class ConstraintGoal:
             self.margin = self.bound
         if self.active is None:
             if self.direction == "upper":
-                self.active = lambda x, k: x[self.state_index] > self.margin
+                self.active = lambda x, k: x[..., self.state_index] > self.margin
             else:
-                self.active = lambda x, k: x[self.state_index] < self.margin
+                self.active = lambda x, k: x[..., self.state_index] < self.margin
 
     @property
     def sign(self) -> float:
         """+1 for an upper bound, -1 for a lower one (which reflects to upper)."""
         return 1.0 if self.direction == "upper" else -1.0
+
+    def upper(self, X: np.ndarray) -> tuple:
+        """(sign, c) for each row of X: the bound read as sign * x[i] <= c."""
+        return np.full(len(X), self.sign), np.full(len(X), self.sign * self.bound)
 
 
 @dataclasses.dataclass
@@ -123,13 +139,20 @@ class SymmetricConstraintGoal:
         if self.margin is None:
             self.margin = self.bound
 
-    def active(self, x, k) -> bool:
-        return abs(x[self.state_index]) > self.margin
+    def active(self, x, k):
+        return np.abs(x[..., self.state_index]) > self.margin
 
     def resolve(self, x) -> ConstraintGoal:
+        """The one-sided constraint nearer one state's current value."""
         if x[self.state_index] >= 0:
             return ConstraintGoal(self.state_index, self.bound, "upper", self.margin)
         return ConstraintGoal(self.state_index, -self.bound, "lower", -self.margin)
+
+    def upper(self, X: np.ndarray) -> tuple:
+        """`ConstraintGoal.upper` of each row's `resolve`d side: a lower bound
+        -bound reflects to sign -1 and c = bound, as an upper one does."""
+        sign = np.where(X[:, self.state_index] >= 0, 1.0, -1.0)
+        return sign, np.full(len(X), float(self.bound))
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +162,19 @@ class SymmetricConstraintGoal:
 
 @dataclasses.dataclass
 class ActionResult:
+    """An op's actions: (a,) for one state, (n, a) for rows.  `fallback` is
+    None when no row fell back, else the reason, or for rows one reason
+    (or None) per row."""
+
     action: np.ndarray      # clipped to bounds when bounds are known
     action_raw: np.ndarray  # unclipped least-squares solution
-    fallback: Optional[str] = None
+    fallback: Optional[str | list] = None
 
 
 @dataclasses.dataclass
 class KktSolution:
+    """One state's constraint synthesis; an op on rows returns one per row."""
+
     lambda_star: float
     action: np.ndarray
     action_raw: np.ndarray
@@ -161,35 +190,80 @@ def _clip(u: np.ndarray, low, high) -> np.ndarray:
     return np.clip(u, low, high)
 
 
+def _rows(x, rng=None) -> tuple:
+    """(x as rows (n, dim) in float64, one generator per row, whether x was
+    one state); `rng` is one generator for every row, or one per row."""
+    x = np.asarray(x, dtype=np.float64)
+    X = x.reshape(-1, x.shape[-1])
+    rngs = [rng] * len(X) if rng is None or isinstance(rng, np.random.Generator) else list(rng)
+    return X, rngs, x.ndim == 1
+
+
+def _one(result: ActionResult, one: bool) -> ActionResult:
+    """An op's row result, or for one state its only row."""
+    if not one:
+        return result
+    return ActionResult(result.action[0], result.action_raw[0], result.fallback and result.fallback[0])
+
+
+def _norms(A: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row's entries, with the bits of `np.linalg.norm`
+    on that row alone (the square root of a dot product)."""
+    flat = A.reshape(len(A), -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 # ---------------------------------------------------------------------------
 # Long-term and trajectory synthesis
 # ---------------------------------------------------------------------------
 
 
-def long_term_action(q: QModel, x: np.ndarray, rng: np.random.Generator) -> ActionResult:
+def _greedy(H, D, low, high, rngs) -> ActionResult:
+    """The long-term action of each row of (H, D), or a uniform random
+    in-bounds one drawn from the row's generator where the gain is
+    numerically zero."""
+    U_raw = linalg.pinv_action_batch(H, D)
+    U = _clip(U_raw, low, high)
+    degenerate = _norms(D) < EPS_D
+    if not degenerate.any():
+        return ActionResult(U, U_raw)
+    fallback = [None] * len(D)
+    for j in np.flatnonzero(degenerate):
+        U[j] = U_raw[j] = rngs[j].uniform(low, high)
+        fallback[j] = "degenerate-gain"
+    return ActionResult(U, U_raw, fallback)
+
+
+def long_term_action(q: QModel, x: np.ndarray, rng) -> ActionResult:
     """Greedy action: least-squares minimizer of ||h(x) + d(x) u||.
 
     Falls back to a uniform random in-bounds action when the gain d(x) is
-    numerically zero (the model predicts the action has no effect).
+    numerically zero (the model predicts the action has no effect).  `x`
+    is one state or rows; `rng` one generator, or one per row.
     """
-    _, h, d = q.coefficients(x)
-    if np.linalg.norm(d) < EPS_D:
-        u = rng.uniform(q.action_low, q.action_high)
-        return ActionResult(u, u.copy(), fallback="degenerate-gain")
-    u_raw = linalg.pinv_action(h, d)
-    return ActionResult(_clip(u_raw, q.action_low, q.action_high), u_raw)
+    X, rngs, one = _rows(x, rng)
+    _, H, D = q.coefficients(X)
+    return _one(_greedy(H, D, q.action_low, q.action_high, rngs), one)
 
 
-def _track(h, d, dyn: DynamicsModel, x, x_d_next, gamma1: float, gamma2: float):
+def _track(H, D, dyn: DynamicsModel, X, X_d, gamma1: float, gamma2: float) -> np.ndarray:
     """Minimize ||gamma1 (h + d u)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2
-    by one stacked least-squares solve; None when the solve is not finite."""
-    f, g = dyn.coefficients(x)
-    x = np.asarray(x, dtype=np.float64)
-    x_d_next = np.asarray(x_d_next, dtype=np.float64)
-    M = np.vstack([gamma1 * d, -gamma2 * dyn.delta * g])
-    z = np.concatenate([-gamma1 * h, gamma2 * (x + dyn.delta * f - x_d_next)])
-    u = linalg.solve_least_squares(M, z)
-    return u if np.all(np.isfinite(u)) else None
+    on each row by one stacked least-squares solve (`linalg.solve_least_squares`
+    per row, stacked); a row whose solve is singular is not finite."""
+    F, G = dyn.coefficients(X)
+    X_d = np.asarray(X_d, dtype=np.float64).reshape(X.shape)
+    M = np.concatenate([gamma1 * D, -gamma2 * dyn.delta * G], axis=1)
+    Z = np.concatenate([-gamma1 * H, gamma2 * (X + dyn.delta * F - X_d)], axis=1)
+    MT = np.swapaxes(M, 1, 2)
+    return linalg.ridge_solve(MT @ M, (MT @ Z[..., None])[..., 0])
+
+
+def _singular(U_raw: np.ndarray, what: str) -> np.ndarray:
+    """The rows of a tracking solve that are not finite, each logged."""
+    bad = ~np.isfinite(U_raw).all(axis=1)
+    for _ in range(int(bad.sum())):
+        logger.warning(what)
+    return bad
 
 
 def trajectory_action(
@@ -199,20 +273,25 @@ def trajectory_action(
     x_d_next: np.ndarray,
     gamma1: float,
     gamma2: float,
-    rng: np.random.Generator,
+    rng,
 ) -> ActionResult:
     """Blend the greedy objective with tracking a desired next state.
 
     Solves the stacked least-squares system minimizing
-    ||gamma1 (h + d u)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2.
+    ||gamma1 (h + d u)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2; a
+    row whose solve is singular takes the long-term action.  `x` and
+    `x_d_next` are one state or rows; `rng` one generator, or one per row.
     """
-    _, h, d = q.coefficients(x)
-    u_raw = _track(h, d, dyn, x, x_d_next, gamma1, gamma2)
-    if u_raw is None:
-        logger.warning("trajectory synthesis was singular; falling back to the long-term action")
-        result = long_term_action(q, x, rng)
-        return ActionResult(result.action, result.action_raw, fallback="singular")
-    return ActionResult(_clip(u_raw, q.action_low, q.action_high), u_raw)
+    X, rngs, one = _rows(x, rng)
+    _, H, D = q.coefficients(X)
+    U_raw = _track(H, D, dyn, X, x_d_next, gamma1, gamma2)
+    U = _clip(U_raw, q.action_low, q.action_high)
+    bad = _singular(U_raw, "trajectory synthesis was singular; falling back to the long-term action")
+    if not bad.any():
+        return _one(ActionResult(U, U_raw), one)
+    base = _greedy(H[bad], D[bad], q.action_low, q.action_high, [r for r, b in zip(rngs, bad) if b])
+    U[bad], U_raw[bad] = base.action, base.action_raw
+    return _one(ActionResult(U, U_raw, ["singular" if b else None for b in bad]), one)
 
 
 def approx_trajectory_action(
@@ -230,16 +309,19 @@ def approx_trajectory_action(
 
     Minimizes ||gamma1 (u - u_n)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2
     using only the dynamics model: the agent's trajectory synthesis with
-    (h, d) = (-u_n, I).  gamma2 = 0 returns u_n unchanged.
+    (h, d) = (-u_n, I).  gamma2 = 0 returns u_n unchanged, and so does a
+    singular solve.  `x`, `x_d_next` and `u_n` are one state or rows.
     """
-    u_n = np.asarray(u_n, dtype=np.float64).reshape(-1)
+    X, _, one = _rows(x)
+    U_n = np.asarray(u_n, dtype=np.float64).reshape(len(X), -1)
     if gamma2 == 0.0:
-        return ActionResult(_clip(u_n, action_low, action_high), u_n.copy())
-    u_raw = _track(-u_n, np.eye(u_n.size), dyn, x, x_d_next, gamma1, gamma2)
-    if u_raw is None:
-        logger.warning("trajectory adjustment was singular; keeping the policy action")
-        return ActionResult(_clip(u_n, action_low, action_high), u_n.copy(), fallback="singular")
-    return ActionResult(_clip(u_raw, action_low, action_high), u_raw)
+        return _one(ActionResult(_clip(U_n, action_low, action_high), U_n.copy()), one)
+    eye = np.broadcast_to(np.eye(U_n.shape[1]), (len(X),) + (U_n.shape[1],) * 2)
+    U_raw = _track(-U_n, eye, dyn, X, x_d_next, gamma1, gamma2)
+    bad = _singular(U_raw, "trajectory adjustment was singular; keeping the policy action")
+    U_raw[bad] = U_n[bad]
+    fallback = ["singular" if b else None for b in bad] if bad.any() else None
+    return _one(ActionResult(_clip(U_raw, action_low, action_high), U_raw, fallback), one)
 
 
 # ---------------------------------------------------------------------------
@@ -247,89 +329,131 @@ def approx_trajectory_action(
 # ---------------------------------------------------------------------------
 
 
-def _project(u0, w, dg, x, f, g, delta: float, goal: ConstraintGoal, low, high) -> KktSolution:
+def _project(U0, W, DG, gain, X, F, G, delta: float, i: int, sign, c, low, high) -> list:
     """KKT solution u = u0 - lambda* w of min (u - u0)^T W (u - u0) subject
-    to x_i + delta (f_i + g_i u) <= c, where dg = delta g_i and w = W^-1 dg
-    (both reflected for a lower bound, which then reads as an upper one):
-    lambda* = max(0, (x_i + delta f_i + dg . u0 - c) / (dg . w)), so a
-    binding bound puts the raw action's predicted component exactly on c.
-    Also flags a binding bound that clipping to [low, high] breaks."""
-    i, sign = goal.state_index, goal.sign
-    predicted0 = sign * float(x[i]) + delta * (sign * float(f[i])) + float(dg @ u0)
-    c = sign * goal.bound
-    if predicted0 <= c:
-        lam, active, u_raw = 0.0, False, u0.copy()
+    to x_i + delta (f_i + g_i u) <= c, per row, where dg = delta g_i,
+    w = W^-1 dg and gain = dg . w (dg and w reflected by `sign`, so a lower
+    bound reads as an upper one): lambda* = max(0, (x_i + delta f_i +
+    dg . u0 - c) / gain), so a binding bound puts the raw action's
+    predicted component exactly on c.  Also flags a binding bound that
+    clipping to [low, high] breaks.  Returns one KktSolution per row.
+    The products over the action axis are stacked; the per-row scalars
+    are Python floats, which cost less than numpy calls at a few rows."""
+    sign, c, x_i, f_i = sign.tolist(), c.tolist(), X[:, i].tolist(), F[:, i].tolist()
+    active, lam = [], []
+    for s_j, c_j, x_j, f_j, dg_u0, gain_j in zip(sign, c, x_i, f_i, np.vecdot(DG, U0).tolist(), gain.tolist()):
+        predicted0 = s_j * x_j + delta * (s_j * f_j) + dg_u0
+        active.append(not predicted0 <= c_j)
+        lam.append((predicted0 - c_j) / gain_j if active[-1] else 0.0)
+    U_raw = np.where(np.array(active)[:, None], U0 - np.array(lam)[:, None] * W, U0)
+    U = _clip(U_raw, low, high)
+    Gi = G[:, i, :]
+    solutions = []
+    for j, (g_u_raw, g_u) in enumerate(zip(np.vecdot(Gi, U_raw).tolist(), np.vecdot(Gi, U).tolist())):
+        predicted = x_i[j] + delta * (f_i[j] + g_u_raw)
+        predicted_clipped = x_i[j] + delta * (f_i[j] + g_u)
+        clip_violates = active[j] and sign[j] * predicted_clipped > c[j] + 1e-9
+        if clip_violates:
+            logger.warning(
+                "action clipping broke the constraint: predicted %s=%.6g vs bound %.6g",
+                i, predicted_clipped, sign[j] * c[j],
+            )
+        solutions.append(KktSolution(lam[j], U[j], U_raw[j], predicted, predicted_clipped, active[j], clip_violates))
+    return solutions
+
+
+def _solutions(undefined: np.ndarray, error: Callable, project: Callable, one: bool):
+    """Each row's KktSolution, from `project(rows)` on the rows where the
+    synthesis is defined, or where `undefined`, its error `error(j)`; for
+    one state its solution, or the error raised."""
+    if not undefined.any():
+        results = project(slice(None))
     else:
-        lam, active = (predicted0 - c) / float(dg @ w), True
-        u_raw = u0 - lam * w
-    predicted = float(x[i] + delta * (f[i] + g[i, :] @ u_raw))
-    u = _clip(u_raw, low, high)
-    predicted_clipped = float(x[i] + delta * (f[i] + g[i, :] @ u))
-    clip_violates = bool(active and sign * predicted_clipped > c + 1e-9)
-    if clip_violates:
-        logger.warning(
-            "action clipping broke the constraint: predicted %s=%.6g vs bound %.6g",
-            i, predicted_clipped, goal.bound,
-        )
-    return KktSolution(lam, u, u_raw, predicted, predicted_clipped, active, clip_violates)
+        results = [error(j) if bad else None for j, bad in enumerate(undefined.tolist())]
+        ok = np.flatnonzero(~undefined)
+        for j, sol in zip(ok, project(ok) if ok.size else ()):
+            results[j] = sol
+    if one and isinstance(results[0], UncontrollableConstraintError):
+        raise results[0]
+    return results[0] if one else results
 
 
 def constraint_action(
     q: QModel,
     dyn: DynamicsModel,
     x: np.ndarray,
-    goal: ConstraintGoal,
-    rng: np.random.Generator,
-) -> KktSolution:
+    goal,
+    rng,
+) -> KktSolution | list:
     """Greedy action subject to a bound on one predicted state component.
 
     The KKT solution of min 1/2 ||h + d u||^2 + ridge/2 ||u||^2 s.t.
     x_i + delta (f_i + g_i u) <= c is the greedy action projected onto the
     bound in the metric W = d^T d + ridge I: u = u0 - lambda* W^-1 delta g_i
-    with u0 = `pinv_action(h, d)`.
+    with u0 = `pinv_action(h, d)`.  `goal` is a ConstraintGoal, or a
+    SymmetricConstraintGoal whose side each row resolves.  For one state it
+    raises UncontrollableConstraintError where the synthesis is undefined;
+    for rows it returns one KktSolution, or that error, per row.
     """
-    _, h, d = q.coefficients(x)
-    f, g = dyn.coefficients(x)
-    if np.linalg.norm(d) < EPS_D:
-        raise UncontrollableConstraintError(
-            "advantage gain d(x) is numerically zero; constrained synthesis is undefined"
+    X, _, one = _rows(x)
+    _, H, D = q.coefficients(X)
+    F, G = dyn.coefficients(X)
+    i = goal.state_index
+    sign, c = goal.upper(X)
+    DG = (sign * dyn.delta)[:, None] * G[:, i, :]
+    W = linalg.ridge_solve(np.swapaxes(D, 1, 2) @ D, DG)
+    gain = np.vecdot(DG, W)
+    degenerate = _norms(D) < EPS_D
+
+    def error(j):
+        if degenerate[j]:
+            return UncontrollableConstraintError(
+                "advantage gain d(x) is numerically zero; constrained synthesis is undefined"
+            )
+        return UncontrollableConstraintError(
+            f"constraint on state component {i} is uncontrollable "
+            f"(delta g_i . W^-1 delta g_i = {gain[j]:.3e})"
         )
-    dg = goal.sign * dyn.delta * g[goal.state_index]
-    w = linalg.ridge_solve(d.T @ d, dg)
-    gain = float(dg @ w)
-    if abs(gain) < EPS_KKT:
-        raise UncontrollableConstraintError(
-            f"constraint on state component {goal.state_index} is uncontrollable "
-            f"(delta g_i . W^-1 delta g_i = {gain:.3e})"
-        )
-    return _project(linalg.pinv_action(h, d), w, dg, x, f, g, dyn.delta, goal, q.action_low, q.action_high)
+
+    return _solutions(degenerate | (np.abs(gain) < EPS_KKT), error, lambda r: _project(
+        linalg.pinv_action_batch(H[r], D[r]), W[r], DG[r], gain[r], X[r], F[r], G[r], dyn.delta, i, sign[r],
+        c[r], q.action_low, q.action_high), one)
 
 
 def approx_constraint_action(
     u_n: np.ndarray,
     dyn: DynamicsModel,
     x: np.ndarray,
-    goal: ConstraintGoal,
+    goal,
     *,
     action_low=None,
     action_high=None,
-) -> KktSolution:
+) -> KktSolution | list:
     """Project a pre-trained policy's action onto the constraint half-space.
 
     u = u_n - lambda* delta g_i^T with
     lambda* = (x_i + delta f_i - c + delta g_i u_n) / (delta g_i . delta g_i),
     clamped to 0 when the predicted component already satisfies the bound:
     the agent's constraint synthesis with (h, d) = (-u_n, I) and no ridge.
+    `goal`, `x` and the result are as in `constraint_action`.
     """
-    u_n = np.asarray(u_n, dtype=np.float64).reshape(-1)
-    f, g = dyn.coefficients(x)
-    dg = goal.sign * dyn.delta * g[goal.state_index]
-    if np.linalg.norm(dg) < EPS_KKT:
-        raise UncontrollableConstraintError(
-            f"constraint on state component {goal.state_index} is uncontrollable "
-            f"(||delta g_i|| = {np.linalg.norm(dg):.3e})"
+    X, _, one = _rows(x)
+    U_n = np.asarray(u_n, dtype=np.float64).reshape(len(X), -1)
+    F, G = dyn.coefficients(X)
+    i = goal.state_index
+    sign, c = goal.upper(X)
+    DG = (sign * dyn.delta)[:, None] * G[:, i, :]
+    gain = np.vecdot(DG, DG)
+    norms = np.sqrt(gain)  # `np.linalg.norm` of each row's dg
+
+    def error(j):
+        return UncontrollableConstraintError(
+            f"constraint on state component {i} is uncontrollable (||delta g_i|| = {norms[j]:.3e})"
         )
-    return _project(u_n, dg, dg, x, f, g, dyn.delta, goal, action_low, action_high)
+
+    return _solutions(norms < EPS_KKT, error, lambda r: _project(
+        U_n[r], DG[r], DG[r], gain[r], X[r], F[r], G[r], dyn.delta, i, sign[r], c[r], action_low, action_high),
+        one)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +463,12 @@ def approx_constraint_action(
 
 @dataclasses.dataclass
 class Decision:
+    """The action, branch and detail (the op's result, or the error of a
+    fallback) of one state; for rows, (n, a) actions and one branch and one
+    detail per row."""
+
     action: np.ndarray
-    branch: str
+    branch: str | list
     detail: object
 
 
@@ -348,12 +476,14 @@ class GoalController:
     """Per-step dispatch between a base policy and goal-aware synthesis.
 
     The base action comes from the trained value model (long-term greedy)
-    when `qmodel` is given, or from `policy` (any callable state -> action)
-    in the approximation setting.  While the goal's activation predicate
-    holds, actions come from the matching goal-aware synthesis op; once the
-    goal expires the controller reverts to the base policy.  A step on which
-    the constraint is uncontrollable takes the base action, on branch
-    "fallback", instead of ending the episode.
+    when `qmodel` is given, or from `policy` (any callable state -> action,
+    or rows -> actions) in the approximation setting.  While the goal's
+    activation predicate holds, actions come from the matching goal-aware
+    synthesis op; once the goal expires the controller reverts to the base
+    policy.  A step on which the constraint is uncontrollable takes the
+    base action, on branch "fallback", instead of ending the episode.
+    Rows are dispatched each to its own branch, and each branch's rows go
+    through their op together.
     """
 
     def __init__(
@@ -365,7 +495,6 @@ class GoalController:
         policy: Optional[Callable] = None,
         action_low=None,
         action_high=None,
-        rng: Optional[np.random.Generator] = None,
     ):
         if (qmodel is None) == (policy is None):
             raise ValueError("provide exactly one of qmodel or policy")
@@ -375,56 +504,81 @@ class GoalController:
         self.policy = policy
         self.action_low = qmodel.action_low if qmodel is not None else action_low
         self.action_high = qmodel.action_high if qmodel is not None else action_high
-        self.rng = rng if rng is not None else np.random.default_rng(0)
         self.branch_counts: dict = {}
 
-    def _base(self, x) -> Decision:
+    def _base(self, X, U_n, rngs, rows) -> tuple:
+        """(actions, branch, details) of the base action on `rows` of X."""
         if self.qmodel is not None:
-            res = long_term_action(self.qmodel, x, self.rng)
-            return Decision(res.action, "long_term", res)
-        u = np.asarray(self.policy(x), dtype=np.float64).reshape(-1)
-        return Decision(_clip(u, self.action_low, self.action_high), "policy", None)
+            res = long_term_action(self.qmodel, X[rows], [rngs[j] for j in rows])
+            return res.action, "long_term", _split(res)
+        actions = _clip(U_n[rows], self.action_low, self.action_high)
+        return actions, "policy", [None] * len(actions)
 
-    def act(self, x: np.ndarray, k: int) -> Decision:
+    def act(self, x: np.ndarray, k: int, rng) -> Decision:
+        """The decision at one state x, or at each of the rows of x, at step
+        k.  `rng` is one generator, or one per row; the agent's long-term
+        fallback draws from it.  The goal's callables and the policy are
+        called once, on x as given."""
+        X, rngs, one = _rows(x, rng)
+        x = X[0] if one else X
         goal = self.goal
-        if goal is None or not goal.active(x, k):
-            decision = self._base(x)
-        elif isinstance(goal, TrajectoryGoal):
-            target = np.asarray(goal.target(x, k), dtype=np.float64)
+        on = np.zeros(len(X), dtype=bool)
+        if goal is not None:
+            on[:] = goal.active(x, k)
+        U_n = None if self.policy is None else np.asarray(self.policy(x), dtype=np.float64).reshape(len(X), -1)
+        decision = Decision(np.empty((len(X), len(self.action_low) if U_n is None else U_n.shape[1])),
+                            [None] * len(X), [None] * len(X))
+        if not on.all():
+            self._decide(decision, np.flatnonzero(~on), *self._base(X, U_n, rngs, np.flatnonzero(~on)))
+        rows = np.flatnonzero(on)
+        if rows.size and isinstance(goal, TrajectoryGoal):
+            target = np.asarray(goal.target(x, k), dtype=np.float64).reshape(X.shape)[rows]
             if self.qmodel is not None:
-                res = trajectory_action(
-                    self.qmodel, self.dyn, x, target, goal.gamma1, goal.gamma2, self.rng
-                )
+                res = trajectory_action(self.qmodel, self.dyn, X[rows], target, goal.gamma1, goal.gamma2,
+                                        [rngs[j] for j in rows])
             else:
-                u_n = np.asarray(self.policy(x), dtype=np.float64).reshape(-1)
                 res = approx_trajectory_action(
-                    u_n, self.dyn, x, target, goal.gamma1, goal.gamma2,
+                    U_n[rows], self.dyn, X[rows], target, goal.gamma1, goal.gamma2,
                     action_low=self.action_low, action_high=self.action_high,
                 )
-            decision = Decision(res.action, "trajectory", res)
-        else:
-            resolved = goal.resolve(x) if isinstance(goal, SymmetricConstraintGoal) else goal
-            u_n = None if self.policy is None else np.asarray(self.policy(x), dtype=np.float64).reshape(-1)
-            try:
-                if u_n is None:
-                    sol = constraint_action(self.qmodel, self.dyn, x, resolved, self.rng)
-                else:
-                    sol = approx_constraint_action(
-                        u_n, self.dyn, x, resolved,
-                        action_low=self.action_low, action_high=self.action_high,
-                    )
-            except UncontrollableConstraintError as exc:
-                logger.warning("%s; taking the base action", exc)
-                base = self._base(x).action if u_n is None else _clip(u_n, self.action_low, self.action_high)
-                decision = Decision(base, "fallback", exc)
+            self._decide(decision, rows, res.action, "trajectory", _split(res))
+        elif rows.size:
+            if self.qmodel is not None:
+                sols = constraint_action(self.qmodel, self.dyn, X[rows], goal, [rngs[j] for j in rows])
             else:
-                decision = Decision(sol.action, "constraint", sol)
-        self.branch_counts[decision.branch] = self.branch_counts.get(decision.branch, 0) + 1
+                sols = approx_constraint_action(
+                    U_n[rows], self.dyn, X[rows], goal, action_low=self.action_low, action_high=self.action_high,
+                )
+            failed = np.array([isinstance(sol, UncontrollableConstraintError) for sol in sols])
+            if not failed.all():
+                kept = [sol for sol, bad in zip(sols, failed) if not bad]
+                self._decide(decision, rows[~failed], np.array([sol.action for sol in kept]), "constraint", kept)
+            if failed.any():
+                errors = [sol for sol, bad in zip(sols, failed) if bad]
+                for exc in errors:
+                    logger.warning("%s; taking the base action", exc)
+                self._decide(decision, rows[failed], self._base(X, U_n, rngs, rows[failed])[0], "fallback", errors)
+        if one:
+            return Decision(decision.action[0], decision.branch[0], decision.detail[0])
         return decision
+
+    def _decide(self, decision: Decision, rows, actions, branch: str, details: list) -> None:
+        """Record the actions, branch and details of `rows` in `decision`."""
+        decision.action[rows] = actions
+        for j, detail in zip(rows.tolist(), details):
+            decision.branch[j], decision.detail[j] = branch, detail
+        self.branch_counts[branch] = self.branch_counts.get(branch, 0) + len(details)
+
+
+def _split(res: ActionResult) -> list:
+    """An op's row result as one ActionResult per row."""
+    fallback = res.fallback or [None] * len(res.action)
+    return [ActionResult(*row) for row in zip(res.action, res.action_raw, fallback)]
 
 
 class LlqlPolicy:
-    """Greedy policy view of a trained value model (callable state -> action)."""
+    """Greedy policy view of a trained value model (callable state -> action,
+    or rows -> actions); its one generator serves every row's fallback."""
 
     def __init__(self, qmodel: QModel, rng: Optional[np.random.Generator] = None):
         self.qmodel = qmodel
@@ -442,10 +596,16 @@ class LlqlPolicy:
 class ExternalProcessPolicy:
     """Pre-trained policy behind a child process speaking JSON lines.
 
-    Each query writes {"state": [...]} terminated by a newline to the
-    child's stdin and expects one {"action": [...]} line on its stdout
-    within `timeout` seconds.
+    Each state is one {"state": [...]} line on the child's stdin, answered
+    by one {"action": [...]} line on its stdout within `timeout` seconds.
+    Rows of states are pipelined: up to `PIPELINE` request lines go in one
+    write, then their answers are read in order.  The bound keeps a write
+    below a pipe's capacity, so a child that answers as it reads can never
+    block on a full output pipe while this process blocks on a full input
+    pipe.
     """
+
+    PIPELINE = 64
 
     def __init__(self, argv, timeout: float = 1.0):
         self.timeout = timeout
@@ -455,12 +615,16 @@ class ExternalProcessPolicy:
         self._pending = b""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        request = json.dumps({"state": [float(v) for v in np.asarray(x).reshape(-1)]})
-        self._proc.stdin.write(request.encode("utf-8") + b"\n")
-        self._proc.stdin.flush()
-        line = self._read_line()
-        response = json.loads(line)
-        return np.asarray(response["action"], dtype=np.float64).reshape(-1)
+        X, _, one = _rows(x)
+        actions = []
+        for start in range(0, len(X), self.PIPELINE):
+            chunk = X[start : start + self.PIPELINE]
+            self._proc.stdin.write(b"".join(json.dumps({"state": row}).encode("utf-8") + b"\n"
+                                            for row in chunk.tolist()))
+            self._proc.stdin.flush()
+            actions += [json.loads(self._read_line())["action"] for _ in chunk]
+        U = np.asarray(actions, dtype=np.float64).reshape(len(X), -1)
+        return U[0] if one else U
 
     def _read_line(self) -> bytes:
         deadline = time.monotonic() + self.timeout

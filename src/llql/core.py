@@ -193,8 +193,11 @@ class DynamicsModel:
         return self.bank.heads[1]
 
     def coefficients(self, x: np.ndarray):
-        """Evaluate (f(x), g(x)) at one state, in float64."""
-        return self.bank.forward(self.normalizer.normalize(x))
+        """(f(x), g(x)) in float64 at one state, or at each of the rows of x
+        with a leading row axis; each row is its own one-row batch, so it
+        has the bits it has alone (`HeadBank._run`)."""
+        f, g = self.bank.forward(self.normalizer.normalize(x)[..., None, :])
+        return f[..., 0, :], g[..., 0, :, :]
 
     def predict_next(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Raw model prediction of the next state (no clipping)."""
@@ -236,9 +239,10 @@ class QModel:
         return self.bank.heads[2]
 
     def coefficients(self, x: np.ndarray):
-        """Evaluate (V(x), h(x), d(x)) at one state, in float64."""
-        v, h, d = self.bank.forward(self.normalizer.normalize(x))
-        return float(v), h, d
+        """(V(x), h(x), d(x)) in float64 at one state (V a float), or at each
+        of the rows of x, as `DynamicsModel.coefficients`."""
+        v, h, d = self.bank.forward(self.normalizer.normalize(x)[..., None, :])
+        return (float(v[0]) if v.ndim == 1 else v[:, 0]), h[..., 0, :], d[..., 0, :, :]
 
     def q_value(self, x: np.ndarray, u: np.ndarray) -> float:
         v, h, d = self.coefficients(x)

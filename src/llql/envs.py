@@ -2,9 +2,13 @@
 
 Both environments reimplement the physics and reward conventions of the
 classic control benchmarks so that runs are deterministic and fully
-reproducible without any simulator dependency.  `step` is a pure function
-of (state, action) apart from an internal step counter used for horizon
-truncation.
+reproducible without any simulator dependency.  Each environment's
+physics is one function on rows of states, `step_batch`, a pure function of
+(states, actions) that lockstep evaluation calls on the states of all its
+live runs at once; `step` is its one-row case plus an internal step
+counter used for horizon truncation.  The physics runs row by row in
+Python floats, which is also cheaper than numpy at a few rows, and
+`math.atan2` has other last bits than `np.arctan2` on some inputs.
 """
 
 from __future__ import annotations
@@ -65,16 +69,28 @@ def wrap_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % (2.0 * math.pi)
 
 
-def _validate_action(action, dim: int) -> np.ndarray:
-    u = np.asarray(action, dtype=np.float64).reshape(-1)
-    if u.shape != (dim,):
-        raise InvalidActionError(f"action must have {dim} component(s), got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
+def _validate_actions(actions, n: int, dim: int) -> list:
+    """The actions of n states as n lists of dim Python floats."""
+    u = np.asarray(actions, dtype=np.float64)
+    if u.size != n * dim:
+        raise InvalidActionError(f"{n} state(s) need {dim} action component(s) each, got shape {u.shape}")
+    u = u.reshape(n, dim)
+    if not np.isfinite(u).all():
         raise InvalidActionError(f"action is not finite: {u}")
-    return u
+    return u.tolist()
 
 
-class MountainCar:
+class _Env:
+    """`step` on top of an environment's `step_batch`."""
+
+    def step(self, state: np.ndarray, action) -> StepResult:
+        states, rewards, reached = self.step_batch(np.asarray(state, dtype=np.float64)[None], action)
+        self._k += 1
+        done = bool(reached[0]) or self._k >= self.horizon
+        return StepResult(states[0], float(rewards[0]), done, self._k)
+
+
+class MountainCar(_Env):
     """Continuous-action mountain car.
 
     State is [position, velocity] with position in [-1.2, 0.6] and velocity
@@ -124,32 +140,31 @@ class MountainCar:
         self._k = 0
         return np.array([position, 0.0])
 
-    def goal_reached(self, state: np.ndarray) -> bool:
-        return bool(state[0] >= self.goal_position)
+    def goal_reached(self, state: np.ndarray):
+        """Whether a state, or each of the rows of states, is at the hilltop."""
+        return np.asarray(state)[..., 0] >= self.goal_position
 
     scored = goal_reached  # where velocity error counts
 
-    def step(self, state: np.ndarray, action) -> StepResult:
-        u = _validate_action(action, 1)[0]
-        force = min(max(u, -1.0), 1.0)
-        position, velocity = float(state[0]), float(state[1])
-
-        velocity += force * self.POWER - self.GRAVITY * math.cos(3.0 * position)
-        velocity = min(max(velocity, -self.MAX_SPEED), self.MAX_SPEED)
-        position += velocity
-        position = min(max(position, self.MIN_POSITION), self.MAX_POSITION)
-        if position == self.MIN_POSITION:
-            velocity = 0.0
-
-        next_state = np.array([position, velocity])
-        reached = self.goal_reached(next_state)
-        reward = -0.1 * force * force + (100.0 if reached else 0.0)
-        self._k += 1
-        done = reached or self._k >= self.horizon
-        return StepResult(next_state, float(reward), done, self._k)
+    def step_batch(self, states: np.ndarray, actions):
+        """(next states, rewards, goal reached) of each row of `states`
+        (n, 2) under its row of `actions` (n, 1)."""
+        forces = _validate_actions(actions, len(states), 1)
+        next_states, rewards = [], []
+        for (position, velocity), (u,) in zip(np.asarray(states, dtype=np.float64).tolist(), forces):
+            force = min(max(u, -1.0), 1.0)
+            velocity += force * self.POWER - self.GRAVITY * math.cos(3.0 * position)
+            velocity = min(max(velocity, -self.MAX_SPEED), self.MAX_SPEED)
+            position = min(max(position + velocity, self.MIN_POSITION), self.MAX_POSITION)
+            if position == self.MIN_POSITION:
+                velocity = 0.0
+            next_states.append((position, velocity))
+            rewards.append(-0.1 * force * force + (100.0 if position >= self.goal_position else 0.0))
+        next_states = np.array(next_states).reshape(len(forces), 2)
+        return next_states, np.array(rewards), next_states[:, 0] >= self.goal_position
 
 
-class Pendulum:
+class Pendulum(_Env):
     """Torque-controlled pendulum swing-up.
 
     The observed state is [cos(theta), sin(theta), theta_dot] with angular
@@ -211,33 +226,26 @@ class Pendulum:
         self._k = 0
         return np.array([math.cos(theta), math.sin(theta), theta_dot])
 
-    def goal_reached(self, state: np.ndarray) -> bool:
-        return False
+    def goal_reached(self, state: np.ndarray):
+        return np.zeros(np.shape(state)[:-1], dtype=bool)[()]
 
-    def scored(self, state: np.ndarray) -> bool:  # where velocity error counts: upright
-        return bool(state[0] > UPRIGHT_COS)
+    def scored(self, state: np.ndarray):  # where velocity error counts: upright
+        return np.asarray(state)[..., 0] > UPRIGHT_COS
 
-    def step(self, state: np.ndarray, action) -> StepResult:
-        u = _validate_action(action, 1)[0]
-        torque = min(max(u, -self.MAX_TORQUE), self.MAX_TORQUE)
-        theta = math.atan2(float(state[1]), float(state[0]))
-        theta_dot = float(state[2])
-
-        reward = -(
-            wrap_angle(theta) ** 2 + 0.1 * theta_dot**2 + 0.001 * torque**2
-        )
-
-        accel = 3.0 * self.G / (2.0 * self.L) * math.sin(theta) + 3.0 * torque / (
-            self.M * self.L**2
-        )
-        theta_dot = theta_dot + accel * self.DT
-        theta_dot = min(max(theta_dot, -self.MAX_SPEED), self.MAX_SPEED)
-        theta = theta + theta_dot * self.DT
-
-        next_state = np.array([math.cos(theta), math.sin(theta), theta_dot])
-        self._k += 1
-        done = self._k >= self.horizon
-        return StepResult(next_state, float(reward), done, self._k)
+    def step_batch(self, states: np.ndarray, actions):
+        """(next states, rewards, goal reached: never) of each row of
+        `states` (n, 3) under its row of `actions` (n, 1)."""
+        torques = _validate_actions(actions, len(states), 1)
+        next_states, rewards = [], []
+        for (cos_theta, sin_theta, theta_dot), (u,) in zip(np.asarray(states, dtype=np.float64).tolist(), torques):
+            torque = min(max(u, -self.MAX_TORQUE), self.MAX_TORQUE)
+            theta = math.atan2(sin_theta, cos_theta)
+            rewards.append(-(wrap_angle(theta) ** 2 + 0.1 * theta_dot**2 + 0.001 * torque**2))
+            accel = 3.0 * self.G / (2.0 * self.L) * math.sin(theta) + 3.0 * torque / (self.M * self.L**2)
+            theta_dot = min(max(theta_dot + accel * self.DT, -self.MAX_SPEED), self.MAX_SPEED)
+            theta = theta + theta_dot * self.DT
+            next_states.append((math.cos(theta), math.sin(theta), theta_dot))
+        return np.array(next_states).reshape(len(torques), 3), np.array(rewards), np.zeros(len(torques), dtype=bool)
 
 
 def make_env(name: str, *, goal_position: float = 0.45, horizon: Optional[int] = None):

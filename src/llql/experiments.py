@@ -70,57 +70,56 @@ def compute_aggregates(rows) -> dict:
     return agg
 
 
-def _as_step_fn(obj) -> Callable:
-    if isinstance(obj, control.GoalController):
-        return lambda x, k: obj.act(x, k).action
-    return lambda x, k: obj(x)
-
-
 def evaluate(
     env,
-    controller_factory: Callable[[int], object],
+    controller: Callable,
     *,
     runs: int = 10,
     seed0: int = 10_000,
     hazard_limit: Optional[float] = None,
     vel_target: Optional[float] = None,
 ) -> list:
-    """Run seeded evaluation episodes and compute per-run metric rows.
+    """Run seeded evaluation episodes in lockstep and compute per-run rows.
 
-    `controller_factory(seed)` builds a fresh controller per run: a
-    `control.GoalController`, whose `act(state, k)` decision carries the
-    action, or else a policy, called as `policy(state) -> action`.
+    Run j starts from `env.reset(seed0 + j)` and owns a generator seeded
+    by that seed.  All live runs step together: `controller(X, k, rngs)`
+    returns the actions (n, a) at the rows X (n, s) of the live runs'
+    states at step k, given their generators, and `env.step_batch` steps
+    every row; a run that reaches the goal leaves the batch.  Each op
+    computes a row as it would alone, so every row is the one a run
+    stepped alone gives, bit for bit.
     Velocity error is the mean of |state[env.VELOCITY] - vel_target| over
     the visited states that `env.scored` accepts, None when there are none;
     s_out counts the visited states with |state[env.VELOCITY]| > hazard_limit.
     """
-    rows = []
-    for j in range(runs):
-        seed = seed0 + j
-        step_fn = _as_step_fn(controller_factory(seed))
-        x = env.reset(seed)
-        total = 0.0
-        steps = 0
-        success = False
-        s_out = 0
-        vel_errors = []
-        for k in range(env.horizon):
-            u = step_fn(x, k)
-            sr = env.step(x, u)
-            total += sr.reward
-            steps = k + 1
-            x = sr.next_state
-            v = float(x[env.VELOCITY])
+    seeds = [seed0 + j for j in range(runs)]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    X = np.array([env.reset(seed) for seed in seeds]).reshape(runs, env.state_dim)
+    live = list(range(runs))
+    steps, success, s_out = [env.horizon] * runs, [False] * runs, [0] * runs
+    total = [0.0] * runs
+    vel_errors = [[] for _ in seeds]
+    for k in range(env.horizon if runs else 0):
+        X, rewards, reached = env.step_batch(X, controller(X, k, [rngs[j] for j in live]))
+        scored = env.scored(X).tolist() if vel_target is not None else [False] * len(live)
+        for j, reward, v, score, done in zip(live, rewards.tolist(), X[:, env.VELOCITY].tolist(), scored,
+                                             reached.tolist()):
+            total[j] += reward
             if hazard_limit is not None and abs(v) > hazard_limit:
-                s_out += 1
-            if vel_target is not None and env.scored(x):
-                vel_errors.append(abs(v - vel_target))
-            if sr.done:
-                success = env.goal_reached(x)
+                s_out[j] += 1
+            if score:
+                vel_errors[j].append(abs(v - vel_target))
+            if done:
+                steps[j], success[j] = k + 1, True
+        if reached.any():
+            X, live = X[~reached], [j for j, done in zip(live, reached) if not done]
+            if not live:
                 break
-        vel_error = float(np.mean(vel_errors)) if vel_errors else None
-        rows.append(EvalRow(seed, steps, success, vel_error, s_out, total))
-    return rows
+    return [
+        EvalRow(seed, steps[j], success[j], float(np.mean(vel_errors[j])) if vel_errors[j] else None, s_out[j],
+                total[j])
+        for j, seed in enumerate(seeds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +136,13 @@ def mc_velocity_goal(
     the car's position passes `switch_position` (long-term policy before)."""
 
     def target(x, k):
-        return np.array([x[0] + v_d, v_d])
+        out = np.array(x, dtype=np.float64)
+        out[..., 0] += v_d
+        out[..., 1] = v_d
+        return out
 
     return control.TrajectoryGoal(
-        target, gamma1, gamma2, active=lambda x, k: x[0] >= switch_position
+        target, gamma1, gamma2, active=lambda x, k: x[..., 0] >= switch_position
     )
 
 
@@ -159,10 +161,12 @@ def pendulum_upright_velocity_goal(
     """Drive angular velocity to v_d whenever the pendulum is near upright."""
 
     def target(x, k):
-        return np.array([x[0], x[1], v_d])
+        out = np.array(x, dtype=np.float64)
+        out[..., 2] = v_d
+        return out
 
     return control.TrajectoryGoal(
-        target, gamma1, gamma2, active=lambda x, k: x[0] > cos_threshold
+        target, gamma1, gamma2, active=lambda x, k: x[..., 0] > cos_threshold
     )
 
 
@@ -399,6 +403,8 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     params = goal_params(spec.goal) if spec.goal is not None else None
     if params is not None and spec.method in ("ddpg", "mpc"):
         raise GoalError(f"method {spec.method} applies no goal; give the goal to llql or adjust")
+    if spec.reward_mod is not None and spec.method != "mpc":
+        raise ValueError(f"method {spec.method} applies no reward mod; only mpc shapes its planning reward")
     goal = goal_from_dict(params)
     meta: dict = {"method": spec.method, "goal": params, "reward_mod": spec.reward_mod}
 
@@ -406,12 +412,14 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
         dyn, q, model_meta = core.load_llql_model(spec.model_path)
         _check_env_match(env, model_meta, spec.model_path)
         meta["model"] = spec.model_path
+        if goal is None:
+            def controller(X, k, rngs):
+                return control.long_term_action(q, X, rngs).action
+        else:
+            agent = control.GoalController(dyn, goal, qmodel=q)
 
-        def factory(seed):
-            rng = np.random.default_rng(seed)
-            if goal is None:
-                return control.LlqlPolicy(q, rng)
-            return control.GoalController(dyn, goal, qmodel=q, rng=rng)
+            def controller(X, k, rngs):
+                return agent.act(X, k, rngs).action
 
     elif spec.method == "ddpg":
         model, model_meta = baselines.load_ddpg_model(spec.model_path)
@@ -419,8 +427,8 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
         meta["model"] = spec.model_path
         meta["trained_reward_mod"] = model_meta.get("reward_mod")
 
-        def factory(seed):
-            return model
+        def controller(X, k, rngs):
+            return model(X)
 
     elif spec.method == "mpc":
         dyn, _, model_meta = core.load_llql_model(spec.model_path)
@@ -432,11 +440,9 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
         reward_fn = baselines.mountain_car_reward_fn(spec.goal_position, mod)
         cfg = baselines.MpcConfig(spec.mpc_horizon, spec.mpc_candidates)
 
-        def factory(seed):
-            return baselines.MpcPolicy(
-                dyn, reward_fn, cfg, np.random.default_rng(seed),
-                env.action_low, env.action_high,
-            )
+        def controller(X, k, rngs):  # each run plans from its own generator
+            return np.array([baselines.mpc_action(dyn, x, reward_fn, cfg, rng, env.action_low, env.action_high)
+                             for x, rng in zip(X, rngs)])
 
     elif spec.method == "adjust":
         if goal is None:
@@ -450,19 +456,18 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             policy = _policy_from(mf, spec.policy_path)
         else:
             policy = load_policy(spec.policy_path)
+        adjuster = control.GoalController(
+            dyn, goal, policy=policy, action_low=env.action_low, action_high=env.action_high,
+        )
 
-        def factory(seed):
-            return control.GoalController(
-                dyn, goal, policy=policy,
-                action_low=env.action_low, action_high=env.action_high,
-                rng=np.random.default_rng(seed),
-            )
+        def controller(X, k, rngs):
+            return adjuster.act(X, k, rngs).action
 
     else:
         raise ValueError(f"unknown method {spec.method!r}")
 
     v_d = spec.v_d if spec.v_d is not None else (params or {}).get("v_d")
-    rows = evaluate(env, factory, runs=spec.eval_runs, seed0=spec.eval_seed0,
+    rows = evaluate(env, controller, runs=spec.eval_runs, seed0=spec.eval_seed0,
                     hazard_limit=spec.hazard_limit, vel_target=v_d)
     return EvalReport(rows=rows, env=env.spec.to_dict(), meta=meta)
 

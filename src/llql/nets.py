@@ -216,19 +216,20 @@ class HeadBank:
     def copy(self) -> "HeadBank":
         return HeadBank(self.layer_sizes, self.shapes, self.flat_params.copy())
 
-    def _workspace(self, kind: str, n: int) -> list:
-        """Views for a batch of n rows into the bank's `kind` workspace, a
-        vector kept across calls that grows to the largest batch seen; the
-        views of each batch size are kept too.  "forward": each hidden
-        layer's (heads, n, width) activations, each head's (n, outputs)
-        output, then every output as one vector.  "backward": each hidden
-        layer's delta and ReLU mask."""
-        views = self._batch_views.get((kind, n))
+    def _workspace(self, kind: str, rows: tuple) -> list:
+        """Views for inputs of leading shape `rows` (a batch of n as (n,),
+        R independent batches of n as (R, n)) into the bank's `kind`
+        workspace, a vector kept across calls that grows to the largest
+        input seen; the views of each shape are kept too.  "forward": each
+        hidden layer's (heads, *rows, width) activations, each head's
+        (*rows, outputs) output, then every output as one vector.
+        "backward": each hidden layer's delta and ReLU mask."""
+        views = self._batch_views.get((kind, rows))
         if views is None:
             heads, L = len(self.heads), self._n_hidden
-            hidden = [(heads, n, W.shape[2]) for W in self.weights[:L]]
+            hidden = [(heads, *rows, W.shape[-1]) for W in self.weights[:L]]
             if kind == "forward":
-                shapes = hidden + [(n, W.shape[1]) for W in self.weights[L:]]
+                shapes = hidden + [(*rows, W.shape[1]) for W in self.weights[L:]]
             else:
                 shapes = [shape for shape in hidden for _ in ("delta", "mask")]
             bounds = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
@@ -239,22 +240,27 @@ class HeadBank:
             views = [buf[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
             if kind == "forward":
                 views.append(buf[bounds[L] : bounds[-1]])
-            self._batch_views[kind, n] = views
+            self._batch_views[kind, rows] = views
         return views
 
     def _run(self, x: np.ndarray) -> list:
-        """Forward pass of every head on the batch `x` in the bank's dtype,
-        into the forward workspace; returns its views."""
-        if x.shape[1] != self.layer_sizes[0][0]:
+        """Forward pass of every head on `x` in the bank's dtype, into the
+        forward workspace; returns its views.  `x` is a batch (n, in), or
+        independent batches (R, n, in) behind a leading axis: each of those
+        is one slice of every stacked matmul, so one-row batches (R, 1, in)
+        run the GEMV a lone input runs and give its bits, where one batch
+        of R rows runs a GEMM, whose rows can differ in the last bits."""
+        if x.shape[-1] != self.layer_sizes[0][0]:
             raise ValueError(
-                f"input has {x.shape[1]} features, network expects {self.layer_sizes[0][0]}"
+                f"input has {x.shape[-1]} features, network expects {self.layer_sizes[0][0]}"
             )
         L = self._n_hidden
-        views = self._workspace("forward", len(x))
+        views = self._workspace("forward", x.shape[:-1])
+        lead = (slice(None),) + (None,) * (x.ndim - 2)  # the head axis, then the leading axes
         a = x
         for W, b, out in zip(self.weights[:L], self.biases[:L], views):
-            np.matmul(a, W, out=out)
-            out += b[:, None, :]
+            np.matmul(a, W[lead], out=out)
+            out += b[lead + (None,)]
             np.maximum(out, 0.0, out=out)
             a = out
         for k, (W, b, out) in enumerate(zip(self.weights[L:], self.biases[L:], views[L:])):
@@ -264,15 +270,16 @@ class HeadBank:
 
     def forward(self, x: np.ndarray) -> list:
         """Every head's output in float64, shaped by its head's shape, at one
-        input vector or behind a leading batch axis for a batch."""
+        input vector, or behind the leading axes of a batch (n, in) or of
+        independent batches (R, n, in); see `_run`."""
         x = np.asarray(x, dtype=self.dtype)
-        lead = x.shape[:-1]
         batch = x.reshape(1, -1) if x.ndim == 1 else x
         flat = self._run(batch)[-1].astype(np.float64)
+        rows = math.prod(batch.shape[:-1])
         outs, offset = [], 0
         for sizes, shape in zip(self.layer_sizes, self.shapes):
-            end = offset + len(batch) * sizes[-1]
-            outs.append(flat[offset:end].reshape(lead + shape))
+            end = offset + rows * sizes[-1]
+            outs.append(flat[offset:end].reshape(x.shape[:-1] + shape))
             offset = end
         return outs
 
@@ -295,7 +302,7 @@ class HeadBank:
             self._grads = Grads(self.layer_sizes, self.dtype)
         gW, gb = self._grads.weights, self._grads.biases
         L, acts, gin = self._n_hidden, caches, None
-        work = self._workspace("backward", len(acts[0]))
+        work = self._workspace("backward", (len(acts[0]),))
         for k, g in enumerate(grad_outs):
             g = np.asarray(g, dtype=self.dtype).reshape(len(g), -1)
             a = acts[L][k] if L else acts[0]

@@ -209,6 +209,18 @@ def test_ddpg_reward_mod_changes_training():
     assert not np.array_equal(plain.critic.flat_params, shaped.critic.flat_params)
 
 
+def test_ddpg_rejects_a_reward_mod_on_the_pendulum(tmp_path):
+    # the mods shape mountain car's position and velocity, not (cos, sin) of an angle
+    from llql import experiments
+
+    with pytest.raises(ValueError, match="mountain car"):
+        ddpg_train(Pendulum(horizon=10), tiny_ddpg(), get_reward_mod("c1"))
+    with pytest.raises(ValueError, match="mountain car"):
+        experiments.train_and_save(Pendulum(horizon=10), "ddpg", tiny_ddpg(), tmp_path / "m.model", {},
+                                   reward_mod="c1")
+    assert not (tmp_path / "m.model").exists()
+
+
 def test_ddpg_save_load_round_trip(tmp_path):
     env = MountainCar(horizon=15)
     model, _ = ddpg_train(env, tiny_ddpg())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import textwrap
@@ -374,9 +375,9 @@ def test_hybrid_trajectory_switches_on_position():
         gamma1=1.0, gamma2=2000.0,
         active=lambda x, k: x[0] >= 0.0,
     )
-    ctl = GoalController(dyn, goal, qmodel=q, rng=rng())
-    left = ctl.act(np.array([-0.5, 0.03]), 0)
-    right = ctl.act(np.array([0.1, 0.03]), 1)
+    ctl = GoalController(dyn, goal, qmodel=q)
+    left = ctl.act(np.array([-0.5, 0.03]), 0, rng())
+    right = ctl.act(np.array([0.1, 0.03]), 1, rng())
     assert left.branch == "long_term"
     assert right.branch == "trajectory"
     assert ctl.branch_counts == {"long_term": 1, "trajectory": 1}
@@ -385,9 +386,9 @@ def test_hybrid_trajectory_switches_on_position():
 def test_hybrid_constraint_switches_on_speed():
     q, dyn = mc_like_models()
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.033)
-    ctl = GoalController(dyn, goal, qmodel=q, rng=rng())
-    slow = ctl.act(np.array([-0.5, 0.02]), 0)
-    fast = ctl.act(np.array([-0.5, 0.034]), 1)
+    ctl = GoalController(dyn, goal, qmodel=q)
+    slow = ctl.act(np.array([-0.5, 0.02]), 0, rng())
+    fast = ctl.act(np.array([-0.5, 0.034]), 1, rng())
     assert slow.branch == "long_term"
     assert fast.branch == "constraint"
     assert fast.detail.active
@@ -396,8 +397,8 @@ def test_hybrid_constraint_switches_on_speed():
 def test_hybrid_constraint_picks_nearer_side():
     q, dyn = mc_like_models()
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033)
-    ctl = GoalController(dyn, goal, qmodel=q, rng=rng())
-    down = ctl.act(np.array([-0.5, -0.04]), 0)
+    ctl = GoalController(dyn, goal, qmodel=q)
+    down = ctl.act(np.array([-0.5, -0.04]), 0, rng())
     assert down.branch == "constraint"
     assert down.detail.predicted >= -0.033 - 1e-8
 
@@ -409,9 +410,9 @@ def test_goal_expiry_reverts_to_base():
         gamma1=1.0, gamma2=1.0,
         active=lambda x, k: k < 5,
     )
-    ctl = GoalController(dyn, goal, qmodel=q, rng=rng())
-    assert ctl.act(np.array([0.0, 0.0]), 4).branch == "trajectory"
-    assert ctl.act(np.array([0.0, 0.0]), 5).branch == "long_term"
+    ctl = GoalController(dyn, goal, qmodel=q)
+    assert ctl.act(np.array([0.0, 0.0]), 4, rng()).branch == "trajectory"
+    assert ctl.act(np.array([0.0, 0.0]), 5, rng()).branch == "long_term"
 
 
 def test_hybrid_policy_mode_uses_approximation():
@@ -426,7 +427,7 @@ def test_hybrid_policy_mode_uses_approximation():
     ctl = GoalController(
         dyn, goal, policy=policy, action_low=np.array([-1.0]), action_high=np.array([1.0]),
     )
-    out = ctl.act(np.array([-0.5, 0.02]), 0)
+    out = ctl.act(np.array([-0.5, 0.02]), 0, rng())
     assert out.branch == "constraint"
     assert calls  # the policy supplied u_N
 
@@ -437,16 +438,16 @@ def test_uncontrollable_step_falls_back_to_the_base_action():
     q = make_qmodel(v=0.0, h=[0.5], d=[[1.0]], state_dim=2, low=-1.0, high=1.0)
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.0)
     x = np.array([-0.5, 0.05])
-    agent = GoalController(dyn, goal, qmodel=q, rng=rng())
+    agent = GoalController(dyn, goal, qmodel=q)
     approx = GoalController(
         dyn, goal, policy=lambda x: np.array([1.5]), action_low=np.array([-1.0]), action_high=np.array([1.0]),
     )
     for ctl, base in ((agent, long_term_action(q, x, rng()).action), (approx, np.array([1.0]))):
-        out = ctl.act(x, 0)
+        out = ctl.act(x, 0, rng())
         assert out.branch == "fallback"
         assert isinstance(out.detail, UncontrollableConstraintError)
         assert np.array_equal(out.action, base)
-        ctl.act(np.array([-0.5, 0.0]), 1)  # v = 0 is inside the margin
+        ctl.act(np.array([-0.5, 0.0]), 1, rng())  # v = 0 is inside the margin
         assert ctl.branch_counts == {"fallback": 1, "long_term" if ctl is agent else "policy": 1}
 
 
@@ -462,6 +463,99 @@ def test_llql_policy_callable():
     q = make_qmodel(v=0.0, h=[2.0], d=[[1.0]], low=-1.0, high=1.0)
     policy = LlqlPolicy(q)
     assert policy(np.zeros(1))[0] == -1.0  # -2 clipped
+
+
+# ---------------------------------------------------------------------------
+# Rows: an op or a controller on rows computes each row as it would alone
+# ---------------------------------------------------------------------------
+
+
+def same(a, b) -> bool:
+    """Whether two results (or two errors) are equal, arrays bit for bit."""
+    if isinstance(a, Exception) or a is None:
+        return type(a) is type(b) and str(a) == str(b)
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(*([getattr(r, f.name) for f in dataclasses.fields(r)] for r in (a, b)))
+    )
+
+
+def random_models(state_dim, seed):
+    """Value and dynamics models on small random float32 banks, whose
+    coefficients vary from state to state."""
+    rnd = np.random.default_rng(seed)
+    q = QModel(
+        HeadBank.create(state_dim, (8, 8), QModel.head_shapes(1), rnd, np.float32),
+        Normalizer(rnd.normal(size=state_dim), rnd.uniform(0.5, 2.0, state_dim)), np.array([-1.0]), np.array([1.0]),
+    )
+    dyn = DynamicsModel(
+        HeadBank.create(state_dim, (8, 8), DynamicsModel.head_shapes(state_dim, 1), rnd, np.float32), 0.05,
+        Normalizer.identity(state_dim),
+    )
+    return q, dyn
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except UncontrollableConstraintError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("goal", [ConstraintGoal(1, -0.02, "lower"), SymmetricConstraintGoal(1, 0.02, margin=0.0)],
+                         ids=["lower", "symmetric"])
+def test_synthesis_on_rows_equals_one_state_calls_bitwise(goal):
+    q, dyn = random_models(2, 3)
+    rnd = np.random.default_rng(4)
+    X = rnd.normal(size=(12, 2))
+    U_n, T = rnd.uniform(-1.5, 1.5, (12, 1)), X + rnd.normal(scale=0.1, size=X.shape)
+    low, high = q.action_low, q.action_high
+
+    def ops(x, u_n, target, goal, gen):
+        return {
+            "long_term": long_term_action(q, x, gen),
+            "trajectory": trajectory_action(q, dyn, x, target, 1.0, 50.0, gen),
+            "approx_trajectory": approx_trajectory_action(u_n, dyn, x, target, 1.0, 50.0,
+                                                          action_low=low, action_high=high),
+            "constraint": outcome(constraint_action, q, dyn, x, goal, gen),
+            "approx_constraint": outcome(approx_constraint_action, u_n, dyn, x, goal, action_low=low,
+                                         action_high=high),
+        }
+
+    rows = ops(X, U_n, T, goal, [np.random.default_rng(j) for j in range(len(X))])
+    for j in range(len(X)):
+        resolved = goal.resolve(X[j]) if isinstance(goal, SymmetricConstraintGoal) else goal
+        for name, one in ops(X[j], U_n[j], T[j], resolved, np.random.default_rng(j)).items():
+            got = rows[name]
+            if isinstance(got, list):
+                assert same(got[j], one), name
+            else:
+                assert np.array_equal(got.action[j], one.action) and np.array_equal(got.action_raw[j], one.action_raw)
+                assert (got.fallback and got.fallback[j]) == one.fallback
+    assert 0 < sum(sol.active for sol in rows["constraint"]) < len(X)
+
+
+def test_goal_controller_rows_decide_as_each_row_alone():
+    q = make_qmodel(v=0.0, h=[0.5], d=[[1.0]], state_dim=2, low=-1.0, high=1.0)
+    X = np.array([[-0.5, 0.05], [-0.5, 0.01], [-0.3, -0.04], [-0.2, 0.0], [0.1, 0.03]])
+    limit = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.033)
+    track = TrajectoryGoal(lambda x, k: x + 0.01, gamma1=1.0, gamma2=2000.0, active=lambda x, k: x[..., 0] >= -0.4)
+    branches = set()
+    # g moves the velocity, or not at all: then every engaged row falls back
+    for g in ([[1.0], [1.0]], [[1.0], [0.0]]):
+        dyn = make_dynamics([0.0, 0.0], np.array(g), state_dim=2)
+        for goal in (limit, track):
+            for source in (dict(qmodel=q), dict(policy=lambda x: 0.5 * x[..., :1] + 0.9,
+                                                action_low=np.array([-1.0]), action_high=np.array([1.0]))):
+                lockstep, alone = GoalController(dyn, goal, **source), GoalController(dyn, goal, **source)
+                got = lockstep.act(X, 3, [rng() for _ in X])
+                for j, x in enumerate(X):
+                    one = alone.act(x, 3, rng())
+                    assert np.array_equal(got.action[j], one.action)
+                    assert got.branch[j] == one.branch and same(got.detail[j], one.detail)
+                assert lockstep.branch_counts == alone.branch_counts
+                branches.update(got.branch)
+    assert branches == {"long_term", "policy", "trajectory", "constraint", "fallback"}
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +588,13 @@ def test_external_policy_round_trip():
         assert out[0] == pytest.approx(0.4)
         out2 = policy(np.array([-1.0, 0.0]))
         assert out2[0] == pytest.approx(-0.5)
+
+
+def test_external_policy_pipelines_rows_in_order():
+    X = np.random.default_rng(0).normal(size=(150, 2))  # more rows than one write carries
+    with ExternalProcessPolicy([sys.executable, "-c", ECHO_CHILD]) as policy:
+        U = policy(X)
+        assert U.shape == (150, 1) and np.array_equal(U, np.array([policy(x) for x in X]))
 
 
 def test_external_policy_timeout():

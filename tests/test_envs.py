@@ -200,3 +200,71 @@ def test_make_env():
     assert make_env("mountain_car", goal_position=0.5).goal_position == 0.5
     with pytest.raises(ValueError):
         make_env("cartpole")
+
+
+# The per-state physics before the environments stepped rows, kept as the
+# reference that `step_batch` must reproduce bit for bit.
+
+
+def reference_mountain_car_step(env, state, u):
+    force = min(max(float(u), -1.0), 1.0)
+    position, velocity = float(state[0]), float(state[1])
+    velocity += force * env.POWER - env.GRAVITY * math.cos(3.0 * position)
+    velocity = min(max(velocity, -env.MAX_SPEED), env.MAX_SPEED)
+    position += velocity
+    position = min(max(position, env.MIN_POSITION), env.MAX_POSITION)
+    if position == env.MIN_POSITION:
+        velocity = 0.0
+    reached = position >= env.goal_position
+    return np.array([position, velocity]), -0.1 * force * force + (100.0 if reached else 0.0), reached
+
+
+def reference_pendulum_step(env, state, u):
+    torque = min(max(float(u), -env.MAX_TORQUE), env.MAX_TORQUE)
+    theta = math.atan2(float(state[1]), float(state[0]))
+    theta_dot = float(state[2])
+    reward = -(wrap_angle(theta) ** 2 + 0.1 * theta_dot**2 + 0.001 * torque**2)
+    accel = 3.0 * env.G / (2.0 * env.L) * math.sin(theta) + 3.0 * torque / (env.M * env.L**2)
+    theta_dot = min(max(theta_dot + accel * env.DT, -env.MAX_SPEED), env.MAX_SPEED)
+    theta = theta + theta_dot * env.DT
+    return np.array([math.cos(theta), math.sin(theta), theta_dot]), reward, False
+
+
+def mountain_car_rows(rng, n):
+    """Random states and forces, a third of them at the left wall, at the
+    speed limit or just short of the hilltop."""
+    X = np.column_stack([rng.uniform(-1.2, 0.6, n), rng.uniform(-0.07, 0.07, n)])
+    X[0::6] = np.column_stack([rng.uniform(-1.2, -1.15, len(X[0::6])), rng.uniform(-0.07, -0.03, len(X[0::6]))])
+    X[1::6, 1] = rng.choice([-0.07, 0.07], len(X[1::6]))
+    X[2::6] = np.column_stack([rng.uniform(0.4, 0.45, len(X[2::6])), rng.uniform(0.0, 0.07, len(X[2::6]))])
+    return X, rng.uniform(-2.0, 2.0, (n, 1))
+
+
+def pendulum_rows(rng, n):
+    """Random states and torques, a third of them near theta = +-pi, where
+    the angle wraps, or at the speed limit."""
+    theta = rng.uniform(-math.pi, math.pi, n)
+    theta[0::3] = rng.choice([-1.0, 1.0], len(theta[0::3])) * (math.pi - rng.uniform(0.0, 0.05, len(theta[0::3])))
+    X = np.column_stack([np.cos(theta), np.sin(theta), rng.uniform(-8.0, 8.0, n)])
+    X[1::3, 2] = rng.choice([-8.0, 8.0], len(X[1::3]))
+    return X, rng.uniform(-4.0, 4.0, (n, 1))
+
+
+@pytest.mark.parametrize("env, reference, rows", [
+    (MountainCar(), reference_mountain_car_step, mountain_car_rows),
+    (Pendulum(), reference_pendulum_step, pendulum_rows),
+], ids=["mountain_car", "pendulum"])
+def test_step_batch_equals_the_per_state_physics_bitwise(env, reference, rows):
+    X, U = rows(np.random.default_rng(4), 3000)
+    states, rewards, reached = env.step_batch(X, U)
+    expected = [reference(env, x, u[0]) for x, u in zip(X, U)]
+    assert np.array_equal(states, np.array([e[0] for e in expected]))
+    assert np.array_equal(rewards, np.array([e[1] for e in expected]))
+    assert reached.tolist() == [e[2] for e in expected]
+    if isinstance(env, MountainCar):
+        assert 0 < reached.sum() < len(X) and (states[:, 0] == env.MIN_POSITION).any()
+    env.reset(0)
+    one = env.step(X[5], U[5])
+    assert np.array_equal(one.next_state, states[5]) and one.reward == rewards[5] and one.step_index == 1
+    with pytest.raises(InvalidActionError):
+        env.step_batch(X[:2], U[:1])

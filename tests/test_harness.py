@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llql import baselines, cli, core, experiments, reports
+from llql import baselines, cli, control, core, experiments, reports
 from llql.control import LlqlPolicy
 from llql.cli import ConfigError, build_config, main, parse_config_file
 from llql.experiments import EvalReport, EvalRow, compute_aggregates, evaluate, goal_from_dict
@@ -45,10 +45,10 @@ def test_aggregates_recomputable_from_rows():
 def test_evaluate_metrics_on_scripted_policy():
     env = MountainCar(horizon=50)
 
-    def factory(seed):
-        return lambda x: np.array([1.0])
+    def full_throttle(X, k, rngs):
+        return np.ones((len(X), 1))
 
-    rows = evaluate(env, factory, runs=3, seed0=123, hazard_limit=0.002, vel_target=0.0)
+    rows = evaluate(env, full_throttle, runs=3, seed0=123, hazard_limit=0.002, vel_target=0.0)
     assert len(rows) == 3
     for row in rows:
         assert row.steps == 50 and not row.success
@@ -60,7 +60,7 @@ def test_evaluate_metrics_on_scripted_policy():
 def test_evaluate_scores_mountain_car_velocity_at_the_hilltop():
     # a hilltop at the left wall: the first step reaches it and is scored
     env = MountainCar(goal_position=-1.2, horizon=10)
-    rows = evaluate(env, lambda seed: (lambda x: np.array([0.0])), runs=1, seed0=5, vel_target=0.01)
+    rows = evaluate(env, lambda X, k, rngs: np.zeros((len(X), 1)), runs=1, seed0=5, vel_target=0.01)
     x = env.step(env.reset(5), np.array([0.0])).next_state
     assert rows[0].steps == 1 and rows[0].success
     assert rows[0].vel_error == abs(x[1] - 0.01) > 0
@@ -68,7 +68,7 @@ def test_evaluate_scores_mountain_car_velocity_at_the_hilltop():
 
 def test_evaluate_zero_runs_gives_empty_report():
     env = MountainCar(horizon=10)
-    rows = evaluate(env, lambda seed: (lambda x: np.array([0.0])), runs=0)
+    rows = evaluate(env, lambda X, k, rngs: np.zeros((len(X), 1)), runs=0)
     assert rows == []
     agg = compute_aggregates(rows)
     assert agg["runs"] == 0 and agg["success"] == 0
@@ -256,8 +256,10 @@ def test_log_csv_of_direct_and_cached_training_agree(tmp_path):
 def test_report_csv_numeric_cells_parse(tmp_path, env_name):
     # full force along the velocity reaches the hilltop and swings the pendulum upright
     env = make_env(env_name, horizon=200)
-    pump = lambda x: np.array([env.action_high[0] if x[env.VELOCITY] >= 0 else env.action_low[0]])  # noqa: E731
-    rows = evaluate(env, lambda seed: pump, runs=2, hazard_limit=0.01, vel_target=0.0)
+    def pump(X, k, rngs):
+        return np.where(X[:, [env.VELOCITY]] >= 0, env.action_high[0], env.action_low[0])
+
+    rows = evaluate(env, pump, runs=2, hazard_limit=0.01, vel_target=0.0)
     reports.write_report_csv(EvalReport(rows, env.spec.to_dict(), {}), tmp_path / "r.csv")
     for line in (tmp_path / "r.csv").read_text().splitlines()[1:]:
         seed, steps, success, vel_error, s_out, cum_reward = line.split(",")
@@ -493,6 +495,96 @@ def saved_model(path, env, method="llql"):
         result = core.train(env, tiny_train_config())
         core.save_llql_model(path, result.dynamics, result.qmodel, {"env": env.spec.to_dict()})
     return str(path)
+
+
+def per_run_rows(env, controller, runs, seed0, hazard_limit, vel_target):
+    """The evaluation loop before lockstep, kept as the reference: one run
+    at a time, one state at a time, each run with its own generator."""
+    rows = []
+    for seed in range(seed0, seed0 + runs):
+        rng = np.random.default_rng(seed)
+        x = env.reset(seed)
+        total, steps, success, s_out, vel_errors = 0.0, 0, False, 0, []
+        for k in range(env.horizon):
+            sr = env.step(x, controller(x, k, rng))
+            total += sr.reward
+            steps = k + 1
+            x = sr.next_state
+            v = float(x[env.VELOCITY])
+            if hazard_limit is not None and abs(v) > hazard_limit:
+                s_out += 1
+            if vel_target is not None and env.scored(x):
+                vel_errors.append(abs(v - vel_target))
+            if sr.done:
+                success = bool(env.goal_reached(x))
+                break
+        rows.append(EvalRow(seed, steps, success, float(np.mean(vel_errors)) if vel_errors else None, s_out, total))
+    return rows
+
+
+def controllers(env, model_path, ddpg_path):
+    """Each evaluation mode's controller, built as `run_experiment` builds it."""
+    dyn, q, _ = core.load_llql_model(model_path)
+    name = env.spec.name
+    trajectory = goal_from_dict({"kind": "mc_trajectory", "v_d": 0.01, "switch_position": -0.5}
+                                if name == "mountain_car" else {"kind": "pendulum_trajectory"})
+    constraint = goal_from_dict({"kind": "mc_constraint", "bound": 0.005, "margin": 0.0}
+                                if name == "mountain_car" else {"kind": "pendulum_constraint", "bound": 1.0})
+    low, high = env.action_low, env.action_high
+    ddpg = baselines.load_ddpg_model(ddpg_path)[0]
+    out = {
+        "greedy": lambda X, k, rng: control.long_term_action(q, X, rng).action,
+        "ddpg": lambda X, k, rng: ddpg(X),
+    }
+    for mode, goal, kwargs in (
+        ("trajectory", trajectory, dict(qmodel=q)),
+        ("constraint", constraint, dict(qmodel=q)),
+        ("adjust_trajectory", trajectory, dict(policy=LlqlPolicy(q), action_low=low, action_high=high)),
+        ("adjust_constraint", constraint, dict(policy=ddpg, action_low=low, action_high=high)),
+    ):
+        ctl = control.GoalController(dyn, goal, **kwargs)
+        out[mode] = lambda X, k, rng, ctl=ctl: ctl.act(X, k, rng).action
+    if name == "mountain_car":
+        reward_fn = baselines.mountain_car_reward_fn(env.goal_position)
+        cfg = baselines.MpcConfig(horizon=3, candidates=20)
+
+        def mpc(X, k, rng):
+            if isinstance(rng, np.random.Generator):
+                return baselines.mpc_action(dyn, X, reward_fn, cfg, rng, low, high)
+            return np.array([baselines.mpc_action(dyn, x, reward_fn, cfg, r, low, high) for x, r in zip(X, rng)])
+
+        out["mpc"] = mpc
+    return out
+
+
+@pytest.mark.parametrize("env", [MountainCar(goal_position=-0.45, horizon=60), make_env("pendulum", horizon=40)],
+                         ids=["mountain_car", "pendulum"])
+def test_lockstep_evaluate_equals_the_per_run_loop_bitwise(tmp_path, env):
+    model = saved_model(tmp_path / "llql.model", env)
+    ddpg = saved_model(tmp_path / "ddpg.model", env, "ddpg")
+    scoring = [(0.01, 0.0), (None, None)] if env.spec.name == "mountain_car" else [(1.0, 0.0), (None, None)]
+    rows = []
+    for mode, controller in controllers(env, model, ddpg).items():
+        for hazard_limit, vel_target in scoring:
+            got = evaluate(env, controller, runs=5, seed0=70, hazard_limit=hazard_limit, vel_target=vel_target)
+            assert got == per_run_rows(env, controller, 5, 70, hazard_limit, vel_target), mode
+            rows += got
+    # the runs of one evaluation end at different steps, and every column is exercised
+    if env.spec.name == "mountain_car":
+        assert len({r.steps for r in rows}) > 3 and any(r.success for r in rows)
+    assert any(r.vel_error is None for r in rows) and any(r.vel_error is not None for r in rows)
+    assert any(r.s_out for r in rows)
+
+
+@pytest.mark.parametrize("method", ["llql", "ddpg", "adjust"])
+def test_run_experiment_rejects_a_reward_mod_the_method_ignores(tmp_path, method):
+    env = MountainCar(horizon=10)
+    path = saved_model(tmp_path / "m.model", env, "ddpg" if method == "ddpg" else "llql")
+    spec = experiments.ExperimentSpec(env="mountain_car", method=method, model_path=path, policy_path=path,
+                                      dynamics_path=path, reward_mod="c1", eval_runs=1, horizon=10,
+                                      goal={"kind": "mc_constraint"} if method == "adjust" else None)
+    with pytest.raises(ValueError, match="reward mod"):
+        experiments.run_experiment(spec)
 
 
 def test_run_experiment_ddpg_rows_equal_a_rollout_of_the_model(tmp_path):

@@ -541,6 +541,28 @@ def test_bank_results_equal_each_heads_own_results_bitwise(n, hidden, dtype):
             assert np.array_equal(one, out[0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [(40, 30), (50,), ()], ids=["two_hidden", "one_hidden", "no_hidden"])
+@pytest.mark.parametrize("shapes", [SHAPES, ((2,), (2, 1))], ids=["three_heads", "two_heads"])
+@pytest.mark.parametrize("R", [1, 2, 3, 10])
+def test_rows_of_one_row_batches_equal_one_input_forwards_bitwise(R, shapes, hidden, dtype):
+    # R inputs as (R, 1, in) are R one-row batches: each runs the GEMV one
+    # input runs, where a batch (R, in) runs a GEMM whose rows may differ
+    bank = HeadBank.create(3, hidden, shapes, np.random.default_rng(9), dtype)
+    rng = np.random.default_rng(R)
+    bank.flat_params[...] += rng.normal(0.0, 0.1, size=bank.n_params).astype(dtype)
+    X = rng.standard_normal((R, 3))
+    bank.forward(rng.standard_normal((7, 3)))  # a larger batch first: the workspaces are reused
+    rows = bank.forward(X[:, None, :])
+    for out, shape in zip(rows, shapes):
+        assert out.shape == (R, 1) + shape
+    for j in range(R):
+        for out, one in zip(rows, bank.forward(X[j])):
+            assert np.array_equal(out[j, 0], one)
+    net = bank.heads[1]
+    assert np.array_equal(net.forward(X[:, None, :])[:, 0], np.array([net.forward(x) for x in X]))
+
+
 def test_bank_workspaces_follow_the_batch_size_up_and_down():
     bank = HeadBank.create(3, (5, 4), SHAPES, np.random.default_rng(6), np.float32)
     bank.flat_params[...] += np.random.default_rng(7).normal(0.0, 0.1, size=bank.n_params).astype(np.float32)

@@ -27,14 +27,14 @@ SEEDS = range(4)
 
 
 class OracleDynamics:
-    """Exact mountain-car model while nothing clips."""
+    """Exact mountain-car model while nothing clips, at one state or rows."""
 
     delta = DELTA
 
     def coefficients(self, x):
-        p, v = float(x[0]), float(x[1])
-        a = -GRAVITY * math.cos(3.0 * p)
-        return np.array([v + a, a]) / DELTA, np.array([[POWER], [POWER]]) / DELTA
+        a = -GRAVITY * np.cos(3.0 * x[..., 0])
+        g = np.broadcast_to(np.array([[POWER], [POWER]]) / DELTA, x.shape[:-1] + (2, 1))
+        return np.stack([x[..., 1] + a, a], axis=-1) / DELTA, g
 
     def predict_next(self, x, u):
         f, g = self.coefficients(x)
@@ -42,8 +42,9 @@ class OracleDynamics:
 
 
 def pump(x):
-    """Bang-bang energy pumping: push along the velocity, sign(v)."""
-    return np.array([1.0 if x[1] >= 0 else -1.0])
+    """Bang-bang energy pumping: push along the velocity, sign(v), at one
+    state or rows."""
+    return np.where(x[..., 1:2] >= 0, 1.0, -1.0)
 
 
 class OracleQ:
@@ -53,7 +54,7 @@ class OracleQ:
     action_high = np.array([1.0])
 
     def coefficients(self, x):
-        return 0.0, -pump(x), np.eye(1)
+        return np.zeros(x.shape[:-1]), -pump(x), np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1))
 
 
 def free_velocity(x):
@@ -64,10 +65,10 @@ def free_velocity(x):
 def rollout(controller, seed, steps=300):
     """(state, next state) pairs of one episode that never reaches the goal."""
     env = MountainCar(goal_position=0.6, horizon=steps)
-    x = env.reset(seed)
+    x, rng = env.reset(seed), np.random.default_rng(seed)
     pairs = []
     for k in range(steps):
-        decision = controller.act(x, k)
+        decision = controller.act(x, k, rng)
         res = env.step(x, decision.action)
         pairs.append((x, res.next_state, decision))
         x = res.next_state
@@ -167,8 +168,9 @@ class PendulumOracleDynamics:
     delta = DT
 
     def coefficients(self, x):
-        gravity = 1.5 * Pendulum.G / Pendulum.L * float(x[1]) * DT  # 0.75 sin(theta)
-        return np.array([0.0, 0.0, gravity]) / DT, np.array([[0.0], [0.0], [GAIN]]) / DT
+        gravity = 1.5 * Pendulum.G / Pendulum.L * x[..., 1] * DT  # 0.75 sin(theta)
+        g = np.broadcast_to(np.array([[0.0], [0.0], [GAIN]]) / DT, x.shape[:-1] + (3, 1))
+        return np.stack([np.zeros_like(gravity), np.zeros_like(gravity), gravity], axis=-1) / DT, g
 
     def predict_next(self, x, u):
         f, g = self.coefficients(x)
@@ -176,8 +178,9 @@ class PendulumOracleDynamics:
 
 
 def spin(x):
-    """Bang-bang pumping: full torque along the angular velocity."""
-    return np.array([TORQUE if x[2] >= 0 else -TORQUE])
+    """Bang-bang pumping: full torque along the angular velocity, at one
+    state or rows."""
+    return np.where(x[..., 2:3] >= 0, TORQUE, -TORQUE)
 
 
 class PendulumOracleQ:
@@ -187,7 +190,7 @@ class PendulumOracleQ:
     action_high = np.array([TORQUE])
 
     def coefficients(self, x):
-        return 0.0, -spin(x), np.eye(1)
+        return np.zeros(x.shape[:-1]), -spin(x), np.broadcast_to(np.eye(1), x.shape[:-1] + (1, 1))
 
 
 def free_spin(x):
@@ -207,10 +210,10 @@ def pendulum_controller(which, goal):
 
 def pendulum_rollout(controller, seed, steps):
     env = Pendulum(horizon=steps)
-    x = env.reset(seed)
+    x, rng = env.reset(seed), np.random.default_rng(seed)
     pairs = []
     for k in range(steps):
-        decision = controller.act(x, k)
+        decision = controller.act(x, k, rng)
         x_next = env.step(x, decision.action).next_state
         pairs.append((x, x_next, decision))
         x = x_next
