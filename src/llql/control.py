@@ -507,7 +507,8 @@ class GoalController:
         self.branch_counts: dict = {}
 
     def _base(self, X, U_n, rngs, rows) -> tuple:
-        """(actions, branch, details) of the base action on `rows` of X."""
+        """(actions, branch, one detail per row) of the base action on
+        `rows` of X."""
         if self.qmodel is not None:
             res = long_term_action(self.qmodel, X[rows], [rngs[j] for j in rows])
             return res.action, "long_term", _split(res)
@@ -526,10 +527,10 @@ class GoalController:
         if goal is not None:
             on[:] = goal.active(x, k)
         U_n = None if self.policy is None else np.asarray(self.policy(x), dtype=np.float64).reshape(len(X), -1)
-        decision = Decision(np.empty((len(X), len(self.action_low) if U_n is None else U_n.shape[1])),
-                            [None] * len(X), [None] * len(X))
+        parts = []  # (rows, their actions, branch, one detail per row)
         if not on.all():
-            self._decide(decision, np.flatnonzero(~on), *self._base(X, U_n, rngs, np.flatnonzero(~on)))
+            rows = np.flatnonzero(~on)
+            parts.append((rows, *self._base(X, U_n, rngs, rows)))
         rows = np.flatnonzero(on)
         if rows.size and isinstance(goal, TrajectoryGoal):
             target = np.asarray(goal.target(x, k), dtype=np.float64).reshape(X.shape)[rows]
@@ -541,7 +542,7 @@ class GoalController:
                     U_n[rows], self.dyn, X[rows], target, goal.gamma1, goal.gamma2,
                     action_low=self.action_low, action_high=self.action_high,
                 )
-            self._decide(decision, rows, res.action, "trajectory", _split(res))
+            parts.append((rows, res.action, "trajectory", _split(res)))
         elif rows.size:
             if self.qmodel is not None:
                 sols = constraint_action(self.qmodel, self.dyn, X[rows], goal, [rngs[j] for j in rows])
@@ -549,25 +550,28 @@ class GoalController:
                 sols = approx_constraint_action(
                     U_n[rows], self.dyn, X[rows], goal, action_low=self.action_low, action_high=self.action_high,
                 )
-            failed = np.array([isinstance(sol, UncontrollableConstraintError) for sol in sols])
-            if not failed.all():
+            failed = [isinstance(sol, UncontrollableConstraintError) for sol in sols]
+            if not all(failed):
                 kept = [sol for sol, bad in zip(sols, failed) if not bad]
-                self._decide(decision, rows[~failed], np.array([sol.action for sol in kept]), "constraint", kept)
-            if failed.any():
+                parts.append((rows[np.logical_not(failed)], np.array([sol.action for sol in kept]), "constraint",
+                              kept))
+            if any(failed):
                 errors = [sol for sol, bad in zip(sols, failed) if bad]
                 for exc in errors:
                     logger.warning("%s; taking the base action", exc)
-                self._decide(decision, rows[failed], self._base(X, U_n, rngs, rows[failed])[0], "fallback", errors)
-        if one:
-            return Decision(decision.action[0], decision.branch[0], decision.detail[0])
-        return decision
-
-    def _decide(self, decision: Decision, rows, actions, branch: str, details: list) -> None:
-        """Record the actions, branch and details of `rows` in `decision`."""
-        decision.action[rows] = actions
-        for j, detail in zip(rows.tolist(), details):
-            decision.branch[j], decision.detail[j] = branch, detail
-        self.branch_counts[branch] = self.branch_counts.get(branch, 0) + len(details)
+                parts.append((rows[failed], self._base(X, U_n, rngs, rows[failed])[0], "fallback", errors))
+        for _, _, name, details in parts:
+            self.branch_counts[name] = self.branch_counts.get(name, 0) + len(details)
+        if len(parts) == 1:  # every row on one branch, in order
+            _, action, name, detail = parts[0]
+            branch = [name] * len(X)
+        else:
+            action, branch, detail = np.empty((len(X), parts[0][1].shape[1])), [None] * len(X), [None] * len(X)
+            for rows, actions, name, details in parts:
+                action[rows] = actions
+                for j, d in zip(rows.tolist(), details):
+                    branch[j], detail[j] = name, d
+        return Decision(action[0], branch[0], detail[0]) if one else Decision(action, branch, detail)
 
 
 def _split(res: ActionResult) -> list:

@@ -14,6 +14,7 @@ Python floats, which is also cheaper than numpy at a few rows, and
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from typing import Optional
@@ -74,10 +75,10 @@ def _validate_actions(actions, n: int, dim: int) -> list:
     u = np.asarray(actions, dtype=np.float64)
     if u.size != n * dim:
         raise InvalidActionError(f"{n} state(s) need {dim} action component(s) each, got shape {u.shape}")
-    u = u.reshape(n, dim)
-    if not np.isfinite(u).all():
+    rows = u.reshape(n, dim).tolist()
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         raise InvalidActionError(f"action is not finite: {u}")
-    return u.tolist()
+    return rows
 
 
 class _Env:
@@ -150,7 +151,7 @@ class MountainCar(_Env):
         """(next states, rewards, goal reached) of each row of `states`
         (n, 2) under its row of `actions` (n, 1)."""
         forces = _validate_actions(actions, len(states), 1)
-        next_states, rewards = [], []
+        next_states, rewards, reached = [], [], []
         for (position, velocity), (u,) in zip(np.asarray(states, dtype=np.float64).tolist(), forces):
             force = min(max(u, -1.0), 1.0)
             velocity += force * self.POWER - self.GRAVITY * math.cos(3.0 * position)
@@ -158,10 +159,10 @@ class MountainCar(_Env):
             position = min(max(position + velocity, self.MIN_POSITION), self.MAX_POSITION)
             if position == self.MIN_POSITION:
                 velocity = 0.0
+            reached.append(position >= self.goal_position)
             next_states.append((position, velocity))
-            rewards.append(-0.1 * force * force + (100.0 if position >= self.goal_position else 0.0))
-        next_states = np.array(next_states).reshape(len(forces), 2)
-        return next_states, np.array(rewards), next_states[:, 0] >= self.goal_position
+            rewards.append(-0.1 * force * force + (100.0 if reached[-1] else 0.0))
+        return np.array(next_states).reshape(len(forces), 2), np.array(rewards), np.array(reached, dtype=bool)
 
 
 class Pendulum(_Env):
