@@ -36,7 +36,6 @@ import os
 import select
 import subprocess
 import time
-from itertools import compress
 from typing import Callable, Optional
 
 import numpy as np
@@ -248,14 +247,13 @@ def long_term_action(q: QModel, x: np.ndarray, rng) -> ActionResult:
 
 def _track(H, D, dyn: DynamicsModel, X, X_d, gamma1: float, gamma2: float) -> np.ndarray:
     """Minimize ||gamma1 (h + d u)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2
-    on each row by one stacked least-squares solve (`linalg.solve_least_squares`
-    per row, stacked); a row whose solve is singular is not finite."""
+    on each row by one stacked least-squares solve; a row whose solve is
+    singular is not finite."""
     F, G = dyn.coefficients(X)
     X_d = np.asarray(X_d, dtype=np.float64).reshape(X.shape)
     M = np.concatenate([gamma1 * D, -gamma2 * dyn.delta * G], axis=1)
     Z = np.concatenate([-gamma1 * H, gamma2 * (X + dyn.delta * F - X_d)], axis=1)
-    MT = np.swapaxes(M, 1, 2)
-    return linalg.ridge_solve(MT @ M, (MT @ Z[..., None])[..., 0])
+    return linalg.solve_least_squares(M, Z)
 
 
 def _singular(U_raw: np.ndarray, what: str) -> np.ndarray:

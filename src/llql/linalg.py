@@ -33,10 +33,13 @@ def ridge_solve(normal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimize ||A x - b|| via the ridge-regularized normal equations."""
+    """Minimize ||A x - b|| via the ridge-regularized normal equations: A is
+    (..., m, a), b (..., m), and each leading index is its own system, with
+    the bits of its single solve (the same matmuls, stacked)."""
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return ridge_solve(A.T @ A, A.T @ b)
+    AT = np.swapaxes(A, -1, -2)
+    return ridge_solve(AT @ A, (AT @ b[..., None])[..., 0])
 
 
 def pinv_action(h: np.ndarray, d: np.ndarray) -> np.ndarray:
