@@ -28,6 +28,35 @@ class NonFiniteGradientError(RuntimeError):
     """Raised when an optimizer step receives NaN or infinite gradients."""
 
 
+# numpy's allocator aligns data to 16 bytes only, so a vector's offset within
+# a cache line would follow from whatever the heap held before; a bank's GEMV
+# passes and an Adam step over vectors 16 bytes off run 10-20 % slower.  Parameter
+# vectors, their gradients, optimizer moments and workspaces all start on a
+# cache line instead.
+_ALIGN = 64
+
+
+def _aligned_empty(n: int, dtype) -> np.ndarray:
+    """An uninitialized vector of n items whose data starts on a 64-byte boundary."""
+    dtype = np.dtype(dtype)
+    raw = np.empty(n * dtype.itemsize + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start : start + n * dtype.itemsize].view(dtype)
+
+
+def _aligned_zeros(n: int, dtype) -> np.ndarray:
+    out = _aligned_empty(n, dtype)
+    out.fill(0)
+    return out
+
+
+def _aligned_copy(a: np.ndarray, dtype=None) -> np.ndarray:
+    """`a` as a new aligned vector, cast to `dtype` as `astype` casts."""
+    out = _aligned_empty(a.size, a.dtype if dtype is None else dtype)
+    out[...] = a.reshape(-1)
+    return out
+
+
 def _layers(layer_sizes) -> list:
     """(fan_in, fan_out) of every layer of an Mlp, or of every head of a
     HeadBank in order when `layer_sizes` holds one tuple per head."""
@@ -71,7 +100,7 @@ class Grads:
     """Per-parameter gradients for one Mlp or HeadBank, backed by a flat vector."""
 
     def __init__(self, layer_sizes: Sequence, dtype, flat: Optional[np.ndarray] = None):
-        self.flat = np.empty(_n_params(layer_sizes), dtype=dtype) if flat is None else flat
+        self.flat = _aligned_empty(_n_params(layer_sizes), dtype) if flat is None else flat
         self.weights, self.biases = _views(self.flat, layer_sizes)
 
 
@@ -122,12 +151,12 @@ class Mlp:
     @classmethod
     def create(cls, layer_sizes: Sequence[int], rng: np.random.Generator, dtype=np.float64) -> "Mlp":
         """Initialize weights uniform in +-1/sqrt(fan_in), biases zero."""
-        net = cls(layer_sizes, np.zeros(_n_params(layer_sizes), dtype=dtype))
+        net = cls(layer_sizes, _aligned_zeros(_n_params(layer_sizes), dtype))
         _draw_weights(net.weights, rng)
         return net
 
     def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, self.flat_params.copy())
+        return Mlp(self.layer_sizes, _aligned_copy(self.flat_params))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The output in float64 at a single input vector or for a batch."""
@@ -198,7 +227,7 @@ class HeadBank:
         """Heads of `in_dim` inputs and `hidden` layers, initialized head by
         head as `Mlp.create` would initialize each of them."""
         sizes = [(in_dim, *hidden, math.prod(shape)) for shape in shapes]
-        bank = cls(sizes, shapes, np.zeros(_n_params(sizes), dtype=dtype))
+        bank = cls(sizes, shapes, _aligned_zeros(_n_params(sizes), dtype))
         for head in bank.heads:
             _draw_weights(head.weights, rng)
         return bank
@@ -207,14 +236,14 @@ class HeadBank:
     def of(cls, nets: Sequence[Mlp], shapes) -> "HeadBank":
         """A bank holding a copy of each net's parameters."""
         sizes = [net.layer_sizes for net in nets]
-        bank = cls(sizes, shapes, np.zeros(_n_params(sizes), dtype=np.result_type(*(net.dtype for net in nets))))
+        bank = cls(sizes, shapes, _aligned_zeros(_n_params(sizes), np.result_type(*(net.dtype for net in nets))))
         for head, net in zip(bank.heads, nets):
             for dst, src in zip(head.weights + head.biases, net.weights + net.biases):
                 dst[...] = src
         return bank
 
     def copy(self) -> "HeadBank":
-        return HeadBank(self.layer_sizes, self.shapes, self.flat_params.copy())
+        return HeadBank(self.layer_sizes, self.shapes, _aligned_copy(self.flat_params))
 
     def _workspace(self, kind: str, rows: tuple) -> list:
         """Views for inputs of leading shape `rows` (a batch of n as (n,),
@@ -235,7 +264,7 @@ class HeadBank:
             bounds = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
             buf = self._work.get(kind)
             if buf is None or buf.size < bounds[-1]:
-                buf = self._work[kind] = np.empty(bounds[-1], dtype=self.dtype)
+                buf = self._work[kind] = _aligned_empty(bounds[-1], self.dtype)
                 self._batch_views = {key: v for key, v in self._batch_views.items() if key[0] != kind}
             views = [buf[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
             if kind == "forward":
@@ -351,10 +380,10 @@ class Adam:
         self.switch_step = int(switch_step) if switch_step is not None else None
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = np.zeros(net.n_params, dtype=net.dtype)
-        self.v = np.zeros(net.n_params, dtype=net.dtype)
-        self._buf = np.empty(net.n_params, dtype=net.dtype)
-        self._buf2 = np.empty(net.n_params, dtype=net.dtype)
+        self.m = _aligned_zeros(net.n_params, net.dtype)
+        self.v = _aligned_zeros(net.n_params, net.dtype)
+        self._buf = _aligned_empty(net.n_params, net.dtype)
+        self._buf2 = _aligned_empty(net.n_params, net.dtype)
 
     @property
     def current_lr(self) -> float:
@@ -551,7 +580,7 @@ def load_model(path) -> ModelFile:
             if fh.readinto(buffer[:n]) != 8 * n:
                 raise ModelFileError(f"{path}: model file shrank while it was read")
             try:
-                nets[name] = Mlp(sizes, buffer[:n].astype(dtype))
+                nets[name] = Mlp(sizes, _aligned_copy(buffer[:n], dtype))
             except ValueError as exc:
                 raise ModelFileError(f"{path}: net {name!r}: {exc}") from exc
     return ModelFile(nets=nets, normalizer=normalizer, meta=meta, path=str(path))

@@ -630,6 +630,27 @@ def test_mlp_pass_pair_allocates_no_layer_sized_block_after_a_warm_up():
     assert traced_peak(passes) < 64 * 1024
 
 
+def test_parameter_gradient_moment_and_workspace_vectors_start_on_a_cache_line(tmp_path):
+    rng = np.random.default_rng(0)
+    vectors = []
+    for k in range(1, 9):
+        # shift the heap by a few 16-byte steps between allocations
+        shift = [np.empty(4 * k + j, dtype=np.float32) for j in range(k)]
+        bank = HeadBank.create(3, (5, 4), SHAPES, rng, np.float32)
+        net = make_net((3, 6, 2), seed=k, dtype=np.float32)
+        save_model(tmp_path / f"{k}.model", {"net": net})
+        loaded = load_model(tmp_path / f"{k}.model").nets["net"]
+        of = HeadBank.of([make_net((3, 5, 4, 2), seed=k), make_net((3, 5, 4, 1), seed=k)], ((2,), (1,)))
+        opt = Adam(bank, 1e-3)
+        outs, caches = bank.forward_cached(rng.standard_normal((k, 3)).astype(np.float32))
+        grads, _ = bank.backward_cached(caches, [np.ones_like(out) for out in outs])
+        vectors += [bank.flat_params, bank.copy().flat_params, net.flat_params, net.copy().flat_params,
+                    loaded.flat_params, of.flat_params, grads.flat, opt.m, opt.v, opt._buf, opt._buf2,
+                    *bank._work.values()]
+        del shift
+    assert [v.ctypes.data % 64 for v in vectors] == [0] * len(vectors)
+
+
 @pytest.mark.parametrize("hidden", [(5, 4), ()], ids=["hidden", "no_hidden"])
 def test_bank_input_gradient_sums_the_heads_input_gradients(hidden):
     bank = HeadBank.create(3, hidden, SHAPES, np.random.default_rng(10), np.float32)
