@@ -12,7 +12,9 @@ The families:
   model-file bytes;
 - `synthesis`: the coefficients and the output of every synthesis op on
   3,000 states of the bench set-up model (mountain car, seed 7, one
-  30-step episode), plus `predict_next_batch` on all of them at once;
+  30-step episode), each state a one-row batch, under the speed limit as
+  a `SymmetricConstraintGoal`, plus `predict_next_batch` on all of them at
+  once;
 - `synthesis/pendulum`: the same on a pendulum set-up model trained the
   same way, whose states have three components, so the trajectory solve's
   normal equation sums four products where mountain car's sums three;
@@ -190,29 +192,21 @@ def _pendulum_case(rng, n: int):
 SYNTHESIS_CASES = {"mountain_car": _mountain_car_case, "pendulum": _pendulum_case}
 
 
-def _outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except control.UncontrollableConstraintError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 def synthesis_digest(model: Path, sz: Sizes, env_name: str = "mountain_car") -> str:
     dyn, q, _ = core.load_llql_model(model)
     X, U_n, limit, target, gamma2 = SYNTHESIS_CASES[env_name](np.random.default_rng(11), sz.states)
     low, high = q.action_low, q.action_high
     h = hashlib.sha256()
     _feed(h, dyn.predict_next_batch(X, U_n))
-    for x, u_n in zip(X, U_n):
-        goal = limit.resolve(x)
-        x_d = target(x)
+    for x, u_n in zip(X[:, None], U_n[:, None]):  # one-row batches
+        x_d = target(x[0])[None]
         _feed(h, [
             dyn.coefficients(x), q.coefficients(x),
             control.long_term_action(q, x, np.random.default_rng(0)),
             control.trajectory_action(q, dyn, x, x_d, 1.0, gamma2, np.random.default_rng(0)),
-            _outcome(control.constraint_action, q, dyn, x, goal, np.random.default_rng(0)),
+            control.constraint_action(q, dyn, x, limit, np.random.default_rng(0)),
             control.approx_trajectory_action(u_n, dyn, x, x_d, 1.0, gamma2, action_low=low, action_high=high),
-            _outcome(control.approx_constraint_action, u_n, dyn, x, goal, action_low=low, action_high=high),
+            control.approx_constraint_action(u_n, dyn, x, limit, action_low=low, action_high=high),
         ])
     return h.hexdigest()
 
