@@ -18,13 +18,14 @@ replaced by ||u - u_N||, that is (h, d) = (-u_N, I), where u_N is a
 pre-trained policy's action: it needs only the dynamics model, and its
 constraint adjustment is the minimum-norm projection of u_N.
 
-Every op takes one state or rows of states (a leading row axis), and
-works on rows: lockstep evaluation passes the states of all its live
-runs at once.  Each row is computed as it would be alone, bit for bit:
-the models evaluate it as a one-row batch, and every product over an
-action or state axis is a stacked matmul whose slice is the product one
-state runs (`np.vecdot` runs per row the dot product a 1-D `a @ b`
-runs).  A randomized fallback draws from the row's own generator.
+Every op, `GoalController.act` and every policy here take rows of
+states (n, dim) and nothing else; a 1-D state raises ValueError, and one
+state is the one-row batch `x[None]`.  Lockstep evaluation passes the
+states of all its live runs at once.  Each row is computed as it would be
+alone, bit for bit: the models evaluate it as a one-row batch, and every
+product over an action or state axis is a stacked matmul whose slice is
+the product one row runs (`np.vecdot` runs per row the dot product a 1-D
+`a @ b` runs).  A randomized fallback draws from the row's own generator.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .core import DynamicsModel, QModel, EPS_D
+from .core import DynamicsModel, QModel, EPS_D, row_norms
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +56,8 @@ class UncontrollableConstraintError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Short-term goal declarations
 #
-# A goal's callables receive what the controller was given: one state, or
-# rows of states, for which they return one value per row.
+# A goal's callables receive rows of states, for which they return one
+# value per row.
 # ---------------------------------------------------------------------------
 
 
@@ -141,15 +142,10 @@ class SymmetricConstraintGoal:
     def active(self, x, k):
         return np.abs(x[..., self.state_index]) > self.margin
 
-    def resolve(self, x) -> ConstraintGoal:
-        """The one-sided constraint nearer one state's current value."""
-        if x[self.state_index] >= 0:
-            return ConstraintGoal(self.state_index, self.bound, "upper", self.margin)
-        return ConstraintGoal(self.state_index, -self.bound, "lower", -self.margin)
-
     def upper(self, X: np.ndarray) -> tuple:
-        """`ConstraintGoal.upper` of each row's `resolve`d side: a lower bound
-        -bound reflects to sign -1 and c = bound, as an upper one does."""
+        """(sign, c) for each row of X: the side nearer the row's value, read
+        as sign * x[i] <= c; the lower side x[i] >= -bound reflects to sign
+        -1 and c = bound."""
         sign = np.where(X[:, self.state_index] >= 0, 1.0, -1.0)
         return sign, np.full(len(X), float(self.bound))
 
@@ -161,18 +157,17 @@ class SymmetricConstraintGoal:
 
 @dataclasses.dataclass
 class ActionResult:
-    """An op's actions: (a,) for one state, (n, a) for rows.  `fallback` is
-    None when no row fell back, else the reason, or for rows one reason
-    (or None) per row."""
+    """An op's actions, (n, a) for n rows.  `fallback` is None when no row
+    fell back, else one reason (or None) per row."""
 
     action: np.ndarray      # clipped to bounds when bounds are known
     action_raw: np.ndarray  # unclipped least-squares solution
-    fallback: Optional[str | list] = None
+    fallback: Optional[list] = None
 
 
 @dataclasses.dataclass
 class KktSolution:
-    """One state's constraint synthesis; an op on rows returns one per row."""
+    """One row's constraint synthesis; an op returns one per row."""
 
     lambda_star: float
     action: np.ndarray
@@ -190,26 +185,14 @@ def _clip(u: np.ndarray, low, high) -> np.ndarray:
 
 
 def _rows(x, rng=None) -> tuple:
-    """(x as rows (n, dim) in float64, one generator per row, whether x was
-    one state); `rng` is one generator for every row, or one per row."""
-    x = np.asarray(x, dtype=np.float64)
-    X = x.reshape(-1, x.shape[-1])
+    """(x as rows (n, dim) in float64, one generator per row); `rng` is one
+    generator for every row, or one per row.  Raises ValueError unless x
+    is 2-D."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected rows of states shaped (n, dim), got shape {X.shape}")
     rngs = [rng] * len(X) if rng is None or isinstance(rng, np.random.Generator) else list(rng)
-    return X, rngs, x.ndim == 1
-
-
-def _one(result: ActionResult, one: bool) -> ActionResult:
-    """An op's row result, or for one state its only row."""
-    if not one:
-        return result
-    return ActionResult(result.action[0], result.action_raw[0], result.fallback and result.fallback[0])
-
-
-def _norms(A: np.ndarray) -> np.ndarray:
-    """The 2-norm of each row's entries, with the bits of `np.linalg.norm`
-    on that row alone (the square root of a dot product)."""
-    flat = A.reshape(len(A), -1)
-    return np.sqrt(np.vecdot(flat, flat))
+    return X, rngs
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +206,7 @@ def _greedy(H, D, low, high, rngs) -> ActionResult:
     numerically zero."""
     U_raw = linalg.pinv_action_batch(H, D)
     U = _clip(U_raw, low, high)
-    degenerate = _norms(D) < EPS_D
+    degenerate = row_norms(D) < EPS_D
     if not degenerate.any():
         return ActionResult(U, U_raw)
     fallback = [None] * len(D)
@@ -238,11 +221,11 @@ def long_term_action(q: QModel, x: np.ndarray, rng) -> ActionResult:
 
     Falls back to a uniform random in-bounds action when the gain d(x) is
     numerically zero (the model predicts the action has no effect).  `x`
-    is one state or rows; `rng` one generator, or one per row.
+    is rows; `rng` one generator, or one per row.
     """
-    X, rngs, one = _rows(x, rng)
+    X, rngs = _rows(x, rng)
     _, H, D = q.coefficients(X)
-    return _one(_greedy(H, D, q.action_low, q.action_high, rngs), one)
+    return _greedy(H, D, q.action_low, q.action_high, rngs)
 
 
 def _track(H, D, dyn: DynamicsModel, X, X_d, gamma1: float, gamma2: float) -> np.ndarray:
@@ -257,10 +240,11 @@ def _track(H, D, dyn: DynamicsModel, X, X_d, gamma1: float, gamma2: float) -> np
 
 
 def _singular(U_raw: np.ndarray, what: str) -> np.ndarray:
-    """The rows of a tracking solve that are not finite, each logged."""
+    """The rows of a tracking solve that are not finite, logged in one
+    warning."""
     bad = ~np.isfinite(U_raw).all(axis=1)
-    for _ in range(int(bad.sum())):
-        logger.warning(what)
+    if bad.any():
+        logger.warning("%s (%d of %d rows)", what, bad.sum(), len(bad))
     return bad
 
 
@@ -278,18 +262,18 @@ def trajectory_action(
     Solves the stacked least-squares system minimizing
     ||gamma1 (h + d u)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2; a
     row whose solve is singular takes the long-term action.  `x` and
-    `x_d_next` are one state or rows; `rng` one generator, or one per row.
+    `x_d_next` are rows; `rng` one generator, or one per row.
     """
-    X, rngs, one = _rows(x, rng)
+    X, rngs = _rows(x, rng)
     _, H, D = q.coefficients(X)
     U_raw = _track(H, D, dyn, X, x_d_next, gamma1, gamma2)
     U = _clip(U_raw, q.action_low, q.action_high)
     bad = _singular(U_raw, "trajectory synthesis was singular; falling back to the long-term action")
     if not bad.any():
-        return _one(ActionResult(U, U_raw), one)
+        return ActionResult(U, U_raw)
     base = _greedy(H[bad], D[bad], q.action_low, q.action_high, [r for r, b in zip(rngs, bad) if b])
     U[bad], U_raw[bad] = base.action, base.action_raw
-    return _one(ActionResult(U, U_raw, ["singular" if b else None for b in bad]), one)
+    return ActionResult(U, U_raw, ["singular" if b else None for b in bad])
 
 
 def approx_trajectory_action(
@@ -308,18 +292,18 @@ def approx_trajectory_action(
     Minimizes ||gamma1 (u - u_n)||^2 + ||gamma2 (x_d - x - delta (f + g u))||^2
     using only the dynamics model: the agent's trajectory synthesis with
     (h, d) = (-u_n, I).  gamma2 = 0 returns u_n unchanged, and so does a
-    singular solve.  `x`, `x_d_next` and `u_n` are one state or rows.
+    singular solve.  `x`, `x_d_next` and `u_n` are rows.
     """
-    X, _, one = _rows(x)
+    X = _rows(x)[0]
     U_n = np.asarray(u_n, dtype=np.float64).reshape(len(X), -1)
     if gamma2 == 0.0:
-        return _one(ActionResult(_clip(U_n, action_low, action_high), U_n.copy()), one)
+        return ActionResult(_clip(U_n, action_low, action_high), U_n.copy())
     eye = np.broadcast_to(np.eye(U_n.shape[1]), (len(X),) + (U_n.shape[1],) * 2)
     U_raw = _track(-U_n, eye, dyn, X, x_d_next, gamma1, gamma2)
     bad = _singular(U_raw, "trajectory adjustment was singular; keeping the policy action")
     U_raw[bad] = U_n[bad]
     fallback = ["singular" if b else None for b in bad] if bad.any() else None
-    return _one(ActionResult(_clip(U_raw, action_low, action_high), U_raw, fallback), one)
+    return ActionResult(_clip(U_raw, action_low, action_high), U_raw, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +318,10 @@ def _project(U0, W, DG, gain, X, F, G, delta: float, i: int, sign, c, low, high)
     bound reads as an upper one): lambda* = max(0, (x_i + delta f_i +
     dg . u0 - c) / gain), so a binding bound puts the raw action's
     predicted component exactly on c.  Also flags a binding bound that
-    clipping to [low, high] breaks.  Returns one KktSolution per row.
-    The products over the action axis are stacked; the per-row scalars
-    are Python floats, which cost less than numpy calls at a few rows."""
+    clipping to [low, high] breaks, in one warning.  Returns one
+    KktSolution per row.  The products over the action axis are stacked;
+    the per-row scalars are Python floats, which cost less than numpy calls
+    at a few rows."""
     sign, c, x_i, f_i = sign.tolist(), c.tolist(), X[:, i].tolist(), F[:, i].tolist()
     active, lam = [], []
     for s_j, c_j, x_j, f_j, dg_u0, gain_j in zip(sign, c, x_i, f_i, np.vecdot(DG, U0).tolist(), gain.tolist()):
@@ -351,29 +336,27 @@ def _project(U0, W, DG, gain, X, F, G, delta: float, i: int, sign, c, low, high)
         predicted = x_i[j] + delta * (f_i[j] + g_u_raw)
         predicted_clipped = x_i[j] + delta * (f_i[j] + g_u)
         clip_violates = active[j] and sign[j] * predicted_clipped > c[j] + 1e-9
-        if clip_violates:
-            logger.warning(
-                "action clipping broke the constraint: predicted %s=%.6g vs bound %.6g",
-                i, predicted_clipped, sign[j] * c[j],
-            )
         solutions.append(KktSolution(lam[j], U[j], U_raw[j], predicted, predicted_clipped, active[j], clip_violates))
+    violated = [j for j, sol in enumerate(solutions) if sol.clip_violates]
+    if violated:
+        j = violated[0]
+        logger.warning(
+            "action clipping broke the constraint on %d of %d rows: first predicted %s=%.6g vs bound %.6g",
+            len(violated), len(solutions), i, solutions[j].predicted_clipped, sign[j] * c[j],
+        )
     return solutions
 
 
-def _solutions(undefined: np.ndarray, error: Callable, project: Callable, one: bool):
+def _solutions(undefined: np.ndarray, error: Callable, project: Callable) -> list:
     """Each row's KktSolution, from `project(rows)` on the rows where the
-    synthesis is defined, or where `undefined`, its error `error(j)`; for
-    one state its solution, or the error raised."""
+    synthesis is defined, or where `undefined`, its error `error(j)`."""
     if not undefined.any():
-        results = project(slice(None))
-    else:
-        results = [error(j) if bad else None for j, bad in enumerate(undefined.tolist())]
-        ok = np.flatnonzero(~undefined)
-        for j, sol in zip(ok, project(ok) if ok.size else ()):
-            results[j] = sol
-    if one and isinstance(results[0], UncontrollableConstraintError):
-        raise results[0]
-    return results[0] if one else results
+        return project(slice(None))
+    results = [error(j) if bad else None for j, bad in enumerate(undefined.tolist())]
+    ok = np.flatnonzero(~undefined)
+    for j, sol in zip(ok, project(ok) if ok.size else ()):
+        results[j] = sol
+    return results
 
 
 def constraint_action(
@@ -382,18 +365,18 @@ def constraint_action(
     x: np.ndarray,
     goal,
     rng,
-) -> KktSolution | list:
+) -> list:
     """Greedy action subject to a bound on one predicted state component.
 
     The KKT solution of min 1/2 ||h + d u||^2 + ridge/2 ||u||^2 s.t.
     x_i + delta (f_i + g_i u) <= c is the greedy action projected onto the
     bound in the metric W = d^T d + ridge I: u = u0 - lambda* W^-1 delta g_i
     with u0 = `pinv_action(h, d)`.  `goal` is a ConstraintGoal, or a
-    SymmetricConstraintGoal whose side each row resolves.  For one state it
-    raises UncontrollableConstraintError where the synthesis is undefined;
-    for rows it returns one KktSolution, or that error, per row.
+    SymmetricConstraintGoal whose side each row picks.  `x` is rows; the
+    result is one KktSolution per row, or an UncontrollableConstraintError
+    where the synthesis is undefined.
     """
-    X, _, one = _rows(x)
+    X = _rows(x)[0]
     _, H, D = q.coefficients(X)
     F, G = dyn.coefficients(X)
     i = goal.state_index
@@ -401,7 +384,7 @@ def constraint_action(
     DG = (sign * dyn.delta)[:, None] * G[:, i, :]
     W = linalg.ridge_solve(np.swapaxes(D, 1, 2) @ D, DG)
     gain = np.vecdot(DG, W)
-    degenerate = _norms(D) < EPS_D
+    degenerate = row_norms(D) < EPS_D
 
     def error(j):
         if degenerate[j]:
@@ -415,7 +398,7 @@ def constraint_action(
 
     return _solutions(degenerate | (np.abs(gain) < EPS_KKT), error, lambda r: _project(
         linalg.pinv_action_batch(H[r], D[r]), W[r], DG[r], gain[r], X[r], F[r], G[r], dyn.delta, i, sign[r],
-        c[r], q.action_low, q.action_high), one)
+        c[r], q.action_low, q.action_high))
 
 
 def approx_constraint_action(
@@ -426,7 +409,7 @@ def approx_constraint_action(
     *,
     action_low=None,
     action_high=None,
-) -> KktSolution | list:
+) -> list:
     """Project a pre-trained policy's action onto the constraint half-space.
 
     u = u_n - lambda* delta g_i^T with
@@ -435,7 +418,7 @@ def approx_constraint_action(
     the agent's constraint synthesis with (h, d) = (-u_n, I) and no ridge.
     `goal`, `x` and the result are as in `constraint_action`.
     """
-    X, _, one = _rows(x)
+    X = _rows(x)[0]
     U_n = np.asarray(u_n, dtype=np.float64).reshape(len(X), -1)
     F, G = dyn.coefficients(X)
     i = goal.state_index
@@ -450,8 +433,7 @@ def approx_constraint_action(
         )
 
     return _solutions(norms < EPS_KKT, error, lambda r: _project(
-        U_n[r], DG[r], DG[r], gain[r], X[r], F[r], G[r], dyn.delta, i, sign[r], c[r], action_low, action_high),
-        one)
+        U_n[r], DG[r], DG[r], gain[r], X[r], F[r], G[r], dyn.delta, i, sign[r], c[r], action_low, action_high))
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +443,20 @@ def approx_constraint_action(
 
 @dataclasses.dataclass
 class Decision:
-    """The action, branch and detail (the op's result, or the error of a
-    fallback) of one state; for rows, (n, a) actions and one branch and one
-    detail per row."""
+    """The (n, a) actions of n rows, and one branch and one detail (the op's
+    result, or the error of a fallback) per row."""
 
     action: np.ndarray
-    branch: str | list
-    detail: object
+    branch: list
+    detail: list
 
 
 class GoalController:
     """Per-step dispatch between a base policy and goal-aware synthesis.
 
     The base action comes from the trained value model (long-term greedy)
-    when `qmodel` is given, or from `policy` (any callable state -> action,
-    or rows -> actions) in the approximation setting.  While the goal's
+    when `qmodel` is given, or from `policy` (any callable rows -> actions)
+    in the approximation setting.  While the goal's
     activation predicate holds, actions come from the matching goal-aware
     synthesis op; once the goal expires the controller reverts to the base
     policy.  A step on which the constraint is uncontrollable takes the
@@ -514,24 +495,23 @@ class GoalController:
         return actions, "policy", [None] * len(actions)
 
     def act(self, x: np.ndarray, k: int, rng) -> Decision:
-        """The decision at one state x, or at each of the rows of x, at step
-        k.  `rng` is one generator, or one per row; the agent's long-term
-        fallback draws from it.  The goal's callables and the policy are
-        called once, on x as given."""
-        X, rngs, one = _rows(x, rng)
-        x = X[0] if one else X
+        """The decision at each of the rows of x at step k.  `rng` is one
+        generator, or one per row; the agent's long-term fallback draws from
+        it.  The goal's callables and the policy are called once, on all
+        the rows."""
+        X, rngs = _rows(x, rng)
         goal = self.goal
         on = np.zeros(len(X), dtype=bool)
         if goal is not None:
-            on[:] = goal.active(x, k)
-        U_n = None if self.policy is None else np.asarray(self.policy(x), dtype=np.float64).reshape(len(X), -1)
+            on[:] = goal.active(X, k)
+        U_n = None if self.policy is None else np.asarray(self.policy(X), dtype=np.float64).reshape(len(X), -1)
         parts = []  # (rows, their actions, branch, one detail per row)
         if not on.all():
             rows = np.flatnonzero(~on)
             parts.append((rows, *self._base(X, U_n, rngs, rows)))
         rows = np.flatnonzero(on)
         if rows.size and isinstance(goal, TrajectoryGoal):
-            target = np.asarray(goal.target(x, k), dtype=np.float64).reshape(X.shape)[rows]
+            target = np.asarray(goal.target(X, k), dtype=np.float64).reshape(X.shape)[rows]
             if self.qmodel is not None:
                 res = trajectory_action(self.qmodel, self.dyn, X[rows], target, goal.gamma1, goal.gamma2,
                                         [rngs[j] for j in rows])
@@ -569,7 +549,7 @@ class GoalController:
                 action[rows] = actions
                 for j, d in zip(rows.tolist(), details):
                     branch[j], detail[j] = name, d
-        return Decision(action[0], branch[0], detail[0]) if one else Decision(action, branch, detail)
+        return Decision(action, branch, detail)
 
 
 def _split(res: ActionResult) -> list:
@@ -579,8 +559,8 @@ def _split(res: ActionResult) -> list:
 
 
 class LlqlPolicy:
-    """Greedy policy view of a trained value model (callable state -> action,
-    or rows -> actions); its one generator serves every row's fallback."""
+    """Greedy policy view of a trained value model (callable rows ->
+    actions); its one generator serves every row's fallback."""
 
     def __init__(self, qmodel: QModel, rng: Optional[np.random.Generator] = None):
         self.qmodel = qmodel
@@ -617,7 +597,7 @@ class ExternalProcessPolicy:
         self._pending = b""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        X, _, one = _rows(x)
+        X = _rows(x)[0]
         actions = []
         for start in range(0, len(X), self.PIPELINE):
             chunk = X[start : start + self.PIPELINE]
@@ -625,8 +605,7 @@ class ExternalProcessPolicy:
                                             for row in chunk.tolist()))
             self._proc.stdin.flush()
             actions += [json.loads(self._read_line())["action"] for _ in chunk]
-        U = np.asarray(actions, dtype=np.float64).reshape(len(X), -1)
-        return U[0] if one else U
+        return np.asarray(actions, dtype=np.float64).reshape(len(X), -1)
 
     def _read_line(self) -> bytes:
         deadline = time.monotonic() + self.timeout

@@ -7,6 +7,12 @@ least-squares solve.  Both are trained from a uniform replay buffer: the
 dynamics nets minimize the mean one-step residual norm L1, and the value
 nets minimize the mean absolute Bellman residual L2 against slowly-updated
 target copies.
+
+The models' coefficients are computed on rows of states (n, dim); one state
+is the one-row batch `x[None]`.  The training act, the Bellman target and
+`control`'s greedy action all solve for the greedy action through
+`linalg.pinv_action_batch`, each with its own fallback at a numerically
+zero gain d(x): zeros, a zero residual, and a uniform draw.
 """
 
 from __future__ import annotations
@@ -32,6 +38,13 @@ from .nets import (
 )
 
 EPS_D = 1e-8
+
+
+def row_norms(A: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row's entries, with the bits of `np.linalg.norm`
+    on that row alone (the square root of a dot product)."""
+    flat = A.reshape(len(A), -1)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 class TrainingDiverged(RuntimeError):
@@ -192,18 +205,11 @@ class DynamicsModel:
     def g_net(self) -> Mlp:
         return self.bank.heads[1]
 
-    def coefficients(self, x: np.ndarray):
-        """(f(x), g(x)) in float64 at one state, or at each of the rows of x
-        with a leading row axis; each row is its own one-row batch, so it
-        has the bits it has alone (`HeadBank._run`)."""
-        f, g = self.bank.forward(self.normalizer.normalize(x)[..., None, :])
-        return f[..., 0, :], g[..., 0, :, :]
-
-    def predict_next(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Raw model prediction of the next state (no clipping)."""
-        f, g = self.coefficients(x)
-        u = np.asarray(u, dtype=np.float64).reshape(-1)
-        return np.asarray(x, dtype=np.float64) + self.delta * (f + g @ u)
+    def coefficients(self, X: np.ndarray):
+        """(F, G) in float64 at each of the rows of X (n, s); each row is its
+        own one-row batch, so it has the bits it has alone (`HeadBank._run`)."""
+        F, G = self.bank.forward(self.normalizer.normalize(X)[:, None, :])
+        return F[:, 0, :], G[:, 0, :, :]
 
     def predict_next_batch(self, X: np.ndarray, U: np.ndarray) -> np.ndarray:
         F, G = self.bank.forward(self.normalizer.normalize(X))
@@ -238,19 +244,11 @@ class QModel:
     def d_net(self) -> Mlp:
         return self.bank.heads[2]
 
-    def coefficients(self, x: np.ndarray):
-        """(V(x), h(x), d(x)) in float64 at one state (V a float), or at each
-        of the rows of x, as `DynamicsModel.coefficients`."""
-        v, h, d = self.bank.forward(self.normalizer.normalize(x)[..., None, :])
-        return (float(v[0]) if v.ndim == 1 else v[:, 0]), h[..., 0, :], d[..., 0, :, :]
-
-    def q_value(self, x: np.ndarray, u: np.ndarray) -> float:
-        v, h, d = self.coefficients(x)
-        u = np.asarray(u, dtype=np.float64).reshape(-1)
-        return v - float(np.linalg.norm(h + d @ u))
-
-    def value(self, x: np.ndarray) -> float:
-        return self.coefficients(x)[0]
+    def coefficients(self, X: np.ndarray):
+        """(V, H, D) in float64 at each of the rows of X (n, s), as
+        `DynamicsModel.coefficients`."""
+        V, H, D = self.bank.forward(self.normalizer.normalize(X)[:, None, :])
+        return V[:, 0], H[:, 0, :], D[:, 0, :, :]
 
 
 def short_term_loss(dyn: DynamicsModel, batch: TransitionBatch) -> float:
@@ -260,17 +258,15 @@ def short_term_loss(dyn: DynamicsModel, batch: TransitionBatch) -> float:
     return float(np.linalg.norm(residuals, axis=1).mean())
 
 
-def greedy_target_q(target: QModel, x_next: np.ndarray, eps_d: float = EPS_D) -> float:
-    """The target model's Q at its greedy (bound-clipped) least-squares action."""
-    return float(_greedy_target_q_batch(target, np.asarray(x_next).reshape(1, -1), eps_d)[0])
-
-
 def _greedy_target_q_batch(target: QModel, X: np.ndarray, eps_d: float) -> np.ndarray:
+    """The target model's Q at its greedy (bound-clipped) least-squares
+    action on each row of X; a row whose gain is numerically zero has a
+    zero residual."""
     v, H, D = target.bank.forward(target.normalizer.normalize(X))
     U = linalg.pinv_action_batch(H, D)
     np.clip(U, target.action_low, target.action_high, out=U)
     resid = np.linalg.norm(H + np.einsum("nma,na->nm", D, U), axis=1)
-    degenerate = np.linalg.norm(D.reshape(len(D), -1), axis=1) < eps_d
+    degenerate = row_norms(D) < eps_d
     resid[degenerate] = 0.0
     return v - resid
 
@@ -435,12 +431,13 @@ class _Trainer(_EpisodeTrainer):
     # -- per-step pieces ----------------------------------------------------
 
     def _act(self, x: np.ndarray) -> np.ndarray:
+        X = x[None]
         if self.policy is not None:
-            return np.asarray(self.policy(x), dtype=np.float64).reshape(-1)
-        _, h, d = self.q.coefficients(x)
-        if np.linalg.norm(d) < self.cfg.eps_d:
+            return np.asarray(self.policy(X), dtype=np.float64).reshape(-1)
+        _, H, D = self.q.coefficients(X)
+        if row_norms(D)[0] < self.cfg.eps_d:
             return np.zeros(self.env.action_dim)
-        return linalg.pinv_action(h, d)
+        return linalg.pinv_action_batch(H, D)[0]
 
     def _updates(self):
         cfg = self.cfg

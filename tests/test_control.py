@@ -68,21 +68,21 @@ def rng():
 
 def test_long_term_scalar_pseudo_inverse():
     q = make_qmodel(v=0.0, h=[2.0], d=[[1.0]])
-    res = long_term_action(q, np.zeros(1), rng())
-    assert res.action_raw[0] == pytest.approx(-2.0, abs=1e-8)
+    res = long_term_action(q, np.zeros((1, 1)), rng())
+    assert res.action_raw[0, 0] == pytest.approx(-2.0, abs=1e-8)
 
 
 def test_long_term_zero_offset_gives_zero_action():
     q = make_qmodel(v=0.0, h=[0.0, 0.0], d=np.array([[2.0, 0.3], [-0.4, 1.5]]), state_dim=2)
-    res = long_term_action(q, np.zeros(2), rng())
+    res = long_term_action(q, np.zeros((1, 2)), rng())
     assert np.allclose(res.action_raw, 0.0, atol=1e-12)
 
 
 def test_long_term_degenerate_gain_falls_back_to_random():
     q = make_qmodel(v=0.0, h=[1.0], d=[[0.0]], low=-1.0, high=1.0)
-    res = long_term_action(q, np.zeros(1), rng())
-    assert res.fallback == "degenerate-gain"
-    assert -1.0 <= res.action[0] <= 1.0
+    res = long_term_action(q, np.zeros((1, 1)), rng())
+    assert res.fallback == ["degenerate-gain"]
+    assert -1.0 <= res.action[0, 0] <= 1.0
 
 
 def rotation(theta):
@@ -97,7 +97,7 @@ def test_long_term_residual_orthogonality():
         d = rotation(rnd.uniform(0, 7)) @ np.diag(rnd.uniform(1.0, 2.0, 2)) @ rotation(rnd.uniform(0, 7))
         h = rnd.uniform(-3, 3, size=2)
         q = make_qmodel(v=0.0, h=h, d=d, state_dim=2)
-        u = long_term_action(q, np.zeros(2), rng()).action_raw
+        u = long_term_action(q, np.zeros((1, 2)), rng()).action_raw[0]
         assert np.linalg.norm(d.T @ (h + d @ u)) < 1e-8
 
 
@@ -109,7 +109,7 @@ def test_long_term_beats_action_grid():
         d = rnd.uniform(0.4, 2.0, size=(2, 2)) + np.eye(2)
         h = rnd.uniform(-2, 2, size=2)
         q = make_qmodel(v=0.0, h=h, d=d, state_dim=2)
-        u = long_term_action(q, np.zeros(2), rng()).action_raw
+        u = long_term_action(q, np.zeros((1, 2)), rng()).action_raw[0]
         best_grid = np.linalg.norm(h + grid @ d.T, axis=1).min()
         assert np.linalg.norm(h + d @ u) <= best_grid + 1e-6
 
@@ -122,46 +122,46 @@ def test_long_term_beats_action_grid():
 def test_trajectory_reduces_to_long_term_as_gamma2_vanishes():
     q = make_qmodel(v=0.0, h=[1.3], d=[[0.8]])
     dyn = make_dynamics([0.5], [[2.0]])
-    x = np.zeros(1)
-    res = trajectory_action(q, dyn, x, np.array([0.01]), 1.0, 1e-12, rng())
+    x = np.zeros((1, 1))
+    res = trajectory_action(q, dyn, x, np.array([[0.01]]), 1.0, 1e-12, rng())
     ref = long_term_action(q, x, rng())
-    assert res.action_raw[0] == pytest.approx(ref.action_raw[0], abs=1e-6)
+    assert res.action_raw[0, 0] == pytest.approx(ref.action_raw[0, 0], abs=1e-6)
 
 
 def test_trajectory_pure_tracking_limit():
     # delta*g of order one so the ridge term is negligible
     q = make_qmodel(v=0.0, h=[1.0], d=[[1.0]])
     dyn = make_dynamics([3.0], [[1500.0]], delta=0.001)
-    x = np.array([0.2])
-    target = np.array([0.35])
+    x = np.array([[0.2]])
+    target = np.array([[0.35]])
     res = trajectory_action(q, dyn, x, target, 0.0, 1.0, rng())
-    assert dyn.predict_next(x, res.action_raw)[0] == pytest.approx(target[0], abs=1e-6)
+    assert dyn.predict_next_batch(x, res.action_raw)[0, 0] == pytest.approx(target[0, 0], abs=1e-6)
 
 
 def test_trajectory_scalar_hand_quadratic():
     # minimize (1*(1 + u))^2 + (1*(0.001 - 0.001 u))^2 over u
     q = make_qmodel(v=0.0, h=[1.0], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]], delta=0.001)
-    res = trajectory_action(q, dyn, np.zeros(1), np.array([0.001]), 1.0, 1.0, rng())
+    res = trajectory_action(q, dyn, np.zeros((1, 1)), np.array([[0.001]]), 1.0, 1.0, rng())
     expected = (-1.0 + 1e-6) / (1.0 + 1e-6)
-    assert res.action_raw[0] == pytest.approx(expected, abs=1e-9)
+    assert res.action_raw[0, 0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_trajectory_singular_coefficients_fall_back():
     q = make_qmodel(v=0.0, h=[1.0], d=[[1.0]])
     dyn = make_dynamics([np.inf], [[1.0]])
-    res = trajectory_action(q, dyn, np.zeros(1), np.array([0.01]), 1.0, 1.0, rng())
-    assert res.fallback == "singular"
-    assert res.action_raw[0] == pytest.approx(-1.0, abs=1e-8)
+    res = trajectory_action(q, dyn, np.zeros((1, 1)), np.array([[0.01]]), 1.0, 1.0, rng())
+    assert res.fallback == ["singular"]
+    assert res.action_raw[0, 0] == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_trajectory_continuity_in_weights():
     q = make_qmodel(v=0.0, h=[0.7], d=[[1.1]])
     dyn = make_dynamics([0.4], [[900.0]])
-    x = np.array([0.05])
-    target = np.array([0.06])
-    a = trajectory_action(q, dyn, x, target, 1.0, 2.0, rng()).action_raw[0]
-    b = trajectory_action(q, dyn, x, target, 1.0, 2.0 + 1e-9, rng()).action_raw[0]
+    x = np.array([[0.05]])
+    target = np.array([[0.06]])
+    a = trajectory_action(q, dyn, x, target, 1.0, 2.0, rng()).action_raw[0, 0]
+    b = trajectory_action(q, dyn, x, target, 1.0, 2.0 + 1e-9, rng()).action_raw[0, 0]
     assert abs(a - b) < 1e-6
 
 
@@ -174,11 +174,11 @@ def test_constraint_inactive_clamps_to_long_term():
     q = make_qmodel(v=0.0, h=[0.1], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=1.0, direction="upper")
-    sol = constraint_action(q, dyn, np.zeros(1), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
     assert sol.lambda_star == 0.0
     assert not sol.active
-    ref = long_term_action(q, np.zeros(1), rng())
-    assert sol.action_raw[0] == pytest.approx(ref.action_raw[0], abs=1e-12)
+    ref = long_term_action(q, np.zeros((1, 1)), rng())
+    assert sol.action_raw[0] == pytest.approx(ref.action_raw[0, 0], abs=1e-12)
 
 
 def test_constraint_hand_example():
@@ -186,7 +186,7 @@ def test_constraint_hand_example():
     q = make_qmodel(v=0.0, h=[0.0], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=-0.0005, direction="upper")
-    sol = constraint_action(q, dyn, np.zeros(1), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
     assert sol.active
     assert sol.lambda_star == pytest.approx(500.0, rel=1e-6)
     assert sol.action_raw[0] == pytest.approx(-0.5, rel=1e-6)
@@ -200,16 +200,16 @@ def test_constraint_complementary_slackness_random():
         d = rnd.uniform(0.3, 2.0, size=(1, 1)) * rnd.choice([-1, 1])
         f = rnd.uniform(-3, 3, size=1)
         g = rnd.uniform(0.5, 3.0, size=(1, 1)) * rnd.choice([-1, 1])
-        x = rnd.uniform(-1, 1, size=1)
+        x = rnd.uniform(-1, 1, size=(1, 1))
         c = rnd.uniform(-1, 1)
         q = make_qmodel(v=0.0, h=h, d=d)
         dyn = make_dynamics(f, g)
         goal = ConstraintGoal(state_index=0, bound=c, direction="upper")
-        sol = constraint_action(q, dyn, x, goal, rng())
+        (sol,) = constraint_action(q, dyn, x, goal, rng())
         assert sol.lambda_star == 0.0 or abs(sol.predicted - c) <= 1e-8
         # never worsens feasibility
         unconstrained = long_term_action(q, x, rng()).action_raw
-        if dyn.predict_next(x, unconstrained)[0] > c:
+        if dyn.predict_next_batch(x, unconstrained)[0, 0] > c:
             assert sol.predicted <= c + 1e-8
 
 
@@ -225,7 +225,7 @@ def test_constraint_matches_numeric_oracle():
         q = make_qmodel(v=0.0, h=[h], d=[[d]])
         dyn = make_dynamics([f], [[g]])
         goal = ConstraintGoal(state_index=0, bound=c, direction="upper")
-        sol = constraint_action(q, dyn, np.array([x]), goal, rng())
+        (sol,) = constraint_action(q, dyn, np.array([[x]]), goal, rng())
         # dense 1-D minimization of 0.5*(h+d*u)^2 s.t. x + delta*(f+g*u) <= c
         us = np.linspace(-50, 50, 2_000_001)
         feasible = x + 0.001 * (f + g * us) <= c + 1e-12
@@ -240,26 +240,26 @@ def test_constraint_lower_bound_reflection():
     q = make_qmodel(v=0.0, h=[0.0], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=0.0005, direction="lower")
-    sol = constraint_action(q, dyn, np.zeros(1), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
     assert sol.active
     assert sol.predicted == pytest.approx(0.0005, abs=1e-10)
     assert sol.action_raw[0] == pytest.approx(0.5, rel=1e-6)
 
 
-def test_constraint_uncontrollable_raises():
+def test_constraint_uncontrollable_is_an_error_row():
     q = make_qmodel(v=0.0, h=[1.0], d=[[1.0]], state_dim=2)
     dyn = make_dynamics([0.0, 0.0], np.array([[0.0], [1.0]]), state_dim=2)
     goal = ConstraintGoal(state_index=0, bound=-1.0, direction="upper")
-    with pytest.raises(UncontrollableConstraintError):
-        constraint_action(q, dyn, np.zeros(2), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 2)), goal, rng())
+    assert isinstance(sol, UncontrollableConstraintError) and "uncontrollable" in str(sol)
 
 
-def test_constraint_degenerate_gain_raises():
+def test_constraint_degenerate_gain_is_an_error_row():
     q = make_qmodel(v=0.0, h=[1.0], d=[[0.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=-1.0, direction="upper")
-    with pytest.raises(UncontrollableConstraintError):
-        constraint_action(q, dyn, np.zeros(1), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
+    assert isinstance(sol, UncontrollableConstraintError) and "numerically zero" in str(sol)
 
 
 def test_constraint_clip_violation_flag():
@@ -267,7 +267,7 @@ def test_constraint_clip_violation_flag():
     q = make_qmodel(v=0.0, h=[0.0], d=[[1.0]], low=-1.0, high=1.0)
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=-0.05, direction="upper")
-    sol = constraint_action(q, dyn, np.zeros(1), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
     assert sol.clip_violates
     assert sol.action[0] == -1.0
     assert sol.predicted == pytest.approx(-0.05, abs=1e-10)
@@ -280,56 +280,56 @@ def test_constraint_clip_violation_flag():
 
 def test_approx_trajectory_gamma2_zero_identity():
     dyn = make_dynamics([0.3], [[1.2]])
-    u_n = np.array([0.123456789])
-    res = approx_trajectory_action(u_n, dyn, np.zeros(1), np.array([0.5]), 1.0, 0.0)
-    assert res.action_raw[0] == u_n[0]  # bitwise
-    assert res.action[0] == u_n[0]
+    u_n = np.array([[0.123456789]])
+    res = approx_trajectory_action(u_n, dyn, np.zeros((1, 1)), np.array([[0.5]]), 1.0, 0.0)
+    assert res.action_raw[0, 0] == u_n[0, 0]  # bitwise
+    assert res.action[0, 0] == u_n[0, 0]
 
 
 def test_approx_trajectory_pure_tracking():
     dyn = make_dynamics([2.0], [[1200.0]], delta=0.001)
-    x = np.array([0.1])
-    target = np.array([0.4])
-    res = approx_trajectory_action(np.array([0.0]), dyn, x, target, 0.0, 1.0)
-    assert dyn.predict_next(x, res.action_raw)[0] == pytest.approx(0.4, abs=1e-6)
+    x = np.array([[0.1]])
+    target = np.array([[0.4]])
+    res = approx_trajectory_action(np.array([[0.0]]), dyn, x, target, 0.0, 1.0)
+    assert dyn.predict_next_batch(x, res.action_raw)[0, 0] == pytest.approx(0.4, abs=1e-6)
 
 
 def test_approx_trajectory_scalar_hand_quadratic():
     # u_N=0.5, f=0, g=1, delta=1e-3, x=0, x_d=0.002, gamma1=1, gamma2=1e6
     dyn = make_dynamics([0.0], [[1.0]], delta=0.001)
     res = approx_trajectory_action(
-        np.array([0.5]), dyn, np.zeros(1), np.array([0.002]), 1.0, 1e6
+        np.array([[0.5]]), dyn, np.zeros((1, 1)), np.array([[0.002]]), 1.0, 1e6
     )
     expected = 2000000.5 / 1000001.0
-    assert res.action_raw[0] == pytest.approx(expected, abs=1e-6)
+    assert res.action_raw[0, 0] == pytest.approx(expected, abs=1e-6)
 
 
 def test_approx_constraint_inactive_is_identity():
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=0.01, direction="upper")
-    u_n = np.array([0.5])
-    sol = approx_constraint_action(u_n, dyn, np.zeros(1), goal)
+    u_n = np.array([[0.5]])
+    (sol,) = approx_constraint_action(u_n, dyn, np.zeros((1, 1)), goal)
     assert not sol.active
     assert sol.lambda_star == 0.0
-    assert sol.action_raw[0] == u_n[0]  # bitwise
-    assert sol.action[0] == u_n[0]
+    assert sol.action_raw[0] == u_n[0, 0]  # bitwise
+    assert sol.action[0] == u_n[0, 0]
 
 
 def test_approx_constraint_boundary_fixed_point():
     # prediction exactly on the bound: lambda* = 0, action unchanged
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=0.001, direction="upper")
-    u_n = np.array([1.0])
-    sol = approx_constraint_action(u_n, dyn, np.zeros(1), goal)
+    u_n = np.array([[1.0]])
+    (sol,) = approx_constraint_action(u_n, dyn, np.zeros((1, 1)), goal)
     assert sol.lambda_star == 0.0
-    assert sol.action_raw[0] == u_n[0]
+    assert sol.action_raw[0] == u_n[0, 0]
 
 
 def test_approx_constraint_hand_example():
     # x=0, f=0, g=1, delta=1e-3, c=4e-4, u_N=1 -> lambda*=600, u=0.4
     dyn = make_dynamics([0.0], [[1.0]], delta=0.001)
     goal = ConstraintGoal(state_index=0, bound=0.0004, direction="upper")
-    sol = approx_constraint_action(np.array([1.0]), dyn, np.zeros(1), goal)
+    (sol,) = approx_constraint_action(np.array([[1.0]]), dyn, np.zeros((1, 1)), goal)
     assert sol.active
     assert sol.lambda_star == pytest.approx(600.0, rel=1e-9)
     assert sol.action_raw[0] == pytest.approx(0.4, rel=1e-9)
@@ -342,16 +342,16 @@ def test_approx_constraint_is_halfspace_projection():
         f = rnd.uniform(-2, 2, size=2)
         g = rnd.uniform(-2, 2, size=(2, 2)) + np.eye(2)
         dyn = make_dynamics(f, g, delta=0.01)
-        x = rnd.uniform(-1, 1, size=2)
-        u_n = rnd.uniform(-2, 2, size=2)
+        x = rnd.uniform(-1, 1, size=(1, 2))
+        u_n = rnd.uniform(-2, 2, size=(1, 2))
         c = rnd.uniform(-0.5, 0.5)
         goal = ConstraintGoal(state_index=0, bound=c, direction="upper")
-        sol = approx_constraint_action(u_n, dyn, x, goal)
+        (sol,) = approx_constraint_action(u_n, dyn, x, goal)
         assert sol.predicted <= c + 1e-8
         if sol.active:
             # projection: the correction is parallel to delta*g_i and lands on the boundary
             assert abs(sol.predicted - c) <= 1e-8
-            corr = sol.action_raw - u_n
+            corr = sol.action_raw - u_n[0]
             dg = 0.01 * g[0]
             cross = corr - (corr @ dg) / (dg @ dg) * dg
             assert np.linalg.norm(cross) < 1e-10
@@ -371,15 +371,15 @@ def mc_like_models():
 def test_hybrid_trajectory_switches_on_position():
     q, dyn = mc_like_models()
     goal = TrajectoryGoal(
-        target=lambda x, k: np.array([x[0] + 0.025, 0.025]),
+        target=lambda X, k: np.column_stack([X[:, 0] + 0.025, np.full(len(X), 0.025)]),
         gamma1=1.0, gamma2=2000.0,
-        active=lambda x, k: x[0] >= 0.0,
+        active=lambda X, k: X[:, 0] >= 0.0,
     )
     ctl = GoalController(dyn, goal, qmodel=q)
-    left = ctl.act(np.array([-0.5, 0.03]), 0, rng())
-    right = ctl.act(np.array([0.1, 0.03]), 1, rng())
-    assert left.branch == "long_term"
-    assert right.branch == "trajectory"
+    left = ctl.act(np.array([[-0.5, 0.03]]), 0, rng())
+    right = ctl.act(np.array([[0.1, 0.03]]), 1, rng())
+    assert left.branch == ["long_term"]
+    assert right.branch == ["trajectory"]
     assert ctl.branch_counts == {"long_term": 1, "trajectory": 1}
 
 
@@ -387,48 +387,48 @@ def test_hybrid_constraint_switches_on_speed():
     q, dyn = mc_like_models()
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.033)
     ctl = GoalController(dyn, goal, qmodel=q)
-    slow = ctl.act(np.array([-0.5, 0.02]), 0, rng())
-    fast = ctl.act(np.array([-0.5, 0.034]), 1, rng())
-    assert slow.branch == "long_term"
-    assert fast.branch == "constraint"
-    assert fast.detail.active
+    slow = ctl.act(np.array([[-0.5, 0.02]]), 0, rng())
+    fast = ctl.act(np.array([[-0.5, 0.034]]), 1, rng())
+    assert slow.branch == ["long_term"]
+    assert fast.branch == ["constraint"]
+    assert fast.detail[0].active
 
 
 def test_hybrid_constraint_picks_nearer_side():
     q, dyn = mc_like_models()
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033)
     ctl = GoalController(dyn, goal, qmodel=q)
-    down = ctl.act(np.array([-0.5, -0.04]), 0, rng())
-    assert down.branch == "constraint"
-    assert down.detail.predicted >= -0.033 - 1e-8
+    down = ctl.act(np.array([[-0.5, -0.04]]), 0, rng())
+    assert down.branch == ["constraint"]
+    assert down.detail[0].predicted >= -0.033 - 1e-8
 
 
 def test_goal_expiry_reverts_to_base():
     q, dyn = mc_like_models()
     goal = TrajectoryGoal(
-        target=lambda x, k: np.array([0.0, 0.0]),
+        target=lambda X, k: np.zeros_like(X),
         gamma1=1.0, gamma2=1.0,
-        active=lambda x, k: k < 5,
+        active=lambda X, k: k < 5,
     )
     ctl = GoalController(dyn, goal, qmodel=q)
-    assert ctl.act(np.array([0.0, 0.0]), 4, rng()).branch == "trajectory"
-    assert ctl.act(np.array([0.0, 0.0]), 5, rng()).branch == "long_term"
+    assert ctl.act(np.zeros((1, 2)), 4, rng()).branch == ["trajectory"]
+    assert ctl.act(np.zeros((1, 2)), 5, rng()).branch == ["long_term"]
 
 
 def test_hybrid_policy_mode_uses_approximation():
     _, dyn = mc_like_models()
     calls = []
 
-    def policy(x):
-        calls.append(x.copy())
-        return np.array([0.7])
+    def policy(X):
+        calls.append(X.copy())
+        return np.array([[0.7]])
 
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.0)
     ctl = GoalController(
         dyn, goal, policy=policy, action_low=np.array([-1.0]), action_high=np.array([1.0]),
     )
-    out = ctl.act(np.array([-0.5, 0.02]), 0, rng())
-    assert out.branch == "constraint"
+    out = ctl.act(np.array([[-0.5, 0.02]]), 0, rng())
+    assert out.branch == ["constraint"]
     assert calls  # the policy supplied u_N
 
 
@@ -437,17 +437,17 @@ def test_uncontrollable_step_falls_back_to_the_base_action():
     dyn = make_dynamics([0.0, 0.0], np.array([[1.0], [0.0]]), state_dim=2)
     q = make_qmodel(v=0.0, h=[0.5], d=[[1.0]], state_dim=2, low=-1.0, high=1.0)
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.0)
-    x = np.array([-0.5, 0.05])
+    x = np.array([[-0.5, 0.05]])
     agent = GoalController(dyn, goal, qmodel=q)
     approx = GoalController(
-        dyn, goal, policy=lambda x: np.array([1.5]), action_low=np.array([-1.0]), action_high=np.array([1.0]),
+        dyn, goal, policy=lambda X: np.array([[1.5]]), action_low=np.array([-1.0]), action_high=np.array([1.0]),
     )
-    for ctl, base in ((agent, long_term_action(q, x, rng()).action), (approx, np.array([1.0]))):
+    for ctl, base in ((agent, long_term_action(q, x, rng()).action), (approx, np.array([[1.0]]))):
         out = ctl.act(x, 0, rng())
-        assert out.branch == "fallback"
-        assert isinstance(out.detail, UncontrollableConstraintError)
+        assert out.branch == ["fallback"]
+        assert isinstance(out.detail[0], UncontrollableConstraintError)
         assert np.array_equal(out.action, base)
-        ctl.act(np.array([-0.5, 0.0]), 1, rng())  # v = 0 is inside the margin
+        ctl.act(np.array([[-0.5, 0.0]]), 1, rng())  # v = 0 is inside the margin
         assert ctl.branch_counts == {"fallback": 1, "long_term" if ctl is agent else "policy": 1}
 
 
@@ -462,7 +462,7 @@ def test_goal_controller_requires_exactly_one_source():
 def test_llql_policy_callable():
     q = make_qmodel(v=0.0, h=[2.0], d=[[1.0]], low=-1.0, high=1.0)
     policy = LlqlPolicy(q)
-    assert policy(np.zeros(1))[0] == -1.0  # -2 clipped
+    assert policy(np.zeros((1, 1)))[0, 0] == -1.0  # -2 clipped
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +495,16 @@ def random_models(state_dim, seed):
     return q, dyn
 
 
-def outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except UncontrollableConstraintError as exc:
-        return exc
+def nearer_side(goal, x) -> ConstraintGoal:
+    """The one-sided constraint of a symmetric limit nearer the value of x."""
+    if x[goal.state_index] >= 0:
+        return ConstraintGoal(goal.state_index, goal.bound, "upper", goal.margin)
+    return ConstraintGoal(goal.state_index, -goal.bound, "lower", -goal.margin)
 
 
 @pytest.mark.parametrize("goal", [ConstraintGoal(1, -0.02, "lower"), SymmetricConstraintGoal(1, 0.02, margin=0.0)],
                          ids=["lower", "symmetric"])
-def test_synthesis_on_rows_equals_one_state_calls_bitwise(goal):
+def test_synthesis_on_rows_equals_one_row_calls_bitwise(goal):
     q, dyn = random_models(2, 3)
     rnd = np.random.default_rng(4)
     X = rnd.normal(size=(12, 2))
@@ -517,21 +517,22 @@ def test_synthesis_on_rows_equals_one_state_calls_bitwise(goal):
             "trajectory": trajectory_action(q, dyn, x, target, 1.0, 50.0, gen),
             "approx_trajectory": approx_trajectory_action(u_n, dyn, x, target, 1.0, 50.0,
                                                           action_low=low, action_high=high),
-            "constraint": outcome(constraint_action, q, dyn, x, goal, gen),
-            "approx_constraint": outcome(approx_constraint_action, u_n, dyn, x, goal, action_low=low,
-                                         action_high=high),
+            "constraint": constraint_action(q, dyn, x, goal, gen),
+            "approx_constraint": approx_constraint_action(u_n, dyn, x, goal, action_low=low, action_high=high),
         }
 
     rows = ops(X, U_n, T, goal, [np.random.default_rng(j) for j in range(len(X))])
     for j in range(len(X)):
-        resolved = goal.resolve(X[j]) if isinstance(goal, SymmetricConstraintGoal) else goal
-        for name, one in ops(X[j], U_n[j], T[j], resolved, np.random.default_rng(j)).items():
+        side = nearer_side(goal, X[j]) if isinstance(goal, SymmetricConstraintGoal) else goal
+        one_row = slice(j, j + 1)
+        for name, one in ops(X[one_row], U_n[one_row], T[one_row], side, np.random.default_rng(j)).items():
             got = rows[name]
             if isinstance(got, list):
-                assert same(got[j], one), name
+                assert same(got[j], one[0]), name
             else:
-                assert np.array_equal(got.action[j], one.action) and np.array_equal(got.action_raw[j], one.action_raw)
-                assert (got.fallback and got.fallback[j]) == one.fallback
+                assert np.array_equal(got.action[j], one.action[0])
+                assert np.array_equal(got.action_raw[j], one.action_raw[0])
+                assert (got.fallback and got.fallback[j]) == (one.fallback and one.fallback[0])
     assert 0 < sum(sol.active for sol in rows["constraint"]) < len(X)
 
 
@@ -550,12 +551,50 @@ def test_goal_controller_rows_decide_as_each_row_alone():
                 lockstep, alone = GoalController(dyn, goal, **source), GoalController(dyn, goal, **source)
                 got = lockstep.act(X, 3, [rng() for _ in X])
                 for j, x in enumerate(X):
-                    one = alone.act(x, 3, rng())
-                    assert np.array_equal(got.action[j], one.action)
-                    assert got.branch[j] == one.branch and same(got.detail[j], one.detail)
+                    one = alone.act(x[None], 3, rng())
+                    assert np.array_equal(got.action[j], one.action[0])
+                    assert got.branch[j] == one.branch[0] and same(got.detail[j], one.detail[0])
                 assert lockstep.branch_counts == alone.branch_counts
                 branches.update(got.branch)
     assert branches == {"long_term", "policy", "trajectory", "constraint", "fallback"}
+
+
+ONE_STATE_CALLS = {
+    "long_term_action": lambda q, dyn, goal, x: long_term_action(q, x, rng()),
+    "trajectory_action": lambda q, dyn, goal, x: trajectory_action(q, dyn, x, x, 1.0, 1.0, rng()),
+    "approx_trajectory_action": lambda q, dyn, goal, x: approx_trajectory_action(np.ones(1), dyn, x, x, 1.0, 1.0),
+    "constraint_action": lambda q, dyn, goal, x: constraint_action(q, dyn, x, goal, rng()),
+    "approx_constraint_action": lambda q, dyn, goal, x: approx_constraint_action(np.ones(1), dyn, x, goal),
+    "GoalController.act": lambda q, dyn, goal, x: GoalController(dyn, goal, qmodel=q).act(x, 0, rng()),
+    "LlqlPolicy": lambda q, dyn, goal, x: LlqlPolicy(q)(x),
+}
+
+
+@pytest.mark.parametrize("name", [*ONE_STATE_CALLS, "ExternalProcessPolicy"])
+def test_one_state_is_rejected(name):
+    q, dyn = mc_like_models()
+    goal = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.0)
+    x = np.array([-0.5, 0.05])  # one state, not a one-row batch; it engages the limit
+    with pytest.raises(ValueError, match="rows"):
+        if name == "ExternalProcessPolicy":
+            with ExternalProcessPolicy([sys.executable, "-c", ECHO_CHILD]) as policy:
+                policy(x)
+        else:
+            ONE_STATE_CALLS[name](q, dyn, goal, x)
+
+
+def test_a_call_logs_one_warning_for_all_its_rows(caplog):
+    q = make_qmodel(v=0.0, h=[1.0], d=[[1.0]], low=-1.0, high=1.0)
+    X = np.zeros((3, 1))
+    with caplog.at_level("WARNING", logger="llql.control"):
+        trajectory_action(q, make_dynamics([np.inf], [[1.0]]), X, X, 1.0, 1.0, rng())
+        # each row's bound needs u = -50, far outside [-1, 1]
+        sols = constraint_action(q, make_dynamics([0.0], [[1.0]]), X, ConstraintGoal(0, -0.05), rng())
+    assert all(sol.clip_violates for sol in sols)
+    assert [r.getMessage() for r in caplog.records] == [
+        "trajectory synthesis was singular; falling back to the long-term action (3 of 3 rows)",
+        "action clipping broke the constraint on 3 of 3 rows: first predicted 0=-0.001 vs bound -0.05",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -584,29 +623,29 @@ SLOW_CHILD = textwrap.dedent(
 
 def test_external_policy_round_trip():
     with ExternalProcessPolicy([sys.executable, "-c", ECHO_CHILD]) as policy:
-        out = policy(np.array([0.8, -0.2]))
-        assert out[0] == pytest.approx(0.4)
-        out2 = policy(np.array([-1.0, 0.0]))
-        assert out2[0] == pytest.approx(-0.5)
+        out = policy(np.array([[0.8, -0.2]]))
+        assert out[0, 0] == pytest.approx(0.4)
+        out2 = policy(np.array([[-1.0, 0.0]]))
+        assert out2[0, 0] == pytest.approx(-0.5)
 
 
 def test_external_policy_pipelines_rows_in_order():
     X = np.random.default_rng(0).normal(size=(150, 2))  # more rows than one write carries
     with ExternalProcessPolicy([sys.executable, "-c", ECHO_CHILD]) as policy:
         U = policy(X)
-        assert U.shape == (150, 1) and np.array_equal(U, np.array([policy(x) for x in X]))
+        assert U.shape == (150, 1) and np.array_equal(U, np.concatenate([policy(x[None]) for x in X]))
 
 
 def test_external_policy_timeout():
     with ExternalProcessPolicy([sys.executable, "-c", SLOW_CHILD], timeout=0.3) as policy:
         with pytest.raises(TimeoutError):
-            policy(np.array([1.0]))
+            policy(np.array([[1.0]]))
 
 
 def test_external_policy_dead_child():
     with ExternalProcessPolicy([sys.executable, "-c", "pass"], timeout=1.0) as policy:
         with pytest.raises((RuntimeError, BrokenPipeError)):
-            policy(np.array([1.0]))
+            policy(np.array([[1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -622,5 +661,4 @@ def test_goal_validation():
     with pytest.raises(ValueError):
         SymmetricConstraintGoal(state_index=0, bound=-1.0)
     goal = ConstraintGoal(state_index=1, bound=0.033)
-    assert goal.active(np.array([0.0, 0.05]), 0)
-    assert not goal.active(np.array([0.0, 0.01]), 0)
+    assert goal.active(np.array([[0.0, 0.05], [0.0, 0.01]]), 0).tolist() == [True, False]

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from llql import core
+from llql import core, linalg
 from llql.envs import MountainCar
 from llql.nets import HeadBank, Mlp, Normalizer
 
@@ -43,25 +43,32 @@ def make_qmodel(v, h, d, state_dim=1, low=-1.0, high=1.0):
 
 def test_predict_next_hand_example():
     dyn = scalar_dynamics(f=1.0, g=2.0, delta=0.001)
-    got = dyn.predict_next(np.array([0.5]), np.array([3.0]))
-    assert got[0] == pytest.approx(0.507, abs=1e-12)
+    got = dyn.predict_next_batch(np.array([[0.5]]), np.array([[3.0]]))
+    assert got[0, 0] == pytest.approx(0.507, abs=1e-12)
 
 
 def test_predict_next_degenerate_delta_returns_state():
     dyn = scalar_dynamics(delta=0.0)
-    x = np.array([0.37])
-    assert dyn.predict_next(x, np.array([5.0]))[0] == x[0]
+    x = np.array([[0.37]])
+    assert dyn.predict_next_batch(x, np.array([[5.0]]))[0, 0] == x[0, 0]
 
 
 def test_predict_next_drift_only():
     dyn = scalar_dynamics(f=2.5, g=7.0, delta=0.01)
-    got = dyn.predict_next(np.array([1.0]), np.array([0.0]))
-    assert got[0] == pytest.approx(1.0 + 0.01 * 2.5, abs=1e-12)
+    got = dyn.predict_next_batch(np.array([[1.0]]), np.array([[0.0]]))
+    assert got[0, 0] == pytest.approx(1.0 + 0.01 * 2.5, abs=1e-12)
+
+
+def q_value(q, x, u) -> float:
+    """Q(x, u) = V(x) - ||h(x) + d(x) u|| at one state, from the one-row
+    `coefficients`."""
+    V, H, D = q.coefficients(x[None])
+    return V[0] - np.linalg.norm(H[0] + D[0] @ u)
 
 
 def test_q_value_hand_example():
     q = make_qmodel(v=10.0, h=[3.0, 4.0], d=np.eye(2), state_dim=2)
-    got = q.q_value(np.zeros(2), np.zeros(2))
+    got = q_value(q, np.zeros(2), np.zeros(2))
     assert got == pytest.approx(5.0, abs=1e-12)
 
 
@@ -71,12 +78,12 @@ def test_q_value_upper_bounded_by_value():
     for _ in range(50):
         x = rng.standard_normal(1)
         u = rng.standard_normal(1)
-        assert q.q_value(x, u) <= q.value(x) + 1e-12
+        assert q_value(q, x, u) <= q.coefficients(x[None])[0][0] + 1e-12
 
 
 def test_q_value_zero_residual_equals_value():
     q = make_qmodel(v=2.0, h=[1.0], d=[[2.0]])
-    assert q.q_value(np.zeros(1), np.array([-0.5])) == pytest.approx(2.0, abs=1e-12)
+    assert q_value(q, np.zeros(1), np.array([-0.5])) == pytest.approx(2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +129,7 @@ def test_long_term_loss_myopic_fixed_point():
     q = make_qmodel(v=2.0, h=[1.0], d=[[1.0]])
     x = np.array([[0.0]])
     u = np.array([[0.5]])
-    reward = q.q_value(x[0], u[0])
+    reward = q_value(q, x[0], u[0])
     loss = core.long_term_loss(q, q, batch_of(x, u, x, [reward]), gamma=1e-12)
     assert loss == pytest.approx(0.0, abs=1e-9)
 
@@ -154,20 +161,25 @@ def test_long_term_loss_squared_variant():
 # ---------------------------------------------------------------------------
 
 
+def greedy_target_q(q) -> float:
+    """The target Q of one row at x = 0."""
+    return core._greedy_target_q_batch(q, np.zeros((1, 1)), core.EPS_D)[0]
+
+
 def test_greedy_target_q_exactly_solvable():
     q = make_qmodel(v=3.0, h=[0.4], d=[[2.0]])
-    assert core.greedy_target_q(q, np.zeros(1)) == pytest.approx(3.0, abs=1e-9)
+    assert greedy_target_q(q) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_greedy_target_q_degenerate_gain_returns_value():
     q = make_qmodel(v=3.0, h=[5.0], d=[[0.0]])
-    assert core.greedy_target_q(q, np.zeros(1)) == pytest.approx(3.0, abs=1e-12)
+    assert greedy_target_q(q) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_greedy_target_q_clips_action():
     # u* = -2 clips to -1, so Q' = V' - |2 - 1| = V' - 1
     q = make_qmodel(v=7.0, h=[2.0], d=[[1.0]], low=-1.0, high=1.0)
-    assert core.greedy_target_q(q, np.zeros(1)) == pytest.approx(6.0, abs=1e-9)
+    assert greedy_target_q(q) == pytest.approx(6.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +281,15 @@ def test_train_bookkeeping_buffer_size():
     assert len(trainer.buffer) == 3
 
 
+def test_training_act_is_the_one_row_greedy_solve_or_zeros_at_a_degenerate_gain():
+    trainer = core._Trainer(MountainCar(horizon=3), tiny_config())
+    x = np.array([-0.5, 0.01])
+    _, H, D = trainer.q.coefficients(x[None])
+    assert np.array_equal(trainer._act(x), linalg.pinv_action(H[0], D[0]))  # the single-system solve's bits
+    trainer.q = make_qmodel(v=0.0, h=[1.0], d=[[0.0]], state_dim=2)
+    assert np.array_equal(trainer._act(x), np.zeros(1))
+
+
 def test_one_adam_step_per_update_and_one_soft_update_per_long_update(monkeypatch):
     calls = {"adam": 0, "soft": 0}
     step, soft = core.Adam.step, core.soft_update
@@ -331,10 +352,12 @@ def test_model_save_load_round_trip(tmp_path):
         meta={"env": env.spec.to_dict(), "config": tiny_config().to_dict(), "episode": 1},
     )
     dyn, q, meta = core.load_llql_model(path)
-    x = np.array([-0.5, 0.01])
-    u = np.array([0.3])
-    assert dyn.predict_next(x, u) == pytest.approx(res.dynamics.predict_next(x, u), abs=0)
-    assert q.q_value(x, u) == pytest.approx(res.qmodel.q_value(x, u), abs=0)
+    X = np.array([[-0.5, 0.01]])
+    assert np.array_equal(dyn.predict_next_batch(X, np.array([[0.3]])),
+                          res.dynamics.predict_next_batch(X, np.array([[0.3]])))
+    for loaded, trained in ((dyn, res.dynamics), (q, res.qmodel)):
+        for got, want in zip(loaded.coefficients(X), trained.coefficients(X)):
+            assert np.array_equal(got, want)
     assert meta["role"] == "llql"
 
 

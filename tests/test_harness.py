@@ -326,8 +326,8 @@ def test_load_policy_reads_the_model_file_once(tmp_path, monkeypatch, role):
     monkeypatch.setattr("builtins.open", counting_open)
     policy = experiments.load_policy(str(path))
     assert len(reads) == 1
-    x = np.array([-0.5, 0.01])
-    assert np.array_equal(policy(x), reference(x))
+    X = np.array([[-0.5, 0.01]])
+    assert np.array_equal(policy(X), reference(X))
 
 
 def test_adjust_reads_a_shared_model_file_once(tmp_path, monkeypatch):
@@ -499,14 +499,15 @@ def saved_model(path, env, method="llql"):
 
 def per_run_rows(env, controller, runs, seed0, hazard_limit, vel_target):
     """The evaluation loop before lockstep, kept as the reference: one run
-    at a time, one state at a time, each run with its own generator."""
+    at a time, one state at a time as a one-row batch, each run with its
+    own generator."""
     rows = []
     for seed in range(seed0, seed0 + runs):
         rng = np.random.default_rng(seed)
         x = env.reset(seed)
         total, steps, success, s_out, vel_errors = 0.0, 0, False, 0, []
         for k in range(env.horizon):
-            sr = env.step(x, controller(x, k, rng))
+            sr = env.step(x, controller(x[None], k, [rng])[0])
             total += sr.reward
             steps = k + 1
             x = sr.next_state
@@ -548,10 +549,8 @@ def controllers(env, model_path, ddpg_path):
         reward_fn = baselines.mountain_car_reward_fn(env.goal_position)
         cfg = baselines.MpcConfig(horizon=3, candidates=20)
 
-        def mpc(X, k, rng):
-            if isinstance(rng, np.random.Generator):
-                return baselines.mpc_action(dyn, X, reward_fn, cfg, rng, low, high)
-            return np.array([baselines.mpc_action(dyn, x, reward_fn, cfg, r, low, high) for x, r in zip(X, rng)])
+        def mpc(X, k, rngs):
+            return np.array([baselines.mpc_action(dyn, x, reward_fn, cfg, r, low, high) for x, r in zip(X, rngs)])
 
         out["mpc"] = mpc
     return out

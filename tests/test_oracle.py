@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from llql import control
-from llql.control import GoalController, SymmetricConstraintGoal, TrajectoryGoal
+from llql.control import ConstraintGoal, GoalController, SymmetricConstraintGoal, TrajectoryGoal
 from llql.envs import MountainCar, Pendulum
 
 DELTA = 0.001
@@ -63,14 +63,15 @@ def free_velocity(x):
 
 
 def rollout(controller, seed, steps=300):
-    """(state, next state) pairs of one episode that never reaches the goal."""
+    """(state, next state, branch, detail) of each step of one episode that
+    never reaches the goal, each state decided as a one-row batch."""
     env = MountainCar(goal_position=0.6, horizon=steps)
     x, rng = env.reset(seed), np.random.default_rng(seed)
     pairs = []
     for k in range(steps):
-        decision = controller.act(x, k, rng)
-        res = env.step(x, decision.action)
-        pairs.append((x, res.next_state, decision))
+        decision = controller.act(x[None], k, rng)
+        res = env.step(x, decision.action[0])
+        pairs.append((x, res.next_state, decision.branch[0], decision.detail[0]))
         x = res.next_state
         if res.done:
             break
@@ -100,14 +101,14 @@ def test_speed_limit_holds_wherever_reachable(which):
     goal = SymmetricConstraintGoal(state_index=1, bound=BOUND, margin=0.0)
     reachable_steps = engaged = 0
     for seed in SEEDS:
-        for x, x_next, decision in rollout(controller(which, goal), seed):
+        for x, x_next, branch, detail in rollout(controller(which, goal), seed):
             v_free = free_velocity(x)
             if v_free - POWER > BOUND or v_free + POWER < -BOUND:
                 continue  # gravity alone carries the car past the bound
             reachable_steps += 1
-            if decision.branch == "constraint":  # margin 0: every step with v != 0
-                engaged += decision.detail.active
-                assert not decision.detail.clip_violates
+            if branch == "constraint":  # margin 0: every step with v != 0
+                engaged += detail.active
+                assert not detail.clip_violates
             assert abs(x_next[1]) <= BOUND + 1e-9
     assert reachable_steps > 500 and engaged > 100
 
@@ -124,12 +125,13 @@ def test_pumping_alone_breaks_the_limit():
 @pytest.mark.parametrize("which", ["agent", "approximation"])
 @pytest.mark.parametrize("v_d", [0.0, 0.01, -0.01])
 def test_large_gamma2_trajectory_lands_on_target_velocity(which, v_d):
-    goal = TrajectoryGoal(lambda x, k: np.array([x[0] + v_d, v_d]), gamma1=1.0, gamma2=1e6)
+    goal = TrajectoryGoal(lambda X, k: np.column_stack([X[:, 0] + v_d, np.full(len(X), v_d)]), gamma1=1.0,
+                          gamma2=1e6)
     ctl = controller(which, goal)
     landed = 0
     for seed in SEEDS:
-        for x, x_next, decision in rollout(ctl, seed, steps=100):
-            assert decision.branch == "trajectory"
+        for x, x_next, branch, _ in rollout(ctl, seed, steps=100):
+            assert branch == "trajectory"
             if abs(v_d - free_velocity(x)) > POWER:
                 continue  # the target needs more force than [-1, 1] allows
             landed += 1
@@ -140,12 +142,12 @@ def test_large_gamma2_trajectory_lands_on_target_velocity(which, v_d):
 def test_oracle_constraint_ops_agree_on_their_common_case():
     # with h = -u_N and d = I the agent's objective is the approximation's
     dyn = OracleDynamics()
-    goal = SymmetricConstraintGoal(state_index=1, bound=BOUND).resolve(np.array([0.0, 0.03]))
+    goal = ConstraintGoal(state_index=1, bound=BOUND)  # the upper side of the speed limit
     rnd = np.random.default_rng(1)
     for _ in range(100):
-        x = np.array([rnd.uniform(-1.0, 0.3), rnd.uniform(0.0, 0.04)])
-        agent = control.constraint_action(OracleQ(), dyn, x, goal, rnd)
-        approx = control.approx_constraint_action(pump(x), dyn, x, goal)
+        x = np.array([[rnd.uniform(-1.0, 0.3), rnd.uniform(0.0, 0.04)]])
+        (agent,) = control.constraint_action(OracleQ(), dyn, x, goal, rnd)
+        (approx,) = control.approx_constraint_action(pump(x), dyn, x, goal)
         assert agent.active == approx.active
         np.testing.assert_allclose(agent.action_raw, approx.action_raw, rtol=1e-6, atol=1e-9)
 
@@ -213,9 +215,9 @@ def pendulum_rollout(controller, seed, steps):
     x, rng = env.reset(seed), np.random.default_rng(seed)
     pairs = []
     for k in range(steps):
-        decision = controller.act(x, k, rng)
-        x_next = env.step(x, decision.action).next_state
-        pairs.append((x, x_next, decision))
+        decision = controller.act(x[None], k, rng)
+        x_next = env.step(x, decision.action[0]).next_state
+        pairs.append((x, x_next, decision.branch[0], decision.detail[0]))
         x = x_next
     return pairs
 
@@ -235,14 +237,14 @@ def test_pendulum_spin_limit_holds_wherever_reachable(which):
     goal = SymmetricConstraintGoal(state_index=2, bound=SPIN_BOUND, margin=0.0)
     reachable_steps = engaged = 0
     for seed in SEEDS:
-        for x, x_next, decision in pendulum_rollout(pendulum_controller(which, goal), seed, 200):
+        for x, x_next, branch, detail in pendulum_rollout(pendulum_controller(which, goal), seed, 200):
             w_free = free_spin(x)
             if w_free - GAIN * TORQUE > SPIN_BOUND or w_free + GAIN * TORQUE < -SPIN_BOUND:
                 continue  # gravity alone carries the pendulum past the bound
             reachable_steps += 1
-            if decision.branch == "constraint":
-                engaged += decision.detail.active
-                assert not decision.detail.clip_violates
+            if branch == "constraint":
+                engaged += detail.active
+                assert not detail.clip_violates
             assert abs(x_next[2]) <= SPIN_BOUND + 1e-9
     assert reachable_steps > 400 and engaged > 100
 
@@ -250,12 +252,13 @@ def test_pendulum_spin_limit_holds_wherever_reachable(which):
 @pytest.mark.parametrize("which", ["agent", "approximation"])
 @pytest.mark.parametrize("w_d", [0.0, 1.0, -1.0])
 def test_pendulum_large_gamma2_trajectory_lands_on_target_spin(which, w_d):
-    goal = TrajectoryGoal(lambda x, k: np.array([x[0], x[1], w_d]), gamma1=1.0, gamma2=1e6)
+    goal = TrajectoryGoal(lambda X, k: np.column_stack([X[:, 0], X[:, 1], np.full(len(X), w_d)]), gamma1=1.0,
+                          gamma2=1e6)
     ctl = pendulum_controller(which, goal)
     landed = 0
     for seed in SEEDS:
-        for x, x_next, decision in pendulum_rollout(ctl, seed, 100):
-            assert decision.branch == "trajectory"
+        for x, x_next, branch, _ in pendulum_rollout(ctl, seed, 100):
+            assert branch == "trajectory"
             if abs(w_d - free_spin(x)) > GAIN * TORQUE:
                 continue  # the target needs more torque than [-2, 2] allows
             landed += 1
