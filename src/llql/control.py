@@ -456,13 +456,12 @@ class GoalController:
 
     The base action comes from the trained value model (long-term greedy)
     when `qmodel` is given, or from `policy` (any callable rows -> actions)
-    in the approximation setting.  While the goal's
-    activation predicate holds, actions come from the matching goal-aware
-    synthesis op; once the goal expires the controller reverts to the base
-    policy.  A step on which the constraint is uncontrollable takes the
-    base action, on branch "fallback", instead of ending the episode.
-    Rows are dispatched each to its own branch, and each branch's rows go
-    through their op together.
+    in the approximation setting.  While the goal's activation predicate
+    holds, actions come from the matching goal-aware synthesis op; once the
+    goal expires the controller reverts to the base policy.  A step on
+    which the constraint is uncontrollable takes the base action, on branch
+    "fallback", instead of ending the episode.  Rows are dispatched each to
+    its own branch, and each branch's rows go through their op together.
     """
 
     def __init__(
