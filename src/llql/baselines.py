@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import control
 from .core import DynamicsModel, _EpisodeTrainer
 from .nets import Adam, Mlp, ModelFile, Normalizer, save_model, load_model, soft_update
 
@@ -131,9 +132,11 @@ class DdpgModel:
         return center + half * np.tanh(np.asarray(raw, dtype=np.float64))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The action at one state, or at each of the rows of x, each row
-        a one-row batch (`HeadBank._run`), so it has the bits it has alone."""
-        return self._squash(self.actor.forward(self.normalizer.normalize(x)[..., None, :])[..., 0, :])
+        """The actions (n, a) at the rows x (n, s), each row a one-row batch
+        (`HeadBank._run`), so it has the bits it has alone.  Raises
+        ValueError unless x is 2-D, as every policy does."""
+        X = control._rows(x)[0]
+        return self._squash(self.actor.forward(self.normalizer.normalize(X)[:, None, :])[:, 0, :])
 
 
 class _ShapedEnv:
@@ -173,7 +176,7 @@ class _DdpgTrainer(_EpisodeTrainer):
         self.model = DdpgModel(self.actor, self.critic, self.normalizer, self.low, self.high)
 
     def _act(self, x: np.ndarray) -> np.ndarray:
-        return self.model(x)
+        return self.model(x[None])[0]
 
     def _updates(self):
         yield 1, self._update(self.buffer.sample(self.cfg.batch, self.sample_rng))

@@ -18,6 +18,11 @@ replaced by ||u - u_N||, that is (h, d) = (-u_N, I), where u_N is a
 pre-trained policy's action: it needs only the dynamics model, and its
 constraint adjustment is the minimum-norm projection of u_N.
 
+`GoalController.act` dispatches each row to the base action or to the
+goal's synthesis op and returns the actions (n, a); its `branch_counts`
+count the rows each branch took, "fallback" included.  The ops return
+richer results: an `ActionResult`, or one `KktSolution` (or error) per row.
+
 Every op, `GoalController.act` and every policy here take rows of
 states (n, dim) and nothing else; a 1-D state raises ValueError, and one
 state is the one-row batch `x[None]`.  Lockstep evaluation passes the
@@ -98,23 +103,20 @@ class ConstraintGoal:
     bound: float
     direction: str = "upper"
     margin: Optional[float] = None
-    active: Optional[Callable] = None
 
     def __post_init__(self):
         if self.direction not in ("upper", "lower"):
             raise ValueError("direction must be 'upper' or 'lower'")
         if self.margin is None:
             self.margin = self.bound
-        if self.active is None:
-            if self.direction == "upper":
-                self.active = lambda x, k: x[..., self.state_index] > self.margin
-            else:
-                self.active = lambda x, k: x[..., self.state_index] < self.margin
 
     @property
     def sign(self) -> float:
         """+1 for an upper bound, -1 for a lower one (which reflects to upper)."""
         return 1.0 if self.direction == "upper" else -1.0
+
+    def active(self, x, k):
+        return self.sign * x[..., self.state_index] > self.sign * self.margin
 
     def upper(self, X: np.ndarray) -> tuple:
         """(sign, c) for each row of X: the bound read as sign * x[i] <= c."""
@@ -364,7 +366,6 @@ def constraint_action(
     dyn: DynamicsModel,
     x: np.ndarray,
     goal,
-    rng,
 ) -> list:
     """Greedy action subject to a bound on one predicted state component.
 
@@ -441,16 +442,6 @@ def approx_constraint_action(
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class Decision:
-    """The (n, a) actions of n rows, and one branch and one detail (the op's
-    result, or the error of a fallback) per row."""
-
-    action: np.ndarray
-    branch: list
-    detail: list
-
-
 class GoalController:
     """Per-step dispatch between a base policy and goal-aware synthesis.
 
@@ -461,7 +452,8 @@ class GoalController:
     goal expires the controller reverts to the base policy.  A step on
     which the constraint is uncontrollable takes the base action, on branch
     "fallback", instead of ending the episode.  Rows are dispatched each to
-    its own branch, and each branch's rows go through their op together.
+    its own branch, and each branch's rows go through their op together;
+    `branch_counts` counts the rows each branch took.
     """
 
     def __init__(
@@ -485,16 +477,13 @@ class GoalController:
         self.branch_counts: dict = {}
 
     def _base(self, X, U_n, rngs, rows) -> tuple:
-        """(actions, branch, one detail per row) of the base action on
-        `rows` of X."""
+        """(actions, branch) of the base action on `rows` of X."""
         if self.qmodel is not None:
-            res = long_term_action(self.qmodel, X[rows], [rngs[j] for j in rows])
-            return res.action, "long_term", _split(res)
-        actions = _clip(U_n[rows], self.action_low, self.action_high)
-        return actions, "policy", [None] * len(actions)
+            return long_term_action(self.qmodel, X[rows], [rngs[j] for j in rows]).action, "long_term"
+        return _clip(U_n[rows], self.action_low, self.action_high), "policy"
 
-    def act(self, x: np.ndarray, k: int, rng) -> Decision:
-        """The decision at each of the rows of x at step k.  `rng` is one
+    def act(self, x: np.ndarray, k: int, rng) -> np.ndarray:
+        """The actions (n, a) at the rows of x at step k.  `rng` is one
         generator, or one per row; the agent's long-term fallback draws from
         it.  The goal's callables and the policy are called once, on all
         the rows."""
@@ -504,7 +493,7 @@ class GoalController:
         if goal is not None:
             on[:] = goal.active(X, k)
         U_n = None if self.policy is None else np.asarray(self.policy(X), dtype=np.float64).reshape(len(X), -1)
-        parts = []  # (rows, their actions, branch, one detail per row)
+        parts = []  # (rows, their actions, branch)
         if not on.all():
             rows = np.flatnonzero(~on)
             parts.append((rows, *self._base(X, U_n, rngs, rows)))
@@ -519,42 +508,30 @@ class GoalController:
                     U_n[rows], self.dyn, X[rows], target, goal.gamma1, goal.gamma2,
                     action_low=self.action_low, action_high=self.action_high,
                 )
-            parts.append((rows, res.action, "trajectory", _split(res)))
+            parts.append((rows, res.action, "trajectory"))
         elif rows.size:
             if self.qmodel is not None:
-                sols = constraint_action(self.qmodel, self.dyn, X[rows], goal, [rngs[j] for j in rows])
+                sols = constraint_action(self.qmodel, self.dyn, X[rows], goal)
             else:
                 sols = approx_constraint_action(
                     U_n[rows], self.dyn, X[rows], goal, action_low=self.action_low, action_high=self.action_high,
                 )
-            failed = [isinstance(sol, UncontrollableConstraintError) for sol in sols]
-            if not all(failed):
-                kept = [sol for sol, bad in zip(sols, failed) if not bad]
-                parts.append((rows[np.logical_not(failed)], np.array([sol.action for sol in kept]), "constraint",
-                              kept))
-            if any(failed):
-                errors = [sol for sol, bad in zip(sols, failed) if bad]
-                for exc in errors:
-                    logger.warning("%s; taking the base action", exc)
-                parts.append((rows[failed], self._base(X, U_n, rngs, rows[failed])[0], "fallback", errors))
-        for _, _, name, details in parts:
-            self.branch_counts[name] = self.branch_counts.get(name, 0) + len(details)
+            failed = np.array([isinstance(sol, UncontrollableConstraintError) for sol in sols])
+            if not failed.all():
+                kept = [sol.action for sol, bad in zip(sols, failed) if not bad]
+                parts.append((rows[~failed], np.array(kept), "constraint"))
+            if failed.any():
+                logger.warning("%s; taking the base action (%d of %d rows)", sols[failed.argmax()], failed.sum(),
+                               len(X))
+                parts.append((rows[failed], self._base(X, U_n, rngs, rows[failed])[0], "fallback"))
+        for rows, _, name in parts:
+            self.branch_counts[name] = self.branch_counts.get(name, 0) + len(rows)
         if len(parts) == 1:  # every row on one branch, in order
-            _, action, name, detail = parts[0]
-            branch = [name] * len(X)
-        else:
-            action, branch, detail = np.empty((len(X), parts[0][1].shape[1])), [None] * len(X), [None] * len(X)
-            for rows, actions, name, details in parts:
-                action[rows] = actions
-                for j, d in zip(rows.tolist(), details):
-                    branch[j], detail[j] = name, d
-        return Decision(action, branch, detail)
-
-
-def _split(res: ActionResult) -> list:
-    """An op's row result as one ActionResult per row."""
-    fallback = res.fallback or [None] * len(res.action)
-    return [ActionResult(*row) for row in zip(res.action, res.action_raw, fallback)]
+            return parts[0][1]
+        action = np.empty((len(X), parts[0][1].shape[1]))
+        for rows, actions, _ in parts:
+            action[rows] = actions
+        return action
 
 
 class LlqlPolicy:

@@ -416,10 +416,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             def controller(X, k, rngs):
                 return control.long_term_action(q, X, rngs).action
         else:
-            agent = control.GoalController(dyn, goal, qmodel=q)
-
-            def controller(X, k, rngs):
-                return agent.act(X, k, rngs).action
+            controller = control.GoalController(dyn, goal, qmodel=q).act
 
     elif spec.method == "ddpg":
         model, model_meta = baselines.load_ddpg_model(spec.model_path)
@@ -448,20 +445,18 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
         if goal is None:
             raise ValueError("adjust requires a goal")
         mf = load_model(spec.dynamics_path)
-        dyn, _, dyn_meta = core.llql_model_from(mf)
+        dyn, q, dyn_meta = core.llql_model_from(mf)
         _check_env_match(env, dyn_meta, spec.dynamics_path)
         meta["dynamics"] = spec.dynamics_path
         meta["policy"] = spec.policy_path
-        if spec.policy_path == spec.dynamics_path:  # one file read serves both
-            policy = _policy_from(mf, spec.policy_path)
+        if spec.policy_path == spec.dynamics_path:  # one file read and one build serve both
+            # a file without a value model gets `_policy_from`'s error
+            policy = control.LlqlPolicy(q) if q is not None else _policy_from(mf, spec.policy_path)
         else:
             policy = load_policy(spec.policy_path)
-        adjuster = control.GoalController(
+        controller = control.GoalController(
             dyn, goal, policy=policy, action_low=env.action_low, action_high=env.action_high,
-        )
-
-        def controller(X, k, rngs):
-            return adjuster.act(X, k, rngs).action
+        ).act
 
     else:
         raise ValueError(f"unknown method {spec.method!r}")

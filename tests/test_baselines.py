@@ -198,8 +198,8 @@ def test_ddpg_actor_respects_bounds():
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = np.array([*rng.uniform(-1, 1, 2), rng.uniform(-8, 8)])
-        u = model(x)
-        assert -2.0 <= u[0] <= 2.0
+        u = model(x[None])
+        assert u.shape == (1, 1) and -2.0 <= u[0, 0] <= 2.0
 
 
 def test_ddpg_reward_mod_changes_training():
@@ -227,8 +227,8 @@ def test_ddpg_save_load_round_trip(tmp_path):
     path = tmp_path / "ddpg.model"
     save_ddpg_model(path, model, {"env": env.spec.to_dict(), "reward_mod": "c1"})
     loaded, meta = load_ddpg_model(path)
-    x = np.array([-0.5, 0.01])
-    assert np.array_equal(loaded(x), model(x))
+    X = np.array([[-0.5, 0.01], [0.2, -0.03]])
+    assert np.array_equal(loaded(X), model(X))
     assert meta["reward_mod"] == "c1"
 
 

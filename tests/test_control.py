@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from llql import control
+from llql.baselines import DdpgModel
 from llql.control import (
     ConstraintGoal,
     ExternalProcessPolicy,
@@ -174,7 +175,7 @@ def test_constraint_inactive_clamps_to_long_term():
     q = make_qmodel(v=0.0, h=[0.1], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=1.0, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
     assert sol.lambda_star == 0.0
     assert not sol.active
     ref = long_term_action(q, np.zeros((1, 1)), rng())
@@ -186,7 +187,7 @@ def test_constraint_hand_example():
     q = make_qmodel(v=0.0, h=[0.0], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=-0.0005, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
     assert sol.active
     assert sol.lambda_star == pytest.approx(500.0, rel=1e-6)
     assert sol.action_raw[0] == pytest.approx(-0.5, rel=1e-6)
@@ -205,7 +206,7 @@ def test_constraint_complementary_slackness_random():
         q = make_qmodel(v=0.0, h=h, d=d)
         dyn = make_dynamics(f, g)
         goal = ConstraintGoal(state_index=0, bound=c, direction="upper")
-        (sol,) = constraint_action(q, dyn, x, goal, rng())
+        (sol,) = constraint_action(q, dyn, x, goal)
         assert sol.lambda_star == 0.0 or abs(sol.predicted - c) <= 1e-8
         # never worsens feasibility
         unconstrained = long_term_action(q, x, rng()).action_raw
@@ -225,7 +226,7 @@ def test_constraint_matches_numeric_oracle():
         q = make_qmodel(v=0.0, h=[h], d=[[d]])
         dyn = make_dynamics([f], [[g]])
         goal = ConstraintGoal(state_index=0, bound=c, direction="upper")
-        (sol,) = constraint_action(q, dyn, np.array([[x]]), goal, rng())
+        (sol,) = constraint_action(q, dyn, np.array([[x]]), goal)
         # dense 1-D minimization of 0.5*(h+d*u)^2 s.t. x + delta*(f+g*u) <= c
         us = np.linspace(-50, 50, 2_000_001)
         feasible = x + 0.001 * (f + g * us) <= c + 1e-12
@@ -240,7 +241,7 @@ def test_constraint_lower_bound_reflection():
     q = make_qmodel(v=0.0, h=[0.0], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=0.0005, direction="lower")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
     assert sol.active
     assert sol.predicted == pytest.approx(0.0005, abs=1e-10)
     assert sol.action_raw[0] == pytest.approx(0.5, rel=1e-6)
@@ -250,7 +251,7 @@ def test_constraint_uncontrollable_is_an_error_row():
     q = make_qmodel(v=0.0, h=[1.0], d=[[1.0]], state_dim=2)
     dyn = make_dynamics([0.0, 0.0], np.array([[0.0], [1.0]]), state_dim=2)
     goal = ConstraintGoal(state_index=0, bound=-1.0, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 2)), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 2)), goal)
     assert isinstance(sol, UncontrollableConstraintError) and "uncontrollable" in str(sol)
 
 
@@ -258,7 +259,7 @@ def test_constraint_degenerate_gain_is_an_error_row():
     q = make_qmodel(v=0.0, h=[1.0], d=[[0.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=-1.0, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
     assert isinstance(sol, UncontrollableConstraintError) and "numerically zero" in str(sol)
 
 
@@ -267,7 +268,7 @@ def test_constraint_clip_violation_flag():
     q = make_qmodel(v=0.0, h=[0.0], d=[[1.0]], low=-1.0, high=1.0)
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=-0.05, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal, rng())
+    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
     assert sol.clip_violates
     assert sol.action[0] == -1.0
     assert sol.predicted == pytest.approx(-0.05, abs=1e-10)
@@ -376,10 +377,10 @@ def test_hybrid_trajectory_switches_on_position():
         active=lambda X, k: X[:, 0] >= 0.0,
     )
     ctl = GoalController(dyn, goal, qmodel=q)
-    left = ctl.act(np.array([[-0.5, 0.03]]), 0, rng())
-    right = ctl.act(np.array([[0.1, 0.03]]), 1, rng())
-    assert left.branch == ["long_term"]
-    assert right.branch == ["trajectory"]
+    left = np.array([[-0.5, 0.03]])
+    assert np.array_equal(ctl.act(left, 0, rng()), long_term_action(q, left, rng()).action)
+    assert ctl.branch_counts == {"long_term": 1}
+    ctl.act(np.array([[0.1, 0.03]]), 1, rng())
     assert ctl.branch_counts == {"long_term": 1, "trajectory": 1}
 
 
@@ -387,20 +388,24 @@ def test_hybrid_constraint_switches_on_speed():
     q, dyn = mc_like_models()
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.033)
     ctl = GoalController(dyn, goal, qmodel=q)
-    slow = ctl.act(np.array([[-0.5, 0.02]]), 0, rng())
-    fast = ctl.act(np.array([[-0.5, 0.034]]), 1, rng())
-    assert slow.branch == ["long_term"]
-    assert fast.branch == ["constraint"]
-    assert fast.detail[0].active
+    ctl.act(np.array([[-0.5, 0.02]]), 0, rng())
+    assert ctl.branch_counts == {"long_term": 1}
+    fast = np.array([[-0.5, 0.034]])
+    action = ctl.act(fast, 1, rng())
+    assert ctl.branch_counts == {"long_term": 1, "constraint": 1}
+    (sol,) = constraint_action(q, dyn, fast, goal)
+    assert sol.active and np.array_equal(action[0], sol.action)
 
 
 def test_hybrid_constraint_picks_nearer_side():
     q, dyn = mc_like_models()
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033)
     ctl = GoalController(dyn, goal, qmodel=q)
-    down = ctl.act(np.array([[-0.5, -0.04]]), 0, rng())
-    assert down.branch == ["constraint"]
-    assert down.detail[0].predicted >= -0.033 - 1e-8
+    down = np.array([[-0.5, -0.04]])
+    action = ctl.act(down, 0, rng())
+    assert ctl.branch_counts == {"constraint": 1}
+    (sol,) = constraint_action(q, dyn, down, goal)
+    assert np.array_equal(action[0], sol.action) and sol.predicted >= -0.033 - 1e-8
 
 
 def test_goal_expiry_reverts_to_base():
@@ -411,8 +416,10 @@ def test_goal_expiry_reverts_to_base():
         active=lambda X, k: k < 5,
     )
     ctl = GoalController(dyn, goal, qmodel=q)
-    assert ctl.act(np.zeros((1, 2)), 4, rng()).branch == ["trajectory"]
-    assert ctl.act(np.zeros((1, 2)), 5, rng()).branch == ["long_term"]
+    ctl.act(np.zeros((1, 2)), 4, rng())
+    assert ctl.branch_counts == {"trajectory": 1}
+    ctl.act(np.zeros((1, 2)), 5, rng())
+    assert ctl.branch_counts == {"trajectory": 1, "long_term": 1}
 
 
 def test_hybrid_policy_mode_uses_approximation():
@@ -427,8 +434,8 @@ def test_hybrid_policy_mode_uses_approximation():
     ctl = GoalController(
         dyn, goal, policy=policy, action_low=np.array([-1.0]), action_high=np.array([1.0]),
     )
-    out = ctl.act(np.array([[-0.5, 0.02]]), 0, rng())
-    assert out.branch == ["constraint"]
+    ctl.act(np.array([[-0.5, 0.02]]), 0, rng())
+    assert ctl.branch_counts == {"constraint": 1}
     assert calls  # the policy supplied u_N
 
 
@@ -442,11 +449,13 @@ def test_uncontrollable_step_falls_back_to_the_base_action():
     approx = GoalController(
         dyn, goal, policy=lambda X: np.array([[1.5]]), action_low=np.array([-1.0]), action_high=np.array([1.0]),
     )
-    for ctl, base in ((agent, long_term_action(q, x, rng()).action), (approx, np.array([[1.0]]))):
-        out = ctl.act(x, 0, rng())
-        assert out.branch == ["fallback"]
-        assert isinstance(out.detail[0], UncontrollableConstraintError)
-        assert np.array_equal(out.action, base)
+    for ctl, base, (error,) in (
+        (agent, long_term_action(q, x, rng()).action, constraint_action(q, dyn, x, goal)),
+        (approx, np.array([[1.0]]), approx_constraint_action(np.array([[1.5]]), dyn, x, goal)),
+    ):
+        assert isinstance(error, UncontrollableConstraintError)
+        assert np.array_equal(ctl.act(x, 0, rng()), base)
+        assert ctl.branch_counts == {"fallback": 1}
         ctl.act(np.array([[-0.5, 0.0]]), 1, rng())  # v = 0 is inside the margin
         assert ctl.branch_counts == {"fallback": 1, "long_term" if ctl is agent else "policy": 1}
 
@@ -472,7 +481,7 @@ def test_llql_policy_callable():
 
 def same(a, b) -> bool:
     """Whether two results (or two errors) are equal, arrays bit for bit."""
-    if isinstance(a, Exception) or a is None:
+    if isinstance(a, Exception):
         return type(a) is type(b) and str(a) == str(b)
     return all(
         np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
@@ -517,7 +526,7 @@ def test_synthesis_on_rows_equals_one_row_calls_bitwise(goal):
             "trajectory": trajectory_action(q, dyn, x, target, 1.0, 50.0, gen),
             "approx_trajectory": approx_trajectory_action(u_n, dyn, x, target, 1.0, 50.0,
                                                           action_low=low, action_high=high),
-            "constraint": constraint_action(q, dyn, x, goal, gen),
+            "constraint": constraint_action(q, dyn, x, goal),
             "approx_constraint": approx_constraint_action(u_n, dyn, x, goal, action_low=low, action_high=high),
         }
 
@@ -551,11 +560,9 @@ def test_goal_controller_rows_decide_as_each_row_alone():
                 lockstep, alone = GoalController(dyn, goal, **source), GoalController(dyn, goal, **source)
                 got = lockstep.act(X, 3, [rng() for _ in X])
                 for j, x in enumerate(X):
-                    one = alone.act(x[None], 3, rng())
-                    assert np.array_equal(got.action[j], one.action[0])
-                    assert got.branch[j] == one.branch[0] and same(got.detail[j], one.detail[0])
+                    assert np.array_equal(got[j], alone.act(x[None], 3, rng())[0])
                 assert lockstep.branch_counts == alone.branch_counts
-                branches.update(got.branch)
+                branches.update(lockstep.branch_counts)
     assert branches == {"long_term", "policy", "trajectory", "constraint", "fallback"}
 
 
@@ -563,10 +570,13 @@ ONE_STATE_CALLS = {
     "long_term_action": lambda q, dyn, goal, x: long_term_action(q, x, rng()),
     "trajectory_action": lambda q, dyn, goal, x: trajectory_action(q, dyn, x, x, 1.0, 1.0, rng()),
     "approx_trajectory_action": lambda q, dyn, goal, x: approx_trajectory_action(np.ones(1), dyn, x, x, 1.0, 1.0),
-    "constraint_action": lambda q, dyn, goal, x: constraint_action(q, dyn, x, goal, rng()),
+    "constraint_action": lambda q, dyn, goal, x: constraint_action(q, dyn, x, goal),
     "approx_constraint_action": lambda q, dyn, goal, x: approx_constraint_action(np.ones(1), dyn, x, goal),
     "GoalController.act": lambda q, dyn, goal, x: GoalController(dyn, goal, qmodel=q).act(x, 0, rng()),
     "LlqlPolicy": lambda q, dyn, goal, x: LlqlPolicy(q)(x),
+    "DdpgModel": lambda q, dyn, goal, x: DdpgModel(
+        Mlp.create((2, 1), np.random.default_rng(0)), Mlp.create((3, 1), np.random.default_rng(1)),
+        Normalizer.identity(2), q.action_low, q.action_high)(x),
 }
 
 
@@ -586,14 +596,22 @@ def test_one_state_is_rejected(name):
 def test_a_call_logs_one_warning_for_all_its_rows(caplog):
     q = make_qmodel(v=0.0, h=[1.0], d=[[1.0]], low=-1.0, high=1.0)
     X = np.zeros((3, 1))
+    # the limit engages on the two rows with v != 0, and g has no effect on v
+    limit = GoalController(make_dynamics([0.0, 0.0], np.array([[1.0], [0.0]]), state_dim=2),
+                           SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.0),
+                           qmodel=make_qmodel(v=0.0, h=[0.5], d=[[1.0]], state_dim=2, low=-1.0, high=1.0))
     with caplog.at_level("WARNING", logger="llql.control"):
         trajectory_action(q, make_dynamics([np.inf], [[1.0]]), X, X, 1.0, 1.0, rng())
         # each row's bound needs u = -50, far outside [-1, 1]
-        sols = constraint_action(q, make_dynamics([0.0], [[1.0]]), X, ConstraintGoal(0, -0.05), rng())
+        sols = constraint_action(q, make_dynamics([0.0], [[1.0]]), X, ConstraintGoal(0, -0.05))
+        limit.act(np.array([[-0.5, 0.05], [-0.5, 0.0], [-0.5, -0.05]]), 0, rng())
     assert all(sol.clip_violates for sol in sols)
+    assert limit.branch_counts == {"long_term": 1, "fallback": 2}
     assert [r.getMessage() for r in caplog.records] == [
         "trajectory synthesis was singular; falling back to the long-term action (3 of 3 rows)",
         "action clipping broke the constraint on 3 of 3 rows: first predicted 0=-0.001 vs bound -0.05",
+        "constraint on state component 1 is uncontrollable (delta g_i . W^-1 delta g_i = 0.000e+00); "
+        "taking the base action (2 of 3 rows)",
     ]
 
 
@@ -662,3 +680,13 @@ def test_goal_validation():
         SymmetricConstraintGoal(state_index=0, bound=-1.0)
     goal = ConstraintGoal(state_index=1, bound=0.033)
     assert goal.active(np.array([[0.0, 0.05], [0.0, 0.01]]), 0).tolist() == [True, False]
+
+
+def test_constraint_goal_activation_is_the_strict_comparison_on_its_side():
+    assert "active" not in {field.name for field in dataclasses.fields(ConstraintGoal)}
+    X = np.array([[0.0, v] for v in (0.033, -0.033, 0.0, -0.0, np.nan, 0.05, -0.05)])
+    for margin in (0.033, -0.033, 0.0, -0.0):
+        # the margin itself, both zeros and NaN do not engage either side
+        upper, lower = ConstraintGoal(1, margin, "upper"), ConstraintGoal(1, margin, "lower")
+        assert upper.active(X, 0).tolist() == (X[:, 1] > margin).tolist()
+        assert lower.active(X, 0).tolist() == (X[:, 1] < margin).tolist()

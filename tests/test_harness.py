@@ -353,6 +353,33 @@ def test_adjust_reads_a_shared_model_file_once(tmp_path, monkeypatch):
     assert len(reads) == 1
 
 
+def test_adjust_builds_a_shared_model_once(tmp_path, monkeypatch):
+    env = MountainCar(horizon=10)
+    result = core.train(env, tiny_train_config())
+    llql, dynamics = tmp_path / "llql.model", tmp_path / "dynamics.model"
+    core.save_llql_model(llql, result.dynamics, result.qmodel, {"env": env.spec.to_dict()})
+    core.save_llql_model(dynamics, result.dynamics, None, {"env": env.spec.to_dict()})
+    builds = []
+    real_model_from = core.llql_model_from
+
+    def counting_model_from(mf):
+        builds.append(mf)
+        return real_model_from(mf)
+
+    monkeypatch.setattr(core, "llql_model_from", counting_model_from)
+    for path in (llql, dynamics):
+        spec = experiments.ExperimentSpec(
+            env="mountain_car", method="adjust", policy_path=str(path), dynamics_path=str(path),
+            goal={"kind": "mc_constraint", "bound": 0.02}, eval_runs=2, horizon=10,
+        )
+        if path == llql:
+            experiments.run_experiment(spec)
+            assert len(builds) == 1
+        else:  # a file without a value model is no policy
+            with pytest.raises(ValueError, match="role 'dynamics' is not a loadable policy"):
+                experiments.run_experiment(spec)
+
+
 # ---------------------------------------------------------------------------
 # Config files and CLI
 # ---------------------------------------------------------------------------
@@ -543,8 +570,7 @@ def controllers(env, model_path, ddpg_path):
         ("adjust_trajectory", trajectory, dict(policy=LlqlPolicy(q), action_low=low, action_high=high)),
         ("adjust_constraint", constraint, dict(policy=ddpg, action_low=low, action_high=high)),
     ):
-        ctl = control.GoalController(dyn, goal, **kwargs)
-        out[mode] = lambda X, k, rng, ctl=ctl: ctl.act(X, k, rng).action
+        out[mode] = control.GoalController(dyn, goal, **kwargs).act
     if name == "mountain_car":
         reward_fn = baselines.mountain_car_reward_fn(env.goal_position)
         cfg = baselines.MpcConfig(horizon=3, candidates=20)
@@ -596,7 +622,7 @@ def test_run_experiment_ddpg_rows_equal_a_rollout_of_the_model(tmp_path):
     for seed in range(40, 43):
         x, total = env.reset(seed), 0.0
         for k in range(env.horizon):
-            step = env.step(x, model(x))
+            step = env.step(x, model(x[None])[0])
             x, total = step.next_state, total + step.reward
             if step.done:
                 break

@@ -63,19 +63,32 @@ def free_velocity(x):
 
 
 def rollout(controller, seed, steps=300):
-    """(state, next state, branch, detail) of each step of one episode that
-    never reaches the goal, each state decided as a one-row batch."""
+    """(state, action, next state) of each step of one episode that never
+    reaches the goal, each state decided as a one-row batch."""
     env = MountainCar(goal_position=0.6, horizon=steps)
     x, rng = env.reset(seed), np.random.default_rng(seed)
-    pairs = []
+    steps_taken = []
     for k in range(steps):
-        decision = controller.act(x[None], k, rng)
-        res = env.step(x, decision.action[0])
-        pairs.append((x, res.next_state, decision.branch[0], decision.detail[0]))
+        u = controller.act(x[None], k, rng)[0]
+        res = env.step(x, u)
+        steps_taken.append((x, u, res.next_state))
         x = res.next_state
         if res.done:
             break
-    return pairs
+    return steps_taken
+
+
+def engaged_solution(controller, x):
+    """The constraint synthesis that `controller` runs at the state x, whose
+    goal is engaged there."""
+    if controller.qmodel is not None:
+        (sol,) = control.constraint_action(controller.qmodel, controller.dyn, x[None], controller.goal)
+    else:
+        (sol,) = control.approx_constraint_action(
+            controller.policy(x[None]), controller.dyn, x[None], controller.goal,
+            action_low=controller.action_low, action_high=controller.action_high,
+        )
+    return sol
 
 
 def test_oracle_is_exact_while_nothing_clips():
@@ -101,14 +114,17 @@ def test_speed_limit_holds_wherever_reachable(which):
     goal = SymmetricConstraintGoal(state_index=1, bound=BOUND, margin=0.0)
     reachable_steps = engaged = 0
     for seed in SEEDS:
-        for x, x_next, branch, detail in rollout(controller(which, goal), seed):
+        ctl = controller(which, goal)
+        for x, u, x_next in rollout(ctl, seed):
             v_free = free_velocity(x)
             if v_free - POWER > BOUND or v_free + POWER < -BOUND:
                 continue  # gravity alone carries the car past the bound
             reachable_steps += 1
-            if branch == "constraint":  # margin 0: every step with v != 0
-                engaged += detail.active
-                assert not detail.clip_violates
+            if goal.active(x, 0):  # margin 0: every step with v != 0
+                sol = engaged_solution(ctl, x)
+                assert np.array_equal(u, sol.action)
+                engaged += sol.active
+                assert not sol.clip_violates
             assert abs(x_next[1]) <= BOUND + 1e-9
     assert reachable_steps > 500 and engaged > 100
 
@@ -130,12 +146,12 @@ def test_large_gamma2_trajectory_lands_on_target_velocity(which, v_d):
     ctl = controller(which, goal)
     landed = 0
     for seed in SEEDS:
-        for x, x_next, branch, _ in rollout(ctl, seed, steps=100):
-            assert branch == "trajectory"
+        for x, _, x_next in rollout(ctl, seed, steps=100):
             if abs(v_d - free_velocity(x)) > POWER:
                 continue  # the target needs more force than [-1, 1] allows
             landed += 1
             assert x_next[1] == pytest.approx(v_d, abs=1e-8)
+    assert list(ctl.branch_counts) == ["trajectory"]
     assert landed > 50
 
 
@@ -146,7 +162,7 @@ def test_oracle_constraint_ops_agree_on_their_common_case():
     rnd = np.random.default_rng(1)
     for _ in range(100):
         x = np.array([[rnd.uniform(-1.0, 0.3), rnd.uniform(0.0, 0.04)]])
-        (agent,) = control.constraint_action(OracleQ(), dyn, x, goal, rnd)
+        (agent,) = control.constraint_action(OracleQ(), dyn, x, goal)
         (approx,) = control.approx_constraint_action(pump(x), dyn, x, goal)
         assert agent.active == approx.active
         np.testing.assert_allclose(agent.action_raw, approx.action_raw, rtol=1e-6, atol=1e-9)
@@ -213,13 +229,13 @@ def pendulum_controller(which, goal):
 def pendulum_rollout(controller, seed, steps):
     env = Pendulum(horizon=steps)
     x, rng = env.reset(seed), np.random.default_rng(seed)
-    pairs = []
+    steps_taken = []
     for k in range(steps):
-        decision = controller.act(x[None], k, rng)
-        x_next = env.step(x, decision.action[0]).next_state
-        pairs.append((x, x_next, decision.branch[0], decision.detail[0]))
+        u = controller.act(x[None], k, rng)[0]
+        x_next = env.step(x, u).next_state
+        steps_taken.append((x, u, x_next))
         x = x_next
-    return pairs
+    return steps_taken
 
 
 def test_pendulum_oracle_is_exact_while_nothing_clips():
@@ -237,14 +253,17 @@ def test_pendulum_spin_limit_holds_wherever_reachable(which):
     goal = SymmetricConstraintGoal(state_index=2, bound=SPIN_BOUND, margin=0.0)
     reachable_steps = engaged = 0
     for seed in SEEDS:
-        for x, x_next, branch, detail in pendulum_rollout(pendulum_controller(which, goal), seed, 200):
+        ctl = pendulum_controller(which, goal)
+        for x, u, x_next in pendulum_rollout(ctl, seed, 200):
             w_free = free_spin(x)
             if w_free - GAIN * TORQUE > SPIN_BOUND or w_free + GAIN * TORQUE < -SPIN_BOUND:
                 continue  # gravity alone carries the pendulum past the bound
             reachable_steps += 1
-            if branch == "constraint":
-                engaged += detail.active
-                assert not detail.clip_violates
+            if goal.active(x, 0):
+                sol = engaged_solution(ctl, x)
+                assert np.array_equal(u, sol.action)
+                engaged += sol.active
+                assert not sol.clip_violates
             assert abs(x_next[2]) <= SPIN_BOUND + 1e-9
     assert reachable_steps > 400 and engaged > 100
 
@@ -257,10 +276,10 @@ def test_pendulum_large_gamma2_trajectory_lands_on_target_spin(which, w_d):
     ctl = pendulum_controller(which, goal)
     landed = 0
     for seed in SEEDS:
-        for x, x_next, branch, _ in pendulum_rollout(ctl, seed, 100):
-            assert branch == "trajectory"
+        for x, _, x_next in pendulum_rollout(ctl, seed, 100):
             if abs(w_d - free_spin(x)) > GAIN * TORQUE:
                 continue  # the target needs more torque than [-2, 2] allows
             landed += 1
             assert x_next[2] == pytest.approx(w_d, abs=1e-8)
+    assert list(ctl.branch_counts) == ["trajectory"]
     assert landed > 40
