@@ -35,39 +35,41 @@ class RewardMod:
     apply: Callable
 
 
-def reward_mod_catalog(
-    v_d: float = 0.025,
-    limit: float = 0.033,
-    position_threshold: float = 0.45,
-    c4_replaces: bool = True,
-) -> list:
-    """The eight shaped rewards: four trajectory (t1..t4), four constraint (c1..c4)."""
+# the shaped rewards' targets: the desired hilltop velocity, the speed limit
+# and the position past which t2 and t3 shape
+MOD_V_D = 0.025
+MOD_LIMIT = 0.033
+MOD_POSITION = 0.45
+
+
+def reward_mod_catalog() -> list:
+    """The eight shaped rewards: four trajectory (t1..t4), four constraint
+    (c1..c4); c4 replaces the reward with -10 above the limit."""
 
     def t1(r, pos, vel, done):
-        return np.where(done, r - 5000.0 * np.abs(vel - v_d), r)
+        return np.where(done, r - 5000.0 * np.abs(vel - MOD_V_D), r)
 
     def t2(r, pos, vel, done):
-        return np.where(pos > position_threshold, r - 100.0 * np.abs(vel - v_d), r)
+        return np.where(pos > MOD_POSITION, r - 100.0 * np.abs(vel - MOD_V_D), r)
 
     def t3(r, pos, vel, done):
-        r = np.where(pos > position_threshold, r - 100.0 * np.abs(vel - v_d), r)
-        return np.where(done, r - 5000.0 * np.abs(vel - v_d), r)
+        r = np.where(pos > MOD_POSITION, r - 100.0 * np.abs(vel - MOD_V_D), r)
+        return np.where(done, r - 5000.0 * np.abs(vel - MOD_V_D), r)
 
     def t4(r, pos, vel, done):
-        return np.where(done, r - 25000.0 * (vel - v_d) ** 2, r)
+        return np.where(done, r - 25000.0 * (vel - MOD_V_D) ** 2, r)
 
     def c1(r, pos, vel, done):
-        return np.where(np.abs(vel) > limit, r - 10.0, r)
+        return np.where(np.abs(vel) > MOD_LIMIT, r - 10.0, r)
 
     def c2(r, pos, vel, done):
-        return np.where(np.abs(vel) > limit, r - 100.0 * (np.abs(vel) - limit), r)
+        return np.where(np.abs(vel) > MOD_LIMIT, r - 100.0 * (np.abs(vel) - MOD_LIMIT), r)
 
     def c3(r, pos, vel, done):
-        return np.where(np.abs(vel) > limit, r - (100.0 * (np.abs(vel) - limit)) ** 2, r)
+        return np.where(np.abs(vel) > MOD_LIMIT, r - (100.0 * (np.abs(vel) - MOD_LIMIT)) ** 2, r)
 
     def c4(r, pos, vel, done):
-        replacement = -10.0 if c4_replaces else r - 10.0
-        return np.where(np.abs(vel) > limit, replacement, r)
+        return np.where(np.abs(vel) > MOD_LIMIT, -10.0, r)
 
     return [
         RewardMod("t1", t1),
@@ -81,8 +83,8 @@ def reward_mod_catalog(
     ]
 
 
-def get_reward_mod(mod_id: str, **kwargs) -> RewardMod:
-    for mod in reward_mod_catalog(**kwargs):
+def get_reward_mod(mod_id: str) -> RewardMod:
+    for mod in reward_mod_catalog():
         if mod.id == mod_id:
             return mod
     raise KeyError(f"unknown reward mod {mod_id!r}")
@@ -246,13 +248,13 @@ def save_ddpg_model(path, model: DdpgModel, meta: dict) -> None:
 
 def load_ddpg_model(path) -> tuple:
     mf = load_model(path)
-    if mf.meta.get("role") != "ddpg":
-        raise ValueError(f"{path} does not hold a ddpg model")
     return ddpg_model_from(mf), mf.meta
 
 
 def ddpg_model_from(mf: ModelFile) -> DdpgModel:
-    (env_spec,) = mf.meta_entries("env")
+    """The DdpgModel of a loaded model file of role ddpg; ModelFileError
+    for any other role."""
+    (env_spec,) = mf.checked(("ddpg",), "ddpg model").meta_entries("env")
     return DdpgModel(
         mf.nets["actor"], mf.nets["critic"], mf.normalizer,
         np.asarray(env_spec["action_low"], dtype=np.float64),

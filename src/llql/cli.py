@@ -3,10 +3,11 @@
 Subcommands: train, eval, adjust, compare, sweep.  Config files are flat
 `key = value` text (one pair per line, `#` comments); keys must match the
 target config's fields.  Exit codes: 0 success, 2 configuration or file
-error (including a truncated or malformed model file, a goal option the
-goal does not take, a goal option other than --v-d without --goal, and a
-goal, reward mod or env that the method would ignore or cannot run),
-3 runtime failure.
+error (including a truncated or malformed model file, a model file of
+another role than its use needs or trained for another env's state and
+action sizes, a goal option the goal does not take, a goal option other
+than --v-d without --goal, and a goal, reward mod or env that the method
+would ignore or cannot run), 3 runtime failure.
 """
 
 import os
@@ -57,7 +58,8 @@ def _coerce(value: str, target_type):
 
 
 def build_config(cls, overrides: dict):
-    """Instantiate a config dataclass from string overrides, type-checked."""
+    """Instantiate a config dataclass from string overrides, each coerced to
+    the type of its field's default (every field has a typed default)."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in overrides.items():
@@ -66,14 +68,8 @@ def build_config(cls, overrides: dict):
                 f"unknown config key {key!r} for {cls.__name__}; "
                 f"valid keys: {', '.join(sorted(fields))}"
             )
-        ftype = fields[key].type
-        base = {"int": int, "float": float, "str": str, "bool": bool, "tuple": tuple}.get(
-            str(ftype), None
-        )
-        if base is None:
-            base = type(fields[key].default) if fields[key].default is not None else str
         try:
-            kwargs[key] = _coerce(value, base)
+            kwargs[key] = _coerce(value, type(fields[key].default))
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     try:
@@ -159,7 +155,7 @@ def cmd_train(args) -> int:
         cfg = build_config(core.TrainConfig, overrides)
         policy = None
         if args.method == "dynamics":
-            policy = experiments.load_policy(_require_file(args.policy, "policy"))
+            policy = experiments.load_policy(_require_file(args.policy, "policy"), env)
         log = experiments.train_and_save(
             env, args.method, cfg, out / "model.model", {"episode": cfg.episodes},
             policy=policy, checkpoint_dir=out if cfg.checkpoint_every else None,
@@ -250,17 +246,15 @@ def cmd_compare(args) -> int:
 
     out = _out_dir(args)
     cache = Path(args.cache) if args.cache else out / "cache"
-    paths = compare.build_table(
-        args.table,
-        cache_dir=cache,
-        out_dir=out,
-        workers=args.workers,
-        llql_seeds=tuple(range(args.llql_seeds)),
-        ddpg_seeds=tuple(range(args.ddpg_seeds)),
-        runs=args.runs,
-        mpc_candidates=args.mpc_candidates,
-        mpc_horizon=args.mpc_horizon,
-    )
+    common = dict(workers=args.workers, runs=args.runs)
+    if args.table in ("trajectory", "constraint"):
+        _, paths = compare.build_mountain_car_table(
+            args.table, cache, out, llql_seeds=tuple(range(args.llql_seeds)),
+            ddpg_seeds=tuple(range(args.ddpg_seeds)), mpc_horizon=args.mpc_horizon,
+            mpc_candidates=args.mpc_candidates, **common,
+        )
+    else:
+        _, paths = compare.build_pendulum_tables(cache, out, which=args.table.split("_", 1)[1], **common)
     for p in paths:
         print(f"wrote {p}")
     return 0

@@ -132,9 +132,10 @@ def _pendulum_dynamics(cache_dir, collector_path: str, config: core.TrainConfig)
     )
     path = Path(cache_dir) / f"{key}.model"
     if not path.exists():
+        env = make_env("pendulum")
         experiments.train_and_save(
-            make_env("pendulum"), "dynamics", config, path, {"collector": str(collector_path)},
-            policy=experiments.load_policy(collector_path),
+            env, "dynamics", config, path, {"collector": str(collector_path)},
+            policy=experiments.load_policy(collector_path, env),
         )
     return str(path)
 
@@ -195,22 +196,3 @@ def build_pendulum_tables(
     meta_path.write_text(json.dumps(note, sort_keys=True, indent=2) + "\n")
     paths.append(meta_path)
     return tables, paths
-
-
-def build_table(name: str, cache_dir, out_dir, *, workers=2, llql_seeds=tuple(range(20)),
-                ddpg_seeds=(0, 1, 2), runs=10, mpc_horizon=15, mpc_candidates=1000):
-    """Dispatch for the CLI `compare` subcommand; returns written paths."""
-    if name in ("trajectory", "constraint"):
-        _, paths = build_mountain_car_table(
-            name, cache_dir, out_dir, workers=workers, llql_seeds=llql_seeds,
-            ddpg_seeds=ddpg_seeds, runs=runs,
-            mpc_horizon=mpc_horizon, mpc_candidates=mpc_candidates,
-        )
-        return paths
-    if name in ("pendulum_trajectory", "pendulum_constraint"):
-        which = name.split("_", 1)[1]
-        _, paths = build_pendulum_tables(
-            cache_dir, out_dir, workers=workers, runs=runs, which=which,
-        )
-        return paths
-    raise ValueError(f"unknown table {name!r}")

@@ -558,8 +558,9 @@ def load_llql_model(path):
 
 
 def llql_model_from(mf: ModelFile):
-    """(DynamicsModel, QModel or None, meta) from a loaded model file."""
-    meta = mf.meta
+    """(DynamicsModel, QModel or None, meta) from a loaded model file of
+    role llql or dynamics; ModelFileError for any other role."""
+    meta = mf.checked(("llql", "dynamics"), "dynamics model").meta
     env_spec, delta = mf.meta_entries("env", "delta")
     s, a = env_spec["state_dim"], env_spec["action_dim"]
     nets = mf.nets

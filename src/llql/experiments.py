@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, control, core
 from .envs import UPRIGHT_COS, make_env
-from .nets import ModelFile, load_model, write_atomic
+from .nets import load_model, write_atomic
 
 
 # ---------------------------------------------------------------------------
@@ -370,31 +370,16 @@ class ExperimentSpec:
     v_d: Optional[float] = None          # velocity target scored; None: the goal's own v_d, if any
 
 
-def _check_env_match(env, meta, path):
-    spec = meta.get("env", {})
-    if spec.get("state_dim") != env.state_dim or spec.get("action_dim") != env.action_dim:
-        raise ValueError(
-            f"model {path} was trained for {spec.get('name')} "
-            f"({spec.get('state_dim')}x{spec.get('action_dim')}); "
-            f"incompatible with {env.spec.name}"
-        )
-
-
-def load_policy(path_or_cmd: str, rng: Optional[np.random.Generator] = None):
-    """Load a policy: a model file (llql or ddpg role) or "cmd:<argv>" for
-    an external process speaking the JSON-lines protocol."""
+def load_policy(path_or_cmd: str, env):
+    """Load a policy for `env`: a model file (llql or ddpg role, trained for
+    env's sizes) or "cmd:<argv>" for an external process speaking the
+    JSON-lines protocol."""
     if path_or_cmd.startswith("cmd:"):
         return control.ExternalProcessPolicy(path_or_cmd[4:].split())
-    return _policy_from(load_model(path_or_cmd), path_or_cmd, rng)
-
-
-def _policy_from(mf: ModelFile, path: str, rng: Optional[np.random.Generator] = None):
-    role = mf.meta.get("role")
-    if role == "llql":
-        return control.LlqlPolicy(core.llql_model_from(mf)[1], rng)
-    if role == "ddpg":
+    mf = load_model(path_or_cmd).checked(("llql", "ddpg"), "policy", env)
+    if mf.meta["role"] == "ddpg":
         return baselines.ddpg_model_from(mf)
-    raise ValueError(f"{path}: role {role!r} is not a loadable policy")
+    return control.LlqlPolicy(core.llql_model_from(mf)[1])
 
 
 def run_experiment(spec: ExperimentSpec) -> EvalReport:
@@ -409,8 +394,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     meta: dict = {"method": spec.method, "goal": params, "reward_mod": spec.reward_mod}
 
     if spec.method == "llql":
-        dyn, q, model_meta = core.load_llql_model(spec.model_path)
-        _check_env_match(env, model_meta, spec.model_path)
+        dyn, q, _ = core.llql_model_from(load_model(spec.model_path).checked(("llql",), "llql model", env))
         meta["model"] = spec.model_path
         if goal is None:
             def controller(X, k, rngs):
@@ -419,17 +403,18 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             controller = control.GoalController(dyn, goal, qmodel=q).act
 
     elif spec.method == "ddpg":
-        model, model_meta = baselines.load_ddpg_model(spec.model_path)
-        _check_env_match(env, model_meta, spec.model_path)
+        mf = load_model(spec.model_path).checked(("ddpg",), "ddpg model", env)
+        model = baselines.ddpg_model_from(mf)
         meta["model"] = spec.model_path
-        meta["trained_reward_mod"] = model_meta.get("reward_mod")
+        meta["trained_reward_mod"] = mf.meta.get("reward_mod")
 
         def controller(X, k, rngs):
             return model(X)
 
     elif spec.method == "mpc":
-        dyn, _, model_meta = core.load_llql_model(spec.model_path)
-        _check_env_match(env, model_meta, spec.model_path)
+        dyn, _, _ = core.llql_model_from(
+            load_model(spec.model_path).checked(("llql", "dynamics"), "dynamics model", env)
+        )
         meta["model"] = spec.model_path
         if spec.env != "mountain_car":
             raise ValueError("the mpc baseline is defined for the mountain_car benchmark")
@@ -444,16 +429,15 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     elif spec.method == "adjust":
         if goal is None:
             raise ValueError("adjust requires a goal")
-        mf = load_model(spec.dynamics_path)
-        dyn, q, dyn_meta = core.llql_model_from(mf)
-        _check_env_match(env, dyn_meta, spec.dynamics_path)
+        mf = load_model(spec.dynamics_path).checked(("llql", "dynamics"), "dynamics model", env)
+        dyn, q, _ = core.llql_model_from(mf)
         meta["dynamics"] = spec.dynamics_path
         meta["policy"] = spec.policy_path
         if spec.policy_path == spec.dynamics_path:  # one file read and one build serve both
-            # a file without a value model gets `_policy_from`'s error
-            policy = control.LlqlPolicy(q) if q is not None else _policy_from(mf, spec.policy_path)
+            mf.checked(("llql", "ddpg"), "policy")
+            policy = control.LlqlPolicy(q)
         else:
-            policy = load_policy(spec.policy_path)
+            policy = load_policy(spec.policy_path, env)
         controller = control.GoalController(
             dyn, goal, policy=policy, action_low=env.action_low, action_high=env.action_high,
         ).act

@@ -480,7 +480,8 @@ MODEL_FORMAT = "llql-model-v1"
 
 
 class ModelFileError(ValueError):
-    """Raised when a model file is truncated, malformed or of another format."""
+    """Raised when a model file is truncated, malformed, of another format,
+    or holds another role or env than its use needs."""
 
 
 @dataclasses.dataclass
@@ -496,6 +497,24 @@ class ModelFile:
         if missing:
             raise ModelFileError(f"{self.path}: model meta has no {', '.join(missing)}")
         return [self.meta[key] for key in keys]
+
+    def checked(self, roles, what: str, env=None) -> "ModelFile":
+        """This file, when its meta role is one of `roles` and, given `env`,
+        its env has env's state and action sizes; ModelFileError naming the
+        file and its role or env otherwise.  `what` names the use."""
+        role = self.meta.get("role")
+        if role not in roles:
+            raise ModelFileError(f"{self.path}: role {role!r} is not a loadable {what} "
+                                 f"(needs role {' or '.join(map(repr, roles))})")
+        if env is not None:
+            (spec,) = self.meta_entries("env")
+            if (spec.get("state_dim"), spec.get("action_dim")) != (env.state_dim, env.action_dim):
+                raise ModelFileError(
+                    f"{self.path}: {what} was trained for {spec.get('name')} "
+                    f"({spec.get('state_dim')}x{spec.get('action_dim')}); incompatible with {env.spec.name} "
+                    f"({env.state_dim}x{env.action_dim})"
+                )
+        return self
 
 
 def write_atomic(path, *chunks: bytes) -> None:

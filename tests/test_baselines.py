@@ -61,8 +61,6 @@ def test_c3_hand_value():
 def test_c4_replaces_reward():
     mod = get_reward_mod("c4")
     assert mod.apply(55.0, -0.3, 0.04, False) == -10.0
-    additive = get_reward_mod("c4", c4_replaces=False)
-    assert additive.apply(55.0, -0.3, 0.04, False) == 45.0
 
 
 def test_c1_applies_above_limit():
@@ -71,18 +69,18 @@ def test_c1_applies_above_limit():
 
 
 def test_t1_hand_value():
-    mod = get_reward_mod("t1", v_d=0.025)
+    mod = get_reward_mod("t1")
     assert mod.apply(100.0, 0.46, 0.035, True) == pytest.approx(50.0, abs=1e-9)
     assert mod.apply(-0.1, 0.3, 0.035, False) == -0.1
 
 
 def test_t2_t3_t4_conditions():
-    t2 = get_reward_mod("t2", v_d=0.025)
+    t2 = get_reward_mod("t2")
     assert t2.apply(0.0, 0.5, 0.035, False) == pytest.approx(-1.0)
     assert t2.apply(0.0, 0.4, 0.035, False) == 0.0
-    t3 = get_reward_mod("t3", v_d=0.025)
+    t3 = get_reward_mod("t3")
     assert t3.apply(0.0, 0.5, 0.035, True) == pytest.approx(-1.0 - 50.0)
-    t4 = get_reward_mod("t4", v_d=0.025)
+    t4 = get_reward_mod("t4")
     assert t4.apply(0.0, 0.5, 0.035, True) == pytest.approx(-25000 * 0.01**2)
 
 

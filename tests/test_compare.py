@@ -2,7 +2,7 @@
 
 import pytest
 
-from llql import baselines, compare, core
+from llql import baselines, cli, compare, core
 
 LLQL = core.TrainConfig(episodes=1, hidden_sizes=(8, 8), normalizer_samples=10, short_iters=1,
                         long_iters=1, short_batch=4, long_batch=4)
@@ -51,3 +51,31 @@ def test_pendulum_table_has_a_row_per_subject(cache, tmp_path, kind, column):
     assert header == ["policy", column, f"{column}_adjusted", "reward", "reward_adjusted"]
     assert [r["policy"] for r in written] == ["llql", "ddpg"]
     assert all(r["reward"] != "" and r["reward_adjusted"] != "" for r in written)
+
+
+def test_cli_compare_passes_its_options_to_each_table_builder(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def mountain_car(kind, cache_dir, out_dir, **kwargs):
+        calls.append((kind, cache_dir, out_dir, kwargs))
+        return [], [out_dir / f"{kind}.csv"]
+
+    def pendulum(cache_dir, out_dir, **kwargs):
+        calls.append(("pendulum", cache_dir, out_dir, kwargs))
+        return {}, [out_dir / "pendulum.csv"]
+
+    monkeypatch.setattr(compare, "build_mountain_car_table", mountain_car)
+    monkeypatch.setattr(compare, "build_pendulum_tables", pendulum)
+    options = ["--workers", "1", "--llql-seeds", "4", "--ddpg-seeds", "2", "--runs", "5",
+               "--mpc-horizon", "3", "--mpc-candidates", "7", "--out", str(tmp_path)]
+    for table in ("trajectory", "constraint", "pendulum_trajectory", "pendulum_constraint"):
+        assert cli.main(["compare", "--table", table, *options]) == 0
+    mc = dict(workers=1, runs=5, llql_seeds=(0, 1, 2, 3), ddpg_seeds=(0, 1), mpc_horizon=3, mpc_candidates=7)
+    cache = tmp_path / "cache"
+    assert calls == [
+        ("trajectory", cache, tmp_path, mc),
+        ("constraint", cache, tmp_path, mc),
+        ("pendulum", cache, tmp_path, dict(workers=1, runs=5, which="trajectory")),
+        ("pendulum", cache, tmp_path, dict(workers=1, runs=5, which="constraint")),
+    ]
+    assert capsys.readouterr().out.count("wrote ") == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -324,7 +325,7 @@ def test_load_policy_reads_the_model_file_once(tmp_path, monkeypatch, role):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", counting_open)
-    policy = experiments.load_policy(str(path))
+    policy = experiments.load_policy(str(path), env)
     assert len(reads) == 1
     X = np.array([[-0.5, 0.01]])
     assert np.array_equal(policy(X), reference(X))
@@ -409,6 +410,17 @@ def test_build_config_types_and_unknown_keys():
         build_config(core.TrainConfig, {"episodes": "three"})
     with pytest.raises(ConfigError):
         build_config(core.TrainConfig, {"discount": "1.7"})  # dataclass validation
+
+
+@pytest.mark.parametrize("cls", [core.TrainConfig, baselines.DdpgConfig])
+def test_every_config_field_has_a_typed_default_that_its_text_rebuilds(cls):
+    # build_config coerces a value to the type of its field's default
+    text = {}
+    for field in dataclasses.fields(cls):
+        assert type(field.default) in (int, float, str, bool, tuple), field.name
+        default = field.default
+        text[field.name] = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+    assert build_config(cls, text) == cls()
 
 
 def test_cli_help_exits_zero(capsys):
@@ -801,3 +813,58 @@ def test_model_from_without_env_raises_model_file_error(tmp_path):
         bad = without_meta(saved_model(tmp_path / f"{method}.model", env, method), "env")
         with pytest.raises(ModelFileError, match="no env"):
             model_from(load_model(bad))
+
+
+# ---------------------------------------------------------------------------
+# The model-file gate: a file of another role or env exits 2
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gate_models(tmp_path_factory):
+    """One tiny model file per role on mountain car, and an LLQL file on the
+    pendulum: {name: path}."""
+    root = tmp_path_factory.mktemp("gate")
+    env = MountainCar(horizon=10)
+    result = core.train(env, tiny_train_config())
+    paths = {name: str(root / f"{name}.model") for name in ("llql", "dynamics")}
+    core.save_llql_model(paths["llql"], result.dynamics, result.qmodel, {"env": env.spec.to_dict()})
+    core.save_llql_model(paths["dynamics"], result.dynamics, None, {"env": env.spec.to_dict()})
+    paths["ddpg"] = saved_model(root / "ddpg.model", env, "ddpg")
+    paths["pendulum"] = saved_model(root / "pendulum.model", make_env("pendulum", horizon=10))
+    return paths
+
+
+@pytest.mark.parametrize("argv, culprit, fault", [
+    (["eval", "--method", "ddpg", "--model", "{llql}"], "llql", "role 'llql'"),
+    (["eval", "--model", "{dynamics}"], "dynamics", "role 'dynamics'"),
+    (["eval", "--model", "{dynamics}", "--goal", "constraint"], "dynamics", "role 'dynamics'"),
+    (["adjust", "--policy", "{dynamics}", "--dynamics", "{llql}", "--goal", "constraint"], "dynamics",
+     "role 'dynamics' is not a loadable policy"),
+    (["adjust", "--policy", "{pendulum}", "--dynamics", "{llql}", "--goal", "constraint"], "pendulum",
+     "trained for pendulum"),
+    (["train", "--method", "dynamics", "--env", "pendulum", "--policy", "{llql}"], "llql",
+     "trained for mountain_car"),
+    (["sweep", "--model", "{pendulum}", "--kind", "constraint", "--values", "0.05"], "pendulum",
+     "trained for pendulum"),
+    (["eval", "--model", "{ddpg}"], "ddpg", "role 'ddpg'"),
+    (["eval", "--method", "mpc", "--model", "{ddpg}"], "ddpg", "role 'ddpg'"),
+    (["adjust", "--policy", "{llql}", "--dynamics", "{ddpg}", "--goal", "constraint"], "ddpg", "role 'ddpg'"),
+], ids=["eval-ddpg-on-llql", "eval-on-dynamics", "eval-constraint-on-dynamics", "adjust-policy-dynamics",
+        "adjust-policy-pendulum", "train-dynamics-policy-mountain-car", "sweep-pendulum", "eval-on-ddpg",
+        "eval-mpc-on-ddpg", "adjust-dynamics-ddpg"])
+def test_cli_model_file_of_another_role_or_env_exits_two(tmp_path, capsys, gate_models, argv, culprit, fault):
+    argv = [arg.format(**gate_models) for arg in argv]
+    out = tmp_path / "out"
+    tiny = tiny_run_args(tmp_path, argv[0]) if argv[0] in ("eval", "train") else ["--runs", "1"]
+    assert main([*argv, *tiny, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert gate_models[culprit] in err and fault in err
+    if "trained for" in fault:
+        assert "incompatible" in err
+    assert not any(out.glob("report.*")) and not (out / "model.model").exists() and not (out / "sweep.csv").exists()
+
+
+def test_load_llql_model_of_a_ddpg_file_raises_model_file_error(gate_models):
+    with pytest.raises(ModelFileError, match="role 'ddpg' is not a loadable dynamics model"):
+        core.load_llql_model(gate_models["ddpg"])
