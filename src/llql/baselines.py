@@ -211,8 +211,7 @@ class _DdpgTrainer(_EpisodeTrainer):
         u_pi = squash(raw).astype(dt)
         inp_pi = np.concatenate([Z, u_pi], axis=1)
         _, cache_q = self.critic.forward_cached(inp_pi)
-        _, gin = self.critic.backward_cached(cache_q, np.full((n, 1), -1.0 / n, dtype=dt),
-                                             need_input_grad=True)
+        gin = self.critic.input_gradient(cache_q, np.full((n, 1), -1.0 / n, dtype=dt))
         du = gin[:, self.env.state_dim :].astype(np.float64)
         half = (self.high - self.low) / 2.0
         draw = (du * half * (1.0 - np.tanh(raw.astype(np.float64)) ** 2)).astype(dt)

@@ -6,8 +6,9 @@ target config's fields.  Exit codes: 0 success, 2 configuration or file
 error (including a truncated or malformed model file, a model file of
 another role than its use needs or trained for another env's state and
 action sizes, a goal option the goal does not take, a goal option other
-than --v-d without --goal, and a goal, reward mod or env that the method
-would ignore or cannot run), 3 runtime failure.
+than --v-d without --goal, a goal, reward mod or env that the method
+would ignore or cannot run, and a compare option that the table would
+ignore), 3 runtime failure.
 """
 
 import os
@@ -166,9 +167,11 @@ def cmd_train(args) -> int:
 
 
 def _model_env_name(path: str) -> tuple:
-    from .nets import load_model
+    """(env name, env spec) from the model file's header; the run that
+    follows reads its parameters."""
+    from .nets import load_header
 
-    (env_spec,) = load_model(path).meta_entries("env")
+    (env_spec,) = load_header(path).meta_entries("env")
     return env_spec.get("name"), env_spec
 
 
@@ -247,12 +250,16 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     cache = Path(args.cache) if args.cache else out / "cache"
     common = dict(workers=args.workers, runs=args.runs)
+    # options of the mountain-car tables only; the builder holds their defaults
+    given = _given(args, ("llql_seeds", "ddpg_seeds", "mpc_horizon", "mpc_candidates"))
     if args.table in ("trajectory", "constraint"):
-        _, paths = compare.build_mountain_car_table(
-            args.table, cache, out, llql_seeds=tuple(range(args.llql_seeds)),
-            ddpg_seeds=tuple(range(args.ddpg_seeds)), mpc_horizon=args.mpc_horizon,
-            mpc_candidates=args.mpc_candidates, **common,
-        )
+        for name in ("llql_seeds", "ddpg_seeds"):
+            if name in given:
+                given[name] = tuple(range(given[name]))
+        _, paths = compare.build_mountain_car_table(args.table, cache, out, **given, **common)
+    elif given:
+        options = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ConfigError(f"{options} needs --table trajectory or --table constraint")
     else:
         _, paths = compare.build_pendulum_tables(cache, out, which=args.table.split("_", 1)[1], **common)
     for p in paths:
@@ -347,11 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cache", default=None)
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--llql-seeds", dest="llql_seeds", type=int, default=20)
-    p.add_argument("--ddpg-seeds", dest="ddpg_seeds", type=int, default=3)
+    p.add_argument("--llql-seeds", dest="llql_seeds", type=int, default=None, help="default 20")
+    p.add_argument("--ddpg-seeds", dest="ddpg_seeds", type=int, default=None, help="default 3")
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--mpc-horizon", dest="mpc_horizon", type=int, default=15)
-    p.add_argument("--mpc-candidates", dest="mpc_candidates", type=int, default=1000)
+    p.add_argument("--mpc-horizon", dest="mpc_horizon", type=int, default=None, help="default 15")
+    p.add_argument("--mpc-candidates", dest="mpc_candidates", type=int, default=None, help="default 1000")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_compare)
 

@@ -536,11 +536,11 @@ class GoalController:
 
 class LlqlPolicy:
     """Greedy policy view of a trained value model (callable rows ->
-    actions); its one generator serves every row's fallback."""
+    actions); one generator, seeded 0, serves every row's fallback."""
 
-    def __init__(self, qmodel: QModel, rng: Optional[np.random.Generator] = None):
+    def __init__(self, qmodel: QModel):
         self.qmodel = qmodel
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = np.random.default_rng(0)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return long_term_action(self.qmodel, x, self.rng).action

@@ -552,25 +552,37 @@ def save_llql_model(path, dyn: DynamicsModel, q: Optional[QModel], meta: dict) -
     save_model(path, nets, dyn.normalizer, meta)
 
 
+def llql_banks(mf: ModelFile) -> dict:
+    """The head banks that `load_model` reads a model file of role llql or
+    dynamics into, given its header: {net names: head shapes}; none for any
+    other role."""
+    role = mf.meta.get("role")
+    if role not in ("llql", "dynamics"):
+        return {}
+    (env_spec,) = mf.meta_entries("env")
+    s, a = env_spec["state_dim"], env_spec["action_dim"]
+    banks = {("f", "g"): DynamicsModel.head_shapes(s, a)}
+    if role == "llql":
+        banks["v", "h", "d"] = QModel.head_shapes(a)
+    return banks
+
+
 def load_llql_model(path):
     """Load (DynamicsModel, QModel or None, meta) from a model file."""
-    return llql_model_from(load_model(path))
+    return llql_model_from(load_model(path, llql_banks))
 
 
 def llql_model_from(mf: ModelFile):
-    """(DynamicsModel, QModel or None, meta) from a loaded model file of
-    role llql or dynamics; ModelFileError for any other role."""
+    """(DynamicsModel, QModel or None, meta) on the banks of a model file of
+    role llql or dynamics, loaded with `llql_banks`; ModelFileError for any
+    other role."""
     meta = mf.checked(("llql", "dynamics"), "dynamics model").meta
     env_spec, delta = mf.meta_entries("env", "delta")
-    s, a = env_spec["state_dim"], env_spec["action_dim"]
-    nets = mf.nets
-    dyn = DynamicsModel(
-        HeadBank.of((nets["f"], nets["g"]), DynamicsModel.head_shapes(s, a)), delta, mf.normalizer
-    )
+    dyn = DynamicsModel(mf.banks["f", "g"], delta, mf.normalizer)
     q = None
     if meta.get("role") == "llql":
         q = QModel(
-            HeadBank.of((nets["v"], nets["h"], nets["d"]), QModel.head_shapes(a)), mf.normalizer,
+            mf.banks["v", "h", "d"], mf.normalizer,
             np.asarray(env_spec["action_low"], dtype=np.float64),
             np.asarray(env_spec["action_high"], dtype=np.float64),
         )

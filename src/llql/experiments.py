@@ -260,7 +260,7 @@ def _train_job(job: dict) -> None:
     meta = {"episode": cfg.episodes} if job["method"] == "llql" else {}
     log = train_and_save(env, job["method"], cfg, stem.with_suffix(".model"), meta, reward_mod=job["mod"])
     # the log lands last: a model without its log is not a cache entry
-    write_atomic(stem.with_suffix(".log.json"), json.dumps([dataclasses.asdict(r) for r in log]).encode())
+    write_atomic(stem.with_suffix(".log.json"), [json.dumps([dataclasses.asdict(r) for r in log]).encode()])
 
 
 def _train_cached(method, env_name, config, variants, cache_dir, workers, goal_position, horizon) -> dict:
@@ -376,7 +376,7 @@ def load_policy(path_or_cmd: str, env):
     JSON-lines protocol."""
     if path_or_cmd.startswith("cmd:"):
         return control.ExternalProcessPolicy(path_or_cmd[4:].split())
-    mf = load_model(path_or_cmd).checked(("llql", "ddpg"), "policy", env)
+    mf = load_model(path_or_cmd, core.llql_banks).checked(("llql", "ddpg"), "policy", env)
     if mf.meta["role"] == "ddpg":
         return baselines.ddpg_model_from(mf)
     return control.LlqlPolicy(core.llql_model_from(mf)[1])
@@ -394,7 +394,8 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     meta: dict = {"method": spec.method, "goal": params, "reward_mod": spec.reward_mod}
 
     if spec.method == "llql":
-        dyn, q, _ = core.llql_model_from(load_model(spec.model_path).checked(("llql",), "llql model", env))
+        mf = load_model(spec.model_path, core.llql_banks).checked(("llql",), "llql model", env)
+        dyn, q, _ = core.llql_model_from(mf)
         meta["model"] = spec.model_path
         if goal is None:
             def controller(X, k, rngs):
@@ -412,9 +413,8 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             return model(X)
 
     elif spec.method == "mpc":
-        dyn, _, _ = core.llql_model_from(
-            load_model(spec.model_path).checked(("llql", "dynamics"), "dynamics model", env)
-        )
+        mf = load_model(spec.model_path, core.llql_banks).checked(("llql", "dynamics"), "dynamics model", env)
+        dyn, _, _ = core.llql_model_from(mf)
         meta["model"] = spec.model_path
         if spec.env != "mountain_car":
             raise ValueError("the mpc baseline is defined for the mountain_car benchmark")
@@ -429,7 +429,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     elif spec.method == "adjust":
         if goal is None:
             raise ValueError("adjust requires a goal")
-        mf = load_model(spec.dynamics_path).checked(("llql", "dynamics"), "dynamics model", env)
+        mf = load_model(spec.dynamics_path, core.llql_banks).checked(("llql", "dynamics"), "dynamics model", env)
         dyn, q, _ = core.llql_model_from(mf)
         meta["dynamics"] = spec.dynamics_path
         meta["policy"] = spec.policy_path

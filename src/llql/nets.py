@@ -19,7 +19,7 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +57,12 @@ def _aligned_copy(a: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is finite; min and max propagate a NaN, so
+    this needs no temporary array of `a`'s size."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def _layers(layer_sizes) -> list:
     """(fan_in, fan_out) of every layer of an Mlp, or of every head of a
     HeadBank in order when `layer_sizes` holds one tuple per head."""
@@ -87,6 +93,12 @@ def _views(flat: np.ndarray, layer_sizes):
         views.append(flat[offset : offset + n].reshape(shape))
         offset += n
     return views[0::2], views[1::2]
+
+
+def _params(net) -> list:
+    """An Mlp's weight and bias views, layer by layer: the order of its
+    `flat_params` and of its parameters in a model file."""
+    return [p for pair in zip(net.weights, net.biases) for p in pair]
 
 
 def _draw_weights(weights, rng: np.random.Generator) -> None:
@@ -144,7 +156,7 @@ class Mlp:
         this is a read-only copy."""
         if self._bank.flat_params is not None:
             return self._bank.flat_params
-        flat = np.concatenate([p.reshape(-1) for pair in zip(self.weights, self.biases) for p in pair])
+        flat = np.concatenate([p.reshape(-1) for p in _params(self)])
         flat.flags.writeable = False
         return flat
 
@@ -174,6 +186,11 @@ class Mlp:
         if self._grads is None:
             self._grads = Grads(self.layer_sizes, self.dtype, grads.flat)
         return self._grads, gin
+
+    def input_gradient(self, caches: list, grad_out: np.ndarray) -> np.ndarray:
+        """The input gradient of `grad_out` through the cached pass, without
+        the parameter gradients; see `HeadBank.input_gradient`."""
+        return self._bank.input_gradient(caches, (grad_out,))
 
 
 class HeadBank:
@@ -209,7 +226,7 @@ class HeadBank:
         for sizes, shape in zip(self.layer_sizes, self.shapes):
             if sizes[-1] != math.prod(shape):
                 raise ValueError(f"a head of {sizes[-1]} outputs cannot take the shape {shape}")
-        if flat is not None and not np.all(np.isfinite(flat)):
+        if flat is not None and not _all_finite(flat):
             raise ValueError("network parameters must be finite")
         self.flat_params, self.n_params = flat, _n_params(self.layer_sizes)
         self.weights, self.biases = _views(flat, self.layer_sizes) if views is None else views
@@ -230,16 +247,6 @@ class HeadBank:
         bank = cls(sizes, shapes, _aligned_zeros(_n_params(sizes), dtype))
         for head in bank.heads:
             _draw_weights(head.weights, rng)
-        return bank
-
-    @classmethod
-    def of(cls, nets: Sequence[Mlp], shapes) -> "HeadBank":
-        """A bank holding a copy of each net's parameters."""
-        sizes = [net.layer_sizes for net in nets]
-        bank = cls(sizes, shapes, _aligned_zeros(_n_params(sizes), np.result_type(*(net.dtype for net in nets))))
-        for head, net in zip(bank.heads, nets):
-            for dst, src in zip(head.weights + head.biases, net.weights + net.biases):
-                dst[...] = src
         return bank
 
     def copy(self) -> "HeadBank":
@@ -329,14 +336,24 @@ class HeadBank:
         bank's workspace, valid until its next call."""
         if self._grads is None:
             self._grads = Grads(self.layer_sizes, self.dtype)
-        gW, gb = self._grads.weights, self._grads.biases
+        return self._grads, self._backward(caches, grad_outs, self._grads, need_input_grad)
+
+    def input_gradient(self, caches: list, grad_outs) -> np.ndarray:
+        """The input gradient of `backward_cached(..., need_input_grad=True)`,
+        through the same chain, without the parameter gradients."""
+        return self._backward(caches, grad_outs, None, True)
+
+    def _backward(self, caches: list, grad_outs, grads: Optional[Grads], need_input_grad: bool):
+        """Backpropagate through the cached pass, filling `grads` unless it
+        is None; the input gradient with `need_input_grad`, else None."""
         L, acts, gin = self._n_hidden, caches, None
         work = self._workspace("backward", (len(acts[0]),))
         for k, g in enumerate(grad_outs):
             g = np.asarray(g, dtype=self.dtype).reshape(len(g), -1)
             a = acts[L][k] if L else acts[0]
-            np.matmul(a.T, g, out=gW[L + k])
-            g.sum(axis=0, out=gb[L + k])
+            if grads is not None:
+                np.matmul(a.T, g, out=grads.weights[L + k])
+                g.sum(axis=0, out=grads.biases[L + k])
             if L:
                 np.matmul(g, self.weights[L + k].T, out=work[2 * L - 2][k])
             elif need_input_grad:
@@ -348,13 +365,14 @@ class HeadBank:
             # one would be cast through a buffer on every call
             np.sign(acts[i + 1], out=mask)
             delta *= mask
-            np.matmul(acts[i].transpose(0, 2, 1) if i else acts[0].T, delta, out=gW[i])
-            delta.sum(axis=1, out=gb[i])
+            if grads is not None:
+                np.matmul(acts[i].transpose(0, 2, 1) if i else acts[0].T, delta, out=grads.weights[i])
+                delta.sum(axis=1, out=grads.biases[i])
             if i:
                 np.matmul(delta, self.weights[i].transpose(0, 2, 1), out=work[2 * i - 2])
             elif need_input_grad:
                 gin = np.matmul(delta, self.weights[0].transpose(0, 2, 1)).sum(axis=0)
-        return self._grads, gin
+        return gin
 
 
 class Adam:
@@ -383,7 +401,6 @@ class Adam:
         self.m = _aligned_zeros(net.n_params, net.dtype)
         self.v = _aligned_zeros(net.n_params, net.dtype)
         self._buf = _aligned_empty(net.n_params, net.dtype)
-        self._buf2 = _aligned_empty(net.n_params, net.dtype)
 
     @property
     def current_lr(self) -> float:
@@ -400,7 +417,7 @@ class Adam:
         lr = self.current_lr
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        buf, buf2 = self._buf, self._buf2
+        buf = self._buf
         # m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2   (in place, no temps)
         np.subtract(g, self.m, out=buf)
         buf *= 1.0 - b1
@@ -413,9 +430,9 @@ class Adam:
         # lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
         #   = (lr*s2/(1-b1^t)) * m / (sqrt(v) + eps*s2),  s2 = sqrt(1-b2^t)
         s2 = np.sqrt(1.0 - b2**self.t)
-        np.sqrt(self.v, out=buf2)
-        buf2 += self.eps * s2
-        np.divide(self.m, buf2, out=buf)
+        np.sqrt(self.v, out=buf)
+        buf += self.eps * s2
+        np.divide(self.m, buf, out=buf)
         buf *= lr * s2 / (1.0 - b1**self.t)
         net.flat_params[...] -= buf
 
@@ -474,6 +491,12 @@ class Normalizer:
 # order; within a network, layers appear in order as row-major weight matrix
 # (fan_in x fan_out) followed by bias vector.  The header records each
 # network's runtime dtype so loading restores bitwise-identical parameters.
+#
+# No whole-model copy is made either way.  Saving writes each layer straight
+# from its weight or bias view, cast to float64 one layer at a time.  Loading
+# reads each network into one reused float64 buffer and casts it straight
+# into the parameters that serve it: an Mlp of its own, or a head of the
+# HeadBank that the loader's `banks` names it for.
 # ---------------------------------------------------------------------------
 
 MODEL_FORMAT = "llql-model-v1"
@@ -486,10 +509,15 @@ class ModelFileError(ValueError):
 
 @dataclasses.dataclass
 class ModelFile:
+    """A model file's header and parameters: `nets` maps each network's
+    name to an Mlp, and `banks` maps the names of nets read into one
+    HeadBank to that bank, whose heads those nets are."""
+
     nets: dict
     normalizer: Optional[Normalizer]
     meta: dict
     path: str
+    banks: dict = dataclasses.field(default_factory=dict)
 
     def meta_entries(self, *keys) -> list:
         """The meta entries `keys`; ModelFileError when one is missing."""
@@ -517,15 +545,15 @@ class ModelFile:
         return self
 
 
-def write_atomic(path, *chunks: bytes) -> None:
-    """Write `chunks` to a temporary file beside `path`, then rename it into
-    place, so a reader never sees a partly written file."""
+def write_atomic(path, chunks: Iterable) -> None:
+    """Write the bytes-like `chunks`, taken one at a time from the iterable,
+    to a temporary file beside `path`, then rename it into place, so a
+    reader never sees a partly written file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)  # drops each chunk before it takes the next
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -542,8 +570,8 @@ def save_model(path, nets: dict, normalizer: Optional[Normalizer] = None, meta: 
         "meta": meta or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = np.concatenate([net.flat_params.astype(np.float64) for net in nets.values()])
-    write_atomic(path, struct.pack("<Q", len(header_bytes)), header_bytes, blob.astype("<f8").tobytes())
+    layers = (np.asarray(p, dtype="<f8") for net in nets.values() for p in _params(net))
+    write_atomic(path, itertools.chain((struct.pack("<Q", len(header_bytes)), header_bytes), layers))
 
 
 def _net_entries(header: dict) -> list:
@@ -552,6 +580,8 @@ def _net_entries(header: dict) -> list:
     entries = []
     for entry in header["nets"]:
         name, sizes, dtype = entry["name"], entry["layer_sizes"], np.dtype(entry["dtype"])
+        if any(str(name) == listed for listed, _, _ in entries):
+            raise ValueError(f"net {name!r} is listed twice")
         if not (isinstance(sizes, list) and len(sizes) >= 2
                 and all(type(n) is int and n > 0 for n in sizes)):
             raise ValueError(f"net {name!r}: layer_sizes {sizes!r} are not two or more positive integers")
@@ -561,45 +591,76 @@ def _net_entries(header: dict) -> list:
     return entries
 
 
-def load_model(path) -> ModelFile:
-    """Read a model file, one network at a time through one float64 buffer
-    the size of the largest network; ModelFileError when the file is
-    truncated, padded, malformed, of another format or holds non-finite
-    parameters."""
+def _read_header(fh, path) -> tuple:
+    """(ModelFile without parameters, its net entries) of the open model
+    file `fh`, left at the start of the blob; ModelFileError when the file
+    is truncated, padded, malformed or of another format."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < 8:
+        raise ModelFileError(f"{path}: truncated model file ({size} bytes, no header length)")
+    (header_len,) = struct.unpack("<Q", fh.read(8))
+    if 8 + header_len > size:
+        raise ModelFileError(f"{path}: truncated model header (needs {header_len} bytes)")
+    try:
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelFileError(f"{path}: unreadable model header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
+        raise ModelFileError(f"{path}: not a {MODEL_FORMAT} file")
+    try:
+        entries = _net_entries(header)
+        normalizer = Normalizer.from_dict(header["normalizer"]) if header["normalizer"] else None
+        meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta is a {type(meta).__name__}, not an object")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from exc
+    blob_len, listed = size - 8 - header_len, 8 * sum(_n_params(sizes) for _, sizes, _ in entries)
+    if blob_len != listed:
+        raise ModelFileError(f"{path}: parameter blob holds {blob_len} bytes, the header lists {listed}")
+    return ModelFile(nets={}, normalizer=normalizer, meta=meta, path=str(path)), entries
+
+
+def load_header(path) -> ModelFile:
+    """A model file's header, checked as `load_model` checks it, with no
+    parameters read (`nets` is empty)."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < 8:
-            raise ModelFileError(f"{path}: truncated model file ({size} bytes, no header length)")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        if 8 + header_len > size:
-            raise ModelFileError(f"{path}: truncated model header (needs {header_len} bytes)")
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ModelFileError(f"{path}: unreadable model header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != MODEL_FORMAT:
-            raise ModelFileError(f"{path}: not a {MODEL_FORMAT} file")
-        try:
-            entries = _net_entries(header)
-            normalizer = Normalizer.from_dict(header["normalizer"]) if header["normalizer"] else None
-            meta = header["meta"]
-            if not isinstance(meta, dict):
-                raise TypeError(f"meta is a {type(meta).__name__}, not an object")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFileError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from exc
-        counts = [_n_params(sizes) for _, sizes, _ in entries]
-        blob_len = size - 8 - header_len
-        if blob_len != 8 * sum(counts):
-            raise ModelFileError(
-                f"{path}: parameter blob holds {blob_len} bytes, the header lists {8 * sum(counts)}"
-            )
-        buffer = np.empty(max(counts, default=0), dtype="<f8")
-        nets = {}
-        for (name, sizes, dtype), n in zip(entries, counts):
-            if fh.readinto(buffer[:n]) != 8 * n:
-                raise ModelFileError(f"{path}: model file shrank while it was read")
+        return _read_header(fh, path)[0]
+
+
+def load_model(path, banks: Optional[Callable[[ModelFile], dict]] = None) -> ModelFile:
+    """Read a model file, one network at a time through one float64 buffer
+    the size of the largest network, each cast layer by layer straight into
+    the parameters that serve it.  `banks`, given the file with its header
+    read, returns {tuple of net names: their heads' output shapes}: each
+    tuple's nets are read into the heads of one HeadBank, and every other
+    net into an Mlp of its own.  ModelFileError when the file is truncated, padded, malformed,
+    of another format or holds non-finite parameters, or when a net that
+    `banks` names is missing or does not fit its bank."""
+    with open(path, "rb") as fh:
+        mf, entries = _read_header(fh, path)
+        listed, heads = {name: (sizes, dtype) for name, sizes, dtype in entries}, {}
+        for names, shapes in (banks(mf) if banks is not None else {}).items():
+            missing = [name for name in names if name not in listed]
+            if missing:
+                raise ModelFileError(f"{path}: no net {', '.join(map(repr, missing))} for the bank of {names}")
+            sizes = [listed[name][0] for name in names]
+            dtype = np.result_type(*(listed[name][1] for name in names))
             try:
-                nets[name] = Mlp(sizes, _aligned_copy(buffer[:n], dtype))
+                mf.banks[names] = HeadBank(sizes, shapes, _aligned_zeros(_n_params(sizes), dtype))
             except ValueError as exc:
-                raise ModelFileError(f"{path}: net {name!r}: {exc}") from exc
-    return ModelFile(nets=nets, normalizer=normalizer, meta=meta, path=str(path))
+                raise ModelFileError(f"{path}: nets {names}: {exc}") from exc
+            heads.update(zip(names, mf.banks[names].heads))
+        for name, sizes, dtype in entries:
+            mf.nets[name] = heads[name] if name in heads else Mlp(sizes, _aligned_zeros(_n_params(sizes), dtype))
+        buffer = np.empty(max((net.n_params for net in mf.nets.values()), default=0), dtype="<f8")
+        for name, net in mf.nets.items():
+            if fh.readinto(buffer[: net.n_params]) != 8 * net.n_params:
+                raise ModelFileError(f"{path}: model file shrank while it was read")
+            offset = 0
+            for p in _params(net):
+                p[...] = buffer[offset : offset + p.size].reshape(p.shape)
+                offset += p.size
+                if not _all_finite(p):
+                    raise ModelFileError(f"{path}: net {name!r}: network parameters must be finite")
+    return mf

@@ -15,26 +15,23 @@ from llql.baselines import (
 )
 from llql.core import DynamicsModel
 from llql.envs import MountainCar, Pendulum
-from llql.nets import HeadBank, Mlp, Normalizer
+from llql.nets import HeadBank, Normalizer
 
 
-def constant_net(in_dim, out_values):
-    out_values = np.atleast_1d(np.asarray(out_values, dtype=np.float64)).reshape(-1)
-    net = Mlp.create((in_dim, len(out_values)), np.random.default_rng(0))
-    net.weights[0][...] = 0.0
-    net.biases[0][...] = out_values
-    return net
+def constant_bank(in_dim, outputs, shapes):
+    """A bank of heads without hidden layers that output the given constants
+    for any input."""
+    bank = HeadBank.create(in_dim, (), shapes, np.random.default_rng(0))
+    for head, values in zip(bank.heads, outputs):
+        head.weights[0][...] = 0.0
+        head.biases[0][...] = np.asarray(values, dtype=np.float64).reshape(-1)
+    return bank
 
 
 def identity_dynamics():
     """x' = x + delta * u with delta-scaled gain one per component."""
-    bank = HeadBank.of(
-        (
-            constant_net(2, [0.0, 0.0]),
-            constant_net(2, [1000.0, 0.0]),  # position gains u strongly, velocity none
-        ),
-        DynamicsModel.head_shapes(2, 1),
-    )
+    # position gains u strongly, velocity none
+    bank = constant_bank(2, ([0.0, 0.0], [1000.0, 0.0]), DynamicsModel.head_shapes(2, 1))
     return DynamicsModel(bank, 0.001, Normalizer.identity(2))
 
 

@@ -66,16 +66,26 @@ def test_cli_compare_passes_its_options_to_each_table_builder(tmp_path, monkeypa
 
     monkeypatch.setattr(compare, "build_mountain_car_table", mountain_car)
     monkeypatch.setattr(compare, "build_pendulum_tables", pendulum)
-    options = ["--workers", "1", "--llql-seeds", "4", "--ddpg-seeds", "2", "--runs", "5",
-               "--mpc-horizon", "3", "--mpc-candidates", "7", "--out", str(tmp_path)]
-    for table in ("trajectory", "constraint", "pendulum_trajectory", "pendulum_constraint"):
-        assert cli.main(["compare", "--table", table, *options]) == 0
+    common = ["--workers", "1", "--runs", "5", "--out", str(tmp_path)]
+    mc_only = ["--llql-seeds", "4", "--ddpg-seeds", "2", "--mpc-horizon", "3", "--mpc-candidates", "7"]
+    for table in ("trajectory", "constraint"):
+        assert cli.main(["compare", "--table", table, *common, *mc_only]) == 0
+    assert cli.main(["compare", "--table", "trajectory", *common]) == 0
+    for table in ("pendulum_trajectory", "pendulum_constraint"):
+        assert cli.main(["compare", "--table", table, *common]) == 0
     mc = dict(workers=1, runs=5, llql_seeds=(0, 1, 2, 3), ddpg_seeds=(0, 1), mpc_horizon=3, mpc_candidates=7)
     cache = tmp_path / "cache"
     assert calls == [
         ("trajectory", cache, tmp_path, mc),
         ("constraint", cache, tmp_path, mc),
+        ("trajectory", cache, tmp_path, dict(workers=1, runs=5)),  # the builder's defaults
         ("pendulum", cache, tmp_path, dict(workers=1, runs=5, which="trajectory")),
         ("pendulum", cache, tmp_path, dict(workers=1, runs=5, which="constraint")),
     ]
-    assert capsys.readouterr().out.count("wrote ") == 4
+    assert capsys.readouterr().out.count("wrote ") == 5
+    # the pendulum builder takes none of the mountain-car options
+    for table in ("pendulum_trajectory", "pendulum_constraint"):
+        for option, value in zip(mc_only[::2], mc_only[1::2]):
+            assert cli.main(["compare", "--table", table, *common, option, value]) == 2
+            assert f"{option} needs --table trajectory or --table constraint" in capsys.readouterr().err
+    assert len(calls) == 5

@@ -26,20 +26,20 @@ from llql.core import DynamicsModel, QModel
 from llql.nets import HeadBank, Mlp, Normalizer
 
 
-def constant_net(in_dim, out_values):
-    out_values = np.atleast_1d(np.asarray(out_values, dtype=np.float64)).reshape(-1)
-    net = Mlp.create((in_dim, len(out_values)), np.random.default_rng(0))
-    net.weights[0][...] = 0.0
-    net.biases[0][...] = out_values
-    return net
+def constant_bank(in_dim, outputs, shapes):
+    """A bank of heads without hidden layers that output the given constants
+    for any input."""
+    bank = HeadBank.create(in_dim, (), shapes, np.random.default_rng(0))
+    for head, values in zip(bank.heads, outputs):
+        head.weights[0][...] = 0.0
+        head.biases[0][...] = np.asarray(values, dtype=np.float64).reshape(-1)
+    return bank
 
 
 def make_qmodel(v, h, d, state_dim=1, low=-10.0, high=10.0):
-    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     m, a = d.shape
-    nets = (constant_net(state_dim, [v]), constant_net(state_dim, h), constant_net(state_dim, d.reshape(-1)))
-    bank = HeadBank.of(nets, QModel.head_shapes(a))
+    bank = constant_bank(state_dim, (v, h, d), QModel.head_shapes(a))
     return QModel(bank, Normalizer.identity(state_dim), np.full(a, low), np.full(a, high))
 
 
@@ -48,13 +48,7 @@ def make_dynamics(f, g, delta=0.001, state_dim=None, action_dim=None):
     g = np.atleast_2d(np.asarray(g, dtype=np.float64))
     state_dim = state_dim or len(f)
     action_dim = action_dim or g.shape[1]
-    bank = HeadBank.of(
-        (constant_net(state_dim, np.zeros(f.size)), constant_net(state_dim, np.zeros(g.size))),
-        DynamicsModel.head_shapes(state_dim, action_dim),
-    )
-    # set after construction, which rejects non-finite parameters
-    bank.heads[0].biases[0][...] = f
-    bank.heads[1].biases[0][...] = g.reshape(-1)
+    bank = constant_bank(state_dim, (f, g), DynamicsModel.head_shapes(state_dim, action_dim))
     return DynamicsModel(bank, delta, Normalizer.identity(state_dim))
 
 

@@ -6,33 +6,32 @@ import pytest
 
 from llql import core, linalg
 from llql.envs import MountainCar
-from llql.nets import HeadBank, Mlp, Normalizer
+from llql.nets import HeadBank, Normalizer
 
 
-def constant_net(in_dim, out_values):
-    """A network that outputs the given constants for any input."""
-    out_values = np.atleast_1d(np.asarray(out_values, dtype=np.float64)).reshape(-1)
-    net = Mlp.create((in_dim, len(out_values)), np.random.default_rng(0))
-    net.weights[0][...] = 0.0
-    net.biases[0][...] = out_values
-    return net
+def constant_bank(in_dim, outputs, shapes):
+    """A bank of heads without hidden layers that output the given constants
+    for any input."""
+    bank = HeadBank.create(in_dim, (), shapes, np.random.default_rng(0))
+    for head, values in zip(bank.heads, outputs):
+        head.weights[0][...] = 0.0
+        head.biases[0][...] = np.asarray(values, dtype=np.float64).reshape(-1)
+    return bank
 
 
-def dynamics_of(f_net, g_net, delta, state_dim, action_dim):
-    bank = HeadBank.of((f_net, g_net), core.DynamicsModel.head_shapes(state_dim, action_dim))
+def dynamics_of(f, g, delta, state_dim, action_dim):
+    bank = constant_bank(state_dim, (f, g), core.DynamicsModel.head_shapes(state_dim, action_dim))
     return core.DynamicsModel(bank, delta, Normalizer.identity(state_dim))
 
 
 def scalar_dynamics(f=1.0, g=2.0, delta=0.001):
-    return dynamics_of(constant_net(1, [f]), constant_net(1, [g]), delta, 1, 1)
+    return dynamics_of([f], [g], delta, 1, 1)
 
 
 def make_qmodel(v, h, d, state_dim=1, low=-1.0, high=1.0):
-    h = np.atleast_1d(np.asarray(h, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     m, a = d.shape
-    nets = (constant_net(state_dim, [v]), constant_net(state_dim, h), constant_net(state_dim, d.reshape(-1)))
-    bank = HeadBank.of(nets, core.QModel.head_shapes(a))
+    bank = constant_bank(state_dim, (v, h, d), core.QModel.head_shapes(a))
     return core.QModel(bank, Normalizer.identity(state_dim), np.full(a, low), np.full(a, high))
 
 
@@ -112,13 +111,13 @@ def test_short_term_loss_zero_for_perfect_model():
 
 
 def test_short_term_loss_single_residual_norm():
-    dyn = dynamics_of(constant_net(2, [0.0, 0.0]), constant_net(2, [0.0, 0.0]), 0.001, 2, 1)
+    dyn = dynamics_of([0.0, 0.0], [0.0, 0.0], 0.001, 2, 1)
     batch = batch_of([[0.0, 0.0]], [[0.0]], [[0.3, 0.4]])
     assert core.short_term_loss(dyn, batch) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_short_term_loss_is_mean_of_norms():
-    dyn = dynamics_of(constant_net(2, [0.0, 0.0]), constant_net(2, [0.0, 0.0]), 0.001, 2, 1)
+    dyn = dynamics_of([0.0, 0.0], [0.0, 0.0], 0.001, 2, 1)
     batch = batch_of(
         [[0.0, 0.0], [0.0, 0.0]], [[0.0], [0.0]], [[0.5, 0.0], [0.0, 1.5]]
     )
@@ -359,6 +358,35 @@ def test_model_save_load_round_trip(tmp_path):
         for got, want in zip(loaded.coefficients(X), trained.coefficients(X)):
             assert np.array_equal(got, want)
     assert meta["role"] == "llql"
+
+
+def test_loading_an_llql_model_reads_its_nets_straight_into_the_banks(tmp_path):
+    """Each net is cast from the one float64 read buffer into its bank's
+    slices, with no copy of its own: the load peaks at the banks' float32
+    bytes and the largest net in float64, plus 32 KiB for the header, the
+    file's read buffer and the Python objects of the heads' views."""
+    env = MountainCar()
+    rng = np.random.default_rng(0)
+    dyn = core.DynamicsModel(
+        HeadBank.create(2, (200, 200), core.DynamicsModel.head_shapes(2, 1), rng, np.float32), 0.001,
+        Normalizer.identity(2),
+    )
+    q = core.QModel(HeadBank.create(2, (200, 200), core.QModel.head_shapes(1), rng, np.float32),
+                    dyn.normalizer, np.array([-1.0]), np.array([1.0]))
+    path = tmp_path / "mc.model"
+    core.save_llql_model(path, dyn, q, {"env": env.spec.to_dict()})
+    core.load_llql_model(path)  # warm up
+    tracemalloc.start()
+    try:
+        loaded, loaded_q, _ = core.load_llql_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.bank.flat_params, dyn.bank.flat_params)
+    assert np.array_equal(loaded_q.bank.flat_params, q.bank.flat_params)
+    banks = dyn.bank.flat_params.nbytes + q.bank.flat_params.nbytes
+    largest = 8 * max(head.n_params for head in dyn.bank.heads + q.bank.heads)
+    assert peak <= banks + largest + 32 * 1024
 
 
 def test_dynamics_only_training():

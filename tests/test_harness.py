@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import os
+import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from llql import baselines, cli, control, core, experiments, reports
+from llql import baselines, cli, control, core, experiments, nets, reports
 from llql.control import LlqlPolicy
 from llql.cli import ConfigError, build_config, main, parse_config_file
 from llql.experiments import EvalReport, EvalRow, compute_aggregates, evaluate, goal_from_dict
@@ -779,6 +781,54 @@ def test_cli_pendulum_trajectory_scores_velocity_against_the_goals_target(tmp_pa
     assert any(row.vel_error is not None for row in expected)  # the pendulum passed upright
     rows = json.loads((tmp_path / "report.json").read_text())["rows"]
     assert [EvalRow(**row) for row in rows] == expected
+
+
+@pytest.mark.parametrize("role", ["llql", "dynamics", "ddpg"])
+def test_model_files_hold_the_whole_blob_encoding_of_their_nets(tmp_path, role):
+    """Saving writes each layer as it comes; the bytes are those of the
+    nets' flat vectors concatenated and encoded at once."""
+    env = MountainCar(horizon=10)
+    path = tmp_path / f"{role}.model"
+    if role == "ddpg":
+        model = baselines.ddpg_train(env, tiny_ddpg_config())[0]
+        baselines.save_ddpg_model(path, model, {"env": env.spec.to_dict()})
+        saved = {"actor": model.actor, "critic": model.critic}
+    else:
+        result = core.train(env, tiny_train_config())
+        q = result.qmodel if role == "llql" else None
+        core.save_llql_model(path, result.dynamics, q, {"env": env.spec.to_dict()})
+        saved = {"f": result.dynamics.f_net, "g": result.dynamics.g_net}
+        if q is not None:
+            saved.update(v=q.v_net, h=q.h_net, d=q.d_net)
+    data = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[:8])
+    assert [net["name"] for net in json.loads(data[8 : 8 + header_len])["nets"]] == list(saved)
+    blob = np.concatenate([net.flat_params.astype(np.float64) for net in saved.values()]).astype("<f8").tobytes()
+    assert data[8 + header_len :] == blob
+
+
+def counting_loads(monkeypatch) -> list:
+    """The path of every `nets.load_model` call from now on, wherever an llql
+    module binds that function."""
+    real, paths = nets.load_model, []
+
+    def counting(path, *args, **kwargs):
+        paths.append(str(path))
+        return real(path, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "llql" or name.startswith("llql.")) and getattr(module, "load_model", None) is real:
+            monkeypatch.setattr(module, "load_model", counting)
+    return paths
+
+
+@pytest.mark.parametrize("command", ["eval", "adjust"])
+def test_cli_run_reads_the_model_parameters_once(tmp_path, monkeypatch, command):
+    path = saved_model(tmp_path / "m.model", MountainCar(horizon=10))
+    argv = ["eval", "--model", path] if command == "eval" else ["adjust", "--policy", path, "--dynamics", path]
+    reads = counting_loads(monkeypatch)
+    assert main([*argv, "--goal", "constraint", "--runs", "1", "--horizon", "3", "--out", str(tmp_path)]) == 0
+    assert reads == [path]
 
 
 def without_meta(path, key):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import struct
@@ -366,6 +367,7 @@ GOOD_ENTRY = {"name": "net", "layer_sizes": [3, 6, 2], "dtype": "float64"}
         {"nets": [{**GOOD_ENTRY, "dtype": "int32"}], "normalizer": None, "meta": {}},
         {"nets": [{**GOOD_ENTRY, "dtype": "no-such-type"}], "normalizer": None, "meta": {}},
         {"nets": [GOOD_ENTRY], "normalizer": {"mean": [0.0, 0.0, 0.0]}, "meta": {}},
+        {"nets": [GOOD_ENTRY, GOOD_ENTRY], "normalizer": None, "meta": {}},
     ],
 )
 def test_model_file_rejects_malformed_headers(tmp_path, header):
@@ -408,6 +410,85 @@ def test_loading_a_default_model_allocates_less_than_its_file(tmp_path):
     size = path.stat().st_size
     assert size > 1_600_000
     assert traced_peak(lambda: load_model(path)) < size
+
+
+def whole_blob(nets) -> bytes:
+    """The parameter blob as one concatenated float64 vector encodes it."""
+    return np.concatenate([net.flat_params.astype(np.float64) for net in nets]).astype("<f8").tobytes()
+
+
+def blob_of(path) -> bytes:
+    data = path.read_bytes()
+    return data[8 + struct.unpack("<Q", data[:8])[0] :]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["mlps", "bank_heads"])
+def test_streamed_save_writes_the_whole_blob_encoding(tmp_path, dtype, kind):
+    if kind == "mlps":
+        nets = {"a": make_net((3, 6, 2), seed=1, dtype=dtype), "b": make_net((4, 1), seed=2, dtype=dtype)}
+    else:
+        nets = dict(zip("vhd", make_bank(seed=3, dtype=dtype).heads))
+    path = tmp_path / "m.model"
+    save_model(path, nets, Normalizer.identity(3), {"env": "test"})
+    assert blob_of(path) == whole_blob(nets.values())
+    assert [net.flat_params.dtype for net in load_model(path).nets.values()] == [np.dtype(dtype)] * len(nets)
+
+
+def test_saving_allocates_at_most_one_layer_in_float64(tmp_path):
+    """A save casts and writes one layer at a time: its peak above its
+    inputs is the largest layer in float64 and the header, plus the file's
+    write buffer and 1 KiB of Python objects."""
+    rng = np.random.default_rng(0)
+    bank = HeadBank.create(2, (200, 200), ((2,), (2, 1), (), (1,), (1, 1)), rng, np.float32)
+    nets = dict(zip("fgvhd", bank.heads))
+    path = tmp_path / "mc.model"
+    save_model(path, nets, Normalizer.identity(2), {"env": "test"})  # warm up
+    header_len = struct.unpack("<Q", path.read_bytes()[:8])[0]
+    peak = traced_peak(lambda: save_model(path, nets, Normalizer.identity(2), {"env": "test"}))
+    assert peak <= 200 * 200 * 8 + header_len + io.DEFAULT_BUFFER_SIZE + 1024
+
+
+def test_load_model_reads_the_nets_a_bank_names_into_its_heads(tmp_path):
+    bank = make_bank(seed=6, dtype=np.float32)
+    other = make_net((3, 2), seed=7)
+    path = tmp_path / "m.model"
+    save_model(path, {"v": bank.heads[0], "own": other, "h": bank.heads[1], "d": bank.heads[2]}, None, {})
+    mf = load_model(path, lambda mf: {("v", "h", "d"): SHAPES})
+    loaded = mf.banks["v", "h", "d"]
+    assert loaded.shapes == SHAPES and loaded.dtype == np.float32
+    assert np.array_equal(loaded.flat_params, bank.flat_params)
+    assert list(mf.nets) == ["v", "own", "h", "d"]
+    assert all(mf.nets[name] is head for name, head in zip("vhd", loaded.heads))
+    assert np.array_equal(mf.nets["own"].flat_params, other.flat_params)
+    x = np.random.default_rng(0).standard_normal((4, 3))
+    assert all(np.array_equal(a, b) for a, b in zip(loaded.forward(x), bank.forward(x)))
+
+
+@pytest.mark.parametrize("banks, match", [
+    ({("v", "x"): ((), (2,))}, "no net 'x'"),
+    ({("v", "h"): ((), (3,))}, "cannot take the shape"),
+    ({("v", "own"): ((), (2,))}, "equal input and hidden sizes"),
+])
+def test_load_model_rejects_a_bank_of_missing_or_misfit_nets(tmp_path, banks, match):
+    bank = make_bank(seed=6)
+    path = tmp_path / "m.model"
+    save_model(path, {"v": bank.heads[0], "h": bank.heads[1], "own": make_net((3, 2), seed=7)}, None, {})
+    with pytest.raises(ModelFileError, match=match):
+        load_model(path, lambda mf: banks)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300], ids=["nan", "inf", "float32_overflow"])
+def test_load_model_rejects_a_bank_head_with_nonfinite_parameters(tmp_path, value):
+    bank = make_bank(seed=6, dtype=np.float32)
+    path = tmp_path / "m.model"
+    save_model(path, dict(zip("vhd", bank.heads)), None, {})
+    data = bytearray(path.read_bytes())
+    data[-8:] = struct.pack("<d", value)  # the last bias of head d
+    path.write_bytes(bytes(data))
+    with pytest.raises(ModelFileError, match="net 'd': network parameters must be finite"):
+        load_model(path, lambda mf: {("v", "h", "d"): SHAPES})
 
 
 def test_failed_model_save_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -506,15 +587,14 @@ def test_bank_takes_one_adam_step_and_one_soft_update():
 
 
 def test_bank_rejects_a_head_that_cannot_take_its_shape():
-    nets = [make_net((3, 1)), make_net((3, 3))]
     with pytest.raises(ValueError, match="shape"):
-        HeadBank.of(nets, ((), (2,)))
+        HeadBank([(3, 1), (3, 3)], ((), (2,)), np.zeros(16))
 
 
 def test_bank_rejects_heads_of_unequal_input_or_hidden_sizes():
     for sizes in ((3, 4, 2), (2, 5, 2), (3, 5, 5, 2)):
         with pytest.raises(ValueError, match="equal input and hidden sizes"):
-            HeadBank.of([make_net((3, 5, 1)), make_net(sizes)], ((), (2,)))
+            HeadBank([(3, 5, 1), sizes], ((), (2,)), None)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -638,17 +718,40 @@ def test_parameter_gradient_moment_and_workspace_vectors_start_on_a_cache_line(t
         shift = [np.empty(4 * k + j, dtype=np.float32) for j in range(k)]
         bank = HeadBank.create(3, (5, 4), SHAPES, rng, np.float32)
         net = make_net((3, 6, 2), seed=k, dtype=np.float32)
-        save_model(tmp_path / f"{k}.model", {"net": net})
-        loaded = load_model(tmp_path / f"{k}.model").nets["net"]
-        of = HeadBank.of([make_net((3, 5, 4, 2), seed=k), make_net((3, 5, 4, 1), seed=k)], ((2,), (1,)))
+        save_model(tmp_path / f"{k}.model", {"net": net, "v": bank.heads[0], "h": bank.heads[1]})
+        mf = load_model(tmp_path / f"{k}.model", lambda mf: {("v", "h"): SHAPES[:2]})
         opt = Adam(bank, 1e-3)
         outs, caches = bank.forward_cached(rng.standard_normal((k, 3)).astype(np.float32))
         grads, _ = bank.backward_cached(caches, [np.ones_like(out) for out in outs])
         vectors += [bank.flat_params, bank.copy().flat_params, net.flat_params, net.copy().flat_params,
-                    loaded.flat_params, of.flat_params, grads.flat, opt.m, opt.v, opt._buf, opt._buf2,
-                    *bank._work.values()]
+                    mf.nets["net"].flat_params, mf.banks["v", "h"].flat_params, grads.flat, opt.m, opt.v,
+                    opt._buf, *bank._work.values()]
         del shift
     assert [v.ctypes.data % 64 for v in vectors] == [0] * len(vectors)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [(5, 4), (6,), ()], ids=["hidden", "one_hidden", "no_hidden"])
+@pytest.mark.parametrize("kind", ["bank", "mlp"])
+def test_input_gradient_equals_the_full_backward_bitwise(kind, hidden, dtype):
+    rng = np.random.default_rng(12)
+    if kind == "bank":
+        model = HeadBank.create(3, hidden, SHAPES, rng, dtype)
+    else:
+        model = Mlp.create((3, *hidden, 1), rng, dtype)
+    model.flat_params[...] += rng.normal(0.0, 0.1, size=model.n_params).astype(dtype)
+    X = rng.standard_normal((7, 3)).astype(dtype)
+    outs, caches = model.forward_cached(X)
+    if kind == "bank":
+        g = [rng.standard_normal(out.shape).astype(dtype) for out in outs]
+    else:
+        g = rng.standard_normal(outs.shape).astype(dtype)
+    grads, gin = model.backward_cached(caches, g, need_input_grad=True)
+    grads.flat[...] = 0.0
+    outs, caches = model.forward_cached(X)
+    only = model.input_gradient(caches, g)
+    assert only.dtype == dtype and np.array_equal(only, gin)
+    assert not grads.flat.any()  # no parameter gradient was computed
 
 
 @pytest.mark.parametrize("hidden", [(5, 4), ()], ids=["hidden", "no_hidden"])
