@@ -203,7 +203,7 @@ class _DdpgTrainer(_EpisodeTrainer):
         res = y - q[:, 0].astype(np.float64)
         loss = float((res**2).mean())
         gq = ((-2.0 / n) * res).astype(dt)[:, None]
-        grads_c, _ = self.critic.backward_cached(cache_c, gq)
+        grads_c = self.critic.backward_cached(cache_c, gq)
         self.adam_critic.step(self.critic, grads_c, context="critic loss")
 
         # actor ascends Q(x, mu(x)): gradient of -mean Q through the critic input
@@ -215,7 +215,7 @@ class _DdpgTrainer(_EpisodeTrainer):
         du = gin[:, self.env.state_dim :].astype(np.float64)
         half = (self.high - self.low) / 2.0
         draw = (du * half * (1.0 - np.tanh(raw.astype(np.float64)) ** 2)).astype(dt)
-        grads_a, _ = self.actor.backward_cached(cache_a, draw)
+        grads_a = self.actor.backward_cached(cache_a, draw)
         self.adam_actor.step(self.actor, grads_a, context="actor objective")
 
         soft_update(self.critic_target, self.critic, cfg.tau)

@@ -354,11 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cache", default=None)
     p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--llql-seeds", dest="llql_seeds", type=int, default=None, help="default 20")
-    p.add_argument("--ddpg-seeds", dest="ddpg_seeds", type=int, default=None, help="default 3")
+    mc_only = "mountain-car tables only; default: the table builder's"
+    p.add_argument("--llql-seeds", dest="llql_seeds", type=int, default=None, help=mc_only)
+    p.add_argument("--ddpg-seeds", dest="ddpg_seeds", type=int, default=None, help=mc_only)
     p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--mpc-horizon", dest="mpc_horizon", type=int, default=None, help="default 15")
-    p.add_argument("--mpc-candidates", dest="mpc_candidates", type=int, default=None, help="default 1000")
+    p.add_argument("--mpc-horizon", dest="mpc_horizon", type=int, default=None, help=mc_only)
+    p.add_argument("--mpc-candidates", dest="mpc_candidates", type=int, default=None, help=mc_only)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_compare)
 

@@ -463,7 +463,7 @@ class _Trainer(_EpisodeTrainer):
         dirs = residual / np.maximum(norms, np.finfo(dt).tiny)[:, None]
         gF = (-self.cfg.delta / n) * dirs
         gG = gF[:, :, None] * U[:, None, :]
-        self.adam_dyn.step(bank, bank.backward_cached(caches, (gF, gG))[0], context="short-term loss")
+        self.adam_dyn.step(bank, bank.backward_cached(caches, (gF, gG)), context="short-term loss")
         return loss
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -488,7 +488,7 @@ class _Trainer(_EpisodeTrainer):
         dq = dq.astype(dt)
         dS = (-dq)[:, None] * (S / np.maximum(norms, np.finfo(dt).tiny).astype(dt)[:, None])
         gD = dS[:, :, None] * U[:, None, :]
-        self.adam_q.step(bank, bank.backward_cached(caches, (dq, dS, gD))[0], context="long-term loss")
+        self.adam_q.step(bank, bank.backward_cached(caches, (dq, dS, gD)), context="long-term loss")
         soft_update(self.q_target.bank, bank, self.cfg.tau)
         return loss
 
@@ -567,14 +567,20 @@ def llql_banks(mf: ModelFile) -> dict:
     return banks
 
 
+def read_model(path) -> ModelFile:
+    """A model file of any role, its nets read into the banks that
+    `llql_banks` names (none for a DDPG file)."""
+    return load_model(path, llql_banks)
+
+
 def load_llql_model(path):
     """Load (DynamicsModel, QModel or None, meta) from a model file."""
-    return llql_model_from(load_model(path, llql_banks))
+    return llql_model_from(read_model(path))
 
 
 def llql_model_from(mf: ModelFile):
     """(DynamicsModel, QModel or None, meta) on the banks of a model file of
-    role llql or dynamics, loaded with `llql_banks`; ModelFileError for any
+    role llql or dynamics, read by `read_model`; ModelFileError for any
     other role."""
     meta = mf.checked(("llql", "dynamics"), "dynamics model").meta
     env_spec, delta = mf.meta_entries("env", "delta")

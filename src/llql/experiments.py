@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, control, core
 from .envs import UPRIGHT_COS, make_env
-from .nets import load_model, write_atomic
+from .nets import write_atomic
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,7 @@ def load_policy(path_or_cmd: str, env):
     JSON-lines protocol."""
     if path_or_cmd.startswith("cmd:"):
         return control.ExternalProcessPolicy(path_or_cmd[4:].split())
-    mf = load_model(path_or_cmd, core.llql_banks).checked(("llql", "ddpg"), "policy", env)
+    mf = core.read_model(path_or_cmd).checked(("llql", "ddpg"), "policy", env)
     if mf.meta["role"] == "ddpg":
         return baselines.ddpg_model_from(mf)
     return control.LlqlPolicy(core.llql_model_from(mf)[1])
@@ -394,7 +394,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     meta: dict = {"method": spec.method, "goal": params, "reward_mod": spec.reward_mod}
 
     if spec.method == "llql":
-        mf = load_model(spec.model_path, core.llql_banks).checked(("llql",), "llql model", env)
+        mf = core.read_model(spec.model_path).checked(("llql",), "llql model", env)
         dyn, q, _ = core.llql_model_from(mf)
         meta["model"] = spec.model_path
         if goal is None:
@@ -404,7 +404,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             controller = control.GoalController(dyn, goal, qmodel=q).act
 
     elif spec.method == "ddpg":
-        mf = load_model(spec.model_path).checked(("ddpg",), "ddpg model", env)
+        mf = core.read_model(spec.model_path).checked(("ddpg",), "ddpg model", env)
         model = baselines.ddpg_model_from(mf)
         meta["model"] = spec.model_path
         meta["trained_reward_mod"] = mf.meta.get("reward_mod")
@@ -413,7 +413,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             return model(X)
 
     elif spec.method == "mpc":
-        mf = load_model(spec.model_path, core.llql_banks).checked(("llql", "dynamics"), "dynamics model", env)
+        mf = core.read_model(spec.model_path).checked(("llql", "dynamics"), "dynamics model", env)
         dyn, _, _ = core.llql_model_from(mf)
         meta["model"] = spec.model_path
         if spec.env != "mountain_car":
@@ -429,7 +429,7 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
     elif spec.method == "adjust":
         if goal is None:
             raise ValueError("adjust requires a goal")
-        mf = load_model(spec.dynamics_path, core.llql_banks).checked(("llql", "dynamics"), "dynamics model", env)
+        mf = core.read_model(spec.dynamics_path).checked(("llql", "dynamics"), "dynamics model", env)
         dyn, q, _ = core.llql_model_from(mf)
         meta["dynamics"] = spec.dynamics_path
         meta["policy"] = spec.policy_path

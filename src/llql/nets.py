@@ -179,13 +179,13 @@ class Mlp:
         (out,), caches = self._bank.forward_cached(x)
         return out, caches
 
-    def backward_cached(self, caches: list, grad_out: np.ndarray, need_input_grad: bool = False) -> tuple:
-        """(Grads, input gradient) of `grad_out` through the cached pass;
+    def backward_cached(self, caches: list, grad_out: np.ndarray) -> Grads:
+        """The parameter gradients of `grad_out` through the cached pass;
         see `HeadBank.backward_cached`."""
-        grads, gin = self._bank.backward_cached(caches, (grad_out,), need_input_grad)
+        grads = self._bank.backward_cached(caches, (grad_out,))
         if self._grads is None:
             self._grads = Grads(self.layer_sizes, self.dtype, grads.flat)
-        return self._grads, gin
+        return self._grads
 
     def input_gradient(self, caches: list, grad_out: np.ndarray) -> np.ndarray:
         """The input gradient of `grad_out` through the cached pass, without
@@ -328,24 +328,24 @@ class HeadBank:
         outs = [out.reshape((len(x),) + shape) for out, shape in zip(views[L:], self.shapes)]
         return outs, [x, *views[:L]]
 
-    def backward_cached(self, caches: list, grad_outs, need_input_grad: bool = False) -> tuple:
-        """(Grads, input gradient) given each head's output gradient (batch
-        first, shaped like its output): every head's parameter gradients in
-        one flat vector, and with `need_input_grad` the gradient at the
-        input of the heads' outputs summed, else None.  The Grads are the
-        bank's workspace, valid until its next call."""
+    def backward_cached(self, caches: list, grad_outs) -> Grads:
+        """Every head's parameter gradients in one flat vector, given each
+        head's output gradient (batch first, shaped like its output).  The
+        Grads are the bank's workspace, valid until its next call."""
         if self._grads is None:
             self._grads = Grads(self.layer_sizes, self.dtype)
-        return self._grads, self._backward(caches, grad_outs, self._grads, need_input_grad)
+        self._backward(caches, grad_outs, self._grads)
+        return self._grads
 
     def input_gradient(self, caches: list, grad_outs) -> np.ndarray:
-        """The input gradient of `backward_cached(..., need_input_grad=True)`,
-        through the same chain, without the parameter gradients."""
-        return self._backward(caches, grad_outs, None, True)
+        """The gradient at the input of the heads' outputs summed, given
+        each head's output gradient as for `backward_cached`, through the
+        same chain without the parameter gradients."""
+        return self._backward(caches, grad_outs, None)
 
-    def _backward(self, caches: list, grad_outs, grads: Optional[Grads], need_input_grad: bool):
-        """Backpropagate through the cached pass, filling `grads` unless it
-        is None; the input gradient with `need_input_grad`, else None."""
+    def _backward(self, caches: list, grad_outs, grads: Optional[Grads]):
+        """Backpropagate through the cached pass: fill `grads`, or when it
+        is None return the input gradient."""
         L, acts, gin = self._n_hidden, caches, None
         work = self._workspace("backward", (len(acts[0]),))
         for k, g in enumerate(grad_outs):
@@ -356,7 +356,7 @@ class HeadBank:
                 g.sum(axis=0, out=grads.biases[L + k])
             if L:
                 np.matmul(g, self.weights[L + k].T, out=work[2 * L - 2][k])
-            elif need_input_grad:
+            elif grads is None:
                 gin = g @ self.weights[k].T if gin is None else gin + g @ self.weights[k].T
         for i in range(L - 1, -1, -1):
             delta, mask = work[2 * i], work[2 * i + 1]
@@ -370,7 +370,7 @@ class HeadBank:
                 delta.sum(axis=1, out=grads.biases[i])
             if i:
                 np.matmul(delta, self.weights[i].transpose(0, 2, 1), out=work[2 * i - 2])
-            elif need_input_grad:
+            elif grads is None:
                 gin = np.matmul(delta, self.weights[0].transpose(0, 2, 1)).sum(axis=0)
         return gin
 

@@ -862,7 +862,7 @@ def test_model_from_without_env_raises_model_file_error(tmp_path):
     for method, model_from in (("llql", core.llql_model_from), ("ddpg", baselines.ddpg_model_from)):
         bad = without_meta(saved_model(tmp_path / f"{method}.model", env, method), "env")
         with pytest.raises(ModelFileError, match="no env"):
-            model_from(load_model(bad))
+            model_from(core.read_model(bad))
 
 
 # ---------------------------------------------------------------------------

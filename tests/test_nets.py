@@ -56,7 +56,7 @@ def ref_backward(net, X, G) -> tuple:
 def own_backward(net, X, G) -> tuple:
     """(Grads, input gradient) from the net's own cached passes."""
     _, acts = net.forward_cached(X)
-    return net.backward_cached(acts, G, need_input_grad=True)
+    return net.backward_cached(acts, G), net.input_gradient(acts, G)
 
 
 def test_forward_zero_parameters_gives_zero():
@@ -564,7 +564,7 @@ def test_bank_backward_stacks_the_heads_gradients():
     X = rng.standard_normal((6, 3))
     outs, caches = bank.forward_cached(X)
     g_outs = [rng.standard_normal(out.shape) for out in outs]
-    grads, _ = bank.backward_cached(caches, g_outs)
+    grads = bank.backward_cached(caches, g_outs)
     expected = [ref_backward(head, X, g.reshape(6, -1))[0] for head, g in zip(bank.heads, g_outs)]
     indices = head_indices(bank)
     assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(bank.n_params))
@@ -613,7 +613,7 @@ def test_bank_results_equal_each_heads_own_results_bitwise(n, hidden, dtype):
         expected = ref_forward(head, Xd)[-1].reshape((n,) + shape)
         assert got.dtype == dtype and np.array_equal(got, expected)
         assert out.dtype == np.float64 and np.array_equal(out, expected.astype(np.float64))
-    grads, _ = bank.backward_cached(caches, g_outs)
+    grads = bank.backward_cached(caches, g_outs)
     for head, g, idx in zip(bank.heads, g_outs, head_indices(bank)):
         assert np.array_equal(grads.flat[idx], ref_backward(head, Xd, g.reshape(n, -1))[0])
     if n == 1:
@@ -654,7 +654,7 @@ def test_bank_workspaces_follow_the_batch_size_up_and_down():
             assert np.array_equal(out, ref_forward(head, X)[-1].astype(np.float64).reshape((n,) + shape))
         outs, caches = bank.forward_cached(X)
         g_outs = [rng.standard_normal(out.shape).astype(np.float32) for out in outs]
-        grads, _ = bank.backward_cached(caches, g_outs)
+        grads = bank.backward_cached(caches, g_outs)
         for head, g, idx in zip(bank.heads, g_outs, indices):
             assert np.array_equal(grads.flat[idx], ref_backward(head, X, g.reshape(n, -1))[0])
 
@@ -703,7 +703,8 @@ def test_mlp_pass_pair_allocates_no_layer_sized_block_after_a_warm_up():
 
     def passes():
         _, caches = net.forward_cached(X)
-        net.backward_cached(caches, G, need_input_grad=True)
+        net.backward_cached(caches, G)
+        net.input_gradient(caches, G)
         net.forward(X[0])
 
     passes()
@@ -722,7 +723,7 @@ def test_parameter_gradient_moment_and_workspace_vectors_start_on_a_cache_line(t
         mf = load_model(tmp_path / f"{k}.model", lambda mf: {("v", "h"): SHAPES[:2]})
         opt = Adam(bank, 1e-3)
         outs, caches = bank.forward_cached(rng.standard_normal((k, 3)).astype(np.float32))
-        grads, _ = bank.backward_cached(caches, [np.ones_like(out) for out in outs])
+        grads = bank.backward_cached(caches, [np.ones_like(out) for out in outs])
         vectors += [bank.flat_params, bank.copy().flat_params, net.flat_params, net.copy().flat_params,
                     mf.nets["net"].flat_params, mf.banks["v", "h"].flat_params, grads.flat, opt.m, opt.v,
                     opt._buf, *bank._work.values()]
@@ -733,7 +734,7 @@ def test_parameter_gradient_moment_and_workspace_vectors_start_on_a_cache_line(t
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("hidden", [(5, 4), (6,), ()], ids=["hidden", "one_hidden", "no_hidden"])
 @pytest.mark.parametrize("kind", ["bank", "mlp"])
-def test_input_gradient_equals_the_full_backward_bitwise(kind, hidden, dtype):
+def test_input_gradient_equals_the_reference_backward_bitwise(kind, hidden, dtype):
     rng = np.random.default_rng(12)
     if kind == "bank":
         model = HeadBank.create(3, hidden, SHAPES, rng, dtype)
@@ -744,13 +745,16 @@ def test_input_gradient_equals_the_full_backward_bitwise(kind, hidden, dtype):
     outs, caches = model.forward_cached(X)
     if kind == "bank":
         g = [rng.standard_normal(out.shape).astype(dtype) for out in outs]
+        heads = [ref_backward(head, X, gk.reshape(7, -1)) for head, gk in zip(model.heads, g)]
     else:
         g = rng.standard_normal(outs.shape).astype(dtype)
-    grads, gin = model.backward_cached(caches, g, need_input_grad=True)
+        heads = [ref_backward(model, X, g)]
+    grads = model.backward_cached(caches, g)
+    indices = head_indices(model) if kind == "bank" else [np.arange(model.n_params)]
+    assert all(np.array_equal(grads.flat[idx], part) for idx, (part, _) in zip(indices, heads))
     grads.flat[...] = 0.0
-    outs, caches = model.forward_cached(X)
-    only = model.input_gradient(caches, g)
-    assert only.dtype == dtype and np.array_equal(only, gin)
+    gin = model.input_gradient(caches, g)
+    assert gin.dtype == dtype and np.array_equal(gin, sum(ref_gin for _, ref_gin in heads))
     assert not grads.flat.any()  # no parameter gradient was computed
 
 
@@ -762,8 +766,6 @@ def test_bank_input_gradient_sums_the_heads_input_gradients(hidden):
     X = rng.standard_normal((6, 3)).astype(np.float32)
     outs, caches = bank.forward_cached(X)
     g_outs = [rng.standard_normal(out.shape).astype(np.float32) for out in outs]
-    _, gin = bank.backward_cached(caches, g_outs, need_input_grad=True)
+    gin = bank.input_gradient(caches, g_outs)
     v, h, d = (ref_backward(head, X, g.reshape(6, -1))[1] for head, g in zip(bank.heads, g_outs))
     assert gin.dtype == np.float32 and np.array_equal(gin, v + h + d)
-    outs, caches = bank.forward_cached(X)
-    assert bank.backward_cached(caches, g_outs)[1] is None
