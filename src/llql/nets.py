@@ -6,7 +6,10 @@ rate schedule, soft target updates, state normalization, and a binary
 model-file format.  Parameters live in one flat vector per network, or
 per bank of heads that share an input; weights and biases are reshaped
 views into it, which keeps optimizer and target-update passes to a
-handful of vectorized operations.
+handful of vectorized operations.  Those passes write their intermediate
+products into one scratch vector per dtype and thread (`_scratch`), which
+every Adam step and soft update of the thread shares and which is valid
+only within one call.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import math
 import os
 import struct
+import threading
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -55,6 +59,28 @@ def _aligned_copy(a: np.ndarray, dtype=None) -> np.ndarray:
     out = _aligned_empty(a.size, a.dtype if dtype is None else dtype)
     out[...] = a.reshape(-1)
     return out
+
+
+class _ScratchVectors(threading.local):
+    """Each thread's scratch vectors, by dtype."""
+
+    def __init__(self):
+        self.by_dtype = {}
+
+
+_SCRATCH = _ScratchVectors()
+
+
+def _scratch(n: int, dtype) -> np.ndarray:
+    """The first n items of the calling thread's aligned scratch vector of
+    `dtype`, grown to the largest n asked for.  Every Adam step and soft
+    update of the thread writes into it, so it is valid only within one
+    call, and trainers in two threads share nothing."""
+    dtype = np.dtype(dtype)  # the key: a dtype's name takes about 2 us to build
+    buf = _SCRATCH.by_dtype.get(dtype)
+    if buf is None or buf.size < n:
+        buf = _SCRATCH.by_dtype[dtype] = _aligned_empty(n, dtype)
+    return buf[:n]
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -379,7 +405,11 @@ class Adam:
     """Adaptive-moment optimizer with an optional learning-rate switch.
 
     The learning rate is `lr` until the optimizer's own step counter
-    reaches `switch_step`, then `lr_after`.
+    reaches `switch_step`, then `lr_after`.  Its state is the step counter
+    `t` and the moments `m` and `v`; a step writes its intermediate
+    products into the thread's scratch vector of the parameters' dtype
+    (`_scratch`), which it shares with every other Adam step and soft
+    update of the thread.
     """
 
     def __init__(
@@ -400,7 +430,6 @@ class Adam:
         self.t = 0
         self.m = _aligned_zeros(net.n_params, net.dtype)
         self.v = _aligned_zeros(net.n_params, net.dtype)
-        self._buf = _aligned_empty(net.n_params, net.dtype)
 
     @property
     def current_lr(self) -> float:
@@ -410,14 +439,14 @@ class Adam:
 
     def step(self, net: Mlp | HeadBank, grads: Grads, context: str = "") -> None:
         g = grads.flat
-        if not np.isfinite(g).all():
+        if not _all_finite(g):
             raise NonFiniteGradientError(
                 f"non-finite gradients{f' in {context}' if context else ''}; step rejected"
             )
         lr = self.current_lr
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        buf = self._buf
+        buf = _scratch(self.m.size, self.m.dtype)
         # m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2   (in place, no temps)
         np.subtract(g, self.m, out=buf)
         buf *= 1.0 - b1
@@ -438,14 +467,15 @@ class Adam:
 
 
 def soft_update(target: Mlp | HeadBank, source: Mlp | HeadBank, tau: float) -> Mlp | HeadBank:
-    """Blend target parameters toward source: t <- tau*s + (1-tau)*t."""
+    """Blend target parameters toward source: t <- tau*s + (1-tau)*t, with
+    tau*s in the thread's scratch vector of the source's dtype."""
     if target.layer_sizes != source.layer_sizes:
         raise ValueError("soft_update requires identical architectures")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    t = target.flat_params
+    t, s = target.flat_params, source.flat_params
     t *= 1.0 - tau
-    t += tau * source.flat_params
+    t += np.multiply(s, tau, out=_scratch(s.size, s.dtype))
     return target
 
 

@@ -2,11 +2,13 @@ import io
 import json
 import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from llql import nets
 from llql.nets import (
     Adam,
     Grads,
@@ -200,16 +202,19 @@ def test_adam_learning_rate_schedule():
     assert rates == [1e-3, 1e-3, 1e-3, 1e-4, 1e-4]
 
 
-def test_adam_rejects_non_finite_gradients():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_adam_rejects_non_finite_gradients(bad):
     net = make_net((2, 2), seed=3)
-    before = net.flat_params.copy()
     adam = Adam(net, lr=0.1)
     g = Grads(net.layer_sizes, net.dtype)
-    g.flat[:] = np.nan
+    g.flat[:] = np.random.default_rng(0).standard_normal(net.n_params)
+    adam.step(net, g)  # moments away from 0
+    before = [a.copy() for a in (net.flat_params, adam.m, adam.v)]
+    g.flat[1] = bad
     with pytest.raises(NonFiniteGradientError, match="short-term"):
         adam.step(net, g, context="short-term loss")
-    assert np.array_equal(net.flat_params, before)
-    assert adam.t == 0
+    assert all(np.array_equal(a, b) for a, b in zip((net.flat_params, adam.m, adam.v), before))
+    assert adam.t == 1
 
 
 def test_adam_accepts_large_finite_float32_gradients():
@@ -222,6 +227,95 @@ def test_adam_accepts_large_finite_float32_gradients():
         adam.step(net, g)
     assert adam.t == 1
     assert np.all(np.isfinite(net.flat_params))
+
+
+class RefAdam:
+    """Adam.step's operations in its order, over a scratch vector of its own."""
+
+    def __init__(self, params: np.ndarray, lr: float):
+        self.params, self.lr, self.t = params.copy(), lr, 0
+        self.m, self.v, self.buf = (np.zeros_like(params) for _ in range(3))
+
+    def step(self, g: np.ndarray) -> None:
+        b1, b2, buf = 0.9, 0.999, self.buf
+        self.t += 1
+        np.subtract(g, self.m, out=buf)
+        buf *= 1.0 - b1
+        self.m += buf
+        np.multiply(g, g, out=buf)
+        buf -= self.v
+        buf *= 1.0 - b2
+        self.v += buf
+        s2 = np.sqrt(1.0 - b2**self.t)
+        np.sqrt(self.v, out=buf)
+        buf += 1e-8 * s2
+        np.divide(self.m, buf, out=buf)
+        buf *= self.lr * s2 / (1.0 - b1**self.t)
+        self.params -= buf
+
+
+def test_interleaved_adams_and_soft_updates_match_adams_with_scratch_of_their_own():
+    # two float32 optimizers of different sizes and a float64 one share the
+    # thread's scratch vectors, and soft updates write into them in between
+    rng = np.random.default_rng(21)
+    models = [make_bank(seed=1, dtype=np.float32), make_net((3, 9, 2), seed=2, dtype=np.float32),
+              make_bank(seed=3, dtype=np.float64)]
+    targets = [model.copy() for model in models]
+    adams = [Adam(model, lr=0.01) for model in models]
+    refs = [RefAdam(model.flat_params, 0.01) for model in models]
+    ref_targets = [target.flat_params.copy() for target in targets]
+    for _ in range(25):
+        for model, target, adam, ref, ref_target in zip(models, targets, adams, refs, ref_targets):
+            g = Grads(model.layer_sizes, model.dtype)
+            g.flat[:] = rng.standard_normal(model.n_params)
+            adam.step(model, g)
+            ref.step(g.flat)
+            soft_update(target, model, 0.05)
+            ref_target *= 1.0 - 0.05
+            ref_target += 0.05 * ref.params
+    for model, target, adam, ref, ref_target in zip(models, targets, adams, refs, ref_targets):
+        assert np.array_equal(model.flat_params, ref.params)
+        assert np.array_equal(adam.m, ref.m) and np.array_equal(adam.v, ref.v)
+        assert np.array_equal(target.flat_params, ref_target)
+
+
+def test_each_thread_has_scratch_vectors_of_its_own():
+    mine = nets._scratch(1000, np.float32)
+    theirs = []
+    thread = threading.Thread(target=lambda: theirs.append(nets._scratch(1000, np.float32)))
+    thread.start()
+    thread.join()
+    assert not np.shares_memory(mine, theirs[0])
+    assert np.shares_memory(mine, nets._scratch(10, np.float32))  # grown, never shrunk
+
+
+def test_adam_steps_and_soft_updates_allocate_no_parameter_sized_block_after_a_warm_up():
+    # the mountain-car value bank (0.47 MB of float32 parameters) and a DDPG
+    # critic: the product tau*s and the intermediate products of a step go
+    # into the thread's scratch vector, and the finiteness check makes no
+    # array of the gradient's size.  A float32 step scales by two float64
+    # bias corrections, which numpy casts through fixed-size buffers (128 KB
+    # at its default of 8,192 items, whatever the parameter count); shrunk
+    # to 1,024 items they leave room under the bound to see any block of a
+    # byte per parameter
+    rng = np.random.default_rng(0)
+    bank = HeadBank.create(2, (200, 200), ((), (1,), (1, 1)), rng, np.float32)
+    critic = Mlp.create((3, 200, 200, 1), rng, np.float32)
+    bufsize = np.setbufsize(1024)
+    try:
+        for model in (bank, critic):
+            target, adam = model.copy(), Adam(model, 1e-3)
+            g = Grads(model.layer_sizes, model.dtype)
+            g.flat[:] = rng.standard_normal(model.n_params)
+
+            def update():
+                adam.step(model, g)
+                soft_update(target, model, 0.001)
+
+            update()
+            assert traced_peak(update) < 64 * 1024
+    finally:
+        np.setbufsize(bufsize)
 
 
 def test_soft_update_endpoints_and_blend():
@@ -724,9 +818,11 @@ def test_parameter_gradient_moment_and_workspace_vectors_start_on_a_cache_line(t
         opt = Adam(bank, 1e-3)
         outs, caches = bank.forward_cached(rng.standard_normal((k, 3)).astype(np.float32))
         grads = bank.backward_cached(caches, [np.ones_like(out) for out in outs])
+        nets._SCRATCH.by_dtype.clear()  # the step allocates the thread's scratch anew
+        opt.step(bank, grads)
         vectors += [bank.flat_params, bank.copy().flat_params, net.flat_params, net.copy().flat_params,
                     mf.nets["net"].flat_params, mf.banks["v", "h"].flat_params, grads.flat, opt.m, opt.v,
-                    opt._buf, *bank._work.values()]
+                    nets._SCRATCH.by_dtype[np.dtype(np.float32)], *bank._work.values()]
         del shift
     assert [v.ctypes.data % 64 for v in vectors] == [0] * len(vectors)
 

@@ -36,7 +36,12 @@ The families:
   hilltop lowered so that the runs of one evaluation end at different
   steps, of mpc at two runs, and of pendulum greedy and adjust (the
   set-up model as its own policy) under the speed limit; several runs per
-  evaluation, each scored with a hazard limit and a velocity target.
+  evaluation, each scored with a hazard limit and a velocity target;
+- `long`: the training logs and model-file bytes of one float32
+  mountain-car LLQL episode of 700 steps (3,500 Adam steps per bank, well
+  past the ~750 steps after which a dead unit's first moment sits in
+  subnormal floats) and of one float32 DDPG run of 3,000 steps (3,000 Adam
+  steps per net).
 
 It needs nothing beyond llql's own dependencies; the external policy of
 adjust_external is a bang-bang sign(v) child run by this interpreter.
@@ -90,12 +95,15 @@ class Sizes:
     mpc_plan: int = 15
     sweep_runs: int = 2
     lockstep_runs: int = 5
+    long_horizon: int = 700
+    long_ddpg_horizon: int = 3000
 
 
 FULL = Sizes()
 TINY = Sizes(hidden=(8, 8), episodes=2, horizon=6, normalizer_samples=4, setup_horizon=6,
              setup_normalizer_samples=4, states=30, eval_horizon=5, mpc_horizon=2,
-             mpc_candidates=20, mpc_plan=3, sweep_runs=1, lockstep_runs=3)
+             mpc_candidates=20, mpc_plan=3, sweep_runs=1, lockstep_runs=3, long_horizon=8,
+             long_ddpg_horizon=12)
 SWEEP_VALUES = {"constraint": (0.02, 0.05), "trajectory": (0.0, 0.025)}
 # per env: the (hazard_limit, v_d) pairs, the trajectory and constraint goals,
 # and the env settings of the scoring family
@@ -321,6 +329,20 @@ def lockstep_digest(models: dict, ddpg_policy: str, sz: Sizes, work: Path) -> st
     return h.hexdigest()
 
 
+def long_digest(sz: Sizes, work: Path) -> str:
+    out = work / "long"
+    out.mkdir()
+    env = make_env("mountain_car", horizon=sz.long_horizon)
+    cfg = core.TrainConfig(episodes=1, hidden_sizes=sz.hidden, seed=5, normalizer_samples=sz.normalizer_samples)
+    core.log_to_csv(experiments.train_and_save(env, "llql", cfg, out / "llql.model", {}), out / "llql.csv")
+    env = make_env("mountain_car", horizon=sz.long_ddpg_horizon)
+    dcfg = baselines.DdpgConfig(episodes=1, hidden_sizes=sz.hidden, seed=6, normalizer_samples=sz.normalizer_samples)
+    core.log_to_csv(experiments.train_and_save(env, "ddpg", dcfg, out / "ddpg.model", {}), out / "ddpg.csv")
+    h = hashlib.sha256()
+    _feed_files(h, out.iterdir())
+    return h.hexdigest()
+
+
 def digests(sz: Sizes) -> dict:
     """{family: sha256 hex digest} for every output family."""
     out = {}
@@ -340,6 +362,7 @@ def digests(sz: Sizes) -> dict:
         models = {"mountain_car": model, "pendulum": pendulum}
         out["scoring"] = scoring_digest(models, policies, sz, work)
         out["lockstep"] = lockstep_digest(models, policies["mountain_car"], sz, work)
+        out["long"] = long_digest(sz, work)
     return out
 
 
