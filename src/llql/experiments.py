@@ -5,7 +5,10 @@ report columns: steps to goal, success, velocity error against a desired
 value, hazard-violation step counts, and cumulative (raw) reward.  The
 comparison builders train the baseline variants, the sweep driver reruns a
 trained model across a range of short-term goal values, and everything is
-deterministic per seed so parallel and serial execution agree.
+deterministic per seed so parallel and serial execution agree.  The
+process pool that trains in parallel is imported only when a batch runs
+with `workers` > 1, so a process that never runs one does not load
+`multiprocessing`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -294,6 +296,10 @@ def _train_cached(method, env_name, config, variants, cache_dir, workers, goal_p
                 }
             )
     if workers > 1 and jobs:
+        # imported here: the pool's modules cost about 0.5 MB resident in
+        # every process that loads this one, and most never run a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_train_job, jobs))
     else:

@@ -236,7 +236,10 @@ class HeadBank:
 
     Hidden activations, backward deltas and the gradient vector live in
     workspaces that the bank keeps across calls and grows to the largest
-    batch it has seen.  So the caches of `forward_cached` and the Grads of
+    batch it has seen; the backward deltas and ReLU masks of all layers
+    take turns in two blocks of the widest hidden layer, and a mask is
+    never written in place over the cached activations, which the caller
+    still holds.  So the caches of `forward_cached` and the Grads of
     `backward_cached` stay valid until the bank's next call, and a bank
     must not be called from two threads at once.
     """
@@ -285,23 +288,30 @@ class HeadBank:
         input seen; the views of each shape are kept too.  "forward": each
         hidden layer's (heads, *rows, width) activations, each head's
         (*rows, outputs) output, then every output as one vector.
-        "backward": each hidden layer's delta and ReLU mask."""
+        "backward": each hidden layer's delta and ReLU mask, in two blocks
+        sized to the widest hidden layer: layer i's delta at the start of
+        block i % 2 and its mask at the start of the other block, where
+        layer i - 1's delta then overwrites it."""
         views = self._batch_views.get((kind, rows))
         if views is None:
             heads, L = len(self.heads), self._n_hidden
             hidden = [(heads, *rows, W.shape[-1]) for W in self.weights[:L]]
             if kind == "forward":
                 shapes = hidden + [(*rows, W.shape[1]) for W in self.weights[L:]]
+                starts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+                size = starts.pop()
             else:
                 shapes = [shape for shape in hidden for _ in ("delta", "mask")]
-            bounds = list(itertools.accumulate((math.prod(shape) for shape in shapes), initial=0))
+                block = max(map(math.prod, hidden), default=0)
+                starts = [block * ((i + j) % 2) for i in range(L) for j in (0, 1)]
+                size = 2 * block
             buf = self._work.get(kind)
-            if buf is None or buf.size < bounds[-1]:
-                buf = self._work[kind] = _aligned_empty(bounds[-1], self.dtype)
+            if buf is None or buf.size < size:
+                buf = self._work[kind] = _aligned_empty(size, self.dtype)
                 self._batch_views = {key: v for key, v in self._batch_views.items() if key[0] != kind}
-            views = [buf[a:b].reshape(shape) for a, b, shape in zip(bounds, bounds[1:], shapes)]
+            views = [buf[a : a + math.prod(shape)].reshape(shape) for a, shape in zip(starts, shapes)]
             if kind == "forward":
-                views.append(buf[bounds[L] : bounds[-1]])
+                views.append(buf[starts[L] : size])
             self._batch_views[kind, rows] = views
         return views
 

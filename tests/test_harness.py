@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -200,6 +201,38 @@ def test_train_llql_batch_caches(tmp_path):
     )
     assert [Path(r.model_path).stat().st_mtime_ns for r in runs2] == mtimes  # cache hit
     assert runs2[0].final_reward == runs[0].final_reward
+
+
+def test_batches_in_a_worker_pool_write_the_files_of_serial_training(tmp_path):
+    # each job derives all its randomness from its own seed, so the process
+    # that runs it does not change a byte of its model or its log
+    cfg = tiny_train_config()
+    dcfg = tiny_ddpg_config()
+    files = {}
+    for workers in (1, 2):
+        cache = tmp_path / str(workers)
+        experiments.train_llql_batch("mountain_car", cfg, [0, 1], cache, workers=workers, horizon=6)
+        experiments.train_ddpg_batch("mountain_car", dcfg, [(0, None), (1, "t1")], cache, workers=workers, horizon=6)
+        files[workers] = {p.name: p.read_bytes() for p in cache.iterdir()}
+    assert len(files[1]) == 8
+    assert files[2] == files[1]
+
+
+def test_importing_every_llql_module_loads_no_process_pool():
+    # a fresh interpreter: this one may have run a pool already
+    code = (
+        "import importlib, pkgutil, sys, llql\n"
+        "names = [m.name for m in pkgutil.iter_modules(llql.__path__)]\n"
+        "for name in names: importlib.import_module('llql.' + name)\n"
+        "print(' '.join(names))\n"
+        "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+                         timeout=60).stdout.split("\n")
+    assert {"experiments", "cli", "compare", "nets"} <= set(out[0].split())
+    assert out[1] == ""
 
 
 def test_top_k_runs_tie_break():

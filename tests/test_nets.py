@@ -753,6 +753,34 @@ def test_bank_workspaces_follow_the_batch_size_up_and_down():
             assert np.array_equal(grads.flat[idx], ref_backward(head, X, g.reshape(n, -1))[0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [(7,), (5, 7), (7, 5, 4), (4, 5, 7)], ids=["one", "two", "three", "three_widest_last"])
+@pytest.mark.parametrize("kind", ["bank", "mlp"])
+def test_backward_in_two_blocks_matches_the_reference_at_unequal_widths(kind, hidden, dtype):
+    # every layer's delta and mask take turns in two blocks of the widest
+    # hidden layer; the batch sizes regrow the blocks and reuse them
+    rng = np.random.default_rng(13)
+    if kind == "bank":
+        model = HeadBank.create(3, hidden, SHAPES, rng, dtype)
+        bank, heads, indices = model, model.heads, head_indices(model)
+    else:
+        model = Mlp.create((3, *hidden, 2), rng, dtype)
+        bank, heads, indices = model._bank, [model], [np.arange(model.n_params)]
+    model.flat_params[...] += rng.normal(0.0, 0.1, size=model.n_params).astype(dtype)
+    largest = 0
+    for n in (4, 9, 4, 9, 4):
+        X = rng.standard_normal((n, 3)).astype(dtype)
+        outs, caches = model.forward_cached(X)
+        g = [rng.standard_normal(out.shape).astype(dtype) for out in (outs if kind == "bank" else [outs])]
+        g_arg = g if kind == "bank" else g[0]
+        expected = [ref_backward(head, X, gk.reshape(n, -1)) for head, gk in zip(heads, g)]
+        grads = model.backward_cached(caches, g_arg)
+        assert all(np.array_equal(grads.flat[idx], part) for idx, (part, _) in zip(indices, expected))
+        assert np.array_equal(model.input_gradient(caches, g_arg), sum(gin for _, gin in expected))
+        largest = max(largest, n)
+        assert bank._work["backward"].size == 2 * len(heads) * largest * max(hidden)
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that `fn()` allocates, by tracemalloc."""
     tracemalloc.start()
