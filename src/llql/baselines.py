@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import control
-from .core import DynamicsModel, _EpisodeTrainer
+from .core import DynamicsModel, _EpisodeTrainer, check_training_config
 from .nets import Adam, Mlp, ModelFile, Normalizer, save_model, load_model, soft_update
 
 
@@ -111,6 +111,9 @@ class DdpgConfig:
     hidden_sizes: tuple = (200, 200)
     seed: int = 0
     dtype: str = "float32"
+
+    def __post_init__(self):
+        check_training_config(self, ("episodes", "batch"))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

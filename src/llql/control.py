@@ -18,10 +18,18 @@ replaced by ||u - u_N||, that is (h, d) = (-u_N, I), where u_N is a
 pre-trained policy's action: it needs only the dynamics model, and its
 constraint adjustment is the minimum-norm projection of u_N.
 
-`GoalController.act` dispatches each row to the base action or to the
-goal's synthesis op and returns the actions (n, a); its `branch_counts`
-count the rows each branch took, "fallback" included.  The ops return
-richer results: an `ActionResult`, or one `KktSolution` (or error) per row.
+A row whose synthesis is undefined (a singular tracking solve, a zero
+advantage gain, an uncontrollable constraint) takes the base action inside
+the op: the greedy action for the agent, the clipped u_N for the
+approximation layer.  Every op returns an `ActionResult` whose `fallback`
+masks those rows.  The constraint ops return a `KktResult`, which adds
+per-row arrays: the multiplier `lambda_star`, the constrained component
+`predicted` at the raw and `predicted_clipped` at the clipped action, and
+the masks `binding` and `clip_broke` (a binding bound that clipping
+broke).  `GoalController.act` dispatches each row to the base action or to
+the goal's synthesis op and returns the actions (n, a); its
+`branch_counts` count the rows each branch took, an op's fallback rows on
+branch "fallback".
 
 Every op, `GoalController.act` and every policy here take rows of
 states (n, dim) and nothing else; a 1-D state raises ValueError, and one
@@ -52,11 +60,6 @@ from .core import DynamicsModel, QModel, EPS_D, row_norms
 logger = logging.getLogger(__name__)
 
 EPS_KKT = 1e-12
-
-
-class UncontrollableConstraintError(RuntimeError):
-    """The action has (numerically) no influence on the constrained component."""
-
 
 # ---------------------------------------------------------------------------
 # Short-term goal declarations
@@ -159,25 +162,25 @@ class SymmetricConstraintGoal:
 
 @dataclasses.dataclass
 class ActionResult:
-    """An op's actions, (n, a) for n rows.  `fallback` is None when no row
-    fell back, else one reason (or None) per row."""
+    """An op's actions, (n, a) for n rows.  `fallback` masks the rows whose
+    synthesis was undefined (a goal op's rows that took the base action, the
+    long-term op's random draws), or is None when no row fell back."""
 
     action: np.ndarray      # clipped to bounds when bounds are known
     action_raw: np.ndarray  # unclipped least-squares solution
-    fallback: Optional[list] = None
+    fallback: Optional[np.ndarray] = None
 
 
-@dataclasses.dataclass
-class KktSolution:
-    """One row's constraint synthesis; an op returns one per row."""
+@dataclasses.dataclass(kw_only=True)
+class KktResult(ActionResult):
+    """A constraint op's actions and its KKT quantities, one per row; a
+    fallback row's multiplier is 0 and its bound does not bind."""
 
-    lambda_star: float
-    action: np.ndarray
-    action_raw: np.ndarray
-    predicted: float          # constrained component predicted at action_raw
-    predicted_clipped: float  # same, at the clipped action
-    active: bool
-    clip_violates: bool
+    lambda_star: np.ndarray
+    predicted: np.ndarray          # constrained component predicted at action_raw
+    predicted_clipped: np.ndarray  # same, at the clipped action
+    binding: np.ndarray            # u0 breaks the bound, so the projection moves it
+    clip_broke: np.ndarray         # a binding bound that clipping broke
 
 
 def _clip(u: np.ndarray, low, high) -> np.ndarray:
@@ -202,20 +205,31 @@ def _rows(x, rng=None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _greedy(H, D, low, high, rngs) -> ActionResult:
-    """The long-term action of each row of (H, D), or a uniform random
-    in-bounds one drawn from the row's generator where the gain is
-    numerically zero."""
+def _fell_back(bad: np.ndarray, what: str) -> Optional[np.ndarray]:
+    """The fallback mask `bad`, logged in one warning with its row count, or
+    None when no row fell back."""
+    if not bad.any():
+        return None
+    logger.warning("%s (%d of %d rows)", what, bad.sum(), len(bad))
+    return bad
+
+
+def _greedy_raw(H, D, low, high, rngs) -> tuple:
+    """(U_raw, degenerate): the unclipped long-term action of each row of
+    (H, D), or where the gain is numerically zero a uniform random in-bounds
+    one drawn from the row's generator, and the mask of those rows."""
     U_raw = linalg.pinv_action_batch(H, D)
-    U = _clip(U_raw, low, high)
     degenerate = row_norms(D) < EPS_D
-    if not degenerate.any():
-        return ActionResult(U, U_raw)
-    fallback = [None] * len(D)
     for j in np.flatnonzero(degenerate):
-        U[j] = U_raw[j] = rngs[j].uniform(low, high)
-        fallback[j] = "degenerate-gain"
-    return ActionResult(U, U_raw, fallback)
+        U_raw[j] = rngs[j].uniform(low, high)
+    return U_raw, degenerate
+
+
+def _greedy(H, D, low, high, rngs) -> ActionResult:
+    """The long-term action of each row of (H, D) (`_greedy_raw`), its
+    degenerate rows marked as fallback."""
+    U_raw, degenerate = _greedy_raw(H, D, low, high, rngs)
+    return ActionResult(_clip(U_raw, low, high), U_raw, degenerate if degenerate.any() else None)
 
 
 def long_term_action(q: QModel, x: np.ndarray, rng) -> ActionResult:
@@ -241,15 +255,6 @@ def _track(H, D, dyn: DynamicsModel, X, X_d, gamma1: float, gamma2: float) -> np
     return linalg.solve_least_squares(M, Z)
 
 
-def _singular(U_raw: np.ndarray, what: str) -> np.ndarray:
-    """The rows of a tracking solve that are not finite, logged in one
-    warning."""
-    bad = ~np.isfinite(U_raw).all(axis=1)
-    if bad.any():
-        logger.warning("%s (%d of %d rows)", what, bad.sum(), len(bad))
-    return bad
-
-
 def trajectory_action(
     q: QModel,
     dyn: DynamicsModel,
@@ -270,12 +275,12 @@ def trajectory_action(
     _, H, D = q.coefficients(X)
     U_raw = _track(H, D, dyn, X, x_d_next, gamma1, gamma2)
     U = _clip(U_raw, q.action_low, q.action_high)
-    bad = _singular(U_raw, "trajectory synthesis was singular; falling back to the long-term action")
-    if not bad.any():
-        return ActionResult(U, U_raw)
-    base = _greedy(H[bad], D[bad], q.action_low, q.action_high, [r for r, b in zip(rngs, bad) if b])
-    U[bad], U_raw[bad] = base.action, base.action_raw
-    return ActionResult(U, U_raw, ["singular" if b else None for b in bad])
+    bad = _fell_back(~np.isfinite(U_raw).all(axis=1),
+                     "trajectory synthesis was singular; falling back to the long-term action")
+    if bad is not None:
+        base = _greedy(H[bad], D[bad], q.action_low, q.action_high, [r for r, b in zip(rngs, bad) if b])
+        U[bad], U_raw[bad] = base.action, base.action_raw
+    return ActionResult(U, U_raw, bad)
 
 
 def approx_trajectory_action(
@@ -302,10 +307,10 @@ def approx_trajectory_action(
         return ActionResult(_clip(U_n, action_low, action_high), U_n.copy())
     eye = np.broadcast_to(np.eye(U_n.shape[1]), (len(X),) + (U_n.shape[1],) * 2)
     U_raw = _track(-U_n, eye, dyn, X, x_d_next, gamma1, gamma2)
-    bad = _singular(U_raw, "trajectory adjustment was singular; keeping the policy action")
-    U_raw[bad] = U_n[bad]
-    fallback = ["singular" if b else None for b in bad] if bad.any() else None
-    return ActionResult(_clip(U_raw, action_low, action_high), U_raw, fallback)
+    bad = _fell_back(~np.isfinite(U_raw).all(axis=1), "trajectory adjustment was singular; keeping the policy action")
+    if bad is not None:
+        U_raw[bad] = U_n[bad]
+    return ActionResult(_clip(U_raw, action_low, action_high), U_raw, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -313,52 +318,35 @@ def approx_trajectory_action(
 # ---------------------------------------------------------------------------
 
 
-def _project(U0, W, DG, gain, X, F, G, delta: float, i: int, sign, c, low, high) -> list:
+def _project(U0, W, DG, gain, fallback, X, F, G, delta: float, i: int, sign, c, low, high) -> KktResult:
     """KKT solution u = u0 - lambda* w of min (u - u0)^T W (u - u0) subject
     to x_i + delta (f_i + g_i u) <= c, per row, where dg = delta g_i,
     w = W^-1 dg and gain = dg . w (dg and w reflected by `sign`, so a lower
     bound reads as an upper one): lambda* = max(0, (x_i + delta f_i +
     dg . u0 - c) / gain), so a binding bound puts the raw action's
-    predicted component exactly on c.  Also flags a binding bound that
-    clipping to [low, high] breaks, in one warning.  Returns one
-    KktSolution per row.  The products over the action axis are stacked;
-    the per-row scalars are Python floats, which cost less than numpy calls
-    at a few rows."""
-    sign, c, x_i, f_i = sign.tolist(), c.tolist(), X[:, i].tolist(), F[:, i].tolist()
-    active, lam = [], []
-    for s_j, c_j, x_j, f_j, dg_u0, gain_j in zip(sign, c, x_i, f_i, np.vecdot(DG, U0).tolist(), gain.tolist()):
-        predicted0 = s_j * x_j + delta * (s_j * f_j) + dg_u0
-        active.append(not predicted0 <= c_j)
-        lam.append((predicted0 - c_j) / gain_j if active[-1] else 0.0)
-    U_raw = np.where(np.array(active)[:, None], U0 - np.array(lam)[:, None] * W, U0)
+    predicted component exactly on c.  The rows in the `fallback` mask keep
+    u0, their base action.  Also flags a binding bound that clipping to
+    [low, high] breaks, in one warning."""
+    x_i, f_i = X[:, i], F[:, i]
+    predicted0 = sign * x_i + delta * (sign * f_i) + np.vecdot(DG, U0)
+    binding = ~(predicted0 <= c)
+    if fallback is not None:
+        binding &= ~fallback
+    lam = np.divide(predicted0 - c, gain, out=np.zeros(len(U0)), where=binding)
+    U_raw = np.where(binding[:, None], U0 - lam[:, None] * W, U0)
     U = _clip(U_raw, low, high)
     Gi = G[:, i, :]
-    solutions = []
-    for j, (g_u_raw, g_u) in enumerate(zip(np.vecdot(Gi, U_raw).tolist(), np.vecdot(Gi, U).tolist())):
-        predicted = x_i[j] + delta * (f_i[j] + g_u_raw)
-        predicted_clipped = x_i[j] + delta * (f_i[j] + g_u)
-        clip_violates = active[j] and sign[j] * predicted_clipped > c[j] + 1e-9
-        solutions.append(KktSolution(lam[j], U[j], U_raw[j], predicted, predicted_clipped, active[j], clip_violates))
-    violated = [j for j, sol in enumerate(solutions) if sol.clip_violates]
-    if violated:
-        j = violated[0]
+    predicted = x_i + delta * (f_i + np.vecdot(Gi, U_raw))
+    predicted_clipped = x_i + delta * (f_i + np.vecdot(Gi, U))
+    clip_broke = binding & (sign * predicted_clipped > c + 1e-9)
+    if clip_broke.any():
+        j = clip_broke.argmax()
         logger.warning(
             "action clipping broke the constraint on %d of %d rows: first predicted %s=%.6g vs bound %.6g",
-            len(violated), len(solutions), i, solutions[j].predicted_clipped, sign[j] * c[j],
+            clip_broke.sum(), len(U), i, predicted_clipped[j], sign[j] * c[j],
         )
-    return solutions
-
-
-def _solutions(undefined: np.ndarray, error: Callable, project: Callable) -> list:
-    """Each row's KktSolution, from `project(rows)` on the rows where the
-    synthesis is defined, or where `undefined`, its error `error(j)`."""
-    if not undefined.any():
-        return project(slice(None))
-    results = [error(j) if bad else None for j, bad in enumerate(undefined.tolist())]
-    ok = np.flatnonzero(~undefined)
-    for j, sol in zip(ok, project(ok) if ok.size else ()):
-        results[j] = sol
-    return results
+    return KktResult(U, U_raw, fallback, lambda_star=lam, predicted=predicted, predicted_clipped=predicted_clipped,
+                     binding=binding, clip_broke=clip_broke)
 
 
 def constraint_action(
@@ -366,18 +354,19 @@ def constraint_action(
     dyn: DynamicsModel,
     x: np.ndarray,
     goal,
-) -> list:
+    rng,
+) -> KktResult:
     """Greedy action subject to a bound on one predicted state component.
 
     The KKT solution of min 1/2 ||h + d u||^2 + ridge/2 ||u||^2 s.t.
     x_i + delta (f_i + g_i u) <= c is the greedy action projected onto the
     bound in the metric W = d^T d + ridge I: u = u0 - lambda* W^-1 delta g_i
     with u0 = `pinv_action(h, d)`.  `goal` is a ConstraintGoal, or a
-    SymmetricConstraintGoal whose side each row picks.  `x` is rows; the
-    result is one KktSolution per row, or an UncontrollableConstraintError
-    where the synthesis is undefined.
+    SymmetricConstraintGoal whose side each row picks.  A row whose gain
+    d(x) or delta g_i . W^-1 delta g_i is numerically zero takes the
+    long-term action.  `x` is rows; `rng` one generator, or one per row.
     """
-    X = _rows(x)[0]
+    X, rngs = _rows(x, rng)
     _, H, D = q.coefficients(X)
     F, G = dyn.coefficients(X)
     i = goal.state_index
@@ -385,21 +374,11 @@ def constraint_action(
     DG = (sign * dyn.delta)[:, None] * G[:, i, :]
     W = linalg.ridge_solve(np.swapaxes(D, 1, 2) @ D, DG)
     gain = np.vecdot(DG, W)
-    degenerate = row_norms(D) < EPS_D
-
-    def error(j):
-        if degenerate[j]:
-            return UncontrollableConstraintError(
-                "advantage gain d(x) is numerically zero; constrained synthesis is undefined"
-            )
-        return UncontrollableConstraintError(
-            f"constraint on state component {i} is uncontrollable "
-            f"(delta g_i . W^-1 delta g_i = {gain[j]:.3e})"
-        )
-
-    return _solutions(degenerate | (np.abs(gain) < EPS_KKT), error, lambda r: _project(
-        linalg.pinv_action_batch(H[r], D[r]), W[r], DG[r], gain[r], X[r], F[r], G[r], dyn.delta, i, sign[r],
-        c[r], q.action_low, q.action_high))
+    U0, degenerate = _greedy_raw(H, D, q.action_low, q.action_high, rngs)
+    fallback = _fell_back(degenerate | (np.abs(gain) < EPS_KKT),
+                          f"constraint synthesis on state component {i} was undefined; "
+                          "falling back to the long-term action")
+    return _project(U0, W, DG, gain, fallback, X, F, G, dyn.delta, i, sign, c, q.action_low, q.action_high)
 
 
 def approx_constraint_action(
@@ -410,14 +389,15 @@ def approx_constraint_action(
     *,
     action_low=None,
     action_high=None,
-) -> list:
+) -> KktResult:
     """Project a pre-trained policy's action onto the constraint half-space.
 
     u = u_n - lambda* delta g_i^T with
     lambda* = (x_i + delta f_i - c + delta g_i u_n) / (delta g_i . delta g_i),
     clamped to 0 when the predicted component already satisfies the bound:
     the agent's constraint synthesis with (h, d) = (-u_n, I) and no ridge.
-    `goal`, `x` and the result are as in `constraint_action`.
+    A row whose ||delta g_i|| is numerically zero keeps u_n.  `goal`, `x`
+    and the result are as in `constraint_action`.
     """
     X = _rows(x)[0]
     U_n = np.asarray(u_n, dtype=np.float64).reshape(len(X), -1)
@@ -426,15 +406,9 @@ def approx_constraint_action(
     sign, c = goal.upper(X)
     DG = (sign * dyn.delta)[:, None] * G[:, i, :]
     gain = np.vecdot(DG, DG)
-    norms = np.sqrt(gain)  # `np.linalg.norm` of each row's dg
-
-    def error(j):
-        return UncontrollableConstraintError(
-            f"constraint on state component {i} is uncontrollable (||delta g_i|| = {norms[j]:.3e})"
-        )
-
-    return _solutions(norms < EPS_KKT, error, lambda r: _project(
-        U_n[r], DG[r], DG[r], gain[r], X[r], F[r], G[r], dyn.delta, i, sign[r], c[r], action_low, action_high))
+    fallback = _fell_back(np.sqrt(gain) < EPS_KKT,  # `np.linalg.norm` of each row's dg
+                          f"constraint on state component {i} is uncontrollable; keeping the policy action")
+    return _project(U_n, DG, DG, gain, fallback, X, F, G, dyn.delta, i, sign, c, action_low, action_high)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +423,8 @@ class GoalController:
     when `qmodel` is given, or from `policy` (any callable rows -> actions)
     in the approximation setting.  While the goal's activation predicate
     holds, actions come from the matching goal-aware synthesis op; once the
-    goal expires the controller reverts to the base policy.  A step on
-    which the constraint is uncontrollable takes the base action, on branch
+    goal expires the controller reverts to the base policy.  A row whose
+    synthesis is undefined takes the base action inside the op, on branch
     "fallback", instead of ending the episode.  Rows are dispatched each to
     its own branch, and each branch's rows go through their op together;
     `branch_counts` counts the rows each branch took.
@@ -476,60 +450,45 @@ class GoalController:
         self.action_high = qmodel.action_high if qmodel is not None else action_high
         self.branch_counts: dict = {}
 
-    def _base(self, X, U_n, rngs, rows) -> tuple:
-        """(actions, branch) of the base action on `rows` of X."""
-        if self.qmodel is not None:
-            return long_term_action(self.qmodel, X[rows], [rngs[j] for j in rows]).action, "long_term"
-        return _clip(U_n[rows], self.action_low, self.action_high), "policy"
-
     def act(self, x: np.ndarray, k: int, rng) -> np.ndarray:
         """The actions (n, a) at the rows of x at step k.  `rng` is one
-        generator, or one per row; the agent's long-term fallback draws from
-        it.  The goal's callables and the policy are called once, on all
-        the rows."""
+        generator, or one per row; the agent's long-term action draws from
+        it where its gain is zero.  The goal's callables and the policy are
+        called once, on all the rows."""
         X, rngs = _rows(x, rng)
-        goal = self.goal
+        goal, agent = self.goal, self.qmodel is not None
         on = np.zeros(len(X), dtype=bool)
         if goal is not None:
             on[:] = goal.active(X, k)
-        U_n = None if self.policy is None else np.asarray(self.policy(X), dtype=np.float64).reshape(len(X), -1)
-        parts = []  # (rows, their actions, branch)
+        U_n = None if agent else np.asarray(self.policy(X), dtype=np.float64).reshape(len(X), -1)
+        parts, counts = [], {}  # (rows, their actions); rows per branch
         if not on.all():
             rows = np.flatnonzero(~on)
-            parts.append((rows, *self._base(X, U_n, rngs, rows)))
+            parts.append((rows, long_term_action(self.qmodel, X[rows], [rngs[j] for j in rows]).action if agent
+                          else _clip(U_n[rows], self.action_low, self.action_high)))
+            counts["long_term" if agent else "policy"] = len(rows)
         rows = np.flatnonzero(on)
-        if rows.size and isinstance(goal, TrajectoryGoal):
-            target = np.asarray(goal.target(X, k), dtype=np.float64).reshape(X.shape)[rows]
-            if self.qmodel is not None:
-                res = trajectory_action(self.qmodel, self.dyn, X[rows], target, goal.gamma1, goal.gamma2,
-                                        [rngs[j] for j in rows])
+        if rows.size:
+            bounds, rngs_on = dict(action_low=self.action_low, action_high=self.action_high), [rngs[j] for j in rows]
+            if isinstance(goal, TrajectoryGoal):
+                branch, target = "trajectory", np.asarray(goal.target(X, k), dtype=np.float64).reshape(X.shape)[rows]
+                args = (self.dyn, X[rows], target, goal.gamma1, goal.gamma2)
+                res = (trajectory_action(self.qmodel, *args, rngs_on) if agent
+                       else approx_trajectory_action(U_n[rows], *args, **bounds))
             else:
-                res = approx_trajectory_action(
-                    U_n[rows], self.dyn, X[rows], target, goal.gamma1, goal.gamma2,
-                    action_low=self.action_low, action_high=self.action_high,
-                )
-            parts.append((rows, res.action, "trajectory"))
-        elif rows.size:
-            if self.qmodel is not None:
-                sols = constraint_action(self.qmodel, self.dyn, X[rows], goal)
-            else:
-                sols = approx_constraint_action(
-                    U_n[rows], self.dyn, X[rows], goal, action_low=self.action_low, action_high=self.action_high,
-                )
-            failed = np.array([isinstance(sol, UncontrollableConstraintError) for sol in sols])
-            if not failed.all():
-                kept = [sol.action for sol, bad in zip(sols, failed) if not bad]
-                parts.append((rows[~failed], np.array(kept), "constraint"))
-            if failed.any():
-                logger.warning("%s; taking the base action (%d of %d rows)", sols[failed.argmax()], failed.sum(),
-                               len(X))
-                parts.append((rows[failed], self._base(X, U_n, rngs, rows[failed])[0], "fallback"))
-        for rows, _, name in parts:
-            self.branch_counts[name] = self.branch_counts.get(name, 0) + len(rows)
-        if len(parts) == 1:  # every row on one branch, in order
+                branch = "constraint"
+                res = (constraint_action(self.qmodel, self.dyn, X[rows], goal, rngs_on) if agent
+                       else approx_constraint_action(U_n[rows], self.dyn, X[rows], goal, **bounds))
+            parts.append((rows, res.action))
+            counts["fallback"] = 0 if res.fallback is None else int(res.fallback.sum())
+            counts[branch] = len(rows) - counts["fallback"]
+        for name, n in counts.items():
+            if n:
+                self.branch_counts[name] = self.branch_counts.get(name, 0) + n
+        if len(parts) == 1:  # every row on one op, in order
             return parts[0][1]
         action = np.empty((len(X), parts[0][1].shape[1]))
-        for rows, actions, _ in parts:
+        for rows, actions in parts:
             action[rows] = actions
         return action
 

@@ -139,6 +139,21 @@ class ExplorationNoise:
             self.sigma = max(self.floor, self.sigma * self.decay)
 
 
+def check_training_config(config, counts: tuple) -> None:
+    """Raise ValueError unless a training config's discount lies in (0, 1),
+    its sigma0 is positive, it fits the normalizer on at least 2 samples
+    and each field named in `counts` is at least 1."""
+    if not 0.0 < config.discount < 1.0:
+        raise ValueError("discount must lie in (0, 1)")
+    if config.sigma0 <= 0.0:
+        raise ValueError("sigma0 must be positive")
+    if config.normalizer_samples < 2:
+        raise ValueError("normalizer_samples must be >= 2")
+    for field in counts:
+        if getattr(config, field) < 1:
+            raise ValueError(f"{field} must be >= 1")
+
+
 @dataclasses.dataclass
 class TrainConfig:
     """Training hyperparameters (defaults follow the reference setup)."""
@@ -168,15 +183,9 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must lie in (0, 1)")
-        if self.sigma0 <= 0.0:
-            raise ValueError("sigma0 must be positive")
+        check_training_config(self, ("episodes", "short_iters", "long_iters", "short_batch", "long_batch"))
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
-        for field in ("episodes", "short_iters", "long_iters", "short_batch", "long_batch"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

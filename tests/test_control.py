@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from llql.control import (
     LlqlPolicy,
     SymmetricConstraintGoal,
     TrajectoryGoal,
-    UncontrollableConstraintError,
     approx_constraint_action,
     approx_trajectory_action,
     constraint_action,
@@ -56,6 +56,15 @@ def rng():
     return np.random.default_rng(0)
 
 
+def row(result, j=0) -> types.SimpleNamespace:
+    """Row j of each field of an op's result; a `fallback` of None reads
+    False."""
+    fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    if fields["fallback"] is None:
+        fields["fallback"] = np.zeros(len(result.action), dtype=bool)
+    return types.SimpleNamespace(**{name: value[j] for name, value in fields.items()})
+
+
 # ---------------------------------------------------------------------------
 # Long-term action
 # ---------------------------------------------------------------------------
@@ -76,7 +85,7 @@ def test_long_term_zero_offset_gives_zero_action():
 def test_long_term_degenerate_gain_falls_back_to_random():
     q = make_qmodel(v=0.0, h=[1.0], d=[[0.0]], low=-1.0, high=1.0)
     res = long_term_action(q, np.zeros((1, 1)), rng())
-    assert res.fallback == ["degenerate-gain"]
+    assert res.fallback.tolist() == [True]
     assert -1.0 <= res.action[0, 0] <= 1.0
 
 
@@ -146,7 +155,7 @@ def test_trajectory_singular_coefficients_fall_back():
     q = make_qmodel(v=0.0, h=[1.0], d=[[1.0]])
     dyn = make_dynamics([np.inf], [[1.0]])
     res = trajectory_action(q, dyn, np.zeros((1, 1)), np.array([[0.01]]), 1.0, 1.0, rng())
-    assert res.fallback == ["singular"]
+    assert res.fallback.tolist() == [True]
     assert res.action_raw[0, 0] == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -169,9 +178,9 @@ def test_constraint_inactive_clamps_to_long_term():
     q = make_qmodel(v=0.0, h=[0.1], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=1.0, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
+    sol = row(constraint_action(q, dyn, np.zeros((1, 1)), goal, rng()))
     assert sol.lambda_star == 0.0
-    assert not sol.active
+    assert not sol.binding
     ref = long_term_action(q, np.zeros((1, 1)), rng())
     assert sol.action_raw[0] == pytest.approx(ref.action_raw[0, 0], abs=1e-12)
 
@@ -181,8 +190,8 @@ def test_constraint_hand_example():
     q = make_qmodel(v=0.0, h=[0.0], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=-0.0005, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
-    assert sol.active
+    sol = row(constraint_action(q, dyn, np.zeros((1, 1)), goal, rng()))
+    assert sol.binding
     assert sol.lambda_star == pytest.approx(500.0, rel=1e-6)
     assert sol.action_raw[0] == pytest.approx(-0.5, rel=1e-6)
     assert sol.predicted == pytest.approx(-0.0005, abs=1e-10)
@@ -200,7 +209,7 @@ def test_constraint_complementary_slackness_random():
         q = make_qmodel(v=0.0, h=h, d=d)
         dyn = make_dynamics(f, g)
         goal = ConstraintGoal(state_index=0, bound=c, direction="upper")
-        (sol,) = constraint_action(q, dyn, x, goal)
+        sol = row(constraint_action(q, dyn, x, goal, rng()))
         assert sol.lambda_star == 0.0 or abs(sol.predicted - c) <= 1e-8
         # never worsens feasibility
         unconstrained = long_term_action(q, x, rng()).action_raw
@@ -220,7 +229,7 @@ def test_constraint_matches_numeric_oracle():
         q = make_qmodel(v=0.0, h=[h], d=[[d]])
         dyn = make_dynamics([f], [[g]])
         goal = ConstraintGoal(state_index=0, bound=c, direction="upper")
-        (sol,) = constraint_action(q, dyn, np.array([[x]]), goal)
+        sol = row(constraint_action(q, dyn, np.array([[x]]), goal, rng()))
         # dense 1-D minimization of 0.5*(h+d*u)^2 s.t. x + delta*(f+g*u) <= c
         us = np.linspace(-50, 50, 2_000_001)
         feasible = x + 0.001 * (f + g * us) <= c + 1e-12
@@ -235,26 +244,30 @@ def test_constraint_lower_bound_reflection():
     q = make_qmodel(v=0.0, h=[0.0], d=[[1.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=0.0005, direction="lower")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
-    assert sol.active
+    sol = row(constraint_action(q, dyn, np.zeros((1, 1)), goal, rng()))
+    assert sol.binding
     assert sol.predicted == pytest.approx(0.0005, abs=1e-10)
     assert sol.action_raw[0] == pytest.approx(0.5, rel=1e-6)
 
 
-def test_constraint_uncontrollable_is_an_error_row():
+def test_constraint_uncontrollable_row_falls_back_to_the_long_term_action():
     q = make_qmodel(v=0.0, h=[1.0], d=[[1.0]], state_dim=2)
     dyn = make_dynamics([0.0, 0.0], np.array([[0.0], [1.0]]), state_dim=2)
     goal = ConstraintGoal(state_index=0, bound=-1.0, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 2)), goal)
-    assert isinstance(sol, UncontrollableConstraintError) and "uncontrollable" in str(sol)
+    x = np.zeros((1, 2))
+    sol = row(constraint_action(q, dyn, x, goal, rng()))
+    assert sol.fallback and not sol.binding and sol.lambda_star == 0.0
+    base = long_term_action(q, x, rng())
+    assert np.array_equal(sol.action, base.action[0]) and np.array_equal(sol.action_raw, base.action_raw[0])
 
 
-def test_constraint_degenerate_gain_is_an_error_row():
+def test_constraint_degenerate_gain_row_falls_back_to_the_random_draw():
     q = make_qmodel(v=0.0, h=[1.0], d=[[0.0]])
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=-1.0, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
-    assert isinstance(sol, UncontrollableConstraintError) and "numerically zero" in str(sol)
+    sol = row(constraint_action(q, dyn, np.zeros((1, 1)), goal, rng()))
+    assert sol.fallback and not sol.binding and sol.lambda_star == 0.0
+    assert np.array_equal(sol.action_raw, rng().uniform(q.action_low, q.action_high))
 
 
 def test_constraint_clip_violation_flag():
@@ -262,8 +275,8 @@ def test_constraint_clip_violation_flag():
     q = make_qmodel(v=0.0, h=[0.0], d=[[1.0]], low=-1.0, high=1.0)
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=-0.05, direction="upper")
-    (sol,) = constraint_action(q, dyn, np.zeros((1, 1)), goal)
-    assert sol.clip_violates
+    sol = row(constraint_action(q, dyn, np.zeros((1, 1)), goal, rng()))
+    assert sol.clip_broke
     assert sol.action[0] == -1.0
     assert sol.predicted == pytest.approx(-0.05, abs=1e-10)
 
@@ -303,8 +316,8 @@ def test_approx_constraint_inactive_is_identity():
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=0.01, direction="upper")
     u_n = np.array([[0.5]])
-    (sol,) = approx_constraint_action(u_n, dyn, np.zeros((1, 1)), goal)
-    assert not sol.active
+    sol = row(approx_constraint_action(u_n, dyn, np.zeros((1, 1)), goal))
+    assert not sol.binding
     assert sol.lambda_star == 0.0
     assert sol.action_raw[0] == u_n[0, 0]  # bitwise
     assert sol.action[0] == u_n[0, 0]
@@ -315,7 +328,7 @@ def test_approx_constraint_boundary_fixed_point():
     dyn = make_dynamics([0.0], [[1.0]])
     goal = ConstraintGoal(state_index=0, bound=0.001, direction="upper")
     u_n = np.array([[1.0]])
-    (sol,) = approx_constraint_action(u_n, dyn, np.zeros((1, 1)), goal)
+    sol = row(approx_constraint_action(u_n, dyn, np.zeros((1, 1)), goal))
     assert sol.lambda_star == 0.0
     assert sol.action_raw[0] == u_n[0, 0]
 
@@ -324,8 +337,8 @@ def test_approx_constraint_hand_example():
     # x=0, f=0, g=1, delta=1e-3, c=4e-4, u_N=1 -> lambda*=600, u=0.4
     dyn = make_dynamics([0.0], [[1.0]], delta=0.001)
     goal = ConstraintGoal(state_index=0, bound=0.0004, direction="upper")
-    (sol,) = approx_constraint_action(np.array([[1.0]]), dyn, np.zeros((1, 1)), goal)
-    assert sol.active
+    sol = row(approx_constraint_action(np.array([[1.0]]), dyn, np.zeros((1, 1)), goal))
+    assert sol.binding
     assert sol.lambda_star == pytest.approx(600.0, rel=1e-9)
     assert sol.action_raw[0] == pytest.approx(0.4, rel=1e-9)
     assert sol.predicted == pytest.approx(0.0004, abs=1e-12)
@@ -341,9 +354,9 @@ def test_approx_constraint_is_halfspace_projection():
         u_n = rnd.uniform(-2, 2, size=(1, 2))
         c = rnd.uniform(-0.5, 0.5)
         goal = ConstraintGoal(state_index=0, bound=c, direction="upper")
-        (sol,) = approx_constraint_action(u_n, dyn, x, goal)
+        sol = row(approx_constraint_action(u_n, dyn, x, goal))
         assert sol.predicted <= c + 1e-8
-        if sol.active:
+        if sol.binding:
             # projection: the correction is parallel to delta*g_i and lands on the boundary
             assert abs(sol.predicted - c) <= 1e-8
             corr = sol.action_raw - u_n[0]
@@ -387,8 +400,8 @@ def test_hybrid_constraint_switches_on_speed():
     fast = np.array([[-0.5, 0.034]])
     action = ctl.act(fast, 1, rng())
     assert ctl.branch_counts == {"long_term": 1, "constraint": 1}
-    (sol,) = constraint_action(q, dyn, fast, goal)
-    assert sol.active and np.array_equal(action[0], sol.action)
+    sol = row(constraint_action(q, dyn, fast, goal, rng()))
+    assert sol.binding and np.array_equal(action[0], sol.action)
 
 
 def test_hybrid_constraint_picks_nearer_side():
@@ -398,7 +411,7 @@ def test_hybrid_constraint_picks_nearer_side():
     down = np.array([[-0.5, -0.04]])
     action = ctl.act(down, 0, rng())
     assert ctl.branch_counts == {"constraint": 1}
-    (sol,) = constraint_action(q, dyn, down, goal)
+    sol = row(constraint_action(q, dyn, down, goal, rng()))
     assert np.array_equal(action[0], sol.action) and sol.predicted >= -0.033 - 1e-8
 
 
@@ -440,14 +453,13 @@ def test_uncontrollable_step_falls_back_to_the_base_action():
     goal = SymmetricConstraintGoal(state_index=1, bound=0.033, margin=0.0)
     x = np.array([[-0.5, 0.05]])
     agent = GoalController(dyn, goal, qmodel=q)
-    approx = GoalController(
-        dyn, goal, policy=lambda X: np.array([[1.5]]), action_low=np.array([-1.0]), action_high=np.array([1.0]),
-    )
-    for ctl, base, (error,) in (
-        (agent, long_term_action(q, x, rng()).action, constraint_action(q, dyn, x, goal)),
-        (approx, np.array([[1.0]]), approx_constraint_action(np.array([[1.5]]), dyn, x, goal)),
+    bounds = dict(action_low=np.array([-1.0]), action_high=np.array([1.0]))
+    approx = GoalController(dyn, goal, policy=lambda X: np.array([[1.5]]), **bounds)
+    for ctl, base, res in (
+        (agent, long_term_action(q, x, rng()).action, constraint_action(q, dyn, x, goal, rng())),
+        (approx, np.array([[1.0]]), approx_constraint_action(np.array([[1.5]]), dyn, x, goal, **bounds)),
     ):
-        assert isinstance(error, UncontrollableConstraintError)
+        assert res.fallback.tolist() == [True] and np.array_equal(res.action, base)
         assert np.array_equal(ctl.act(x, 0, rng()), base)
         assert ctl.branch_counts == {"fallback": 1}
         ctl.act(np.array([[-0.5, 0.0]]), 1, rng())  # v = 0 is inside the margin
@@ -474,13 +486,10 @@ def test_llql_policy_callable():
 
 
 def same(a, b) -> bool:
-    """Whether two results (or two errors) are equal, arrays bit for bit."""
-    if isinstance(a, Exception):
-        return type(a) is type(b) and str(a) == str(b)
-    return all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in zip(*([getattr(r, f.name) for f in dataclasses.fields(r)] for r in (a, b)))
-    )
+    """Whether two rows (`row`) hold the same fields, bit for bit."""
+    def bits(r):
+        return {name: (np.asarray(v).dtype, np.asarray(v).tobytes()) for name, v in vars(r).items()}
+    return bits(a) == bits(b)
 
 
 def random_models(state_dim, seed):
@@ -520,7 +529,7 @@ def test_synthesis_on_rows_equals_one_row_calls_bitwise(goal):
             "trajectory": trajectory_action(q, dyn, x, target, 1.0, 50.0, gen),
             "approx_trajectory": approx_trajectory_action(u_n, dyn, x, target, 1.0, 50.0,
                                                           action_low=low, action_high=high),
-            "constraint": constraint_action(q, dyn, x, goal),
+            "constraint": constraint_action(q, dyn, x, goal, gen),
             "approx_constraint": approx_constraint_action(u_n, dyn, x, goal, action_low=low, action_high=high),
         }
 
@@ -529,14 +538,90 @@ def test_synthesis_on_rows_equals_one_row_calls_bitwise(goal):
         side = nearer_side(goal, X[j]) if isinstance(goal, SymmetricConstraintGoal) else goal
         one_row = slice(j, j + 1)
         for name, one in ops(X[one_row], U_n[one_row], T[one_row], side, np.random.default_rng(j)).items():
-            got = rows[name]
-            if isinstance(got, list):
-                assert same(got[j], one[0]), name
-            else:
-                assert np.array_equal(got.action[j], one.action[0])
-                assert np.array_equal(got.action_raw[j], one.action_raw[0])
-                assert (got.fallback and got.fallback[j]) == (one.fallback and one.fallback[0])
-    assert 0 < sum(sol.active for sol in rows["constraint"]) < len(X)
+            assert same(row(rows[name], j), row(one)), name
+    assert 0 < rows["constraint"].binding.sum() < len(X)
+
+
+def test_approx_constraint_rows_equal_the_per_row_float_loop():
+    # the reference: each row's KKT scalars in Python floats, as one row alone computes them
+    _, dyn = random_models(2, 5)
+    rnd = np.random.default_rng(6)
+    # velocities within reach of the 0.02 limit, where the action moves them by about 0.003
+    X = np.column_stack([rnd.normal(size=200), rnd.uniform(-0.024, 0.024, 200)])
+    U_n = rnd.uniform(-1.5, 1.5, (200, 1))
+    res = approx_constraint_action(U_n, dyn, X, SymmetricConstraintGoal(1, 0.02, margin=0.0),
+                                   action_low=np.array([-1.0]), action_high=np.array([1.0]))
+    F, G = (np.asarray(a, dtype=np.float64) for a in dyn.coefficients(X))
+    for j in range(len(X)):
+        s, c, x_i, f_i = (1.0 if X[j, 1] >= 0 else -1.0), 0.02, float(X[j, 1]), float(F[j, 1])
+        dg = (s * dyn.delta) * G[j, 1]
+        predicted0 = s * x_i + dyn.delta * (s * f_i) + float(dg @ U_n[j])
+        binding = not predicted0 <= c
+        lam = (predicted0 - c) / float(dg @ dg) if binding else 0.0
+        u_raw = U_n[j] - lam * dg if binding else U_n[j]
+        u = np.clip(u_raw, -1.0, 1.0)
+        predicted_clipped = x_i + dyn.delta * (f_i + float(G[j, 1] @ u))
+        assert res.lambda_star[j] == lam and res.binding[j] == binding
+        assert res.action_raw[j].tobytes() == u_raw.tobytes() and res.action[j].tobytes() == u.tobytes()
+        assert res.predicted[j] == x_i + dyn.delta * (f_i + float(G[j, 1] @ u_raw))
+        assert res.predicted_clipped[j] == predicted_clipped
+        assert res.clip_broke[j] == (binding and s * predicted_clipped > c + 1e-9)
+    assert 0 < res.clip_broke.sum() < res.binding.sum() < len(X)
+
+
+class GatedDynamics:
+    """Dynamics whose g moves no component on the rows with x[0] < 0."""
+
+    delta = 0.05
+
+    def coefficients(self, X):
+        G = np.column_stack([np.cos(X[:, 0]), np.full(len(X), 20.0)])[:, :, None] * (X[:, :1, None] >= 0)
+        return np.column_stack([np.sin(3.0 * X[:, 0]), X[:, 1] - 0.2]), G
+
+
+class GatedQ:
+    """Value model whose gain d vanishes on the rows with x[1] > 0.5."""
+
+    action_low, action_high = np.array([-1.0]), np.array([1.0])
+
+    def coefficients(self, X):
+        D = np.where(X[:, 1:, None] > 0.5, 0.0, 1.0 + X[:, :1, None] ** 2)
+        return np.zeros(len(X)), (X[:, 1] - X[:, 0])[:, None], D
+
+
+@pytest.mark.parametrize("op", ["constraint", "approx_constraint"])
+def test_constraint_rows_that_fall_back_equal_one_row_calls_bitwise(op, caplog):
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(24, 2))
+    U_n = 0.9 * X[:, :1] + 0.4
+    q, dyn, goal = GatedQ(), GatedDynamics(), ConstraintGoal(1, 0.2, "upper")
+
+    def call(rows, gen):
+        if op == "constraint":
+            return constraint_action(q, dyn, X[rows], goal, gen)
+        return approx_constraint_action(U_n[rows], dyn, X[rows], goal, action_low=q.action_low,
+                                        action_high=q.action_high)
+
+    with caplog.at_level("WARNING", logger="llql.control"):
+        res = call(slice(None), [np.random.default_rng(j) for j in range(len(X))])
+    uncontrollable, degenerate = X[:, 0] < 0, (X[:, 1] > 0.5) & (op == "constraint")
+    expected = uncontrollable | degenerate
+    assert res.fallback.tolist() == expected.tolist()
+    assert (uncontrollable & ~degenerate).any() and ((degenerate & ~uncontrollable).any() or op == "approx_constraint")
+    assert 0 < res.binding.sum() < (~expected).sum()
+    what = ("constraint synthesis on state component 1 was undefined; falling back to the long-term action"
+            if op == "constraint" else "constraint on state component 1 is uncontrollable; keeping the policy action")
+    assert [r.getMessage() for r in caplog.records] == [f"{what} ({expected.sum()} of {len(X)} rows)"]
+    for j in range(len(X)):
+        assert same(row(res, j), row(call(slice(j, j + 1), np.random.default_rng(j)))), j
+        if not expected[j]:
+            continue
+        if op == "approx_constraint":  # the policy action, clipped
+            assert res.action_raw[j] == U_n[j] and res.action[j] == np.clip(U_n[j], -1.0, 1.0)
+            continue
+        base = long_term_action(q, X[j:j + 1], np.random.default_rng(j))
+        assert np.array_equal(res.action[j], base.action[0]) and np.array_equal(res.action_raw[j], base.action_raw[0])
+        if degenerate[j]:  # the draw from the row's own generator
+            assert np.array_equal(res.action_raw[j], np.random.default_rng(j).uniform(q.action_low, q.action_high))
 
 
 def test_goal_controller_rows_decide_as_each_row_alone():
@@ -564,7 +649,7 @@ ONE_STATE_CALLS = {
     "long_term_action": lambda q, dyn, goal, x: long_term_action(q, x, rng()),
     "trajectory_action": lambda q, dyn, goal, x: trajectory_action(q, dyn, x, x, 1.0, 1.0, rng()),
     "approx_trajectory_action": lambda q, dyn, goal, x: approx_trajectory_action(np.ones(1), dyn, x, x, 1.0, 1.0),
-    "constraint_action": lambda q, dyn, goal, x: constraint_action(q, dyn, x, goal),
+    "constraint_action": lambda q, dyn, goal, x: constraint_action(q, dyn, x, goal, rng()),
     "approx_constraint_action": lambda q, dyn, goal, x: approx_constraint_action(np.ones(1), dyn, x, goal),
     "GoalController.act": lambda q, dyn, goal, x: GoalController(dyn, goal, qmodel=q).act(x, 0, rng()),
     "LlqlPolicy": lambda q, dyn, goal, x: LlqlPolicy(q)(x),
@@ -597,15 +682,15 @@ def test_a_call_logs_one_warning_for_all_its_rows(caplog):
     with caplog.at_level("WARNING", logger="llql.control"):
         trajectory_action(q, make_dynamics([np.inf], [[1.0]]), X, X, 1.0, 1.0, rng())
         # each row's bound needs u = -50, far outside [-1, 1]
-        sols = constraint_action(q, make_dynamics([0.0], [[1.0]]), X, ConstraintGoal(0, -0.05))
+        res = constraint_action(q, make_dynamics([0.0], [[1.0]]), X, ConstraintGoal(0, -0.05), rng())
         limit.act(np.array([[-0.5, 0.05], [-0.5, 0.0], [-0.5, -0.05]]), 0, rng())
-    assert all(sol.clip_violates for sol in sols)
+    assert res.clip_broke.all()
     assert limit.branch_counts == {"long_term": 1, "fallback": 2}
     assert [r.getMessage() for r in caplog.records] == [
         "trajectory synthesis was singular; falling back to the long-term action (3 of 3 rows)",
         "action clipping broke the constraint on 3 of 3 rows: first predicted 0=-0.001 vs bound -0.05",
-        "constraint on state component 1 is uncontrollable (delta g_i . W^-1 delta g_i = 0.000e+00); "
-        "taking the base action (2 of 3 rows)",
+        "constraint synthesis on state component 1 was undefined; falling back to the long-term action "
+        "(2 of 2 rows)",
     ]
 
 

@@ -552,6 +552,25 @@ def test_cli_train_bad_config_key_exits_two(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, line, message", [
+    ("llql", "normalizer_samples = 0", "normalizer_samples must be >= 2"),
+    ("llql", "normalizer_samples = 1", "normalizer_samples must be >= 2"),
+    ("ddpg", "normalizer_samples = 0", "normalizer_samples must be >= 2"),
+    ("ddpg", "normalizer_samples = 1", "normalizer_samples must be >= 2"),
+    ("ddpg", "episodes = 0", "episodes must be >= 1"),
+    ("ddpg", "discount = 1.5", "discount must lie in (0, 1)"),
+    ("ddpg", "batch = 0", "batch must be >= 1"),
+])
+def test_cli_train_bad_config_value_exits_two(tmp_path, capsys, method, line, message):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"hidden_sizes = 4,4\n{line}\n")
+    code = main(["train", "--method", method, "--env", "mountain_car", "--horizon", "5", "--config", str(cfg),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "model.model").exists()
+
+
 # ---------------------------------------------------------------------------
 # One evaluation path: DDPG, goal parameters, velocity targets, model meta
 # ---------------------------------------------------------------------------

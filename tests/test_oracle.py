@@ -80,15 +80,14 @@ def rollout(controller, seed, steps=300):
 
 def engaged_solution(controller, x):
     """The constraint synthesis that `controller` runs at the state x, whose
-    goal is engaged there."""
+    goal is engaged there, as a one-row result."""
     if controller.qmodel is not None:
-        (sol,) = control.constraint_action(controller.qmodel, controller.dyn, x[None], controller.goal)
-    else:
-        (sol,) = control.approx_constraint_action(
-            controller.policy(x[None]), controller.dyn, x[None], controller.goal,
-            action_low=controller.action_low, action_high=controller.action_high,
-        )
-    return sol
+        return control.constraint_action(controller.qmodel, controller.dyn, x[None], controller.goal,
+                                         np.random.default_rng(0))
+    return control.approx_constraint_action(
+        controller.policy(x[None]), controller.dyn, x[None], controller.goal,
+        action_low=controller.action_low, action_high=controller.action_high,
+    )
 
 
 def test_oracle_is_exact_while_nothing_clips():
@@ -122,9 +121,9 @@ def test_speed_limit_holds_wherever_reachable(which):
             reachable_steps += 1
             if goal.active(x, 0):  # margin 0: every step with v != 0
                 sol = engaged_solution(ctl, x)
-                assert np.array_equal(u, sol.action)
-                engaged += sol.active
-                assert not sol.clip_violates
+                assert np.array_equal(u, sol.action[0]) and sol.fallback is None
+                engaged += sol.binding[0]
+                assert not sol.clip_broke[0]
             assert abs(x_next[1]) <= BOUND + 1e-9
     assert reachable_steps > 500 and engaged > 100
 
@@ -162,10 +161,26 @@ def test_oracle_constraint_ops_agree_on_their_common_case():
     rnd = np.random.default_rng(1)
     for _ in range(100):
         x = np.array([[rnd.uniform(-1.0, 0.3), rnd.uniform(0.0, 0.04)]])
-        (agent,) = control.constraint_action(OracleQ(), dyn, x, goal)
-        (approx,) = control.approx_constraint_action(pump(x), dyn, x, goal)
-        assert agent.active == approx.active
+        agent = control.constraint_action(OracleQ(), dyn, x, goal, np.random.default_rng(0))
+        approx = control.approx_constraint_action(pump(x), dyn, x, goal)
+        assert agent.binding == approx.binding
         np.testing.assert_allclose(agent.action_raw, approx.action_raw, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("gamma2", [1.0, 50.0, 2000.0])
+def test_oracle_trajectory_ops_agree_bitwise(gamma2):
+    # with h = -u_N and d = I the agent's stacked system is the approximation's, row for row
+    dyn, bounds = OracleDynamics(), dict(action_low=OracleQ.action_low, action_high=OracleQ.action_high)
+    rnd = np.random.default_rng(2)
+    for _ in range(200):
+        x = np.array([[rnd.uniform(-1.0, 0.3), rnd.uniform(-0.04, 0.04)]])
+        v_d = rnd.uniform(-0.03, 0.03)
+        x_d = np.array([[x[0, 0] + v_d, v_d]])
+        agent = control.trajectory_action(OracleQ(), dyn, x, x_d, 1.0, gamma2, np.random.default_rng(0))
+        approx = control.approx_trajectory_action(pump(x), dyn, x, x_d, 1.0, gamma2, **bounds)
+        assert agent.fallback is None and approx.fallback is None
+        assert agent.action.tobytes() == approx.action.tobytes()
+        assert agent.action_raw.tobytes() == approx.action_raw.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +276,9 @@ def test_pendulum_spin_limit_holds_wherever_reachable(which):
             reachable_steps += 1
             if goal.active(x, 0):
                 sol = engaged_solution(ctl, x)
-                assert np.array_equal(u, sol.action)
-                engaged += sol.active
-                assert not sol.clip_violates
+                assert np.array_equal(u, sol.action[0]) and sol.fallback is None
+                engaged += sol.binding[0]
+                assert not sol.clip_broke[0]
             assert abs(x_next[2]) <= SPIN_BOUND + 1e-9
     assert reachable_steps > 400 and engaged > 100
 

@@ -212,7 +212,7 @@ def synthesis_digest(model: Path, sz: Sizes, env_name: str = "mountain_car") -> 
             dyn.coefficients(x), q.coefficients(x),
             control.long_term_action(q, x, np.random.default_rng(0)),
             control.trajectory_action(q, dyn, x, x_d, 1.0, gamma2, np.random.default_rng(0)),
-            control.constraint_action(q, dyn, x, limit),
+            control.constraint_action(q, dyn, x, limit, np.random.default_rng(0)),
             control.approx_trajectory_action(u_n, dyn, x, x_d, 1.0, gamma2, action_low=low, action_high=high),
             control.approx_constraint_action(u_n, dyn, x, limit, action_low=low, action_high=high),
         ])
