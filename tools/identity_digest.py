@@ -103,7 +103,7 @@ FULL = Sizes()
 TINY = Sizes(hidden=(8, 8), episodes=2, horizon=6, normalizer_samples=4, setup_horizon=6,
              setup_normalizer_samples=4, states=30, eval_horizon=5, mpc_horizon=2,
              mpc_candidates=20, mpc_plan=3, sweep_runs=1, lockstep_runs=3, long_horizon=8,
-             long_ddpg_horizon=12)
+             long_ddpg_horizon=20)
 SWEEP_VALUES = {"constraint": (0.02, 0.05), "trajectory": (0.0, 0.025)}
 # per env: the (hazard_limit, v_d) pairs, the trajectory and constraint goals,
 # and the env settings of the scoring family
