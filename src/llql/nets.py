@@ -420,7 +420,17 @@ class Adam:
     products into the thread's scratch vector of the parameters' dtype
     (`_scratch`), which it shares with every other Adam step and soft
     update of the thread.
+
+    Every `FLUSH_EVERY` steps the moments below the dtype's smallest
+    normal float are set to 0 before the update.  A dead ReLU unit's
+    gradient is exactly 0, so its moments decay until (1 - beta) * m
+    rounds to 0 and they stick in subnormal floats, over which every later
+    pass runs many times slower.  Such a moment moves its parameter by
+    less than about 1e-29, so the flush changes no parameter above about
+    1e-22.
     """
+
+    FLUSH_EVERY = 16
 
     def __init__(
         self,
@@ -465,6 +475,13 @@ class Adam:
         buf -= self.v
         buf *= 1.0 - b2
         self.v += buf
+        if self.t % self.FLUSH_EVERY == 0:
+            # a *= (|a| >= tiny), through buf: no mask of the moments' size
+            tiny = np.finfo(buf.dtype).tiny
+            for a in (self.m, self.v):
+                np.abs(a, out=buf)
+                np.greater_equal(buf, tiny, out=buf)
+                a *= buf
         # bias-corrected update with the corrections folded into scalars:
         # lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
         #   = (lr*s2/(1-b1^t)) * m / (sqrt(v) + eps*s2),  s2 = sqrt(1-b2^t)

@@ -229,8 +229,45 @@ def test_adam_accepts_large_finite_float32_gradients():
     assert np.all(np.isfinite(net.flat_params))
 
 
+def test_adam_flush_zeroes_stuck_moments_and_keeps_the_step():
+    # a dead unit's moments stick at a few multiples of 2**-149, where
+    # (1 - beta) * m rounds to 0; the step at t = FLUSH_EVERY sets them to 0
+    # and moves every parameter (none of them near 0) as an unflushed copy does
+    rng = np.random.default_rng(8)
+    net = make_net((3, 9, 2), seed=4, dtype=np.float32)
+    net.flat_params[:] = rng.standard_normal(net.n_params)
+    adam = Adam(net, lr=0.01)
+    adam.m[:] = rng.standard_normal(net.n_params) * 1e-3
+    adam.v[:] = rng.standard_normal(net.n_params) ** 2 * 1e-6
+    stuck = np.arange(0, net.n_params, 3)
+    adam.m[stuck] = 2.0**-149 * rng.choice([-3, -2, -1, 1, 2, 3], stuck.size)
+    adam.v[stuck] = 2.0**-149 * rng.integers(1, 4, stuck.size)
+    adam.t = Adam.FLUSH_EVERY - 1
+    unflushed_net = net.copy()
+    unflushed = Adam(unflushed_net, lr=0.01)
+    unflushed.FLUSH_EVERY = 10**9
+    unflushed.t, unflushed.m[:], unflushed.v[:] = adam.t, adam.m, adam.v
+    g = Grads(net.layer_sizes, net.dtype)
+    g.flat[:] = rng.standard_normal(net.n_params)
+    g.flat[stuck] = 0.0
+
+    adam.step(net, g)
+    unflushed.step(unflushed_net, g)
+
+    def bits(a):
+        return a.view(np.uint32)
+
+    assert np.array_equal(bits(net.flat_params), bits(unflushed_net.flat_params))
+    assert np.all(unflushed.m[stuck] != 0) and np.all(unflushed.v[stuck] != 0)  # stuck without the flush
+    assert np.all(adam.m[stuck] == 0) and np.all(adam.v[stuck] == 0)
+    normal = np.setdiff1d(np.arange(net.n_params), stuck)
+    assert np.array_equal(bits(adam.m[normal]), bits(unflushed.m[normal]))
+    assert np.array_equal(bits(adam.v[normal]), bits(unflushed.v[normal]))
+
+
 class RefAdam:
-    """Adam.step's operations in its order, over a scratch vector of its own."""
+    """Adam.step's operations in its order, over a scratch vector of its own,
+    with the flush of stuck moments written as a masked assignment."""
 
     def __init__(self, params: np.ndarray, lr: float):
         self.params, self.lr, self.t = params.copy(), lr, 0
@@ -246,6 +283,9 @@ class RefAdam:
         buf -= self.v
         buf *= 1.0 - b2
         self.v += buf
+        if self.t % Adam.FLUSH_EVERY == 0:
+            for a in (self.m, self.v):
+                a[np.abs(a) < np.finfo(a.dtype).tiny] = 0
         s2 = np.sqrt(1.0 - b2**self.t)
         np.sqrt(self.v, out=buf)
         buf += 1e-8 * s2
