@@ -9,7 +9,9 @@ views into it, which keeps optimizer and target-update passes to a
 handful of vectorized operations.  Those passes write their intermediate
 products into one scratch vector per dtype and thread (`_scratch`), which
 every Adam step and soft update of the thread shares and which is valid
-only within one call.
+only within one call.  An Adam step runs in the parameters' dtype, its
+scalars included, and every 16 steps it flushes to 0 the moments stuck
+in subnormal floats.
 """
 
 from __future__ import annotations
@@ -419,7 +421,9 @@ class Adam:
     `t` and the moments `m` and `v`; a step writes its intermediate
     products into the thread's scratch vector of the parameters' dtype
     (`_scratch`), which it shares with every other Adam step and soft
-    update of the thread.
+    update of the thread.  Its scalars (betas, eps and the bias
+    corrections) are Python floats, so every pass runs in the parameters'
+    dtype: a float32 step rounds them to float32.
 
     Every `FLUSH_EVERY` steps the moments below the dtype's smallest
     normal float are set to 0 before the update.  A dead ReLU unit's
@@ -446,7 +450,7 @@ class Adam:
         self.lr = float(lr)
         self.lr_after = float(lr_after) if lr_after is not None else None
         self.switch_step = int(switch_step) if switch_step is not None else None
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self.t = 0
         self.m = _aligned_zeros(net.n_params, net.dtype)
         self.v = _aligned_zeros(net.n_params, net.dtype)
@@ -485,7 +489,10 @@ class Adam:
         # bias-corrected update with the corrections folded into scalars:
         # lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
         #   = (lr*s2/(1-b1^t)) * m / (sqrt(v) + eps*s2),  s2 = sqrt(1-b2^t)
-        s2 = np.sqrt(1.0 - b2**self.t)
+        # The scalars are Python floats, so numpy runs both passes in buf's
+        # dtype; a float64 numpy scalar would cast every float32 element
+        # out and back, at about 8x the cost of the pass.
+        s2 = math.sqrt(1.0 - b2**self.t)
         np.sqrt(self.v, out=buf)
         buf += self.eps * s2
         np.divide(self.m, buf, out=buf)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import struct
 import threading
@@ -286,7 +287,7 @@ class RefAdam:
         if self.t % Adam.FLUSH_EVERY == 0:
             for a in (self.m, self.v):
                 a[np.abs(a) < np.finfo(a.dtype).tiny] = 0
-        s2 = np.sqrt(1.0 - b2**self.t)
+        s2 = math.sqrt(1.0 - b2**self.t)
         np.sqrt(self.v, out=buf)
         buf += 1e-8 * s2
         np.divide(self.m, buf, out=buf)
@@ -332,30 +333,26 @@ def test_each_thread_has_scratch_vectors_of_its_own():
 def test_adam_steps_and_soft_updates_allocate_no_parameter_sized_block_after_a_warm_up():
     # the mountain-car value bank (0.47 MB of float32 parameters) and a DDPG
     # critic: the product tau*s and the intermediate products of a step go
-    # into the thread's scratch vector, and the finiteness check makes no
-    # array of the gradient's size.  A float32 step scales by two float64
-    # bias corrections, which numpy casts through fixed-size buffers (128 KB
-    # at its default of 8,192 items, whatever the parameter count); shrunk
-    # to 1,024 items they leave room under the bound to see any block of a
-    # byte per parameter
+    # into the thread's scratch vector, the finiteness check makes no array
+    # of the gradient's size, and the measured step flushes the moments
+    # without a mask of their size (123 KB of bools on the bank).  A float64
+    # scalar in a float32 pass would cast through numpy's buffers, 128 KB at
+    # its default of 8,192 items
     rng = np.random.default_rng(0)
     bank = HeadBank.create(2, (200, 200), ((), (1,), (1, 1)), rng, np.float32)
     critic = Mlp.create((3, 200, 200, 1), rng, np.float32)
-    bufsize = np.setbufsize(1024)
-    try:
-        for model in (bank, critic):
-            target, adam = model.copy(), Adam(model, 1e-3)
-            g = Grads(model.layer_sizes, model.dtype)
-            g.flat[:] = rng.standard_normal(model.n_params)
+    for model in (bank, critic):
+        target, adam = model.copy(), Adam(model, 1e-3)
+        g = Grads(model.layer_sizes, model.dtype)
+        g.flat[:] = rng.standard_normal(model.n_params)
 
-            def update():
-                adam.step(model, g)
-                soft_update(target, model, 0.001)
+        def update():
+            adam.step(model, g)
+            soft_update(target, model, 0.001)
 
-            update()
-            assert traced_peak(update) < 64 * 1024
-    finally:
-        np.setbufsize(bufsize)
+        update()
+        adam.t = Adam.FLUSH_EVERY - 1
+        assert traced_peak(update) < 64 * 1024
 
 
 def test_soft_update_endpoints_and_blend():
