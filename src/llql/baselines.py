@@ -113,7 +113,7 @@ class DdpgConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        check_training_config(self, ("episodes", "batch"))
+        check_training_config(self, dict(episodes=1, batch=1), ("critic_lr", "actor_lr"))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -139,19 +139,25 @@ class ExplorationNoise:
             self.sigma = max(self.floor, self.sigma * self.decay)
 
 
-def check_training_config(config, counts: tuple) -> None:
+def check_training_config(config, counts: dict, rates: tuple) -> None:
     """Raise ValueError unless a training config's discount lies in (0, 1),
-    its sigma0 is positive, it fits the normalizer on at least 2 samples
-    and each field named in `counts` is at least 1."""
+    its tau in [0, 1], its sigma0 is positive, it fits the normalizer on at
+    least 2 samples, each learning rate named in `rates` is positive and
+    finite, and each field named in `counts` is at least its value there."""
     if not 0.0 < config.discount < 1.0:
         raise ValueError("discount must lie in (0, 1)")
+    if not 0.0 <= config.tau <= 1.0:
+        raise ValueError("tau must lie in [0, 1]")
     if config.sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive")
     if config.normalizer_samples < 2:
         raise ValueError("normalizer_samples must be >= 2")
-    for field in counts:
-        if getattr(config, field) < 1:
-            raise ValueError(f"{field} must be >= 1")
+    for field in rates:
+        if not 0.0 < getattr(config, field) < math.inf:
+            raise ValueError(f"{field} must be positive and finite")
+    for field, least in counts.items():
+        if getattr(config, field) < least:
+            raise ValueError(f"{field} must be >= {least}")
 
 
 @dataclasses.dataclass
@@ -183,7 +189,8 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        check_training_config(self, ("episodes", "short_iters", "long_iters", "short_batch", "long_batch"))
+        check_training_config(self, dict(episodes=1, short_iters=1, long_iters=1, short_batch=1, long_batch=1,
+                                         lr_short_switch_step=0), ("lr_long", "lr_short", "lr_short_after"))
         if self.delta <= 0.0:
             raise ValueError("delta must be positive")
 

@@ -560,6 +560,14 @@ def test_cli_train_bad_config_key_exits_two(tmp_path, capsys):
     ("ddpg", "episodes = 0", "episodes must be >= 1"),
     ("ddpg", "discount = 1.5", "discount must lie in (0, 1)"),
     ("ddpg", "batch = 0", "batch must be >= 1"),
+    ("llql", "tau = 2.0", "tau must lie in [0, 1]"),
+    ("ddpg", "tau = 2.0", "tau must lie in [0, 1]"),
+    ("llql", "lr_long = -0.001", "lr_long must be positive and finite"),
+    ("llql", "lr_short = 0", "lr_short must be positive and finite"),
+    ("llql", "lr_short_after = inf", "lr_short_after must be positive and finite"),
+    ("llql", "lr_short_switch_step = -3", "lr_short_switch_step must be >= 0"),
+    ("ddpg", "critic_lr = -1", "critic_lr must be positive and finite"),
+    ("ddpg", "actor_lr = 0", "actor_lr must be positive and finite"),
 ])
 def test_cli_train_bad_config_value_exits_two(tmp_path, capsys, method, line, message):
     cfg = tmp_path / "train.cfg"
