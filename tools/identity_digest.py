@@ -41,7 +41,8 @@ The families:
   mountain-car LLQL episode of 700 steps (3,500 Adam steps per bank, well
   past the ~750 steps after which a dead unit's first moment sits in
   subnormal floats) and of one float32 DDPG run of 3,000 steps (3,000 Adam
-  steps per net).
+  steps per net); at `--tiny` sizes the DDPG run takes 20 steps, past the
+  optimizer's first flush of stuck moments at step 16.
 
 It needs nothing beyond llql's own dependencies; the external policy of
 adjust_external is a bang-bang sign(v) child run by this interpreter.
