@@ -144,22 +144,6 @@ class DdpgModel:
         return self._squash(self.actor.forward(self.normalizer.normalize(X)[:, None, :])[:, 0, :])
 
 
-class _ShapedEnv:
-    """The environment with its step reward replaced by a reward mod."""
-
-    def __init__(self, env, mod: RewardMod):
-        self._env = env
-        self._mod = mod
-
-    def __getattr__(self, name):
-        return getattr(self._env, name)
-
-    def step(self, state, action):
-        sr = self._env.step(state, action)
-        sr.reward = float(self._mod.apply(sr.reward, sr.next_state[0], sr.next_state[1], sr.done))
-        return sr
-
-
 class _DdpgTrainer(_EpisodeTrainer):
     """DDPG training: one critic and one actor update per env step, with
     target copies of both nets."""
@@ -167,7 +151,7 @@ class _DdpgTrainer(_EpisodeTrainer):
     loss_iters = (None, 1)
 
     def __init__(self, env, config: DdpgConfig, reward_mod: Optional[RewardMod]):
-        super().__init__(env if reward_mod is None else _ShapedEnv(env, reward_mod), config)
+        super().__init__(env, config, reward_mod)
         s, a = env.state_dim, env.action_dim
         hidden = tuple(config.hidden_sizes)
         self.actor = Mlp.create((s, *hidden, a), self.init_rng, self.dtype)

@@ -347,6 +347,12 @@ class TrainResult:
 class _EpisodeTrainer:
     """The replay-buffer episode loop shared by LLQL and DDPG training.
 
+    The loop owns the time limit: an episode ends when the env reports its
+    goal reached or after `env.horizon` steps, and either end is stored as
+    terminal.  A reward mod, when given, replaces each step's reward with
+    `reward_mod.apply(r, position, velocity, done)` at the state the step
+    arrived in, before it is stored and summed.
+
     A subclass creates its nets from `init_rng` and supplies `_act(x)`, the
     noiseless action; `_updates()`, a generator that runs one env step's
     updates and yields (log column, loss) after each, 0 for l1 and 1 for
@@ -354,9 +360,10 @@ class _EpisodeTrainer:
     for a column it does not fill (logged as NaN).
     """
 
-    def __init__(self, env, config):
+    def __init__(self, env, config, reward_mod=None):
         self.env = env
         self.cfg = config
+        self.reward_mod = reward_mod
         self.dtype = np.dtype(config.dtype)
         ss = np.random.SeedSequence(config.seed)
         self.init_rng, self.noise_rng, self.sample_rng, self.env_rng = (
@@ -380,8 +387,12 @@ class _EpisodeTrainer:
                 noise = self.noise.sample(self.noise_rng, env.action_dim)
                 u = np.clip(self._act(x) + noise, env.action_low, env.action_high)
                 step = env.step(x, u)
-                self.buffer.add(Transition(x, u, step.next_state, step.reward, step.done))
-                ep_reward += step.reward
+                done = step.reached or k + 1 == env.horizon  # a time-out is stored as terminal
+                reward = step.reward
+                if self.reward_mod is not None:
+                    reward = float(self.reward_mod.apply(reward, step.next_state[0], step.next_state[1], done))
+                self.buffer.add(Transition(x, u, step.next_state, reward, done))
+                ep_reward += reward
                 steps = k + 1
                 if not self.normalizer_frozen and len(self.buffer) >= cfg.normalizer_samples:
                     # fitted in place: the models built on it see the fit
@@ -405,9 +416,9 @@ class _EpisodeTrainer:
                         {"episode": episode, "step": k, "sigma": self.noise.sigma, "reason": str(exc)},
                     ) from exc
                 x = step.next_state
-                if step.done:
-                    if env.goal_reached(x):
-                        steps_to_goal = steps
+                if step.reached:
+                    steps_to_goal = steps
+                if done:
                     break
             self.noise.update(ep_reward)
             # every step ran one round of updates

@@ -2,11 +2,12 @@
 
 Both environments reimplement the physics and reward conventions of the
 classic control benchmarks so that runs are deterministic and fully
-reproducible without any simulator dependency.  Each environment's
-physics is one function on rows of states, `step_batch`, a pure function of
+reproducible without any simulator dependency.  An environment is its
+`EnvSpec`, built once, plus its physics: `step_batch`, a pure function of
 (states, actions) that lockstep evaluation calls on the states of all its
-live runs at once; `step` is its one-row case plus an internal step
-counter used for horizon truncation.  The physics runs row by row in
+live runs at once, and `step`, its one-row case.  No state is kept between
+calls, so `reset` is a function of the seed alone; the loops that step an
+environment own its time limit, `horizon`.  The physics runs row by row in
 Python floats, which is also cheaper than numpy at a few rows, and
 `math.atan2` has other last bits than `np.arctan2` on some inputs.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 from typing import Optional
 
@@ -50,9 +50,6 @@ class EnvSpec:
             if not value > 0:
                 raise ValueError(f"physics constant {key!r} must be positive")
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -61,8 +58,7 @@ class EnvSpec:
 class StepResult:
     next_state: np.ndarray
     reward: float
-    done: bool
-    step_index: int
+    reached: bool  # the goal; never on the pendulum
 
 
 def wrap_angle(theta: float) -> float:
@@ -82,13 +78,18 @@ def _validate_actions(actions, n: int, dim: int) -> list:
 
 
 class _Env:
-    """`step` on top of an environment's `step_batch`."""
+    """An environment's facts, read from its spec, and `step`, the one-row
+    case of its `step_batch`."""
+
+    def __init__(self, spec: EnvSpec):
+        self.spec = spec
+        self.state_dim, self.action_dim, self.horizon = spec.state_dim, spec.action_dim, spec.horizon
+        self.action_low, self.action_high = np.array(spec.action_low), np.array(spec.action_high)
+        self.goal_position = spec.goal_position
 
     def step(self, state: np.ndarray, action) -> StepResult:
         states, rewards, reached = self.step_batch(np.asarray(state, dtype=np.float64)[None], action)
-        self._k += 1
-        done = bool(reached[0]) or self._k >= self.horizon
-        return StepResult(states[0], float(rewards[0]), done, self._k)
+        return StepResult(states[0], float(rewards[0]), bool(reached[0]))
 
 
 class MountainCar(_Env):
@@ -97,7 +98,7 @@ class MountainCar(_Env):
     State is [position, velocity] with position in [-1.2, 0.6] and velocity
     in [-0.07, 0.07].  The force action is clipped to [-1, 1].  Per-step
     reward is -0.1 * u**2, with +100 added on the step that first reaches
-    the goal position.  Episodes truncate after `horizon` steps.
+    the goal position.
     """
 
     VELOCITY = 1  # the state component that is the velocity
@@ -108,44 +109,26 @@ class MountainCar(_Env):
     GRAVITY = 0.0025
 
     def __init__(self, goal_position: float = 0.45, horizon: int = 1000):
-        self.goal_position = float(goal_position)
-        self.horizon = int(horizon)
-        self.action_low = np.array([-1.0])
-        self.action_high = np.array([1.0])
-        self._k = 0
-
-    @property
-    def state_dim(self) -> int:
-        return 2
-
-    @property
-    def action_dim(self) -> int:
-        return 1
-
-    @property
-    def spec(self) -> EnvSpec:
-        return EnvSpec(
+        super().__init__(EnvSpec(
             name="mountain_car",
             state_dim=2,
             action_dim=1,
-            horizon=self.horizon,
+            horizon=int(horizon),
             action_low=(-1.0,),
             action_high=(1.0,),
-            goal_position=self.goal_position,
+            goal_position=float(goal_position),
             constants={"power": self.POWER, "gravity": self.GRAVITY, "max_speed": self.MAX_SPEED},
-        )
+        ))
 
     def reset(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         position = rng.uniform(-0.6, -0.4)
-        self._k = 0
         return np.array([position, 0.0])
 
-    def goal_reached(self, state: np.ndarray):
-        """Whether a state, or each of the rows of states, is at the hilltop."""
+    def scored(self, state: np.ndarray):
+        """Whether a state, or each of the rows of states, is at the hilltop,
+        where velocity error counts."""
         return np.asarray(state)[..., 0] >= self.goal_position
-
-    scored = goal_reached  # where velocity error counts
 
     def step_batch(self, states: np.ndarray, actions):
         """(next states, rewards, goal reached) of each row of `states`
@@ -171,7 +154,7 @@ class Pendulum(_Env):
     The observed state is [cos(theta), sin(theta), theta_dot] with angular
     velocity clipped to [-8, 8] and torque clipped to [-2, 2].  Reward is
     -(wrap(theta)**2 + 0.1 * theta_dot**2 + 0.001 * u**2); there is no
-    terminal goal, so episodes end only at the horizon.
+    terminal goal, so every episode runs to the horizon.
     """
 
     VELOCITY = 2  # the state component that is the velocity
@@ -183,30 +166,11 @@ class Pendulum(_Env):
     L = 1.0
 
     def __init__(self, horizon: int = 200):
-        self.horizon = int(horizon)
-        self.action_low = np.array([-self.MAX_TORQUE])
-        self.action_high = np.array([self.MAX_TORQUE])
-        self._k = 0
-
-    @property
-    def state_dim(self) -> int:
-        return 3
-
-    @property
-    def action_dim(self) -> int:
-        return 1
-
-    @property
-    def goal_position(self):
-        return None
-
-    @property
-    def spec(self) -> EnvSpec:
-        return EnvSpec(
+        super().__init__(EnvSpec(
             name="pendulum",
             state_dim=3,
             action_dim=1,
-            horizon=self.horizon,
+            horizon=int(horizon),
             action_low=(-self.MAX_TORQUE,),
             action_high=(self.MAX_TORQUE,),
             goal_position=None,
@@ -218,17 +182,13 @@ class Pendulum(_Env):
                 "max_speed": self.MAX_SPEED,
                 "max_torque": self.MAX_TORQUE,
             },
-        )
+        ))
 
     def reset(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         theta = rng.uniform(-math.pi, math.pi)
         theta_dot = rng.uniform(-1.0, 1.0)
-        self._k = 0
         return np.array([math.cos(theta), math.sin(theta), theta_dot])
-
-    def goal_reached(self, state: np.ndarray):
-        return np.zeros(np.shape(state)[:-1], dtype=bool)[()]
 
     def scored(self, state: np.ndarray):  # where velocity error counts: upright
         return np.asarray(state)[..., 0] > UPRIGHT_COS

@@ -204,6 +204,19 @@ def test_ddpg_reward_mod_changes_training():
     assert not np.array_equal(plain.critic.flat_params, shaped.critic.flat_params)
 
 
+def test_ddpg_reward_mod_sees_a_time_out_as_done():
+    # 3 steps cannot reach the hilltop, so only the time-out makes t1 fire
+    env, t1 = MountainCar(horizon=3), get_reward_mod("t1")
+    trainer = baselines._DdpgTrainer(env, tiny_ddpg(episodes=1), t1)
+    (stats,) = trainer._episodes()
+    states, actions, next_states, rewards, dones = (col[: len(trainer.buffer)] for col in trainer.buffer._columns)
+    raw = [env.step(x, u).reward for x, u in zip(states, actions)]
+    expected = [float(t1.apply(r, x[0], x[1], k == 2)) for k, (r, x) in enumerate(zip(raw, next_states))]
+    assert rewards.tolist() == expected and dones.tolist() == [False, False, True]
+    assert expected[:2] == raw[:2] and expected[2] < raw[2]
+    assert stats.cumulative_reward == sum(expected)
+
+
 def test_ddpg_rejects_a_reward_mod_on_the_pendulum(tmp_path):
     # the mods shape mountain car's position and velocity, not (cos, sin) of an angle
     from llql import experiments

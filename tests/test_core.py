@@ -282,6 +282,26 @@ def test_train_bookkeeping_buffer_size():
     assert len(trainer.buffer) == 3
 
 
+def buffer_rows(trainer):
+    """(states, actions, next states, rewards, dones) stored in a trainer's
+    buffer, in the order they were added."""
+    return tuple(col[: len(trainer.buffer)] for col in trainer.buffer._columns)
+
+
+def test_a_time_out_is_stored_as_terminal_on_the_last_row_only():
+    # 3 steps cannot carry the car from [-0.6, -0.4] to the hilltop at 0.45
+    trainer = core._Trainer(MountainCar(horizon=3), tiny_config())
+    (stats,) = trainer.run().log
+    _, _, next_states, _, dones = buffer_rows(trainer)
+    assert (next_states[:, 0] < 0.45).all()
+    assert dones.tolist() == [False, False, True]
+    assert (stats.steps, stats.steps_to_goal) == (3, -1)
+    # a hilltop below every start is reached on the first step, which ends the episode
+    trainer = core._Trainer(MountainCar(goal_position=-0.65, horizon=3), tiny_config())
+    (stats,) = trainer.run().log
+    assert buffer_rows(trainer)[4].tolist() == [True] and (stats.steps, stats.steps_to_goal) == (1, 1)
+
+
 def test_training_act_is_the_one_row_greedy_solve_or_zeros_at_a_degenerate_gain():
     trainer = core._Trainer(MountainCar(horizon=3), tiny_config())
     x = np.array([-0.5, 0.01])

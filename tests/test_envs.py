@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -42,12 +43,10 @@ def test_mountain_car_step_hand_values():
     assert r0.next_state[1] == pytest.approx(-0.0025 * math.cos(-1.5), abs=1e-12)
 
 
-def test_mountain_car_goal_reward_and_done():
+def test_mountain_car_goal_reward_and_reached():
     env = MountainCar()
-    env.reset(0)
     r = env.step(np.array([0.449, 0.05]), [1.0])
-    assert env.goal_reached(r.next_state)
-    assert r.done
+    assert r.reached
     assert r.reward == pytest.approx(100.0 - 0.1, abs=1e-12)
 
 
@@ -79,10 +78,11 @@ def test_non_finite_action_rejected():
 
 def test_goal_reached_cases():
     mc = MountainCar()
-    assert mc.goal_reached(np.array([0.6, 0.0]))
-    assert not mc.goal_reached(np.array([-0.5, 0.0]))
+    assert mc.step(np.array([0.6, 0.0]), [0.0]).reached
+    assert not mc.step(np.array([-0.5, 0.0]), [0.0]).reached
     p = Pendulum()
-    assert not p.goal_reached(p.reset(0))
+    assert not p.step(np.array([1.0, 0.0, 0.0]), [0.0]).reached
+    assert not p.step(p.reset(0), [0.0]).reached
 
 
 def test_pendulum_upright_fixed_point():
@@ -98,7 +98,7 @@ def test_scored_states_are_the_hilltop_and_the_upright_window():
     assert car.VELOCITY == 1 and pendulum.VELOCITY == 2
     for position in (0.44, 0.45, 0.5):
         x = np.array([position, 0.01])
-        assert car.scored(x) == car.goal_reached(x) == (position >= 0.45)
+        assert car.scored(x) == (position >= 0.45)
     for theta, upright in ((0.0, True), (0.14, True), (0.15, False), (np.pi, False)):
         assert pendulum.scored(np.array([np.cos(theta), np.sin(theta), 1.0])) == upright
 
@@ -132,26 +132,39 @@ def test_mountain_car_bounds_and_energy_sanity():
             assert -1.2 <= r.next_state[0] <= 0.6
             assert abs(r.next_state[1]) <= 0.07
             x = r.next_state
-            if r.done:
+            if r.reached:
                 break
 
 
-def test_truncation_at_horizon():
-    env = MountainCar(horizon=5)
-    x = env.reset(0)
-    done = False
-    for k in range(5):
-        r = env.step(x, [0.0])
-        x, done = r.next_state, r.done
-        assert r.step_index == k + 1
-    assert done
+@pytest.mark.parametrize("make", [lambda: MountainCar(goal_position=-0.45), Pendulum], ids=["mountain_car", "pendulum"])
+def test_an_env_keeps_no_state_between_episodes(make):
+    """Episodes that take turns on one env object, each reset at another
+    turn, equal each episode stepped alone on a fresh object."""
+    actions = np.random.default_rng(5).uniform(0.0, 2.0, (40, 1))
 
-    env = Pendulum(horizon=4)
-    x = env.reset(0)
-    for k in range(4):
-        r = env.step(x, [0.0])
-        x = r.next_state
-    assert r.done
+    def alone(seed):
+        env, out = make(), []
+        x = env.reset(seed)
+        for u in actions:
+            r = env.step(x, u)
+            out.append((r.next_state.tolist(), r.reward, r.reached))
+            x = r.next_state
+        return out
+
+    shared = make()
+    starts = {1: 0, 2: 5, 3: 12}  # the turn at which each episode is reset
+    states, got = {}, {seed: [] for seed in starts}
+    for turn in range(60):
+        for seed, start in starts.items():
+            if turn == start:
+                states[seed] = shared.reset(seed)
+            elif start < turn <= start + len(actions):
+                r = shared.step(states[seed], actions[turn - start - 1])
+                got[seed].append((r.next_state.tolist(), r.reward, r.reached))
+                states[seed] = r.next_state
+    for seed, steps in got.items():
+        assert steps == alone(seed)
+    assert any(r for steps in got.values() for _, _, r in steps) == isinstance(shared, MountainCar)
 
 
 def test_replay_reproduces_trajectory_bitwise():
@@ -172,10 +185,13 @@ def test_replay_reproduces_trajectory_bitwise():
 
 
 def test_env_spec_json_and_validation():
-    spec = MountainCar().spec
+    env = MountainCar(goal_position=0.5, horizon=7)
+    spec = env.spec
     assert spec.state_dim == 2
-    round_tripped = EnvSpec(**__import__("json").loads(spec.to_json()))
-    assert round_tripped.to_json() == spec.to_json()
+    assert (env.state_dim, env.action_dim, env.horizon, env.goal_position) == (2, 1, 7, 0.5)
+    assert np.array_equal(env.action_low, [-1.0]) and np.array_equal(env.action_high, [1.0])
+    text = json.dumps(spec.to_dict(), sort_keys=True)
+    assert json.dumps(EnvSpec(**json.loads(text)).to_dict(), sort_keys=True) == text
 
     with pytest.raises(ValueError):
         EnvSpec("x", 1, 1, 0, (-1,), (1,), None, {})
@@ -263,8 +279,7 @@ def test_step_batch_equals_the_per_state_physics_bitwise(env, reference, rows):
     assert reached.tolist() == [e[2] for e in expected]
     if isinstance(env, MountainCar):
         assert 0 < reached.sum() < len(X) and (states[:, 0] == env.MIN_POSITION).any()
-    env.reset(0)
     one = env.step(X[5], U[5])
-    assert np.array_equal(one.next_state, states[5]) and one.reward == rewards[5] and one.step_index == 1
+    assert np.array_equal(one.next_state, states[5]) and one.reward == rewards[5] and one.reached == reached[5]
     with pytest.raises(InvalidActionError):
         env.step_batch(X[:2], U[:1])

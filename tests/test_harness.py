@@ -617,8 +617,8 @@ def per_run_rows(env, controller, runs, seed0, hazard_limit, vel_target):
                 s_out += 1
             if vel_target is not None and env.scored(x):
                 vel_errors.append(abs(v - vel_target))
-            if sr.done:
-                success = bool(env.goal_reached(x))
+            if sr.reached:
+                success = True
                 break
         rows.append(EvalRow(seed, steps, success, float(np.mean(vel_errors)) if vel_errors else None, s_out, total))
     return rows
@@ -698,9 +698,9 @@ def test_run_experiment_ddpg_rows_equal_a_rollout_of_the_model(tmp_path):
         for k in range(env.horizon):
             step = env.step(x, model(x[None])[0])
             x, total = step.next_state, total + step.reward
-            if step.done:
+            if step.reached:
                 break
-        expected.append(EvalRow(seed, k + 1, env.goal_reached(x), None, 0, total))
+        expected.append(EvalRow(seed, k + 1, step.reached, None, 0, total))
     assert experiments.run_experiment(spec).rows == expected
 
 

@@ -73,7 +73,7 @@ def rollout(controller, seed, steps=300):
         res = env.step(x, u)
         steps_taken.append((x, u, res.next_state))
         x = res.next_state
-        if res.done:
+        if res.reached:
             break
     return steps_taken
 
