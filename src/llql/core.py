@@ -37,6 +37,7 @@ from .nets import (
     soft_update,
 )
 
+# below this norm a gain d(x) counts as numerically zero, in training and in `control` alike
 EPS_D = 1e-8
 
 
@@ -182,7 +183,6 @@ class TrainConfig:
     buffer_capacity: int = 1_000_000
     normalizer_samples: int = 1000
     hidden_sizes: tuple = (200, 200)
-    eps_d: float = EPS_D
     seed: int = 0
     dtype: str = "float32"
     squared_bellman: bool = False
@@ -274,7 +274,7 @@ def short_term_loss(dyn: DynamicsModel, batch: TransitionBatch) -> float:
     return float(np.linalg.norm(residuals, axis=1).mean())
 
 
-def _greedy_target_q_batch(target: QModel, X: np.ndarray, eps_d: float) -> np.ndarray:
+def _greedy_target_q_batch(target: QModel, X: np.ndarray) -> np.ndarray:
     """The target model's Q at its greedy (bound-clipped) least-squares
     action on each row of X; a row whose gain is numerically zero has a
     zero residual."""
@@ -282,7 +282,7 @@ def _greedy_target_q_batch(target: QModel, X: np.ndarray, eps_d: float) -> np.nd
     U = linalg.pinv_action_batch(H, D)
     np.clip(U, target.action_low, target.action_high, out=U)
     resid = np.linalg.norm(H + np.einsum("nma,na->nm", D, U), axis=1)
-    degenerate = row_norms(D) < eps_d
+    degenerate = row_norms(D) < EPS_D
     resid[degenerate] = 0.0
     return v - resid
 
@@ -292,7 +292,6 @@ def long_term_loss(
     target: QModel,
     batch: TransitionBatch,
     gamma: float,
-    eps_d: float = EPS_D,
     squared: bool = False,
 ) -> float:
     """Mean Bellman residual |y - Q(x, u)| with y from the target model.
@@ -300,7 +299,7 @@ def long_term_loss(
     Terminal transitions use y = r.  With `squared` the residual is squared
     instead of absolute.
     """
-    y = _bellman_targets(target, batch, gamma, eps_d)
+    y = _bellman_targets(target, batch, gamma)
     v, H, D = q.bank.forward(q.normalizer.normalize(batch.states))
     S = H + np.einsum("nma,na->nm", D, batch.actions)
     q_values = v - np.linalg.norm(S, axis=1)
@@ -308,11 +307,11 @@ def long_term_loss(
     return float((res**2).mean() if squared else np.abs(res).mean())
 
 
-def _bellman_targets(target: QModel, batch: TransitionBatch, gamma: float, eps_d: float) -> np.ndarray:
+def _bellman_targets(target: QModel, batch: TransitionBatch, gamma: float) -> np.ndarray:
     y = batch.rewards.astype(np.float64).copy()
     live = ~batch.dones
     if live.any():
-        y[live] += gamma * _greedy_target_q_batch(target, batch.next_states[live], eps_d)
+        y[live] += gamma * _greedy_target_q_batch(target, batch.next_states[live])
     return y
 
 
@@ -462,7 +461,7 @@ class _Trainer(_EpisodeTrainer):
         if self.policy is not None:
             return np.asarray(self.policy(X), dtype=np.float64).reshape(-1)
         _, H, D = self.q.coefficients(X)
-        if row_norms(D)[0] < self.cfg.eps_d:
+        if row_norms(D)[0] < EPS_D:
             return np.zeros(self.env.action_dim)
         return linalg.pinv_action_batch(H, D)[0]
 
@@ -498,7 +497,7 @@ class _Trainer(_EpisodeTrainer):
         dt = self.dtype
         n = len(batch)
         bank = self.q.bank
-        y = _bellman_targets(self.q_target, batch, self.cfg.discount, self.cfg.eps_d)
+        y = _bellman_targets(self.q_target, batch, self.cfg.discount)
 
         U = batch.actions.astype(dt)
         (V, H, D), caches = bank.forward_cached(self.normalizer.normalize(batch.states).astype(dt))

@@ -164,7 +164,7 @@ def test_long_term_loss_squared_variant():
 
 def greedy_target_q(q) -> float:
     """The target Q of one row at x = 0."""
-    return core._greedy_target_q_batch(q, np.zeros((1, 1)), core.EPS_D)[0]
+    return core._greedy_target_q_batch(q, np.zeros((1, 1)))[0]
 
 
 def test_greedy_target_q_exactly_solvable():

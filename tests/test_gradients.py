@@ -133,7 +133,7 @@ def test_long_update_gradients_match_long_term_loss(env_name, squared, adam_grad
     cfg = trainer.cfg
 
     def loss():
-        return core.long_term_loss(q, target, batch, cfg.discount, cfg.eps_d, squared=squared)
+        return core.long_term_loss(q, target, batch, cfg.discount, squared=squared)
 
     assert_matches_fd(q.bank, adam_grads, loss)
 
