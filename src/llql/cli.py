@@ -3,12 +3,12 @@
 Subcommands: train, eval, adjust, compare, sweep.  Config files are flat
 `key = value` text (one pair per line, `#` comments); keys must match the
 target config's fields.  Exit codes: 0 success, 2 configuration or file
-error (including a truncated or malformed model file, a model file of
-another role than its use needs or trained for another env's state and
-action sizes, a goal option the goal does not take, a goal option other
-than --v-d without --goal, a goal, reward mod or env that the method
-would ignore or cannot run, and a compare option that the table would
-ignore), 3 runtime failure.
+error (including a count option below 1, a truncated or malformed model
+file, a model file of another role than its use needs or trained for
+another env's state and action sizes, a goal option the goal does not
+take, a goal option other than --v-d without --goal, a goal, reward mod
+or env that the method would ignore or cannot run, and a compare option
+that the table would ignore), 3 runtime failure.
 """
 
 import os
@@ -290,6 +290,14 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """The argparse type of every count option: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_goal_args(p):
     p.add_argument("--goal", choices=["none", "trajectory", "constraint"], default="none")
     p.add_argument("--v-d", dest="v_d", type=float, default=None)
@@ -302,9 +310,9 @@ def _add_goal_args(p):
 
 
 def _add_eval_args(p):
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_count, default=10)
     p.add_argument("--seed0", type=int, default=10_000)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_count, default=None)
     p.add_argument("--basename", default="report")
     p.add_argument("--out", default=None)
 
@@ -322,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--goal-position", dest="goal_position", type=float, default=0.45)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_count, default=None)
     p.add_argument("--reward-mod", dest="reward_mod", default=None)
     p.add_argument("--policy", default=None, help="data-collection policy for --method dynamics")
     p.add_argument("--out", default=None)
@@ -332,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=False)
     p.add_argument("--method", choices=["llql", "ddpg", "mpc"], default="llql")
     p.add_argument("--reward-mod", dest="reward_mod", default=None)
-    p.add_argument("--mpc-horizon", dest="mpc_horizon", type=int, default=15)
-    p.add_argument("--mpc-candidates", dest="mpc_candidates", type=int, default=1000)
+    p.add_argument("--mpc-horizon", dest="mpc_horizon", type=_count, default=15)
+    p.add_argument("--mpc-candidates", dest="mpc_candidates", type=_count, default=1000)
     p.add_argument("--goal-position", dest="goal_position", type=float, default=None)
     _add_goal_args(p)
     _add_eval_args(p)
@@ -355,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", default=None)
     p.add_argument("--workers", type=int, default=2)
     mc_only = "mountain-car tables only; default: the table builder's"
-    p.add_argument("--llql-seeds", dest="llql_seeds", type=int, default=None, help=mc_only)
-    p.add_argument("--ddpg-seeds", dest="ddpg_seeds", type=int, default=None, help=mc_only)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--mpc-horizon", dest="mpc_horizon", type=int, default=None, help=mc_only)
-    p.add_argument("--mpc-candidates", dest="mpc_candidates", type=int, default=None, help=mc_only)
+    p.add_argument("--llql-seeds", dest="llql_seeds", type=_count, default=None, help=mc_only)
+    p.add_argument("--ddpg-seeds", dest="ddpg_seeds", type=_count, default=None, help=mc_only)
+    p.add_argument("--runs", type=_count, default=10)
+    p.add_argument("--mpc-horizon", dest="mpc_horizon", type=_count, default=None, help=mc_only)
+    p.add_argument("--mpc-candidates", dest="mpc_candidates", type=_count, default=None, help=mc_only)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_compare)
 
@@ -369,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated goal values")
     p.add_argument("--gamma1", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_count, default=10)
     p.add_argument("--seed0", type=int, default=10_000)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)

@@ -212,7 +212,7 @@ class Pendulum(_Env):
 def make_env(name: str, *, goal_position: float = 0.45, horizon: Optional[int] = None):
     """Construct an environment by name ("mountain_car" or "pendulum")."""
     if name == "mountain_car":
-        return MountainCar(goal_position=goal_position, horizon=horizon or 1000)
+        return MountainCar(goal_position=goal_position, horizon=1000 if horizon is None else horizon)
     if name == "pendulum":
-        return Pendulum(horizon=horizon or 200)
+        return Pendulum(horizon=200 if horizon is None else horizon)
     raise ValueError(f"unknown environment {name!r}")

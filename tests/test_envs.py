@@ -216,6 +216,10 @@ def test_make_env():
     assert make_env("mountain_car", goal_position=0.5).goal_position == 0.5
     with pytest.raises(ValueError):
         make_env("cartpole")
+    assert make_env("pendulum").horizon == 200 and make_env("mountain_car").horizon == 1000
+    for name in ("mountain_car", "pendulum"):  # a horizon of 0 is an error, not the default
+        with pytest.raises(ValueError, match="horizon"):
+            make_env(name, horizon=0)
 
 
 # The per-state physics before the environments stepped rows, kept as the

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llql import baselines, cli, control, core, experiments, nets, reports
+from llql import baselines, cli, compare, control, core, experiments, nets, reports
 from llql.control import LlqlPolicy
 from llql.cli import ConfigError, build_config, main, parse_config_file
 from llql.experiments import EvalReport, EvalRow, compute_aggregates, evaluate, goal_from_dict
@@ -723,6 +723,38 @@ def tiny_run_args(tmp_path, command):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("episodes = 1\nhidden_sizes = 8,8\nnormalizer_samples = 10\n")
     return ["--config", str(cfg), "--horizon", "5"]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("train", "--horizon", "0"),
+    ("eval", "--horizon", "0"),
+    ("eval", "--horizon", "-5"),
+    ("eval", "--runs", "0"),
+    ("eval", "--runs", "-3"),
+    ("mpc", "--mpc-candidates", "0"),
+    ("mpc", "--mpc-horizon", "-1"),
+    ("adjust", "--runs", "0"),
+    ("sweep", "--runs", "0"),
+    ("compare", "--llql-seeds", "0"),
+    ("compare", "--ddpg-seeds", "0"),
+    ("compare", "--mpc-candidates", "0"),
+])
+def test_cli_count_option_below_one_exits_two(tmp_path, capsys, monkeypatch, command, option, value):
+    # should the option pass, the table fails fast instead of training its seeds
+    monkeypatch.setattr(compare, "build_mountain_car_table", None)
+    model = saved_model(tmp_path / "m.model", MountainCar(horizon=10)) if command != "train" else None
+    tiny_eval = tiny_run_args(tmp_path, "eval")
+    argv = {
+        "train": ["train", "--env", "mountain_car", *tiny_run_args(tmp_path, "train")],
+        "eval": ["eval", "--model", model, *tiny_eval],
+        "mpc": ["eval", "--method", "mpc", "--model", model, *tiny_eval],
+        "adjust": ["adjust", "--policy", model, "--dynamics", model, "--goal", "constraint", *tiny_eval[:4]],
+        "sweep": ["sweep", "--model", model, "--kind", "constraint", "--values", "0.02", "--runs", "1"],
+        "compare": ["compare", "--table", "constraint", "--runs", "1"],
+    }[command]
+    assert main([*argv, option, value, "--out", str(tmp_path / "out")]) == 2
+    assert f"argument {option}: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("method", ["ddpg", "mpc"])
