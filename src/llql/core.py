@@ -140,23 +140,25 @@ class ExplorationNoise:
             self.sigma = max(self.floor, self.sigma * self.decay)
 
 
-def check_training_config(config, counts: dict, rates: tuple) -> None:
+def check_training_config(config, counts: dict, positive: tuple) -> None:
     """Raise ValueError unless a training config's discount lies in (0, 1),
-    its tau in [0, 1], its sigma0 is positive, it fits the normalizer on at
-    least 2 samples, each learning rate named in `rates` is positive and
-    finite, and each field named in `counts` is at least its value there."""
+    its tau in [0, 1], its hidden sizes and buffer capacity are at least 1,
+    it fits the normalizer on at least 2 samples, its dtype is a float type
+    (the model-file loader's rule), its sigma0 and each field named in
+    `positive` are positive and finite, and each field named in `counts` is
+    at least its value there."""
     if not 0.0 < config.discount < 1.0:
         raise ValueError("discount must lie in (0, 1)")
     if not 0.0 <= config.tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
-    if config.sigma0 <= 0.0:
-        raise ValueError("sigma0 must be positive")
-    if config.normalizer_samples < 2:
-        raise ValueError("normalizer_samples must be >= 2")
-    for field in rates:
+    if not all(size >= 1 for size in config.hidden_sizes):
+        raise ValueError("hidden_sizes must all be >= 1")
+    if np.dtype(config.dtype).kind != "f":
+        raise ValueError(f"dtype {config.dtype} is not a float type")
+    for field in ("sigma0", *positive):
         if not 0.0 < getattr(config, field) < math.inf:
             raise ValueError(f"{field} must be positive and finite")
-    for field, least in counts.items():
+    for field, least in dict(counts, normalizer_samples=2, buffer_capacity=1).items():
         if getattr(config, field) < least:
             raise ValueError(f"{field} must be >= {least}")
 
@@ -190,9 +192,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_training_config(self, dict(episodes=1, short_iters=1, long_iters=1, short_batch=1, long_batch=1,
-                                         lr_short_switch_step=0), ("lr_long", "lr_short", "lr_short_after"))
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+                                         lr_short_switch_step=0), ("delta", "lr_long", "lr_short", "lr_short_after"))
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -568,6 +568,17 @@ def test_cli_train_bad_config_key_exits_two(tmp_path, capsys):
     ("llql", "lr_short_switch_step = -3", "lr_short_switch_step must be >= 0"),
     ("ddpg", "critic_lr = -1", "critic_lr must be positive and finite"),
     ("ddpg", "actor_lr = 0", "actor_lr must be positive and finite"),
+    *((method, line, message) for method in ("llql", "ddpg") for line, message in (
+        ("hidden_sizes = 0", "hidden_sizes must all be >= 1"),
+        ("hidden_sizes = 4,0", "hidden_sizes must all be >= 1"),
+        ("dtype = int32", "dtype int32 is not a float type"),
+        ("dtype = banana", "data type 'banana' not understood"),
+        ("buffer_capacity = 0", "buffer_capacity must be >= 1"),
+        ("sigma0 = nan", "sigma0 must be positive and finite"),
+        ("sigma0 = 0", "sigma0 must be positive and finite"),
+    )),
+    ("llql", "delta = nan", "delta must be positive and finite"),
+    ("llql", "delta = -0.001", "delta must be positive and finite"),
 ])
 def test_cli_train_bad_config_value_exits_two(tmp_path, capsys, method, line, message):
     cfg = tmp_path / "train.cfg"
