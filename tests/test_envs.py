@@ -43,7 +43,7 @@ def test_mountain_car_step_hand_values():
     assert r0.next_state[1] == pytest.approx(-0.0025 * math.cos(-1.5), abs=1e-12)
 
 
-def test_mountain_car_goal_reward_and_reached():
+def test_mountain_car_goal_reward_and_done():
     env = MountainCar()
     r = env.step(np.array([0.449, 0.05]), [1.0])
     assert r.reached
