@@ -131,10 +131,12 @@ class DdpgModel:
     action_low: np.ndarray
     action_high: np.ndarray
 
+    def __post_init__(self):
+        self.center = (self.action_high + self.action_low) / 2.0
+        self.half = (self.action_high - self.action_low) / 2.0
+
     def _squash(self, raw: np.ndarray) -> np.ndarray:
-        center = (self.action_high + self.action_low) / 2.0
-        half = (self.action_high - self.action_low) / 2.0
-        return center + half * np.tanh(np.asarray(raw, dtype=np.float64))
+        return self.center + self.half * np.tanh(np.asarray(raw, dtype=np.float64))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The actions (n, a) at the rows x (n, s), each row a one-row batch
@@ -160,9 +162,9 @@ class _DdpgTrainer(_EpisodeTrainer):
         self.critic_target = self.critic.copy()
         self.adam_actor = Adam(self.actor, config.actor_lr)
         self.adam_critic = Adam(self.critic, config.critic_lr)
-        self.low = np.asarray(env.action_low, dtype=np.float64)
-        self.high = np.asarray(env.action_high, dtype=np.float64)
-        self.model = DdpgModel(self.actor, self.critic, self.normalizer, self.low, self.high)
+        self.model = DdpgModel(self.actor, self.critic, self.normalizer,
+                               np.asarray(env.action_low, dtype=np.float64),
+                               np.asarray(env.action_high, dtype=np.float64))
 
     def _act(self, x: np.ndarray) -> np.ndarray:
         return self.model(x[None])[0]
@@ -188,7 +190,7 @@ class _DdpgTrainer(_EpisodeTrainer):
         inp = np.concatenate([Z, U], axis=1)
         q, cache_c = self.critic.forward_cached(inp)
         res = y - q[:, 0].astype(np.float64)
-        loss = float((res**2).mean())
+        loss = float(np.add.reduce(res**2) / n)  # ndarray.mean's ufuncs, so its bits
         gq = ((-2.0 / n) * res).astype(dt)[:, None]
         grads_c = self.critic.backward_cached(cache_c, gq)
         self.adam_critic.step(self.critic, grads_c, context="critic loss")
@@ -200,8 +202,7 @@ class _DdpgTrainer(_EpisodeTrainer):
         _, cache_q = self.critic.forward_cached(inp_pi)
         gin = self.critic.input_gradient(cache_q, np.full((n, 1), -1.0 / n, dtype=dt))
         du = gin[:, self.env.state_dim :].astype(np.float64)
-        half = (self.high - self.low) / 2.0
-        draw = (du * half * (1.0 - np.tanh(raw.astype(np.float64)) ** 2)).astype(dt)
+        draw = (du * self.model.half * (1.0 - np.tanh(raw.astype(np.float64)) ** 2)).astype(dt)
         grads_a = self.actor.backward_cached(cache_a, draw)
         self.adam_actor.step(self.actor, grads_a, context="actor objective")
 

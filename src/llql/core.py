@@ -116,7 +116,7 @@ class ReplayBuffer:
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=n)
-        return TransitionBatch(*(col[idx] for col in self._columns))
+        return TransitionBatch(*[col.take(idx, axis=0) for col in self._columns])
 
     def states(self, n: Optional[int] = None) -> np.ndarray:
         """The first n stored states (insertion order while not yet wrapped)."""
@@ -281,9 +281,9 @@ def _greedy_target_q_batch(target: QModel, X: np.ndarray) -> np.ndarray:
     v, H, D = target.bank.forward(target.normalizer.normalize(X))
     U = linalg.pinv_action_batch(H, D)
     np.clip(U, target.action_low, target.action_high, out=U)
-    resid = np.linalg.norm(H + np.einsum("nma,na->nm", D, U), axis=1)
-    degenerate = row_norms(D) < EPS_D
-    resid[degenerate] = 0.0
+    S = H + np.einsum("nma,na->nm", D, U)
+    resid = np.sqrt(np.add.reduce(S * S, axis=1))  # np.linalg.norm's ufuncs, so its bits
+    np.copyto(resid, 0.0, where=row_norms(D) < EPS_D)
     return v - resid
 
 
@@ -308,9 +308,11 @@ def long_term_loss(
 
 
 def _bellman_targets(target: QModel, batch: TransitionBatch, gamma: float) -> np.ndarray:
-    y = batch.rewards.astype(np.float64).copy()
+    y = np.array(batch.rewards, dtype=np.float64)
     live = ~batch.dones
-    if live.any():
+    if live.all():  # no gather: the same rows, so the same bits
+        y += gamma * _greedy_target_q_batch(target, batch.next_states)
+    elif live.any():
         y[live] += gamma * _greedy_target_q_batch(target, batch.next_states[live])
     return y
 
@@ -436,6 +438,7 @@ class _Trainer(_EpisodeTrainer):
         super().__init__(env, config)
         self.policy = policy
         self.loss_iters = (config.short_iters, config.long_iters if learn_long else None)
+        self.tiny = np.finfo(self.dtype).tiny  # the floor of a residual norm that divides
 
         s, a = env.state_dim, env.action_dim
         hidden = tuple(config.hidden_sizes)
@@ -474,7 +477,9 @@ class _Trainer(_EpisodeTrainer):
                 yield 1, self._long_update(self.buffer.sample(cfg.long_batch, self.sample_rng))
 
     # divergence surfaces as a non-finite loss (checked by the caller), so
-    # numpy overflow warnings in the updates are noise
+    # numpy overflow warnings in the updates are noise.  The norms and means
+    # call the ufuncs that np.linalg.norm and ndarray.mean run, so they have
+    # those wrappers' bits without their Python-level cost.
     @np.errstate(over="ignore", invalid="ignore")
     def _short_update(self, batch: TransitionBatch) -> float:
         dt = self.dtype
@@ -484,9 +489,9 @@ class _Trainer(_EpisodeTrainer):
         (F, G), caches = bank.forward_cached(self.normalizer.normalize(batch.states).astype(dt))
         residual = (batch.next_states - batch.states).astype(dt)
         residual -= self.cfg.delta * (F + np.einsum("nsa,na->ns", G, U))
-        norms = np.linalg.norm(residual, axis=1)
-        loss = float(norms.mean())
-        dirs = residual / np.maximum(norms, np.finfo(dt).tiny)[:, None]
+        norms = np.sqrt(np.add.reduce(residual * residual, axis=1))
+        loss = float(np.add.reduce(norms) / n)
+        dirs = residual / np.maximum(norms, self.tiny)[:, None]
         gF = (-self.cfg.delta / n) * dirs
         gG = gF[:, :, None] * U[:, None, :]
         self.adam_dyn.step(bank, bank.backward_cached(caches, (gF, gG)), context="short-term loss")
@@ -502,17 +507,17 @@ class _Trainer(_EpisodeTrainer):
         U = batch.actions.astype(dt)
         (V, H, D), caches = bank.forward_cached(self.normalizer.normalize(batch.states).astype(dt))
         S = H + np.einsum("nma,na->nm", D, U)
-        norms = np.linalg.norm(S.astype(np.float64), axis=1)
-        q_values = V.astype(np.float64) - norms
-        res = y - q_values
+        S64 = S.astype(np.float64)
+        norms = np.sqrt(np.add.reduce(S64 * S64, axis=1))
+        res = y - (V.astype(np.float64) - norms)
         if self.cfg.squared_bellman:
-            loss = float((res**2).mean())
+            loss = float(np.add.reduce(res**2) / n)
             dq = (-2.0 / n) * res
         else:
-            loss = float(np.abs(res).mean())
+            loss = float(np.add.reduce(np.abs(res)) / n)
             dq = (-1.0 / n) * np.sign(res)
         dq = dq.astype(dt)
-        dS = (-dq)[:, None] * (S / np.maximum(norms, np.finfo(dt).tiny).astype(dt)[:, None])
+        dS = (-dq)[:, None] * (S / np.maximum(norms, self.tiny).astype(dt)[:, None])
         gD = dS[:, :, None] * U[:, None, :]
         self.adam_q.step(bank, bank.backward_cached(caches, (dq, dS, gD)), context="long-term loss")
         soft_update(self.q_target.bank, bank, self.cfg.tau)

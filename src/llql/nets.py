@@ -11,7 +11,10 @@ products into one scratch vector per dtype and thread (`_scratch`), which
 every Adam step and soft update of the thread shares and which is valid
 only within one call.  An Adam step runs in the parameters' dtype, its
 scalars included, and every 16 steps it flushes to 0 the moments stuck
-in subnormal floats.
+in subnormal floats.  A bank's forward and backward passes run on plans,
+one per input shape, built on the first call of that shape: the
+workspace, weight and bias views that the pass writes and reads, so a
+call builds no views of its own.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def _scratch(n: int, dtype) -> np.ndarray:
 def _all_finite(a: np.ndarray) -> bool:
     """Whether every entry of `a` is finite; min and max propagate a NaN, so
     this needs no temporary array of `a`'s size."""
-    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+    return bool(np.isfinite(np.minimum.reduce(a, axis=None)) and np.isfinite(np.maximum.reduce(a, axis=None)))
 
 
 def _layers(layer_sizes) -> list:
@@ -244,6 +247,12 @@ class HeadBank:
     still holds.  So the caches of `forward_cached` and the Grads of
     `backward_cached` stay valid until the bank's next call, and a bank
     must not be called from two threads at once.
+
+    Each pass runs on the plan of its input shape (`_forward_plan`,
+    `_backward_plan`): the views it writes and reads, built once on the
+    first call of that shape and kept.  The plans hold views only, into
+    the parameters and the workspaces; when a workspace grows, the plans
+    of its kind, on the old vector, are dropped and rebuilt on demand.
     """
 
     def __init__(self, layer_sizes: Sequence[Sequence[int]], shapes, flat: Optional[np.ndarray],
@@ -262,8 +271,9 @@ class HeadBank:
         self.flat_params, self.n_params = flat, _n_params(self.layer_sizes)
         self.weights, self.biases = _views(flat, self.layer_sizes) if views is None else views
         self.dtype = self.weights[0].dtype
+        self._zero = np.zeros((), self.dtype)  # the ReLU's floor: a Python 0.0 is converted on every call
         self._n_hidden = len(self.layer_sizes[0]) - 2
-        self._work, self._batch_views, self._grads = {}, {}, None
+        self._work, self._plans, self._grads = {}, {"forward": {}, "backward": {}}, None
 
     @functools.cached_property
     def heads(self) -> list:
@@ -283,88 +293,117 @@ class HeadBank:
     def copy(self) -> "HeadBank":
         return HeadBank(self.layer_sizes, self.shapes, _aligned_copy(self.flat_params))
 
-    def _workspace(self, kind: str, rows: tuple) -> list:
-        """Views for inputs of leading shape `rows` (a batch of n as (n,),
-        R independent batches of n as (R, n)) into the bank's `kind`
-        workspace, a vector kept across calls that grows to the largest
-        input seen; the views of each shape are kept too.  "forward": each
-        hidden layer's (heads, *rows, width) activations, each head's
-        (*rows, outputs) output, then every output as one vector.
-        "backward": each hidden layer's delta and ReLU mask, in two blocks
-        sized to the widest hidden layer: layer i's delta at the start of
-        block i % 2 and its mask at the start of the other block, where
-        layer i - 1's delta then overwrites it."""
-        views = self._batch_views.get((kind, rows))
-        if views is None:
-            heads, L = len(self.heads), self._n_hidden
-            hidden = [(heads, *rows, W.shape[-1]) for W in self.weights[:L]]
-            if kind == "forward":
-                shapes = hidden + [(*rows, W.shape[1]) for W in self.weights[L:]]
-                starts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
-                size = starts.pop()
-            else:
-                shapes = [shape for shape in hidden for _ in ("delta", "mask")]
-                block = max(map(math.prod, hidden), default=0)
-                starts = [block * ((i + j) % 2) for i in range(L) for j in (0, 1)]
-                size = 2 * block
-            buf = self._work.get(kind)
-            if buf is None or buf.size < size:
-                buf = self._work[kind] = _aligned_empty(size, self.dtype)
-                self._batch_views = {key: v for key, v in self._batch_views.items() if key[0] != kind}
-            views = [buf[a : a + math.prod(shape)].reshape(shape) for a, shape in zip(starts, shapes)]
-            if kind == "forward":
-                views.append(buf[starts[L] : size])
-            self._batch_views[kind, rows] = views
-        return views
+    def _workspace(self, kind: str, size: int) -> np.ndarray:
+        """The bank's `kind` workspace ("forward" or "backward"): a vector
+        kept across calls and grown to the largest call's `size` items.
+        When it grows, the plans of that kind, views into the old vector,
+        are dropped."""
+        buf = self._work.get(kind)
+        if buf is None or buf.size < size:
+            buf = self._work[kind] = _aligned_empty(size, self.dtype)
+            self._plans[kind].clear()
+        return buf
 
-    def _run(self, x: np.ndarray) -> list:
-        """Forward pass of every head on `x` in the bank's dtype, into the
-        forward workspace; returns its views.  `x` is a batch (n, in), or
-        independent batches (R, n, in) behind a leading axis: each of those
-        is one slice of every stacked matmul, so one-row batches (R, 1, in)
-        run the GEMV a lone input runs and give its bits, where one batch
-        of R rows runs a GEMM, whose rows can differ in the last bits."""
-        if x.shape[-1] != self.layer_sizes[0][0]:
+    def _forward_plan(self, shape: tuple) -> tuple:
+        """The plan of a forward pass on an input of `shape`, built on the
+        first such call: one input vector (in,), which runs as a batch of
+        one row, a batch (n, in) or independent batches (R, n, in), of
+        leading shape `rows`.  The forward workspace holds each hidden
+        layer's (heads, *rows, width) activations, then each head's
+        (*rows, outputs) output.  The plan is (layers, heads, outs, acts):
+        each hidden layer's (weight block, bias block, activations), the
+        blocks broadcast over the leading axes; each head's (hidden input,
+        or None for the bank's input, output weights, output bias, output);
+        each output shaped *rows + its head's shape; the activations."""
+        plan = self._plans["forward"].get(shape)
+        if plan is not None:
+            return plan
+        if shape[-1:] != self.layer_sizes[0][:1]:
             raise ValueError(
-                f"input has {x.shape[-1]} features, network expects {self.layer_sizes[0][0]}"
+                f"input has {shape[-1] if shape else 0} features, network expects {self.layer_sizes[0][0]}"
             )
+        L, rows = self._n_hidden, shape[:-1]
+        work_rows = rows or (1,)
+        shapes = [(len(self.shapes), *work_rows, W.shape[-1]) for W in self.weights[:L]]
+        shapes += [(*work_rows, W.shape[1]) for W in self.weights[L:]]
+        starts = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+        buf = self._workspace("forward", starts[-1])
+        views = [buf[a:b].reshape(s) for a, b, s in zip(starts, starts[1:], shapes)]
+        acts, outs = views[:L], views[L:]
+        lead = (slice(None),) + (None,) * (len(work_rows) - 1)  # the head axis, then the leading axes
+        layers = [(W[lead], b[lead + (None,)], out) for W, b, out in zip(self.weights, self.biases, acts)]
+        heads = [(acts[-1][k] if L else None, W, b, out)
+                 for k, (W, b, out) in enumerate(zip(self.weights[L:], self.biases[L:], outs))]
+        shaped = tuple(out.reshape(rows + s) for out, s in zip(outs, self.shapes))
+        plan = self._plans["forward"][shape] = layers, heads, shaped, acts
+        return plan
+
+    def _backward_plan(self, n: int) -> tuple:
+        """The plan of a backward pass through a batch of n rows, built on
+        the first such call.  Each hidden layer's delta and ReLU mask take
+        turns in the backward workspace's two blocks, sized to the widest
+        hidden layer: layer i's delta at the start of block i % 2 and its
+        mask at the start of the other block, where layer i - 1's delta
+        then overwrites it.  The plan is (heads, layers): each head's
+        (transposed output weights, its slice of the last hidden layer's
+        delta, or None without hidden layers); each hidden layer's (index,
+        delta, mask, transposed weight block, the delta of the layer below
+        or None), last layer first."""
+        plan = self._plans["backward"].get(n)
+        if plan is not None:
+            return plan
         L = self._n_hidden
-        views = self._workspace("forward", x.shape[:-1])
-        lead = (slice(None),) + (None,) * (x.ndim - 2)  # the head axis, then the leading axes
+        hidden = [(len(self.shapes), n, W.shape[-1]) for W in self.weights[:L]]
+        block = max(map(math.prod, hidden), default=0)
+        buf = self._workspace("backward", 2 * block)
+
+        def at(start, shape):
+            return buf[start : start + math.prod(shape)].reshape(shape)
+
+        deltas = [at(block * (i % 2), s) for i, s in enumerate(hidden)]
+        masks = [at(block * (1 - i % 2), s) for i, s in enumerate(hidden)]
+        heads = [(W.T, deltas[-1][k] if L else None) for k, W in enumerate(self.weights[L:])]
+        layers = [(i, deltas[i], masks[i], self.weights[i].transpose(0, 2, 1), deltas[i - 1] if i else None)
+                  for i in range(L - 1, -1, -1)]
+        plan = self._plans["backward"][n] = heads, layers
+        return plan
+
+    def _run(self, x: np.ndarray) -> tuple:
+        """Forward pass of every head on `x` in the bank's dtype, into the
+        forward workspace; returns its plan.  `x` is one input vector, a
+        batch (n, in), or independent batches (R, n, in) behind a leading
+        axis: each of those is one slice of every stacked matmul, so
+        one-row batches (R, 1, in) run the GEMV a lone input runs and give
+        its bits, where one batch of R rows runs a GEMM, whose rows can
+        differ in the last bits."""
+        plan = self._forward_plan(x.shape)
+        layers, heads, _, _ = plan
+        if x.ndim == 1:
+            x = x.reshape(1, -1)
         a = x
-        for W, b, out in zip(self.weights[:L], self.biases[:L], views):
-            np.matmul(a, W[lead], out=out)
-            out += b[lead + (None,)]
-            np.maximum(out, 0.0, out=out)
-            a = out
-        for k, (W, b, out) in enumerate(zip(self.weights[L:], self.biases[L:], views[L:])):
-            np.matmul(a[k] if L else x, W, out=out)
+        for W, b, out in layers:
+            np.matmul(a, W, out=out)
             out += b
-        return views
+            np.maximum(out, self._zero, out=out)
+            a = out
+        for a, W, b, out in heads:
+            np.matmul(x if a is None else a, W, out=out)
+            out += b
+        return plan
 
     def forward(self, x: np.ndarray) -> list:
         """Every head's output in float64, shaped by its head's shape, at one
         input vector, or behind the leading axes of a batch (n, in) or of
         independent batches (R, n, in); see `_run`."""
-        x = np.asarray(x, dtype=self.dtype)
-        batch = x.reshape(1, -1) if x.ndim == 1 else x
-        flat = self._run(batch)[-1].astype(np.float64)
-        rows = math.prod(batch.shape[:-1])
-        outs, offset = [], 0
-        for sizes, shape in zip(self.layer_sizes, self.shapes):
-            end = offset + rows * sizes[-1]
-            outs.append(flat[offset:end].reshape(x.shape[:-1] + shape))
-            offset = end
-        return outs
+        _, _, outs, _ = self._run(np.asarray(x, dtype=self.dtype))
+        return [out.astype(np.float64) for out in outs]
 
     def forward_cached(self, x: np.ndarray):
         """Batch forward in the bank's dtype: (outputs shaped per head, caches
         for `backward_cached`), both valid until the bank's next call."""
         x = np.asarray(x, dtype=self.dtype)
-        views = self._run(x)
-        L = self._n_hidden
-        outs = [out.reshape((len(x),) + shape) for out, shape in zip(views[L:], self.shapes)]
-        return outs, [x, *views[:L]]
+        _, _, outs, acts = self._run(x)
+        return outs, [x, *acts]
 
     def backward_cached(self, caches: list, grad_outs) -> Grads:
         """Every head's parameter gradients in one flat vector, given each
@@ -385,19 +424,17 @@ class HeadBank:
         """Backpropagate through the cached pass: fill `grads`, or when it
         is None return the input gradient."""
         L, acts, gin = self._n_hidden, caches, None
-        work = self._workspace("backward", (len(acts[0]),))
-        for k, g in enumerate(grad_outs):
+        heads, layers = self._backward_plan(len(acts[0]))
+        for k, (g, (Wt, dst)) in enumerate(zip(grad_outs, heads)):
             g = np.asarray(g, dtype=self.dtype).reshape(len(g), -1)
-            a = acts[L][k] if L else acts[0]
             if grads is not None:
-                np.matmul(a.T, g, out=grads.weights[L + k])
-                g.sum(axis=0, out=grads.biases[L + k])
+                np.matmul((acts[L][k] if L else acts[0]).T, g, out=grads.weights[L + k])
+                np.add.reduce(g, axis=0, out=grads.biases[L + k])
             if L:
-                np.matmul(g, self.weights[L + k].T, out=work[2 * L - 2][k])
+                np.matmul(g, Wt, out=dst)
             elif grads is None:
-                gin = g @ self.weights[k].T if gin is None else gin + g @ self.weights[k].T
-        for i in range(L - 1, -1, -1):
-            delta, mask = work[2 * i], work[2 * i + 1]
+                gin = g @ Wt if gin is None else gin + g @ Wt
+        for i, delta, mask, Wt, dst in layers:
             # ReLU subgradient: the sign of a unit's output (>= 0) is 1 where
             # it is positive, else 0; a mask in the bank's dtype, as a bool
             # one would be cast through a buffer on every call
@@ -405,11 +442,11 @@ class HeadBank:
             delta *= mask
             if grads is not None:
                 np.matmul(acts[i].transpose(0, 2, 1) if i else acts[0].T, delta, out=grads.weights[i])
-                delta.sum(axis=1, out=grads.biases[i])
+                np.add.reduce(delta, axis=1, out=grads.biases[i])
             if i:
-                np.matmul(delta, self.weights[i].transpose(0, 2, 1), out=work[2 * i - 2])
+                np.matmul(delta, Wt, out=dst)
             elif grads is None:
-                gin = np.matmul(delta, self.weights[0].transpose(0, 2, 1)).sum(axis=0)
+                gin = np.add.reduce(np.matmul(delta, Wt), axis=0)
         return gin
 
 

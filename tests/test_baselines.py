@@ -13,9 +13,9 @@ from llql.baselines import (
     reward_mod_catalog,
     save_ddpg_model,
 )
-from llql.core import DynamicsModel
+from llql.core import DynamicsModel, Transition, TransitionBatch
 from llql.envs import MountainCar, Pendulum
-from llql.nets import HeadBank, Normalizer
+from llql.nets import HeadBank, Normalizer, soft_update
 
 
 def constant_bank(in_dim, outputs, shapes):
@@ -252,3 +252,80 @@ def test_load_ddpg_rejects_other_roles(tmp_path):
     core.save_llql_model(path, res.dynamics, res.qmodel, meta={"env": MountainCar().spec.to_dict(), "config": {}})
     with pytest.raises(ValueError):
         load_ddpg_model(path)
+
+
+# The DDPG update as written on numpy's Python-level wrappers (.mean(), a
+# fancy-indexed sample) and with the squash's center and half-range computed
+# on every call; the training code gives the same bits.
+
+
+def wrapped_squash(model, raw):
+    center = (model.action_high + model.action_low) / 2.0
+    half = (model.action_high - model.action_low) / 2.0
+    return center + half * np.tanh(np.asarray(raw, dtype=np.float64))
+
+
+def wrapped_ddpg_update(self, batch):
+    dt = self.dtype
+    n = len(batch)
+    cfg = self.cfg
+    Z = self.normalizer.normalize(batch.states).astype(dt)
+    Z2 = self.normalizer.normalize(batch.next_states).astype(dt)
+    U = batch.actions.astype(dt)
+    u2 = wrapped_squash(self.model, self.actor_target.forward(Z2)).astype(dt)
+    q2 = self.critic_target.forward(np.concatenate([Z2, u2], axis=1))[:, 0]
+    y = batch.rewards + cfg.discount * (~batch.dones) * q2
+    inp = np.concatenate([Z, U], axis=1)
+    q, cache_c = self.critic.forward_cached(inp)
+    res = y - q[:, 0].astype(np.float64)
+    loss = float((res**2).mean())
+    gq = ((-2.0 / n) * res).astype(dt)[:, None]
+    grads_c = self.critic.backward_cached(cache_c, gq)
+    self.adam_critic.step(self.critic, grads_c, context="critic loss")
+    raw, cache_a = self.actor.forward_cached(Z)
+    u_pi = wrapped_squash(self.model, raw).astype(dt)
+    inp_pi = np.concatenate([Z, u_pi], axis=1)
+    _, cache_q = self.critic.forward_cached(inp_pi)
+    gin = self.critic.input_gradient(cache_q, np.full((n, 1), -1.0 / n, dtype=dt))
+    du = gin[:, self.env.state_dim :].astype(np.float64)
+    half = (self.model.action_high - self.model.action_low) / 2.0
+    draw = (du * half * (1.0 - np.tanh(raw.astype(np.float64)) ** 2)).astype(dt)
+    grads_a = self.actor.backward_cached(cache_a, draw)
+    self.adam_actor.step(self.actor, grads_a, context="actor objective")
+    soft_update(self.critic_target, self.critic, cfg.tau)
+    soft_update(self.actor_target, self.actor, cfg.tau)
+    return loss
+
+
+def filled_ddpg_trainer(config, terminal_share):
+    """A DDPG trainer whose buffer holds 100 random mountain-car
+    transitions, a `terminal_share` of them terminal, with its normalizer
+    fitted on them."""
+    trainer = baselines._DdpgTrainer(MountainCar(horizon=50), config, None)
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        x = rng.uniform([-1.2, -0.07], [0.6, 0.07])
+        trainer.buffer.add(Transition(x, rng.uniform(-1.0, 1.0, size=1), x + rng.normal(0.0, 0.01, size=2),
+                                      float(rng.normal()), bool(rng.random() < terminal_share)))
+    fitted = Normalizer.fit(trainer.buffer.states())
+    trainer.normalizer.mean[...], trainer.normalizer.std[...] = fitted.mean, fitted.std
+    return trainer
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("terminal_share", [0.0, 0.3], ids=["no_terminal", "some_terminal"])
+def test_ddpg_update_equals_its_wrapped_form_bitwise(dtype, terminal_share):
+    config = tiny_ddpg(hidden_sizes=(16, 16), dtype=dtype, batch=6)  # 1/6 is not a power of two
+    lean, wrapped = filled_ddpg_trainer(config, terminal_share), filled_ddpg_trainer(config, terminal_share)
+    rng, wrapped_rng = np.random.default_rng(5), np.random.default_rng(5)
+    terminal_batches = 0
+    for _ in range(8):
+        batch = lean.buffer.sample(config.batch, rng)
+        idx = wrapped_rng.integers(0, len(wrapped.buffer), size=config.batch)
+        wrapped_batch = TransitionBatch(*(col[idx] for col in wrapped.buffer._columns))
+        terminal_batches += bool(batch.dones.any())
+        loss, wrapped_loss = lean._update(batch), wrapped_ddpg_update(wrapped, wrapped_batch)
+        assert np.float64(loss).tobytes() == np.float64(wrapped_loss).tobytes()
+        for name in ("actor", "critic", "actor_target", "critic_target"):
+            assert getattr(lean, name).flat_params.tobytes() == getattr(wrapped, name).flat_params.tobytes()
+    assert (terminal_batches > 0) == (terminal_share > 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import struct
@@ -8,7 +9,7 @@ import pytest
 
 from llql import core, linalg
 from llql.envs import MountainCar
-from llql.nets import HeadBank, Normalizer
+from llql.nets import HeadBank, Normalizer, soft_update
 
 
 def constant_bank(in_dim, outputs, shapes):
@@ -421,3 +422,121 @@ def test_dynamics_only_training():
     assert res.qmodel is None
     assert math.isnan(res.log[0].l2)
     assert res.dynamics.f_net.layer_sizes[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# The update bodies, bit for bit against their wrapped form
+#
+# The bodies below are the updates as written on numpy's Python-level
+# wrappers (np.linalg.norm, .mean(), astype().copy(), a boolean gather on
+# every batch, a fancy-indexed sample).  The training code runs the ufunc
+# chains those wrappers run, so both give the same bits.
+# ---------------------------------------------------------------------------
+
+
+def wrapped_sample(buffer, n, rng):
+    idx = rng.integers(0, len(buffer), size=n)
+    return core.TransitionBatch(*(col[idx] for col in buffer._columns))
+
+
+def wrapped_greedy_target_q_batch(target, X):
+    v, H, D = target.bank.forward(target.normalizer.normalize(X))
+    U = linalg.pinv_action_batch(H, D)
+    np.clip(U, target.action_low, target.action_high, out=U)
+    resid = np.linalg.norm(H + np.einsum("nma,na->nm", D, U), axis=1)
+    degenerate = core.row_norms(D) < core.EPS_D
+    resid[degenerate] = 0.0
+    return v - resid
+
+
+def wrapped_bellman_targets(target, batch, gamma):
+    y = batch.rewards.astype(np.float64).copy()
+    live = ~batch.dones
+    if live.any():
+        y[live] += gamma * wrapped_greedy_target_q_batch(target, batch.next_states[live])
+    return y
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def wrapped_short_update(self, batch):
+    dt = self.dtype
+    n = len(batch)
+    bank = self.dyn.bank
+    U = batch.actions.astype(dt)
+    (F, G), caches = bank.forward_cached(self.normalizer.normalize(batch.states).astype(dt))
+    residual = (batch.next_states - batch.states).astype(dt)
+    residual -= self.cfg.delta * (F + np.einsum("nsa,na->ns", G, U))
+    norms = np.linalg.norm(residual, axis=1)
+    loss = float(norms.mean())
+    dirs = residual / np.maximum(norms, np.finfo(dt).tiny)[:, None]
+    gF = (-self.cfg.delta / n) * dirs
+    gG = gF[:, :, None] * U[:, None, :]
+    self.adam_dyn.step(bank, bank.backward_cached(caches, (gF, gG)), context="short-term loss")
+    return loss
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def wrapped_long_update(self, batch):
+    dt = self.dtype
+    n = len(batch)
+    bank = self.q.bank
+    y = wrapped_bellman_targets(self.q_target, batch, self.cfg.discount)
+    U = batch.actions.astype(dt)
+    (V, H, D), caches = bank.forward_cached(self.normalizer.normalize(batch.states).astype(dt))
+    S = H + np.einsum("nma,na->nm", D, U)
+    norms = np.linalg.norm(S.astype(np.float64), axis=1)
+    q_values = V.astype(np.float64) - norms
+    res = y - q_values
+    if self.cfg.squared_bellman:
+        loss = float((res**2).mean())
+        dq = (-2.0 / n) * res
+    else:
+        loss = float(np.abs(res).mean())
+        dq = (-1.0 / n) * np.sign(res)
+    dq = dq.astype(dt)
+    dS = (-dq)[:, None] * (S / np.maximum(norms, np.finfo(dt).tiny).astype(dt)[:, None])
+    gD = dS[:, :, None] * U[:, None, :]
+    self.adam_q.step(bank, bank.backward_cached(caches, (dq, dS, gD)), context="long-term loss")
+    soft_update(self.q_target.bank, bank, self.cfg.tau)
+    return loss
+
+
+def filled_trainer(config, terminal_share):
+    """A trainer whose buffer holds 200 random mountain-car transitions, a
+    `terminal_share` of them terminal, with its normalizer fitted on them."""
+    trainer = core._Trainer(MountainCar(horizon=50), config)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        x = rng.uniform([-1.2, -0.07], [0.6, 0.07])
+        trainer.buffer.add(core.Transition(x, rng.uniform(-1.0, 1.0, size=1), x + rng.normal(0.0, 0.01, size=2),
+                                           float(rng.normal()), bool(rng.random() < terminal_share)))
+    fitted = Normalizer.fit(trainer.buffer.states())
+    trainer.normalizer.mean[...], trainer.normalizer.std[...] = fitted.mean, fitted.std
+    return trainer
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("terminal_share", [0.0, 0.3, 1.0], ids=["no_terminal", "some_terminal", "all_terminal"])
+@pytest.mark.parametrize("squared", [False, True], ids=["abs", "squared"])
+def test_update_bodies_equal_their_wrapped_form_bitwise(dtype, terminal_share, squared):
+    config = core.TrainConfig(hidden_sizes=(16, 16), dtype=dtype, squared_bellman=squared,
+                              short_batch=20, long_batch=10)
+    lean, wrapped = filled_trainer(config, terminal_share), filled_trainer(config, terminal_share)
+    rng, wrapped_rng = np.random.default_rng(5), np.random.default_rng(5)
+    terminal_batches = 0
+    for _ in range(6):
+        for n, update, wrapped_update in ((config.short_batch, lean._short_update, wrapped_short_update),
+                                          (config.long_batch, lean._long_update, wrapped_long_update)):
+            batch, wrapped_batch = lean.buffer.sample(n, rng), wrapped_sample(wrapped.buffer, n, wrapped_rng)
+            assert all(same_bits(a, b) for a, b in zip(dataclasses.astuple(batch), dataclasses.astuple(wrapped_batch)))
+            terminal_batches += bool(batch.dones.any())
+            assert same_bits(update(batch), wrapped_update(wrapped, wrapped_batch))
+        for a, b in ((lean.dyn.bank, wrapped.dyn.bank), (lean.q.bank, wrapped.q.bank),
+                     (lean.q_target.bank, wrapped.q_target.bank)):
+            assert same_bits(a.flat_params, b.flat_params)
+    assert (terminal_batches > 0) == (terminal_share > 0)

@@ -791,6 +791,34 @@ def test_bank_workspaces_follow_the_batch_size_up_and_down():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_plans_are_rebuilt_when_a_workspace_grows_and_keep_the_bits(dtype):
+    # batch 10 builds the plans, batch 100 grows both workspaces and drops
+    # them, batch 10 builds them again on the new vectors, and one-row
+    # batches (R, 1, in) get a forward plan of their own
+    rng = np.random.default_rng(21)
+    bank = HeadBank.create(3, (6, 5), SHAPES, rng, dtype)
+    bank.flat_params[...] += rng.normal(0.0, 0.1, size=bank.n_params).astype(dtype)
+    for shape in ((10, 3), (100, 3), (10, 3), (4, 1, 3)):
+        X = rng.standard_normal(shape).astype(dtype)
+        fresh = bank.copy()
+        assert all(np.array_equal(a, b) for a, b in zip(bank.forward(X), fresh.forward(X)))
+        outs, caches = bank.forward_cached(X)
+        fresh_outs, fresh_caches = fresh.forward_cached(X)
+        work = bank._work["forward"]
+        for out, fresh_out in zip(outs, fresh_outs):
+            assert out.tobytes() == fresh_out.tobytes() and np.shares_memory(out, work)
+        assert all(np.shares_memory(act, work) for act in caches[1:])
+        if len(shape) == 2:
+            g_outs = [rng.standard_normal(out.shape).astype(dtype) for out in outs]
+            grads = bank.backward_cached(caches, g_outs)
+            assert grads.flat.tobytes() == fresh.backward_cached(fresh_caches, g_outs).flat.tobytes()
+            assert bank.input_gradient(caches, g_outs).tobytes() == \
+                fresh.input_gradient(fresh_caches, g_outs).tobytes()
+        if shape == (100, 3):
+            assert list(bank._plans["forward"]) == [shape] and list(bank._plans["backward"]) == [100]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("hidden", [(7,), (5, 7), (7, 5, 4), (4, 5, 7)], ids=["one", "two", "three", "three_widest_last"])
 @pytest.mark.parametrize("kind", ["bank", "mlp"])
 def test_backward_in_two_blocks_matches_the_reference_at_unequal_widths(kind, hidden, dtype):
