@@ -3,12 +3,12 @@
 Subcommands: train, eval, adjust, compare, sweep.  Config files are flat
 `key = value` text (one pair per line, `#` comments); keys must match the
 target config's fields.  Exit codes: 0 success, 2 configuration or file
-error (including a count option below 1, a truncated or malformed model
-file, a model file of another role than its use needs or trained for
-another env's state and action sizes, a goal option the goal does not
-take, a goal option other than --v-d without --goal, a goal, reward mod
-or env that the method would ignore or cannot run, and a compare option
-that the table would ignore), 3 runtime failure.
+error (including a count option below 1, a negative seed, a truncated or
+malformed model file, a model file of another role than its use needs or
+trained for another env's state and action sizes, a goal option the goal
+does not take, a goal option other than --v-d without --goal, a goal,
+reward mod or env that the method would ignore or cannot run, and a
+compare option that the table would ignore), 3 runtime failure.
 """
 
 import os
@@ -175,6 +175,13 @@ def _model_env_name(path: str) -> tuple:
     return env_spec.get("name"), env_spec
 
 
+def _model_goal_position(env_spec: dict) -> float:
+    """The goal position a model was trained for, 0.45 when its env spec
+    has none (pendulum); a goal at 0 is a goal."""
+    goal_position = env_spec.get("goal_position")
+    return 0.45 if goal_position is None else goal_position
+
+
 def cmd_eval(args) -> int:
     from . import experiments, reports
 
@@ -184,7 +191,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"--method mpc runs on mountain_car models, not {env_name}")
     goal_position = args.goal_position
     if goal_position is None:
-        goal_position = env_spec.get("goal_position") or 0.45
+        goal_position = _model_goal_position(env_spec)
     spec = experiments.ExperimentSpec(
         env=env_name,
         method=args.method,
@@ -231,7 +238,7 @@ def cmd_adjust(args) -> int:
         goal=goal,
         eval_runs=args.runs,
         eval_seed0=args.seed0,
-        goal_position=env_spec.get("goal_position") or 0.45,
+        goal_position=_model_goal_position(env_spec),
         horizon=args.horizon,
         hazard_limit=args.hazard,
         v_d=args.v_d,
@@ -290,12 +297,21 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(text: str, least: int) -> int:
+    value = int(text)
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+    return value
+
+
 def _count(text: str) -> int:
     """The argparse type of every count option: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """The argparse type of every seed option: a non-negative integer."""
+    return _int_at_least(text, 0)
 
 
 def _add_goal_args(p):
@@ -311,7 +327,7 @@ def _add_goal_args(p):
 
 def _add_eval_args(p):
     p.add_argument("--runs", type=_count, default=10)
-    p.add_argument("--seed0", type=int, default=10_000)
+    p.add_argument("--seed0", type=_seed, default=10_000)
     p.add_argument("--horizon", type=_count, default=None)
     p.add_argument("--basename", default="report")
     p.add_argument("--out", default=None)
@@ -328,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["llql", "ddpg", "dynamics"], default="llql")
     p.add_argument("--env", choices=["mountain_car", "pendulum"], required=True)
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--goal-position", dest="goal_position", type=float, default=0.45)
     p.add_argument("--horizon", type=_count, default=None)
     p.add_argument("--reward-mod", dest="reward_mod", default=None)
@@ -378,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma1", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)
     p.add_argument("--runs", type=_count, default=10)
-    p.add_argument("--seed0", type=int, default=10_000)
+    p.add_argument("--seed0", type=_seed, default=10_000)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep)
 

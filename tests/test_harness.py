@@ -576,6 +576,7 @@ def test_cli_train_bad_config_key_exits_two(tmp_path, capsys):
         ("buffer_capacity = 0", "buffer_capacity must be >= 1"),
         ("sigma0 = nan", "sigma0 must be positive and finite"),
         ("sigma0 = 0", "sigma0 must be positive and finite"),
+        ("seed = -1", "seed must be >= 0"),
     )),
     ("llql", "delta = nan", "delta must be positive and finite"),
     ("llql", "delta = -0.001", "delta must be positive and finite"),
@@ -736,6 +737,20 @@ def tiny_run_args(tmp_path, command):
     return ["--config", str(cfg), "--horizon", "5"]
 
 
+def tiny_cli_argv(tmp_path, command) -> list:
+    """A tiny `command` run on mountain car, on a saved model unless it trains."""
+    model = saved_model(tmp_path / "m.model", MountainCar(horizon=10)) if command != "train" else None
+    tiny_eval = tiny_run_args(tmp_path, "eval")
+    return {
+        "train": ["train", "--env", "mountain_car", *tiny_run_args(tmp_path, "train")],
+        "eval": ["eval", "--model", model, *tiny_eval],
+        "mpc": ["eval", "--method", "mpc", "--model", model, *tiny_eval],
+        "adjust": ["adjust", "--policy", model, "--dynamics", model, "--goal", "constraint", *tiny_eval[:4]],
+        "sweep": ["sweep", "--model", model, "--kind", "constraint", "--values", "0.02", "--runs", "1"],
+        "compare": ["compare", "--table", "constraint", "--runs", "1"],
+    }[command]
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("train", "--horizon", "0"),
     ("eval", "--horizon", "0"),
@@ -753,19 +768,33 @@ def tiny_run_args(tmp_path, command):
 def test_cli_count_option_below_one_exits_two(tmp_path, capsys, monkeypatch, command, option, value):
     # should the option pass, the table fails fast instead of training its seeds
     monkeypatch.setattr(compare, "build_mountain_car_table", None)
-    model = saved_model(tmp_path / "m.model", MountainCar(horizon=10)) if command != "train" else None
-    tiny_eval = tiny_run_args(tmp_path, "eval")
-    argv = {
-        "train": ["train", "--env", "mountain_car", *tiny_run_args(tmp_path, "train")],
-        "eval": ["eval", "--model", model, *tiny_eval],
-        "mpc": ["eval", "--method", "mpc", "--model", model, *tiny_eval],
-        "adjust": ["adjust", "--policy", model, "--dynamics", model, "--goal", "constraint", *tiny_eval[:4]],
-        "sweep": ["sweep", "--model", model, "--kind", "constraint", "--values", "0.02", "--runs", "1"],
-        "compare": ["compare", "--table", "constraint", "--runs", "1"],
-    }[command]
-    assert main([*argv, option, value, "--out", str(tmp_path / "out")]) == 2
+    assert main([*tiny_cli_argv(tmp_path, command), option, value, "--out", str(tmp_path / "out")]) == 2
     assert f"argument {option}: must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("train", "--seed"), ("eval", "--seed0"), ("adjust", "--seed0"), ("sweep", "--seed0"),
+])
+def test_cli_negative_seed_exits_two(tmp_path, capsys, command, option):
+    assert main([*tiny_cli_argv(tmp_path, command), option, "-1", "--out", str(tmp_path / "out")]) == 2
+    assert f"argument {option}: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "adjust"])
+def test_cli_evaluates_a_model_trained_for_a_goal_at_zero_against_that_goal(tmp_path, capsys, command):
+    # a goal at 0 is falsy, so only a missing goal may take the default
+    out = tmp_path / "run"
+    assert main(["train", "--env", "mountain_car", *tiny_run_args(tmp_path, "train"), "--goal-position", "0",
+                 "--out", str(out)]) == 0
+    model = str(out / "model.model")
+    argv = {
+        "eval": ["eval", "--model", model],
+        "adjust": ["adjust", "--policy", model, "--dynamics", model, "--goal", "constraint"],
+    }[command]
+    assert main([*argv, "--runs", "1", "--horizon", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["env"]["goal_position"] == 0.0
 
 
 @pytest.mark.parametrize("method", ["ddpg", "mpc"])
