@@ -8,3 +8,8 @@ adjustments onto any pre-trained policy.
 """
 
 __version__ = "0.1.0"
+
+
+class ConfigError(ValueError):
+    """A bad option, config value, goal or model file, raised by the rule
+    that owns the check; the CLI exits 2 on it."""

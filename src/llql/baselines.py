@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import control
+from . import ConfigError, control
 from .core import DynamicsModel, _EpisodeTrainer, check_training_config
 from .nets import Adam, Mlp, ModelFile, Normalizer, save_model, load_model, soft_update
 
@@ -84,10 +84,12 @@ def reward_mod_catalog() -> list:
 
 
 def get_reward_mod(mod_id: str) -> RewardMod:
-    for mod in reward_mod_catalog():
-        if mod.id == mod_id:
-            return mod
-    raise KeyError(f"unknown reward mod {mod_id!r}")
+    """The catalog's reward mod `mod_id`; ConfigError naming the catalog for
+    an unknown id."""
+    mods = {mod.id: mod for mod in reward_mod_catalog()}
+    if mod_id not in mods:
+        raise ConfigError(f"unknown reward mod {mod_id!r}; the mods are {', '.join(mods)}")
+    return mods[mod_id]
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +216,9 @@ class _DdpgTrainer(_EpisodeTrainer):
 def ddpg_train(env, config: DdpgConfig, reward_mod: Optional[RewardMod] = None):
     """Train DDPG; deterministic given (env, config.seed, reward_mod).  A
     reward mod shapes mountain car's position and velocity, so it is
-    rejected (ValueError) on any other env."""
+    rejected (ConfigError) on any other env."""
     if reward_mod is not None and env.spec.name != "mountain_car":
-        raise ValueError(f"reward mod {reward_mod.id} shapes mountain car's reward, not {env.spec.name}'s")
+        raise ConfigError(f"reward mod {reward_mod.id} shapes mountain car's reward, not {env.spec.name}'s")
     trainer = _DdpgTrainer(env, config, reward_mod)
     log = list(trainer._episodes())
     return trainer.model, log
@@ -261,7 +263,7 @@ class MpcConfig:
 
     def __post_init__(self):
         if self.horizon < 1 or self.candidates < 1:
-            raise ValueError("horizon and candidates must be >= 1")
+            raise ConfigError("horizon and candidates must be >= 1")
 
 
 def mpc_action(

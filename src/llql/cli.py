@@ -1,14 +1,17 @@
-"""Command-line interface.
+"""Command-line interface: it parses the options and hands them to the
+library, whose rules reject a bad run with `llql.ConfigError`.
 
 Subcommands: train, eval, adjust, compare, sweep.  Config files are flat
 `key = value` text (one pair per line, `#` comments); keys must match the
 target config's fields.  Exit codes: 0 success, 2 configuration or file
 error (including a count option below 1, a negative seed, a truncated or
-malformed model file, a model file of another role than its use needs or
-trained for another env's state and action sizes, a goal option the goal
-does not take, a goal option other than --v-d without --goal, a goal,
-reward mod or env that the method would ignore or cannot run, and a
-compare option that the table would ignore), 3 runtime failure.
+malformed model file, a model file of another role than its use needs,
+trained for another env's state and action sizes or naming an unknown
+env, a goal option the goal does not take or out of its range, such as a
+`--bound` that is not positive or a negative `--gamma1`, a goal option
+other than --v-d without --goal, a goal, reward mod, policy or env that
+the method would ignore or cannot run, and a compare option that the
+table would ignore), 3 runtime failure.
 """
 
 import os
@@ -21,9 +24,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-
-class ConfigError(Exception):
-    pass
+from . import ConfigError
 
 
 def parse_config_file(path) -> dict:
@@ -73,17 +74,13 @@ def build_config(cls, overrides: dict):
             kwargs[key] = _coerce(value, type(fields[key].default))
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(**kwargs)
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("LLQL_OUTPUT_DIR") or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the first file written there creates it, so a
+    rejected run leaves none."""
+    return Path(args.out or os.environ.get("LLQL_OUTPUT_DIR") or "out")
 
 
 # the goal options of the eval and adjust subcommands; each goal takes some
@@ -107,30 +104,6 @@ def _goal_dict_from_args(args, env_name: str):
     return {"kind": f"{prefix}_{args.goal}", **_given(args, GOAL_OPTIONS)}
 
 
-def _reward_mod(args, method: str, env_name: str):
-    """`--reward-mod`, which only `--method <method>` applies, on mountain car."""
-    from .baselines import reward_mod_catalog
-
-    if args.reward_mod is None:
-        return None
-    if args.method != method:
-        raise ConfigError(f"--reward-mod needs --method {method}")
-    if env_name != "mountain_car":
-        raise ConfigError(f"the reward mods shape mountain_car rewards, not {env_name}")
-    ids = [mod.id for mod in reward_mod_catalog()]
-    if args.reward_mod not in ids:
-        raise ConfigError(f"unknown reward mod {args.reward_mod!r}; the mods are {', '.join(ids)}")
-    return args.reward_mod
-
-
-def _require_file(path, what: str) -> str:
-    if path is None:
-        raise ConfigError(f"missing required {what}")
-    if not Path(path).exists():
-        raise ConfigError(f"{what} not found: {path}")
-    return str(path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -140,76 +113,39 @@ def cmd_train(args) -> int:
     from . import baselines, core, experiments
     from .envs import make_env
 
-    reward_mod = _reward_mod(args, "ddpg", args.env)
     overrides = parse_config_file(args.config) if args.config else {}
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    out = _out_dir(args)
+    cfg = build_config(baselines.DdpgConfig if args.method == "ddpg" else core.TrainConfig, overrides)
     env = make_env(args.env, goal_position=args.goal_position, horizon=args.horizon)
-
-    if args.method == "ddpg":
-        cfg = build_config(baselines.DdpgConfig, overrides)
-        log = experiments.train_and_save(
-            env, "ddpg", cfg, out / "model.model", {}, reward_mod=reward_mod
-        )
-    else:
-        cfg = build_config(core.TrainConfig, overrides)
-        policy = None
-        if args.method == "dynamics":
-            policy = experiments.load_policy(_require_file(args.policy, "policy"), env)
-        log = experiments.train_and_save(
-            env, args.method, cfg, out / "model.model", {"episode": cfg.episodes},
-            policy=policy, checkpoint_dir=out if cfg.checkpoint_every else None,
-        )
+    out = _out_dir(args)
+    log = experiments.train_and_save(
+        env, args.method, cfg, out / "model.model", {} if args.method == "ddpg" else {"episode": cfg.episodes},
+        reward_mod=args.reward_mod, policy=args.policy,
+        checkpoint_dir=out if getattr(cfg, "checkpoint_every", 0) else None,
+    )
     core.log_to_csv(log, out / "log.csv")
     print(f"wrote {out / 'model.model'} and {out / 'log.csv'}")
     return 0
 
 
-def _model_env_name(path: str) -> tuple:
-    """(env name, env spec) from the model file's header; the run that
-    follows reads its parameters."""
+def _evaluate(args, model: str, **spec) -> int:
+    """Run `spec` on the env that the header of `model` names, at the goal
+    position given or else the one the model was trained for (0.45 when
+    it has none), and write its report."""
+    from . import experiments, reports
     from .nets import load_header
 
-    (env_spec,) = load_header(path).meta_entries("env")
-    return env_spec.get("name"), env_spec
-
-
-def _model_goal_position(env_spec: dict) -> float:
-    """The goal position a model was trained for, 0.45 when its env spec
-    has none (pendulum); a goal at 0 is a goal."""
-    goal_position = env_spec.get("goal_position")
-    return 0.45 if goal_position is None else goal_position
-
-
-def cmd_eval(args) -> int:
-    from . import experiments, reports
-
-    model = _require_file(args.model, "model path")
-    env_name, env_spec = _model_env_name(model)
-    if args.method == "mpc" and env_name != "mountain_car":
-        raise ConfigError(f"--method mpc runs on mountain_car models, not {env_name}")
-    goal_position = args.goal_position
-    if goal_position is None:
-        goal_position = _model_goal_position(env_spec)
-    spec = experiments.ExperimentSpec(
-        env=env_name,
-        method=args.method,
-        model_path=model,
-        goal=_goal_dict_from_args(args, env_name),
-        reward_mod=_reward_mod(args, "mpc", env_name),
-        mpc_horizon=args.mpc_horizon,
-        mpc_candidates=args.mpc_candidates,
-        eval_runs=args.runs,
-        eval_seed0=args.seed0,
-        goal_position=goal_position,
-        horizon=args.horizon,
-        hazard_limit=args.hazard,
-        v_d=args.v_d,
-    )
-    report = experiments.run_experiment(spec)
-    out = _out_dir(args)
-    written = reports.emit_report(report, out, basename=args.basename)
+    (env_spec,) = load_header(model).meta_entries("env")
+    env_name, goal_position = env_spec.get("name"), args.goal_position
+    if goal_position is None:  # a goal at 0 is a goal
+        goal_position = env_spec.get("goal_position")
+    report = experiments.run_experiment(experiments.ExperimentSpec(
+        env=env_name, goal=_goal_dict_from_args(args, env_name), eval_runs=args.runs, eval_seed0=args.seed0,
+        goal_position=0.45 if goal_position is None else goal_position, horizon=args.horizon,
+        hazard_limit=args.hazard, v_d=args.v_d, **spec,
+    ))
+    written = reports.emit_report(report, _out_dir(args), basename=args.basename)
     agg = report.aggregates()
     print(f"success {agg['success']}/{agg['runs']}, mean steps {agg['mean_steps']:.1f}")
     for p in written:
@@ -217,38 +153,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_adjust(args) -> int:
-    from . import experiments, reports
+def cmd_eval(args) -> int:
+    return _evaluate(args, args.model, method=args.method, model_path=args.model, reward_mod=args.reward_mod,
+                     mpc_horizon=args.mpc_horizon, mpc_candidates=args.mpc_candidates)
 
-    dynamics = _require_file(args.dynamics, "dynamics model path")
-    policy = args.policy
-    if policy is None:
-        raise ConfigError("missing required policy (model path or cmd:...)")
-    if not policy.startswith("cmd:"):
-        policy = _require_file(policy, "policy model path")
-    env_name, env_spec = _model_env_name(dynamics)
-    goal = _goal_dict_from_args(args, env_name)
-    if goal is None:
-        raise ConfigError("adjust requires --goal trajectory or --goal constraint")
-    spec = experiments.ExperimentSpec(
-        env=env_name,
-        method="adjust",
-        policy_path=policy,
-        dynamics_path=dynamics,
-        goal=goal,
-        eval_runs=args.runs,
-        eval_seed0=args.seed0,
-        goal_position=_model_goal_position(env_spec),
-        horizon=args.horizon,
-        hazard_limit=args.hazard,
-        v_d=args.v_d,
-    )
-    report = experiments.run_experiment(spec)
-    out = _out_dir(args)
-    written = reports.emit_report(report, out, basename=args.basename)
-    for p in written:
-        print(f"wrote {p}")
-    return 0
+
+def cmd_adjust(args) -> int:
+    return _evaluate(args, args.dynamics, method="adjust", policy_path=args.policy, dynamics_path=args.dynamics)
 
 
 def cmd_compare(args) -> int:
@@ -277,16 +188,17 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     from . import experiments, reports
 
-    model = _require_file(args.model, "model path")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --values list: {exc}") from exc
+    if not values:
+        raise ConfigError("--values names no goal value")
     rows = experiments.sweep_short_term(
-        model, args.kind, values, runs=args.runs, seed0=args.seed0, **_given(args, ("gamma1", "gamma2"))
+        args.model, args.kind, values, runs=args.runs, seed0=args.seed0, **_given(args, ("gamma1", "gamma2"))
     )
-    out = _out_dir(args)
-    path = out / "sweep.csv"
+    path = _out_dir(args) / "sweep.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     reports.write_sweep(rows, path)
     print(f"wrote {path}")
     return 0
@@ -353,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a trained model, optionally with a goal")
-    p.add_argument("--model", required=False)
+    p.add_argument("--model", required=True)
     p.add_argument("--method", choices=["llql", "ddpg", "mpc"], default="llql")
     p.add_argument("--reward-mod", dest="reward_mod", default=None)
     p.add_argument("--mpc-horizon", dest="mpc_horizon", type=_count, default=15)
@@ -364,11 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("adjust", help="apply a short-term goal to a pre-trained policy")
-    p.add_argument("--policy", required=False, help="policy model path or cmd:<argv>")
-    p.add_argument("--dynamics", required=False, help="dynamics model path")
+    p.add_argument("--policy", required=True, help="policy model path or cmd:<argv>")
+    p.add_argument("--dynamics", required=True, help="dynamics model path")
     _add_goal_args(p)
     _add_eval_args(p)
-    p.set_defaults(fn=cmd_adjust)
+    p.set_defaults(fn=cmd_adjust, goal_position=None)
 
     p = sub.add_parser("compare", help="reproduce a comparison table")
     p.add_argument(
@@ -377,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--cache", default=None)
-    p.add_argument("--workers", type=int, default=2)
+    p.add_argument("--workers", type=_count, default=2)
     mc_only = "mountain-car tables only; default: the table builder's"
     p.add_argument("--llql-seeds", dest="llql_seeds", type=_count, default=None, help=mc_only)
     p.add_argument("--ddpg-seeds", dest="ddpg_seeds", type=_count, default=None, help=mc_only)
@@ -388,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("sweep", help="sweep a short-term goal value on a trained model")
-    p.add_argument("--model", required=False)
+    p.add_argument("--model", required=True)
     p.add_argument("--kind", choices=["constraint", "trajectory"], required=True)
     p.add_argument("--values", required=True, help="comma-separated goal values")
     p.add_argument("--gamma1", type=float, default=None)
@@ -402,9 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .experiments import GoalError
-    from .nets import ModelFileError
-
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -412,7 +321,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, ModelFileError, GoalError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure contract

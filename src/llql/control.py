@@ -54,7 +54,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import linalg
+from . import ConfigError, linalg
 from .core import DynamicsModel, QModel, EPS_D, row_norms
 
 logger = logging.getLogger(__name__)
@@ -88,8 +88,8 @@ class TrajectoryGoal:
     active: Callable = _always_active
 
     def __post_init__(self):
-        if self.gamma1 < 0 or self.gamma2 < 0 or (self.gamma1 == 0 and self.gamma2 == 0):
-            raise ValueError("gamma1 and gamma2 must be non-negative, not both zero")
+        if not (self.gamma1 >= 0 and self.gamma2 >= 0) or self.gamma1 == self.gamma2 == 0:  # NaN fails
+            raise ConfigError("gamma1 and gamma2 must be non-negative, not both zero")
 
 
 @dataclasses.dataclass
@@ -109,7 +109,7 @@ class ConstraintGoal:
 
     def __post_init__(self):
         if self.direction not in ("upper", "lower"):
-            raise ValueError("direction must be 'upper' or 'lower'")
+            raise ConfigError("direction must be 'upper' or 'lower'")
         if self.margin is None:
             self.margin = self.bound
 
@@ -139,8 +139,8 @@ class SymmetricConstraintGoal:
     margin: Optional[float] = None
 
     def __post_init__(self):
-        if self.bound <= 0:
-            raise ValueError("symmetric bound must be positive")
+        if not self.bound > 0:  # NaN fails
+            raise ConfigError("symmetric bound must be positive")
         if self.margin is None:
             self.margin = self.bound
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import linalg
+from . import ConfigError, linalg
 from .nets import (
     Adam,
     HeadBank,
@@ -141,26 +141,30 @@ class ExplorationNoise:
 
 
 def check_training_config(config, counts: dict, positive: tuple) -> None:
-    """Raise ValueError unless a training config's discount lies in (0, 1),
+    """Raise ConfigError unless a training config's discount lies in (0, 1),
     its tau in [0, 1], its seed is at least 0, its hidden sizes and buffer
     capacity are at least 1, it fits the normalizer on at least 2 samples,
     its dtype is a float type (the model-file loader's rule), its sigma0
     and each field named in `positive` are positive and finite, and each
     field named in `counts` is at least its value there."""
     if not 0.0 < config.discount < 1.0:
-        raise ValueError("discount must lie in (0, 1)")
+        raise ConfigError("discount must lie in (0, 1)")
     if not 0.0 <= config.tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+        raise ConfigError("tau must lie in [0, 1]")
     if not all(size >= 1 for size in config.hidden_sizes):
-        raise ValueError("hidden_sizes must all be >= 1")
-    if np.dtype(config.dtype).kind != "f":
-        raise ValueError(f"dtype {config.dtype} is not a float type")
+        raise ConfigError("hidden_sizes must all be >= 1")
+    try:
+        kind = np.dtype(config.dtype).kind
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
+    if kind != "f":
+        raise ConfigError(f"dtype {config.dtype} is not a float type")
     for field in ("sigma0", *positive):
         if not 0.0 < getattr(config, field) < math.inf:
-            raise ValueError(f"{field} must be positive and finite")
+            raise ConfigError(f"{field} must be positive and finite")
     for field, least in dict(counts, normalizer_samples=2, buffer_capacity=1, seed=0).items():
         if getattr(config, field) < least:
-            raise ValueError(f"{field} must be >= {least}")
+            raise ConfigError(f"{field} must be >= {least}")
 
 
 @dataclasses.dataclass

@@ -21,6 +21,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import ConfigError
+
 
 # the pendulum is upright, where its velocity error is scored, while cos(theta) > UPRIGHT_COS
 UPRIGHT_COS = 0.99
@@ -45,10 +47,10 @@ class EnvSpec:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ConfigError("horizon must be >= 1")
         for key, value in self.constants.items():
             if not value > 0:
-                raise ValueError(f"physics constant {key!r} must be positive")
+                raise ConfigError(f"physics constant {key!r} must be positive")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -215,4 +217,4 @@ def make_env(name: str, *, goal_position: float = 0.45, horizon: Optional[int] =
         return MountainCar(goal_position=goal_position, horizon=1000 if horizon is None else horizon)
     if name == "pendulum":
         return Pendulum(horizon=200 if horizon is None else horizon)
-    raise ValueError(f"unknown environment {name!r}")
+    raise ConfigError(f"unknown environment {name!r}")

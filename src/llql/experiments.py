@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import baselines, control, core
+from . import ConfigError, baselines, control, core
 from .envs import UPRIGHT_COS, make_env
 from .nets import write_atomic
 
@@ -187,21 +187,18 @@ GOALS = {
 }
 
 
-class GoalError(ValueError):
-    """A goal description names an unknown kind or a parameter its factory
-    does not take, or goes to a method that applies no goal."""
-
-
 def goal_params(d: dict) -> dict:
     """The flat goal description `d` with every parameter its factory leaves
-    out filled in from the factory's signature, which holds the defaults."""
+    out filled in from the factory's signature, which holds the defaults;
+    ConfigError for an unknown kind or a parameter the factory does not
+    take."""
     kind = d["kind"]
     if kind not in GOALS:
-        raise GoalError(f"unknown goal kind {kind!r}")
+        raise ConfigError(f"unknown goal kind {kind!r}")
     params = inspect.signature(GOALS[kind]).parameters
     unknown = sorted(set(d) - {"kind", *params})
     if unknown:
-        raise GoalError(f"goal {kind} takes no {', '.join(unknown)}; it takes {', '.join(params)}")
+        raise ConfigError(f"goal {kind} takes no {', '.join(unknown)}; it takes {', '.join(params)}")
     return {"kind": kind, **{name: d.get(name, p.default) for name, p in params.items()}}
 
 
@@ -236,10 +233,23 @@ def train_and_save(env, method: str, config, model_path, meta: dict, *, reward_m
     """Train one model and write it to `model_path`; returns its episode log.
 
     `method` is "llql" (TrainConfig, optional checkpoints), "dynamics"
-    (TrainConfig, data collected by `policy`) or "ddpg" (DdpgConfig,
-    optional reward-mod id, recorded in the file).  The file's metadata is
-    the env spec and config plus `meta`.
+    (TrainConfig, data collected by `policy`, which it requires: a callable,
+    or a path or "cmd:<argv>" that `load_policy` loads) or "ddpg"
+    (DdpgConfig, optional reward-mod id, recorded in the file).  A reward
+    mod for another method than ddpg, or a policy for another than
+    dynamics, is a ConfigError, raised before a policy is loaded.  The
+    file's metadata is the env spec and config plus `meta`.
     """
+    if method not in ("llql", "dynamics", "ddpg"):
+        raise ConfigError(f"unknown training method {method!r}")
+    if reward_mod is not None and method != "ddpg":
+        raise ConfigError(f"method {method} applies no reward mod; only ddpg trains on a shaped reward")
+    if policy is None and method == "dynamics":
+        raise ConfigError("method dynamics needs a policy to collect its data")
+    if policy is not None and method != "dynamics":
+        raise ConfigError(f"method {method} takes no policy; only dynamics collects its data with one")
+    if isinstance(policy, str):
+        policy = load_policy(policy, env)
     meta = {"env": env.spec.to_dict(), "config": config.to_dict(), **meta}
     if method == "ddpg":
         mod = baselines.get_reward_mod(reward_mod) if reward_mod else None
@@ -248,10 +258,8 @@ def train_and_save(env, method: str, config, model_path, meta: dict, *, reward_m
         return log
     if method == "llql":
         result = core.train(env, config, checkpoint_dir=checkpoint_dir)
-    elif method == "dynamics":
-        result = core.train_dynamics(env, config, policy)
     else:
-        raise ValueError(f"unknown training method {method!r}")
+        result = core.train_dynamics(env, config, policy)
     core.save_llql_model(model_path, result.dynamics, result.qmodel, meta=meta)
     return result.log
 
@@ -389,13 +397,22 @@ def load_policy(path_or_cmd: str, env):
 
 
 def run_experiment(spec: ExperimentSpec) -> EvalReport:
-    """Evaluate one configured method, returning the metric report."""
+    """Evaluate one configured method, returning the metric report.  An
+    unknown method, env or goal, a goal or reward mod the method does not
+    apply, mpc off mountain car or adjust without a goal is a ConfigError,
+    raised before any model file is read."""
+    if spec.method not in ("llql", "ddpg", "mpc", "adjust"):
+        raise ConfigError(f"unknown method {spec.method!r}")
     env = make_env(spec.env, goal_position=spec.goal_position, horizon=spec.horizon)
     params = goal_params(spec.goal) if spec.goal is not None else None
     if params is not None and spec.method in ("ddpg", "mpc"):
-        raise GoalError(f"method {spec.method} applies no goal; give the goal to llql or adjust")
+        raise ConfigError(f"method {spec.method} applies no goal; give the goal to llql or adjust")
+    if params is None and spec.method == "adjust":
+        raise ConfigError("method adjust needs a goal to adjust its policy to")
     if spec.reward_mod is not None and spec.method != "mpc":
-        raise ValueError(f"method {spec.method} applies no reward mod; only mpc shapes its planning reward")
+        raise ConfigError(f"method {spec.method} applies no reward mod; only mpc shapes its planning reward")
+    if spec.method == "mpc" and spec.env != "mountain_car":
+        raise ConfigError(f"method mpc plans on mountain_car models, not {spec.env}")
     goal = goal_from_dict(params)
     meta: dict = {"method": spec.method, "goal": params, "reward_mod": spec.reward_mod}
 
@@ -419,22 +436,18 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
             return model(X)
 
     elif spec.method == "mpc":
-        mf = core.read_model(spec.model_path).checked(("llql", "dynamics"), "dynamics model", env)
-        dyn, _, _ = core.llql_model_from(mf)
-        meta["model"] = spec.model_path
-        if spec.env != "mountain_car":
-            raise ValueError("the mpc baseline is defined for the mountain_car benchmark")
         mod = baselines.get_reward_mod(spec.reward_mod) if spec.reward_mod else None
         reward_fn = baselines.mountain_car_reward_fn(spec.goal_position, mod)
         cfg = baselines.MpcConfig(spec.mpc_horizon, spec.mpc_candidates)
+        mf = core.read_model(spec.model_path).checked(("llql", "dynamics"), "dynamics model", env)
+        dyn, _, _ = core.llql_model_from(mf)
+        meta["model"] = spec.model_path
 
         def controller(X, k, rngs):  # each run plans from its own generator
             return np.array([baselines.mpc_action(dyn, x, reward_fn, cfg, rng, env.action_low, env.action_high)
                              for x, rng in zip(X, rngs)])
 
-    elif spec.method == "adjust":
-        if goal is None:
-            raise ValueError("adjust requires a goal")
+    else:  # adjust
         mf = core.read_model(spec.dynamics_path).checked(("llql", "dynamics"), "dynamics model", env)
         dyn, q, _ = core.llql_model_from(mf)
         meta["dynamics"] = spec.dynamics_path
@@ -447,9 +460,6 @@ def run_experiment(spec: ExperimentSpec) -> EvalReport:
         controller = control.GoalController(
             dyn, goal, policy=policy, action_low=env.action_low, action_high=env.action_high,
         ).act
-
-    else:
-        raise ValueError(f"unknown method {spec.method!r}")
 
     v_d = spec.v_d if spec.v_d is not None else (params or {}).get("v_d")
     rows = evaluate(env, controller, runs=spec.eval_runs, seed0=spec.eval_seed0,

@@ -32,6 +32,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import ConfigError
+
 
 class NonFiniteGradientError(RuntimeError):
     """Raised when an optimizer step receives NaN or infinite gradients."""
@@ -603,7 +605,7 @@ class Normalizer:
 MODEL_FORMAT = "llql-model-v1"
 
 
-class ModelFileError(ValueError):
+class ModelFileError(ConfigError):
     """Raised when a model file is truncated, malformed, of another format,
     or holds another role or env than its use needs."""
 
@@ -649,8 +651,9 @@ class ModelFile:
 def write_atomic(path, chunks: Iterable) -> None:
     """Write the bytes-like `chunks`, taken one at a time from the iterable,
     to a temporary file beside `path`, then rename it into place, so a
-    reader never sees a partly written file."""
+    reader never sees a partly written file.  Creates the directory."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from llql import baselines
+from llql import ConfigError, baselines
 from llql.baselines import (
     DdpgConfig,
     MpcConfig,
@@ -163,8 +163,13 @@ def test_mpc_goal_bonus_stops_accumulation():
 
 
 def test_mpc_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         MpcConfig(horizon=0)
+
+
+def test_get_reward_mod_names_the_catalog_for_an_unknown_id():
+    with pytest.raises(ConfigError, match="unknown reward mod 'c9'; the mods are t1, t2, t3, t4, c1, c2, c3, c4"):
+        get_reward_mod("c9")
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +226,9 @@ def test_ddpg_rejects_a_reward_mod_on_the_pendulum(tmp_path):
     # the mods shape mountain car's position and velocity, not (cos, sin) of an angle
     from llql import experiments
 
-    with pytest.raises(ValueError, match="mountain car"):
+    with pytest.raises(ConfigError, match="mountain car"):
         ddpg_train(Pendulum(horizon=10), tiny_ddpg(), get_reward_mod("c1"))
-    with pytest.raises(ValueError, match="mountain car"):
+    with pytest.raises(ConfigError, match="mountain car"):
         experiments.train_and_save(Pendulum(horizon=10), "ddpg", tiny_ddpg(), tmp_path / "m.model", {},
                                    reward_mod="c1")
     assert not (tmp_path / "m.model").exists()

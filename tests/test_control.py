@@ -7,7 +7,7 @@ import types
 import numpy as np
 import pytest
 
-from llql import control
+from llql import ConfigError, control
 from llql.baselines import DdpgModel
 from llql.control import (
     ConstraintGoal,
@@ -751,11 +751,11 @@ def test_external_policy_dead_child():
 
 
 def test_goal_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         TrajectoryGoal(lambda x, k: x, gamma1=0.0, gamma2=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ConstraintGoal(state_index=0, bound=1.0, direction="sideways")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SymmetricConstraintGoal(state_index=0, bound=-1.0)
     goal = ConstraintGoal(state_index=1, bound=0.033)
     assert goal.active(np.array([[0.0, 0.05], [0.0, 0.01]]), 0).tolist() == [True, False]

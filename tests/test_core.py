@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from llql import core, linalg
+from llql import ConfigError, core, linalg
 from llql.envs import MountainCar
 from llql.nets import HeadBank, Normalizer, soft_update
 
@@ -348,12 +348,14 @@ def test_train_divergence_aborts_with_snapshot():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         core.TrainConfig(discount=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         core.TrainConfig(sigma0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         core.TrainConfig(episodes=0)
+    with pytest.raises(ConfigError, match="data type 'banana' not understood"):
+        core.TrainConfig(dtype="banana")
 
 
 def test_log_csv(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from llql import ConfigError
 from llql.envs import EnvSpec, InvalidActionError, MountainCar, Pendulum, make_env, wrap_angle
 
 
@@ -193,9 +194,9 @@ def test_env_spec_json_and_validation():
     text = json.dumps(spec.to_dict(), sort_keys=True)
     assert json.dumps(EnvSpec(**json.loads(text)).to_dict(), sort_keys=True) == text
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         EnvSpec("x", 1, 1, 0, (-1,), (1,), None, {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         EnvSpec("x", 1, 1, 10, (-1,), (1,), None, {"dt": 0.0})
 
 
@@ -214,11 +215,11 @@ def test_make_env():
     assert isinstance(make_env("mountain_car"), MountainCar)
     assert isinstance(make_env("pendulum"), Pendulum)
     assert make_env("mountain_car", goal_position=0.5).goal_position == 0.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown environment 'cartpole'"):
         make_env("cartpole")
     assert make_env("pendulum").horizon == 200 and make_env("mountain_car").horizon == 1000
     for name in ("mountain_car", "pendulum"):  # a horizon of 0 is an error, not the default
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ConfigError, match="horizon"):
             make_env(name, horizon=0)
 
 

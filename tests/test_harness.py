@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llql import baselines, cli, compare, control, core, experiments, nets, reports
+from llql import ConfigError, baselines, cli, compare, control, core, experiments, nets, reports
 from llql.control import LlqlPolicy
-from llql.cli import ConfigError, build_config, main, parse_config_file
+from llql.cli import build_config, main, parse_config_file
 from llql.experiments import EvalReport, EvalRow, compute_aggregates, evaluate, goal_from_dict
 from llql.envs import MountainCar, make_env
 from llql.nets import ModelFileError, load_model, save_model
@@ -547,9 +547,10 @@ def test_cli_output_dir_env_override(tmp_path, monkeypatch, capsys):
 def test_cli_train_bad_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("not_a_key = 1\n")
-    code = main(["train", "--env", "mountain_car", "--config", str(cfg), "--out", str(tmp_path)])
+    code = main(["train", "--env", "mountain_car", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "not_a_key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("method, line, message", [
@@ -585,10 +586,48 @@ def test_cli_train_bad_config_value_exits_two(tmp_path, capsys, method, line, me
     cfg = tmp_path / "train.cfg"
     cfg.write_text(f"hidden_sizes = 4,4\n{line}\n")
     code = main(["train", "--method", method, "--env", "mountain_car", "--horizon", "5", "--config", str(cfg),
-                 "--out", str(tmp_path)])
+                 "--out", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not (tmp_path / "model.model").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("method, policy, message", [
+    ("llql", "{llql}", "method llql takes no policy"),
+    ("ddpg", "{llql}", "method ddpg takes no policy"),
+    ("llql", "{missing}", "method llql takes no policy"),
+    ("llql", "cmd:true", "method llql takes no policy"),
+    ("dynamics", None, "method dynamics needs a policy"),
+])
+def test_cli_train_policy_the_method_ignores_or_needs_exits_two(tmp_path, capsys, monkeypatch, gate_models, method,
+                                                                 policy, message):
+    # the check comes first: no policy file is read and no policy process starts
+    monkeypatch.setattr(control.subprocess, "Popen", None)
+    argv = ["train", "--method", method, "--env", "mountain_car", *tiny_run_args(tmp_path, "train")]
+    if policy is not None:
+        argv += ["--policy", policy.format(missing=tmp_path / "missing.model", **gate_models)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def zero_policy(X):
+    return np.zeros((len(X), 1))
+
+
+@pytest.mark.parametrize("method, kwargs, message", [
+    ("llql", dict(reward_mod="c1"), "method llql applies no reward mod"),
+    ("dynamics", dict(reward_mod="c1", policy=zero_policy), "method dynamics applies no reward mod"),
+    ("llql", dict(policy=zero_policy), "method llql takes no policy"),
+    ("ddpg", dict(policy=zero_policy), "method ddpg takes no policy"),
+    ("dynamics", {}, "method dynamics needs a policy"),
+    ("sarsa", {}, "unknown training method 'sarsa'"),
+])
+def test_train_and_save_rejects_an_argument_the_method_ignores_or_lacks(tmp_path, method, kwargs, message):
+    config = baselines.DdpgConfig() if method == "ddpg" else core.TrainConfig()
+    with pytest.raises(ConfigError, match=message):
+        experiments.train_and_save(MountainCar(horizon=5), method, config, tmp_path / "m.model", {}, **kwargs)
+    assert not (tmp_path / "m.model").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -687,14 +726,28 @@ def test_lockstep_evaluate_equals_the_per_run_loop_bitwise(tmp_path, env):
     assert any(r.s_out for r in rows)
 
 
-@pytest.mark.parametrize("method", ["llql", "ddpg", "adjust"])
-def test_run_experiment_rejects_a_reward_mod_the_method_ignores(tmp_path, method):
-    env = MountainCar(horizon=10)
-    path = saved_model(tmp_path / "m.model", env, "ddpg" if method == "ddpg" else "llql")
-    spec = experiments.ExperimentSpec(env="mountain_car", method=method, model_path=path, policy_path=path,
-                                      dynamics_path=path, reward_mod="c1", eval_runs=1, horizon=10,
-                                      goal={"kind": "mc_constraint"} if method == "adjust" else None)
-    with pytest.raises(ValueError, match="reward mod"):
+@pytest.mark.parametrize("changes, message", [
+    (dict(method="llql", reward_mod="c1"), "method llql applies no reward mod"),
+    (dict(method="ddpg", reward_mod="c1"), "method ddpg applies no reward mod"),
+    (dict(method="adjust", reward_mod="c1", goal={"kind": "mc_constraint"}), "method adjust applies no reward mod"),
+    (dict(method="mpc", reward_mod="c9"), "unknown reward mod 'c9'; the mods are t1, "),
+    (dict(method="mpc", env="pendulum"), "method mpc plans on mountain_car models, not pendulum"),
+    (dict(method="mpc", goal={"kind": "mc_constraint"}), "method mpc applies no goal"),
+    (dict(method="adjust"), "method adjust needs a goal"),
+    (dict(method="llql", goal={"kind": "mc_constraint", "bound": 0.0}), "bound must be positive"),
+    (dict(method="llql", goal={"kind": "mc_trajectory", "gamma1": -1.0}), "gamma1 and gamma2"),
+    (dict(method="llql", goal={"kind": "mc_sideways"}), "unknown goal kind"),
+    (dict(method="llql", env="cartpole"), "unknown environment 'cartpole'"),
+    (dict(method="sarsa"), "unknown method 'sarsa'"),
+])
+def test_run_experiment_rejects_a_run_the_method_cannot_make_before_reading_a_model(tmp_path, changes, message):
+    missing = str(tmp_path / "missing.model")  # reading it would raise FileNotFoundError
+    spec = experiments.ExperimentSpec(**{
+        **dict(env="mountain_car", model_path=missing, policy_path=missing, dynamics_path=missing, eval_runs=1,
+               horizon=10),
+        **changes,
+    })
+    with pytest.raises(ConfigError, match=message):
         experiments.run_experiment(spec)
 
 
@@ -764,6 +817,7 @@ def tiny_cli_argv(tmp_path, command) -> list:
     ("compare", "--llql-seeds", "0"),
     ("compare", "--ddpg-seeds", "0"),
     ("compare", "--mpc-candidates", "0"),
+    ("compare", "--workers", "0"),
 ])
 def test_cli_count_option_below_one_exits_two(tmp_path, capsys, monkeypatch, command, option, value):
     # should the option pass, the table fails fast instead of training its seeds
@@ -815,7 +869,7 @@ def test_cli_reward_mod_the_method_ignores_exits_two(tmp_path, capsys, command, 
         argv = ["train", "--env", "mountain_car"]
     assert main([*argv, *tiny_run_args(tmp_path, command), "--method", method, "--reward-mod", "c1",
                  "--out", str(tmp_path / "out")]) == 2
-    assert "--reward-mod needs --method" in capsys.readouterr().err
+    assert f"method {method} applies no reward mod" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -829,6 +883,7 @@ def test_cli_unknown_reward_mod_exits_two(tmp_path, capsys, command):
     assert main([*argv, *tiny_run_args(tmp_path, command), "--reward-mod", "c9",
                  "--out", str(tmp_path / "out")]) == 2
     assert "unknown reward mod 'c9'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_train_pendulum_ddpg_with_a_reward_mod_exits_two(tmp_path, capsys):
@@ -836,13 +891,41 @@ def test_cli_train_pendulum_ddpg_with_a_reward_mod_exits_two(tmp_path, capsys):
     assert main(["train", "--method", "ddpg", "--env", "pendulum", "--reward-mod", "c1",
                  *tiny_run_args(tmp_path, "train"), "--out", str(tmp_path / "out")]) == 2
     assert "not pendulum" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_eval_mpc_on_a_pendulum_model_exits_two(tmp_path, capsys):
     path = saved_model(tmp_path / "pendulum.model", make_env("pendulum", horizon=10))
     assert main(["eval", "--method", "mpc", "--model", path, *tiny_run_args(tmp_path, "eval"),
-                 "--out", str(tmp_path)]) == 2
+                 "--out", str(tmp_path / "out")]) == 2
     assert "not pendulum" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("goal_options, message", [
+    (["--goal", "constraint", "--bound", "-1"], "bound must be positive"),
+    (["--goal", "constraint", "--bound", "0"], "bound must be positive"),
+    (["--goal", "trajectory", "--gamma1", "-1"], "gamma1 and gamma2 must be non-negative"),
+    (["--goal", "trajectory", "--gamma1", "0", "--gamma2", "0"], "not both zero"),
+    (["--goal", "constraint", "--bound", "nan"], "bound must be positive"),
+    (["--goal", "trajectory", "--gamma2", "nan"], "gamma1 and gamma2 must be non-negative"),
+])
+@pytest.mark.parametrize("command", ["eval", "adjust"])
+def test_cli_goal_value_out_of_range_exits_two(tmp_path, capsys, gate_models, command, goal_options, message):
+    model = gate_models["llql"]
+    argv = ["eval", "--model", model] if command == "eval" else ["adjust", "--policy", model, "--dynamics", model]
+    assert main([*argv, *goal_options, "--runs", "1", "--horizon", "3", "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_eval_model_of_an_unknown_env_exits_two(tmp_path, capsys, gate_models):
+    mf = load_model(gate_models["llql"])
+    path = tmp_path / "cartpole.model"
+    save_model(path, mf.nets, mf.normalizer, {**mf.meta, "env": {**mf.meta["env"], "name": "cartpole"}})
+    assert main(["eval", "--model", str(path), "--runs", "1", "--out", str(tmp_path / "out")]) == 2
+    assert "unknown environment 'cartpole'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_goal_from_dict_rejects_a_parameter_its_goal_does_not_take():
@@ -881,6 +964,14 @@ def test_cli_eval_goal_option_without_a_goal_exits_two(tmp_path, capsys):
     # the velocity target alone scores a greedy run
     assert main([*argv, "--v-d", "0.02"]) == 0
     assert json.loads((tmp_path / "report.json").read_text())["meta"]["goal"] is None
+
+
+def test_cli_sweep_without_a_value_exits_two(tmp_path, capsys):
+    # with no value to run, a missing model file would go unread
+    assert main(["sweep", "--model", str(tmp_path / "missing.model"), "--kind", "constraint", "--values", ",",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "--values names no goal value" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_gamma_on_a_constraint_sweep_exits_two(tmp_path, capsys):
@@ -1044,7 +1135,7 @@ def test_cli_model_file_of_another_role_or_env_exits_two(tmp_path, capsys, gate_
     assert gate_models[culprit] in err and fault in err
     if "trained for" in fault:
         assert "incompatible" in err
-    assert not any(out.glob("report.*")) and not (out / "model.model").exists() and not (out / "sweep.csv").exists()
+    assert not out.exists()
 
 
 def test_load_llql_model_of_a_ddpg_file_raises_model_file_error(gate_models):
