@@ -125,7 +125,7 @@ class DdpgConfig:
 
 @dataclasses.dataclass
 class DdpgModel:
-    """Actor-critic pair; the actor output is squashed to bounds."""
+    """Actor-critic pair of one-head Mlps; the actor output is squashed to bounds."""
 
     actor: Mlp
     critic: Mlp
@@ -142,10 +142,11 @@ class DdpgModel:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The actions (n, a) at the rows x (n, s), each row a one-row batch
-        (`HeadBank._run`), so it has the bits it has alone.  Raises
-        ValueError unless x is 2-D, as every policy does."""
+        (`Mlp._run`), so it has the bits it has alone.  Raises ValueError
+        unless x is 2-D, as every policy does."""
         X = control._rows(x)[0]
-        return self._squash(self.actor.forward(self.normalizer.normalize(X)[:, None, :])[:, 0, :])
+        (raw,) = self.actor.forward(self.normalizer.normalize(X)[:, None, :])
+        return self._squash(raw[:, 0, :])
 
 
 class _DdpgTrainer(_EpisodeTrainer):
@@ -184,28 +185,29 @@ class _DdpgTrainer(_EpisodeTrainer):
         U = batch.actions.astype(dt)
 
         # critic target: y = r + gamma * (1 - done) * Q'(x', mu'(x'))
-        u2 = squash(self.actor_target.forward(Z2)).astype(dt)
-        q2 = self.critic_target.forward(np.concatenate([Z2, u2], axis=1))[:, 0]
-        y = batch.rewards + cfg.discount * (~batch.dones) * q2
+        (raw2,) = self.actor_target.forward(Z2)
+        u2 = squash(raw2).astype(dt)
+        (q2,) = self.critic_target.forward(np.concatenate([Z2, u2], axis=1))
+        y = batch.rewards + cfg.discount * (~batch.dones) * q2[:, 0]
 
         # critic regression (mean squared Bellman error)
         inp = np.concatenate([Z, U], axis=1)
-        q, cache_c = self.critic.forward_cached(inp)
+        (q,), cache_c = self.critic.forward_cached(inp)
         res = y - q[:, 0].astype(np.float64)
         loss = float(np.add.reduce(res**2) / n)  # ndarray.mean's ufuncs, so its bits
         gq = ((-2.0 / n) * res).astype(dt)[:, None]
-        grads_c = self.critic.backward_cached(cache_c, gq)
+        grads_c = self.critic.backward_cached(cache_c, (gq,))
         self.adam_critic.step(self.critic, grads_c, context="critic loss")
 
         # actor ascends Q(x, mu(x)): gradient of -mean Q through the critic input
-        raw, cache_a = self.actor.forward_cached(Z)
+        (raw,), cache_a = self.actor.forward_cached(Z)
         u_pi = squash(raw).astype(dt)
         inp_pi = np.concatenate([Z, u_pi], axis=1)
         _, cache_q = self.critic.forward_cached(inp_pi)
-        gin = self.critic.input_gradient(cache_q, np.full((n, 1), -1.0 / n, dtype=dt))
+        gin = self.critic.input_gradient(cache_q, (np.full((n, 1), -1.0 / n, dtype=dt),))
         du = gin[:, self.env.state_dim :].astype(np.float64)
         draw = (du * self.model.half * (1.0 - np.tanh(raw.astype(np.float64)) ** 2)).astype(dt)
-        grads_a = self.actor.backward_cached(cache_a, draw)
+        grads_a = self.actor.backward_cached(cache_a, (draw,))
         self.adam_actor.step(self.actor, grads_a, context="actor objective")
 
         soft_update(self.critic_target, self.critic, cfg.tau)

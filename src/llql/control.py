@@ -112,6 +112,8 @@ class ConstraintGoal:
             raise ConfigError("direction must be 'upper' or 'lower'")
         if self.margin is None:
             self.margin = self.bound
+        if not np.isfinite([self.bound, self.margin]).all():  # a NaN margin would never engage
+            raise ConfigError("constraint bound and margin must be finite")
 
     @property
     def sign(self) -> float:
@@ -143,6 +145,8 @@ class SymmetricConstraintGoal:
             raise ConfigError("symmetric bound must be positive")
         if self.margin is None:
             self.margin = self.bound
+        if not np.isfinite([self.bound, self.margin]).all():  # a NaN margin would never engage
+            raise ConfigError("constraint bound and margin must be finite")
 
     def active(self, x, k):
         return np.abs(x[..., self.state_index]) > self.margin

@@ -27,7 +27,6 @@ import numpy as np
 from . import ConfigError, linalg
 from .nets import (
     Adam,
-    HeadBank,
     Mlp,
     ModelFile,
     NonFiniteGradientError,
@@ -207,9 +206,9 @@ class TrainConfig:
 @dataclasses.dataclass
 class DynamicsModel:
     """One-step prediction model x' = x + delta * (f(x) + g(x) u), with the
-    heads f and g in one bank."""
+    heads f and g in one Mlp, the bank."""
 
-    bank: HeadBank
+    bank: Mlp
     delta: float
     normalizer: Normalizer
 
@@ -227,7 +226,7 @@ class DynamicsModel:
 
     def coefficients(self, X: np.ndarray):
         """(F, G) in float64 at each of the rows of X (n, s); each row is its
-        own one-row batch, so it has the bits it has alone (`HeadBank._run`)."""
+        own one-row batch, so it has the bits it has alone (`Mlp._run`)."""
         F, G = self.bank.forward(self.normalizer.normalize(X)[:, None, :])
         return F[:, 0, :], G[:, 0, :, :]
 
@@ -240,10 +239,10 @@ class DynamicsModel:
 @dataclasses.dataclass
 class QModel:
     """Value model Q(x, u) = V(x) - ||h(x) + d(x) u||, with the heads V, h
-    and d in one bank.  Training keeps a second QModel over a slowly-updated
-    copy of the bank, the target."""
+    and d in one Mlp, the bank.  Training keeps a second QModel over a
+    slowly-updated copy of the bank, the target."""
 
-    bank: HeadBank
+    bank: Mlp
     normalizer: Normalizer
     action_low: np.ndarray
     action_high: np.ndarray
@@ -435,24 +434,24 @@ class _EpisodeTrainer:
 
 
 class _Trainer(_EpisodeTrainer):
-    """LLQL training: the dynamics bank (f, g) and, unless dynamics-only,
-    the value bank (V, h, d); acts greedily, or by `policy` when one is given."""
+    """LLQL training: the dynamics bank (f, g) and the value bank (V, h, d),
+    acting greedily; or, given a `policy` to act, the dynamics bank alone."""
 
-    def __init__(self, env, config: TrainConfig, policy: Optional[Callable] = None, learn_long: bool = True):
+    def __init__(self, env, config: TrainConfig, policy: Optional[Callable] = None):
         super().__init__(env, config)
         self.policy = policy
-        self.loss_iters = (config.short_iters, config.long_iters if learn_long else None)
+        self.loss_iters = (config.short_iters, config.long_iters if policy is None else None)
         self.tiny = np.finfo(self.dtype).tiny  # the floor of a residual norm that divides
 
         s, a = env.state_dim, env.action_dim
         hidden = tuple(config.hidden_sizes)
-        bank = HeadBank.create(s, hidden, DynamicsModel.head_shapes(s, a), self.init_rng, self.dtype)
+        bank = Mlp.create((s, *hidden), self.init_rng, self.dtype, shapes=DynamicsModel.head_shapes(s, a))
         self.dyn = DynamicsModel(bank, config.delta, self.normalizer)
         self.adam_dyn = Adam(bank, config.lr_short, lr_after=config.lr_short_after,
                              switch_step=config.lr_short_switch_step)
         self.q = None
-        if learn_long:
-            bank = HeadBank.create(s, hidden, QModel.head_shapes(a), self.init_rng, self.dtype)
+        if policy is None:
+            bank = Mlp.create((s, *hidden), self.init_rng, self.dtype, shapes=QModel.head_shapes(a))
             self.q = QModel(
                 bank, self.normalizer,
                 np.asarray(env.action_low, dtype=np.float64),
@@ -568,7 +567,7 @@ def train(env, config: TrainConfig, checkpoint_dir=None) -> TrainResult:
 
 def train_dynamics(env, config: TrainConfig, policy: Callable) -> TrainResult:
     """Fit only the one-step dynamics model on data collected by `policy`."""
-    return _Trainer(env, config, policy=policy, learn_long=False).run()
+    return _Trainer(env, config, policy=policy).run()
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +587,7 @@ def save_llql_model(path, dyn: DynamicsModel, q: Optional[QModel], meta: dict) -
 
 
 def llql_banks(mf: ModelFile) -> dict:
-    """The head banks that `load_model` reads a model file of role llql or
+    """The banks that `load_model` reads a model file of role llql or
     dynamics into, given its header: {net names: head shapes}; none for any
     other role."""
     role = mf.meta.get("role")

@@ -223,7 +223,14 @@ class TrainedRun:
     log: list
 
 
+# The version of trained models' bits, part of every training cache key:
+# bump it with each change declared to move the bits of a trained model or
+# its log, so that a cache filled before the change is retrained, not reused.
+TRAINING_BITS = 1
+
+
 def _config_key(prefix: str, payload: dict) -> str:
+    payload = {**payload, "training_bits": TRAINING_BITS}
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
     return f"{prefix}-{digest}"
 

@@ -3,15 +3,15 @@
 Hand-rolled MLPs (ReLU hidden layers, identity output) with exact
 backpropagation, an adaptive-moment optimizer with a two-phase learning
 rate schedule, soft target updates, state normalization, and a binary
-model-file format.  Parameters live in one flat vector per network, or
-per bank of heads that share an input; weights and biases are reshaped
+model-file format.  A network is one or more heads on one input, whose
+parameters live in one flat vector; weights and biases are reshaped
 views into it, which keeps optimizer and target-update passes to a
 handful of vectorized operations.  Those passes write their intermediate
 products into one scratch vector per dtype and thread (`_scratch`), which
 every Adam step and soft update of the thread shares and which is valid
 only within one call.  An Adam step runs in the parameters' dtype, its
 scalars included, and every 16 steps it flushes to 0 the moments stuck
-in subnormal floats.  A bank's forward and backward passes run on plans,
+in subnormal floats.  A net's forward and backward passes run on plans,
 one per input shape, built on the first call of that shape: the
 workspace, weight and bias views that the pass writes and reads, so a
 call builds no views of its own.
@@ -40,7 +40,7 @@ class NonFiniteGradientError(RuntimeError):
 
 
 # numpy's allocator aligns data to 16 bytes only, so a vector's offset within
-# a cache line would follow from whatever the heap held before; a bank's GEMV
+# a cache line would follow from whatever the heap held before; a net's GEMV
 # passes and an Adam step over vectors 16 bytes off run 10-20 % slower.  Parameter
 # vectors, their gradients, optimizer moments and workspaces all start on a
 # cache line instead.
@@ -97,29 +97,24 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _layers(layer_sizes) -> list:
-    """(fan_in, fan_out) of every layer of an Mlp, or of every head of a
-    HeadBank in order when `layer_sizes` holds one tuple per head."""
-    if len(layer_sizes) and isinstance(layer_sizes[0], (tuple, list)):
-        return [pair for sizes in layer_sizes for pair in _layers(sizes)]
-    return list(zip(layer_sizes[:-1], layer_sizes[1:]))
+    """(fan_in, fan_out) of every layer of every head of an Mlp, head by
+    head, given its `layer_sizes` (one tuple of sizes per head)."""
+    return [pair for sizes in layer_sizes for pair in zip(sizes[:-1], sizes[1:])]
 
 
 def _n_params(layer_sizes) -> int:
-    """Parameter count of an Mlp's (or a HeadBank's) `layer_sizes`."""
+    """Parameter count of an Mlp's `layer_sizes`."""
     return sum((a + 1) * b for a, b in _layers(layer_sizes))
 
 
 def _views(flat: np.ndarray, layer_sizes):
-    """Weight and bias views into `flat`, layer by layer for an Mlp.  For a
-    HeadBank (one tuple of sizes per head) the hidden layers come first, each
-    as a (heads, fan_in, fan_out) weight block and a (heads, fan_out) bias
-    block, then each head's output layer."""
-    if len(layer_sizes) and isinstance(layer_sizes[0], (tuple, list)):
-        heads = len(layer_sizes)
-        shapes = [((heads, a, b), (heads, b)) for a, b in _layers(layer_sizes[0])[:-1]]
-        shapes += [((a, b), (b,)) for sizes in layer_sizes for a, b in _layers(sizes)[-1:]]
-    else:
-        shapes = [((a, b), (b,)) for a, b in _layers(layer_sizes)]
+    """Weight and bias views into `flat` for an Mlp's `layer_sizes` (one
+    tuple of sizes per head): the hidden layers first, each as a (heads,
+    fan_in, fan_out) weight block and a (heads, fan_out) bias block, then
+    each head's output layer."""
+    heads = len(layer_sizes)
+    shapes = [((heads, a, b), (heads, b)) for a, b in _layers(layer_sizes[:1])[:-1]]
+    shapes += [((sizes[-2], sizes[-1]), (sizes[-1],)) for sizes in layer_sizes]
     views, offset = [], 0
     for shape in (shape for pair in shapes for shape in pair):
         n = math.prod(shape)
@@ -129,125 +124,51 @@ def _views(flat: np.ndarray, layer_sizes):
 
 
 def _params(net) -> list:
-    """An Mlp's weight and bias views, layer by layer: the order of its
-    `flat_params` and of its parameters in a model file."""
+    """An Mlp's weight and bias views, layer by layer.  For a one-head Mlp
+    this is the order of its flat vector and of its parameters in a model
+    file."""
     return [p for pair in zip(net.weights, net.biases) for p in pair]
 
 
 def _draw_weights(weights, rng: np.random.Generator) -> None:
     """Weights uniform in +-1/sqrt(fan_in), drawn layer by layer."""
     for W in weights:
-        bound = 1.0 / np.sqrt(W.shape[0])
+        bound = 1.0 / np.sqrt(W.shape[-2])
         W[...] = rng.uniform(-bound, bound, size=W.shape).astype(W.dtype)
 
 
 class Grads:
-    """Per-parameter gradients for one Mlp or HeadBank, backed by a flat vector."""
+    """Per-parameter gradients for one Mlp, backed by a flat vector."""
 
-    def __init__(self, layer_sizes: Sequence, dtype, flat: Optional[np.ndarray] = None):
+    def __init__(self, layer_sizes: Sequence[Sequence[int]], dtype, flat: Optional[np.ndarray] = None):
         self.flat = _aligned_empty(_n_params(layer_sizes), dtype) if flat is None else flat
         self.weights, self.biases = _views(self.flat, layer_sizes)
 
 
 class Mlp:
-    """Fully-connected network: ReLU hidden activations, identity output.
-
-    The ReLU subgradient at exactly 0 is taken to be 0.  An Mlp runs on a
-    one-head HeadBank, whose layout for one head is the Mlp's own: over the
-    net's flat vector, or for a bank's head over views of its slice of the
-    bank's blocks.  So its caches and Grads are the bank's workspaces, valid
-    until the net's next call.
-    """
-
-    def __init__(self, layer_sizes: Sequence[int], flat: np.ndarray):
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output layer sizes")
-        sizes = tuple(int(s) for s in layer_sizes)
-        self._on(HeadBank((sizes,), ((sizes[-1],),), flat))
-
-    def _on(self, bank: "HeadBank") -> "Mlp":
-        """Run on the one-head `bank`; the layers are 2-D views of its blocks."""
-        L = bank._n_hidden
-        self._bank, self.layer_sizes = bank, bank.layer_sizes[0]
-        self.dtype, self.n_params, self._grads = bank.dtype, bank.n_params, None
-        self.weights = [W[0] for W in bank.weights[:L]] + bank.weights[L:]
-        self.biases = [b[0] for b in bank.biases[:L]] + bank.biases[L:]
-        return self
-
-    @classmethod
-    def _head(cls, bank: "HeadBank", k: int) -> "Mlp":
-        """Head k of `bank`, on views of its slice of the bank's blocks."""
-        L, sizes = bank._n_hidden, bank.layer_sizes[k]
-        views = ([W[k : k + 1] for W in bank.weights[:L]] + [bank.weights[L + k]],
-                 [b[k : k + 1] for b in bank.biases[:L]] + [bank.biases[L + k]])
-        return cls.__new__(cls)._on(HeadBank((sizes,), ((sizes[-1],),), None, views))
-
-    @property
-    def flat_params(self) -> np.ndarray:
-        """The parameters as one vector, layer by layer (weight matrix, then
-        bias).  A head of a HeadBank has no vector of its own, so for a head
-        this is a read-only copy."""
-        if self._bank.flat_params is not None:
-            return self._bank.flat_params
-        flat = np.concatenate([p.reshape(-1) for p in _params(self)])
-        flat.flags.writeable = False
-        return flat
-
-    @classmethod
-    def create(cls, layer_sizes: Sequence[int], rng: np.random.Generator, dtype=np.float64) -> "Mlp":
-        """Initialize weights uniform in +-1/sqrt(fan_in), biases zero."""
-        net = cls(layer_sizes, _aligned_zeros(_n_params(layer_sizes), dtype))
-        _draw_weights(net.weights, rng)
-        return net
-
-    def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, _aligned_copy(self.flat_params))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """The output in float64 at a single input vector or for a batch."""
-        return self._bank.forward(x)[0]
-
-    def forward_cached(self, x: np.ndarray):
-        """Batch forward in the net's dtype: (output, caches for `backward_cached`)."""
-        (out,), caches = self._bank.forward_cached(x)
-        return out, caches
-
-    def backward_cached(self, caches: list, grad_out: np.ndarray) -> Grads:
-        """The parameter gradients of `grad_out` through the cached pass;
-        see `HeadBank.backward_cached`."""
-        grads = self._bank.backward_cached(caches, (grad_out,))
-        if self._grads is None:
-            self._grads = Grads(self.layer_sizes, self.dtype, grads.flat)
-        return self._grads
-
-    def input_gradient(self, caches: list, grad_out: np.ndarray) -> np.ndarray:
-        """The input gradient of `grad_out` through the cached pass, without
-        the parameter gradients; see `HeadBank.input_gradient`."""
-        return self._bank.input_gradient(caches, (grad_out,))
-
-
-class HeadBank:
-    """Mlp heads on one input, with equal hidden layers, whose parameters
-    share one flat vector, so one Adam step or one soft update covers every
-    head.
+    """Fully-connected heads on one input: ReLU hidden activations, identity
+    outputs, and equal hidden layers.  The parameters of every head share
+    one flat vector, so one Adam step or one soft update covers them all.
+    The ReLU subgradient at exactly 0 is taken to be 0.
 
     Each hidden layer of all heads is one (heads, fan_in, fan_out) weight
     block and one (heads, fan_out) bias block, which one stacked matmul
     evaluates for every head; each head keeps its own output layer.  Every
     slice of a stacked matmul is the GEMM a head alone would run, so the
-    bank's results equal its heads' own bit for bit.  `heads` are Mlp views
-    into the blocks.  `shapes` gives each head's output shape (`()` for a
-    scalar); a head's output size is the product of its shape.  A head's
-    own one-head bank has no flat vector: it is given `views`, the
-    (weights, biases) of its slice of its parent's blocks.
+    net's results equal its heads' own bit for bit.  `heads` are one-head
+    Mlps on views of the blocks, which hold no reference to the net.
+    `shapes` gives each head's output shape (`()` for a scalar); a head's output
+    size is the product of its shape.  A head has no flat vector of its
+    own: it is given `views`, the (weights, biases) of its slice of its
+    net's blocks.  Every pass takes and returns one array per head.
 
     Hidden activations, backward deltas and the gradient vector live in
-    workspaces that the bank keeps across calls and grows to the largest
+    workspaces that the net keeps across calls and grows to the largest
     batch it has seen; the backward deltas and ReLU masks of all layers
     take turns in two blocks of the widest hidden layer, and a mask is
     never written in place over the cached activations, which the caller
     still holds.  So the caches of `forward_cached` and the Grads of
-    `backward_cached` stay valid until the bank's next call, and a bank
+    `backward_cached` stay valid until the net's next call, and a net
     must not be called from two threads at once.
 
     Each pass runs on the plan of its input shape (`_forward_plan`,
@@ -263,8 +184,9 @@ class HeadBank:
         self.layer_sizes = tuple(tuple(int(n) for n in sizes) for sizes in layer_sizes)
         if len(self.layer_sizes) != len(self.shapes):
             raise ValueError(f"{len(self.layer_sizes)} heads but {len(self.shapes)} output shapes")
-        if any(sizes[:-1] != self.layer_sizes[0][:-1] for sizes in self.layer_sizes):
-            raise ValueError(f"the heads of a bank need equal input and hidden sizes, not {self.layer_sizes}")
+        if any(len(sizes) < 2 or sizes[:-1] != self.layer_sizes[0][:-1] for sizes in self.layer_sizes):
+            raise ValueError(f"the heads of a net need input and output sizes, and equal input and hidden "
+                             f"sizes, not {self.layer_sizes}")
         for sizes, shape in zip(self.layer_sizes, self.shapes):
             if sizes[-1] != math.prod(shape):
                 raise ValueError(f"a head of {sizes[-1]} outputs cannot take the shape {shape}")
@@ -279,24 +201,31 @@ class HeadBank:
 
     @functools.cached_property
     def heads(self) -> list:
-        return [Mlp._head(self, k) for k in range(len(self.shapes))]
+        L = self._n_hidden
+        return [Mlp((sizes,), (shape,), None,
+                    ([W[k : k + 1] for W in self.weights[:L]] + [self.weights[L + k]],
+                     [b[k : k + 1] for b in self.biases[:L]] + [self.biases[L + k]]))
+                for k, (sizes, shape) in enumerate(zip(self.layer_sizes, self.shapes))]
 
     @classmethod
-    def create(cls, in_dim: int, hidden: Sequence[int], shapes, rng: np.random.Generator,
-               dtype=np.float64) -> "HeadBank":
-        """Heads of `in_dim` inputs and `hidden` layers, initialized head by
-        head as `Mlp.create` would initialize each of them."""
-        sizes = [(in_dim, *hidden, math.prod(shape)) for shape in shapes]
-        bank = cls(sizes, shapes, _aligned_zeros(_n_params(sizes), dtype))
-        for head in bank.heads:
+    def create(cls, sizes: Sequence[int], rng: np.random.Generator, dtype=np.float64, *,
+               shapes=None) -> "Mlp":
+        """One head of `sizes` (input, hidden..., output) or, given output
+        `shapes`, one head per shape on `sizes` (input, hidden...).  Weights
+        uniform in +-1/sqrt(fan_in), drawn head by head, biases zero."""
+        if shapes is None:
+            sizes, shapes = sizes[:-1], ((sizes[-1],),)
+        layer_sizes = [(*sizes, math.prod(shape)) for shape in shapes]
+        net = cls(layer_sizes, shapes, _aligned_zeros(_n_params(layer_sizes), dtype))
+        for head in net.heads:
             _draw_weights(head.weights, rng)
-        return bank
+        return net
 
-    def copy(self) -> "HeadBank":
-        return HeadBank(self.layer_sizes, self.shapes, _aligned_copy(self.flat_params))
+    def copy(self) -> "Mlp":
+        return Mlp(self.layer_sizes, self.shapes, _aligned_copy(self.flat_params))
 
     def _workspace(self, kind: str, size: int) -> np.ndarray:
-        """The bank's `kind` workspace ("forward" or "backward"): a vector
+        """The net's `kind` workspace ("forward" or "backward"): a vector
         kept across calls and grown to the largest call's `size` items.
         When it grows, the plans of that kind, views into the old vector,
         are dropped."""
@@ -315,7 +244,7 @@ class HeadBank:
         (*rows, outputs) output.  The plan is (layers, heads, outs, acts):
         each hidden layer's (weight block, bias block, activations), the
         blocks broadcast over the leading axes; each head's (hidden input,
-        or None for the bank's input, output weights, output bias, output);
+        or None for the net's input, output weights, output bias, output);
         each output shaped *rows + its head's shape; the activations."""
         plan = self._plans["forward"].get(shape)
         if plan is not None:
@@ -371,7 +300,7 @@ class HeadBank:
         return plan
 
     def _run(self, x: np.ndarray) -> tuple:
-        """Forward pass of every head on `x` in the bank's dtype, into the
+        """Forward pass of every head on `x` in the net's dtype, into the
         forward workspace; returns its plan.  `x` is one input vector, a
         batch (n, in), or independent batches (R, n, in) behind a leading
         axis: each of those is one slice of every stacked matmul, so
@@ -401,8 +330,8 @@ class HeadBank:
         return [out.astype(np.float64) for out in outs]
 
     def forward_cached(self, x: np.ndarray):
-        """Batch forward in the bank's dtype: (outputs shaped per head, caches
-        for `backward_cached`), both valid until the bank's next call."""
+        """Batch forward in the net's dtype: (outputs shaped per head, caches
+        for `backward_cached`), both valid until the net's next call."""
         x = np.asarray(x, dtype=self.dtype)
         _, _, outs, acts = self._run(x)
         return outs, [x, *acts]
@@ -410,7 +339,7 @@ class HeadBank:
     def backward_cached(self, caches: list, grad_outs) -> Grads:
         """Every head's parameter gradients in one flat vector, given each
         head's output gradient (batch first, shaped like its output).  The
-        Grads are the bank's workspace, valid until its next call."""
+        Grads are the net's workspace, valid until its next call."""
         if self._grads is None:
             self._grads = Grads(self.layer_sizes, self.dtype)
         self._backward(caches, grad_outs, self._grads)
@@ -438,7 +367,7 @@ class HeadBank:
                 gin = g @ Wt if gin is None else gin + g @ Wt
         for i, delta, mask, Wt, dst in layers:
             # ReLU subgradient: the sign of a unit's output (>= 0) is 1 where
-            # it is positive, else 0; a mask in the bank's dtype, as a bool
+            # it is positive, else 0; a mask in the net's dtype, as a bool
             # one would be cast through a buffer on every call
             np.sign(acts[i + 1], out=mask)
             delta *= mask
@@ -460,9 +389,9 @@ class Adam:
     `t` and the moments `m` and `v`; a step writes its intermediate
     products into the thread's scratch vector of the parameters' dtype
     (`_scratch`), which it shares with every other Adam step and soft
-    update of the thread.  Its scalars (betas, eps and the bias
-    corrections) are Python floats, so every pass runs in the parameters'
-    dtype: a float32 step rounds them to float32.
+    update of the thread.  Its scalars (`BETA1`, `BETA2`, `EPS` and the
+    bias corrections) are Python floats, so every pass runs in the
+    parameters' dtype: a float32 step rounds them to float32.
 
     Every `FLUSH_EVERY` steps the moments below the dtype's smallest
     normal float are set to 0 before the update.  A dead ReLU unit's
@@ -474,22 +403,12 @@ class Adam:
     """
 
     FLUSH_EVERY = 16
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    def __init__(
-        self,
-        net: Mlp | HeadBank,
-        lr: float,
-        *,
-        lr_after: Optional[float] = None,
-        switch_step: Optional[int] = None,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, net: Mlp, lr: float, *, lr_after: Optional[float] = None, switch_step: Optional[int] = None):
         self.lr = float(lr)
         self.lr_after = float(lr_after) if lr_after is not None else None
         self.switch_step = int(switch_step) if switch_step is not None else None
-        self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self.t = 0
         self.m = _aligned_zeros(net.n_params, net.dtype)
         self.v = _aligned_zeros(net.n_params, net.dtype)
@@ -500,7 +419,7 @@ class Adam:
             return self.lr_after
         return self.lr
 
-    def step(self, net: Mlp | HeadBank, grads: Grads, context: str = "") -> None:
+    def step(self, net: Mlp, grads: Grads, context: str = "") -> None:
         g = grads.flat
         if not _all_finite(g):
             raise NonFiniteGradientError(
@@ -508,7 +427,7 @@ class Adam:
             )
         lr = self.current_lr
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         buf = _scratch(self.m.size, self.m.dtype)
         # m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2   (in place, no temps)
         np.subtract(g, self.m, out=buf)
@@ -533,13 +452,13 @@ class Adam:
         # out and back, at about 8x the cost of the pass.
         s2 = math.sqrt(1.0 - b2**self.t)
         np.sqrt(self.v, out=buf)
-        buf += self.eps * s2
+        buf += self.EPS * s2
         np.divide(self.m, buf, out=buf)
         buf *= lr * s2 / (1.0 - b1**self.t)
         net.flat_params[...] -= buf
 
 
-def soft_update(target: Mlp | HeadBank, source: Mlp | HeadBank, tau: float) -> Mlp | HeadBank:
+def soft_update(target: Mlp, source: Mlp, tau: float) -> Mlp:
     """Blend target parameters toward source: t <- tau*s + (1-tau)*t, with
     tau*s in the thread's scratch vector of the source's dtype."""
     if target.layer_sizes != source.layer_sizes:
@@ -598,8 +517,8 @@ class Normalizer:
 # No whole-model copy is made either way.  Saving writes each layer straight
 # from its weight or bias view, cast to float64 one layer at a time.  Loading
 # reads each network into one reused float64 buffer and casts it straight
-# into the parameters that serve it: an Mlp of its own, or a head of the
-# HeadBank that the loader's `banks` names it for.
+# into the parameters that serve it: a one-head Mlp of its own, or a head of
+# the Mlp that the loader's `banks` names it for.
 # ---------------------------------------------------------------------------
 
 MODEL_FORMAT = "llql-model-v1"
@@ -613,8 +532,8 @@ class ModelFileError(ConfigError):
 @dataclasses.dataclass
 class ModelFile:
     """A model file's header and parameters: `nets` maps each network's
-    name to an Mlp, and `banks` maps the names of nets read into one
-    HeadBank to that bank, whose heads those nets are."""
+    name to a one-head Mlp, and `banks` maps the names of nets read into
+    the heads of one Mlp to that Mlp."""
 
     nets: dict
     normalizer: Optional[Normalizer]
@@ -664,10 +583,12 @@ def write_atomic(path, chunks: Iterable) -> None:
 
 
 def save_model(path, nets: dict, normalizer: Optional[Normalizer] = None, meta: Optional[dict] = None) -> None:
+    """Write `nets`, {name: one-head Mlp}, to a model file; an Mlp of several
+    heads is saved as its heads."""
     header = {
         "format": MODEL_FORMAT,
         "nets": [
-            {"name": name, "layer_sizes": list(net.layer_sizes), "dtype": np.dtype(net.dtype).name}
+            {"name": name, "layer_sizes": list(net.layer_sizes[0]), "dtype": np.dtype(net.dtype).name}
             for name, net in nets.items()
         ],
         "normalizer": normalizer.to_dict() if normalizer is not None else None,
@@ -719,7 +640,7 @@ def _read_header(fh, path) -> tuple:
             raise TypeError(f"meta is a {type(meta).__name__}, not an object")
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: malformed model header ({type(exc).__name__}: {exc})") from exc
-    blob_len, listed = size - 8 - header_len, 8 * sum(_n_params(sizes) for _, sizes, _ in entries)
+    blob_len, listed = size - 8 - header_len, 8 * sum(_n_params((sizes,)) for _, sizes, _ in entries)
     if blob_len != listed:
         raise ModelFileError(f"{path}: parameter blob holds {blob_len} bytes, the header lists {listed}")
     return ModelFile(nets={}, normalizer=normalizer, meta=meta, path=str(path)), entries
@@ -737,8 +658,8 @@ def load_model(path, banks: Optional[Callable[[ModelFile], dict]] = None) -> Mod
     the size of the largest network, each cast layer by layer straight into
     the parameters that serve it.  `banks`, given the file with its header
     read, returns {tuple of net names: their heads' output shapes}: each
-    tuple's nets are read into the heads of one HeadBank, and every other
-    net into an Mlp of its own.  ModelFileError when the file is truncated, padded, malformed,
+    tuple's nets are read into the heads of one Mlp, and every other net
+    into a one-head Mlp of its own.  ModelFileError when the file is truncated, padded, malformed,
     of another format or holds non-finite parameters, or when a net that
     `banks` names is missing or does not fit its bank."""
     with open(path, "rb") as fh:
@@ -751,12 +672,14 @@ def load_model(path, banks: Optional[Callable[[ModelFile], dict]] = None) -> Mod
             sizes = [listed[name][0] for name in names]
             dtype = np.result_type(*(listed[name][1] for name in names))
             try:
-                mf.banks[names] = HeadBank(sizes, shapes, _aligned_zeros(_n_params(sizes), dtype))
+                mf.banks[names] = Mlp(sizes, shapes, _aligned_zeros(_n_params(sizes), dtype))
             except ValueError as exc:
                 raise ModelFileError(f"{path}: nets {names}: {exc}") from exc
             heads.update(zip(names, mf.banks[names].heads))
         for name, sizes, dtype in entries:
-            mf.nets[name] = heads[name] if name in heads else Mlp(sizes, _aligned_zeros(_n_params(sizes), dtype))
+            if name not in heads:
+                heads[name] = Mlp((sizes,), ((sizes[-1],),), _aligned_zeros(_n_params((sizes,)), dtype))
+            mf.nets[name] = heads[name]
         buffer = np.empty(max((net.n_params for net in mf.nets.values()), default=0), dtype="<f8")
         for name, net in mf.nets.items():
             if fh.readinto(buffer[: net.n_params]) != 8 * net.n_params:

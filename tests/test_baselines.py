@@ -15,13 +15,13 @@ from llql.baselines import (
 )
 from llql.core import DynamicsModel, Transition, TransitionBatch
 from llql.envs import MountainCar, Pendulum
-from llql.nets import HeadBank, Normalizer, soft_update
+from llql.nets import Mlp, Normalizer, soft_update
 
 
 def constant_bank(in_dim, outputs, shapes):
     """A bank of heads without hidden layers that output the given constants
     for any input."""
-    bank = HeadBank.create(in_dim, (), shapes, np.random.default_rng(0))
+    bank = Mlp.create((in_dim,), np.random.default_rng(0), shapes=shapes)
     for head, values in zip(bank.heads, outputs):
         head.weights[0][...] = 0.0
         head.biases[0][...] = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -277,25 +277,25 @@ def wrapped_ddpg_update(self, batch):
     Z = self.normalizer.normalize(batch.states).astype(dt)
     Z2 = self.normalizer.normalize(batch.next_states).astype(dt)
     U = batch.actions.astype(dt)
-    u2 = wrapped_squash(self.model, self.actor_target.forward(Z2)).astype(dt)
-    q2 = self.critic_target.forward(np.concatenate([Z2, u2], axis=1))[:, 0]
+    u2 = wrapped_squash(self.model, self.actor_target.forward(Z2)[0]).astype(dt)
+    q2 = self.critic_target.forward(np.concatenate([Z2, u2], axis=1))[0][:, 0]
     y = batch.rewards + cfg.discount * (~batch.dones) * q2
     inp = np.concatenate([Z, U], axis=1)
-    q, cache_c = self.critic.forward_cached(inp)
+    (q,), cache_c = self.critic.forward_cached(inp)
     res = y - q[:, 0].astype(np.float64)
     loss = float((res**2).mean())
     gq = ((-2.0 / n) * res).astype(dt)[:, None]
-    grads_c = self.critic.backward_cached(cache_c, gq)
+    grads_c = self.critic.backward_cached(cache_c, (gq,))
     self.adam_critic.step(self.critic, grads_c, context="critic loss")
-    raw, cache_a = self.actor.forward_cached(Z)
+    (raw,), cache_a = self.actor.forward_cached(Z)
     u_pi = wrapped_squash(self.model, raw).astype(dt)
     inp_pi = np.concatenate([Z, u_pi], axis=1)
     _, cache_q = self.critic.forward_cached(inp_pi)
-    gin = self.critic.input_gradient(cache_q, np.full((n, 1), -1.0 / n, dtype=dt))
+    gin = self.critic.input_gradient(cache_q, (np.full((n, 1), -1.0 / n, dtype=dt),))
     du = gin[:, self.env.state_dim :].astype(np.float64)
     half = (self.model.action_high - self.model.action_low) / 2.0
     draw = (du * half * (1.0 - np.tanh(raw.astype(np.float64)) ** 2)).astype(dt)
-    grads_a = self.actor.backward_cached(cache_a, draw)
+    grads_a = self.actor.backward_cached(cache_a, (draw,))
     self.adam_actor.step(self.actor, grads_a, context="actor objective")
     soft_update(self.critic_target, self.critic, cfg.tau)
     soft_update(self.actor_target, self.actor, cfg.tau)

@@ -23,13 +23,13 @@ from llql.control import (
     trajectory_action,
 )
 from llql.core import DynamicsModel, QModel
-from llql.nets import HeadBank, Mlp, Normalizer
+from llql.nets import Mlp, Normalizer
 
 
 def constant_bank(in_dim, outputs, shapes):
     """A bank of heads without hidden layers that output the given constants
     for any input."""
-    bank = HeadBank.create(in_dim, (), shapes, np.random.default_rng(0))
+    bank = Mlp.create((in_dim,), np.random.default_rng(0), shapes=shapes)
     for head, values in zip(bank.heads, outputs):
         head.weights[0][...] = 0.0
         head.biases[0][...] = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -497,11 +497,11 @@ def random_models(state_dim, seed):
     coefficients vary from state to state."""
     rnd = np.random.default_rng(seed)
     q = QModel(
-        HeadBank.create(state_dim, (8, 8), QModel.head_shapes(1), rnd, np.float32),
+        Mlp.create((state_dim, 8, 8), rnd, np.float32, shapes=QModel.head_shapes(1)),
         Normalizer(rnd.normal(size=state_dim), rnd.uniform(0.5, 2.0, state_dim)), np.array([-1.0]), np.array([1.0]),
     )
     dyn = DynamicsModel(
-        HeadBank.create(state_dim, (8, 8), DynamicsModel.head_shapes(state_dim, 1), rnd, np.float32), 0.05,
+        Mlp.create((state_dim, 8, 8), rnd, np.float32, shapes=DynamicsModel.head_shapes(state_dim, 1)), 0.05,
         Normalizer.identity(state_dim),
     )
     return q, dyn
@@ -757,6 +757,14 @@ def test_goal_validation():
         ConstraintGoal(state_index=0, bound=1.0, direction="sideways")
     with pytest.raises(ConfigError):
         SymmetricConstraintGoal(state_index=0, bound=-1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        # a NaN margin would never engage, so the goal would hold no bound
+        with pytest.raises(ConfigError, match="finite"):
+            SymmetricConstraintGoal(state_index=0, bound=1.0, margin=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            ConstraintGoal(state_index=0, bound=1.0, margin=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            ConstraintGoal(0, bad)
     goal = ConstraintGoal(state_index=1, bound=0.033)
     assert goal.active(np.array([[0.0, 0.05], [0.0, 0.01]]), 0).tolist() == [True, False]
 

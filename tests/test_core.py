@@ -9,13 +9,13 @@ import pytest
 
 from llql import ConfigError, core, linalg
 from llql.envs import MountainCar
-from llql.nets import HeadBank, Normalizer, soft_update
+from llql.nets import Mlp, Normalizer, _params, soft_update
 
 
 def constant_bank(in_dim, outputs, shapes):
     """A bank of heads without hidden layers that output the given constants
     for any input."""
-    bank = HeadBank.create(in_dim, (), shapes, np.random.default_rng(0))
+    bank = Mlp.create((in_dim,), np.random.default_rng(0), shapes=shapes)
     for head, values in zip(bank.heads, outputs):
         head.weights[0][...] = 0.0
         head.biases[0][...] = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -336,8 +336,8 @@ def test_train_determinism():
     a = core.train(MountainCar(horizon=25), tiny_config(episodes=2))
     b = core.train(MountainCar(horizon=25), tiny_config(episodes=2))
     assert a.log == b.log
-    assert np.array_equal(a.qmodel.v_net.flat_params, b.qmodel.v_net.flat_params)
-    assert np.array_equal(a.dynamics.f_net.flat_params, b.dynamics.f_net.flat_params)
+    for net_a, net_b in ((a.qmodel.v_net, b.qmodel.v_net), (a.dynamics.f_net, b.dynamics.f_net)):
+        assert all(np.array_equal(p, q) for p, q in zip(_params(net_a), _params(net_b)))
 
 
 def test_train_divergence_aborts_with_snapshot():
@@ -394,10 +394,10 @@ def test_loading_an_llql_model_reads_its_nets_straight_into_the_banks(tmp_path):
     env = MountainCar()
     rng = np.random.default_rng(0)
     dyn = core.DynamicsModel(
-        HeadBank.create(2, (200, 200), core.DynamicsModel.head_shapes(2, 1), rng, np.float32), 0.001,
+        Mlp.create((2, 200, 200), rng, np.float32, shapes=core.DynamicsModel.head_shapes(2, 1)), 0.001,
         Normalizer.identity(2),
     )
-    q = core.QModel(HeadBank.create(2, (200, 200), core.QModel.head_shapes(1), rng, np.float32),
+    q = core.QModel(Mlp.create((2, 200, 200), rng, np.float32, shapes=core.QModel.head_shapes(1)),
                     dyn.normalizer, np.array([-1.0]), np.array([1.0]))
     path = tmp_path / "mc.model"
     core.save_llql_model(path, dyn, q, {"env": env.spec.to_dict()})
@@ -414,7 +414,7 @@ def test_loading_an_llql_model_reads_its_nets_straight_into_the_banks(tmp_path):
     banks = dyn.bank.flat_params.nbytes + q.bank.flat_params.nbytes
     heads = dyn.bank.heads + q.bank.heads
     largest = 8 * max(head.n_params for head in heads)
-    assert kept - banks < min(head.flat_params.nbytes for head in heads)  # no net kept twice
+    assert kept - banks < min(sum(p.nbytes for p in _params(head)) for head in heads)  # no net kept twice
     assert peak <= kept + largest + header_len + io.DEFAULT_BUFFER_SIZE
 
 
@@ -423,7 +423,7 @@ def test_dynamics_only_training():
     res = core.train_dynamics(env, tiny_config(), policy=lambda x: np.array([1.0]))
     assert res.qmodel is None
     assert math.isnan(res.log[0].l2)
-    assert res.dynamics.f_net.layer_sizes[0] == 2
+    assert res.dynamics.f_net.layer_sizes[0][0] == 2
 
 
 # ---------------------------------------------------------------------------

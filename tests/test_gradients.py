@@ -5,7 +5,7 @@ recorder, so the parameters stay where the gradients were taken, and then
 compares the recorded gradients with central differences of a loss written
 independently of the update: `core.short_term_loss`, `core.long_term_loss`,
 and the DDPG critic MSE and actor objective built from the model's forward
-passes.  An LLQL optimiser steps a whole head bank, so its gradient and the
+passes.  An LLQL optimiser steps a whole bank of heads, so its gradient and the
 differences cover every parameter of every head.
 """
 
@@ -74,12 +74,10 @@ def finite_difference(net, loss):
 
 def head_indices(net):
     """Each head's parameters as indices into the stepped vector, in the
-    head's own order; a plain Mlp is one head covering its whole vector."""
-    if not hasattr(net, "heads"):
-        return [np.arange(net.n_params)]
+    head's own order; a one-head Mlp's one head covers its whole vector."""
     saved = net.flat_params.copy()
     net.flat_params[...] = np.arange(net.n_params)
-    indices = [np.asarray(head.flat_params).astype(np.int64) for head in net.heads]
+    indices = [np.concatenate([p.reshape(-1) for p in nets._params(head)]).astype(np.int64) for head in net.heads]
     net.flat_params[...] = saved
     return indices
 
@@ -158,15 +156,15 @@ def test_ddpg_update_gradients_match_critic_mse_and_actor_objective(env_name, ad
     Z2 = model.normalizer.normalize(batch.next_states)
 
     def critic_mse():
-        u2 = model._squash(trainer.actor_target.forward(Z2))
-        q2 = trainer.critic_target.forward(np.concatenate([Z2, u2], axis=1))[:, 0]
+        u2 = model._squash(trainer.actor_target.forward(Z2)[0])
+        q2 = trainer.critic_target.forward(np.concatenate([Z2, u2], axis=1))[0][:, 0]
         y = batch.rewards + cfg.discount * (~batch.dones) * q2
-        q = model.critic.forward(np.concatenate([Z, batch.actions], axis=1))[:, 0]
+        q = model.critic.forward(np.concatenate([Z, batch.actions], axis=1))[0][:, 0]
         return float(((y - q) ** 2).mean())
 
     def actor_objective():  # minimised: -mean Q(x, mu(x))
         u = model(batch.states)
-        return -float(model.critic.forward(np.concatenate([Z, u], axis=1))[:, 0].mean())
+        return -float(model.critic.forward(np.concatenate([Z, u], axis=1))[0][:, 0].mean())
 
     assert_matches_fd(trainer.critic, adam_grads, critic_mse)
     assert_matches_fd(trainer.actor, adam_grads, actor_objective)

@@ -203,6 +203,18 @@ def test_train_llql_batch_caches(tmp_path):
     assert runs2[0].final_reward == runs[0].final_reward
 
 
+def test_a_new_training_bits_version_retrains_instead_of_reusing_the_cache(tmp_path, monkeypatch):
+    cfg = tiny_train_config()
+    (run,) = experiments.train_llql_batch("mountain_car", cfg, [0], tmp_path, workers=1, horizon=10)
+    monkeypatch.setattr(experiments, "TRAINING_BITS", experiments.TRAINING_BITS + 1)
+    trained = []
+    real_train = core.train
+    monkeypatch.setattr(core, "train", lambda *args, **kw: trained.append(1) or real_train(*args, **kw))
+    (bumped,) = experiments.train_llql_batch("mountain_car", cfg, [0], tmp_path, workers=1, horizon=10)
+    assert trained == [1] and bumped.model_path != run.model_path
+    assert Path(run.model_path).read_bytes() == Path(bumped.model_path).read_bytes()
+
+
 def test_batches_in_a_worker_pool_write_the_files_of_serial_training(tmp_path):
     # each job derives all its randomness from its own seed, so the process
     # that runs it does not change a byte of its model or its log
@@ -908,6 +920,8 @@ def test_cli_eval_mpc_on_a_pendulum_model_exits_two(tmp_path, capsys):
     (["--goal", "trajectory", "--gamma1", "-1"], "gamma1 and gamma2 must be non-negative"),
     (["--goal", "trajectory", "--gamma1", "0", "--gamma2", "0"], "not both zero"),
     (["--goal", "constraint", "--bound", "nan"], "bound must be positive"),
+    (["--goal", "constraint", "--margin", "nan"], "bound and margin must be finite"),
+    (["--goal", "constraint", "--margin", "inf"], "bound and margin must be finite"),
     (["--goal", "trajectory", "--gamma2", "nan"], "gamma1 and gamma2 must be non-negative"),
 ])
 @pytest.mark.parametrize("command", ["eval", "adjust"])
@@ -1026,7 +1040,8 @@ def test_model_files_hold_the_whole_blob_encoding_of_their_nets(tmp_path, role):
     data = path.read_bytes()
     (header_len,) = struct.unpack("<Q", data[:8])
     assert [net["name"] for net in json.loads(data[8 : 8 + header_len])["nets"]] == list(saved)
-    blob = np.concatenate([net.flat_params.astype(np.float64) for net in saved.values()]).astype("<f8").tobytes()
+    params = [p.reshape(-1) for net in saved.values() for p in nets._params(net)]
+    blob = np.concatenate(params).astype("<f8").tobytes()
     assert data[8 + header_len :] == blob
 
 

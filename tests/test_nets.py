@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import struct
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from llql import nets
 from llql.nets import (
     Adam,
     Grads,
-    HeadBank,
     Mlp,
     ModelFileError,
     NonFiniteGradientError,
@@ -28,44 +29,55 @@ def make_net(sizes, seed=0, dtype=np.float64):
     return Mlp.create(sizes, np.random.default_rng(seed), dtype)
 
 
-# A plain numpy MLP on a net's (or a head's) weight and bias views, in the
-# net's dtype: one 2-D matmul per layer, the reference the network engine is
-# checked against, bit for bit.
+# A plain numpy MLP on a one-head net's (or a head's) weight and bias views,
+# in the net's dtype: one 2-D matmul per layer, the reference the network
+# engine is checked against, bit for bit.
+
+
+def params_of(net) -> np.ndarray:
+    """A one-head net's parameters as one vector, in model-file order."""
+    return np.concatenate([p.reshape(-1) for p in nets._params(net)])
+
+
+def layers_of(net) -> list:
+    """A one-head net's (weight matrix, bias vector) of each layer."""
+    params = nets._params(net)
+    return [(W.reshape(W.shape[-2:]), b.reshape(-1)) for W, b in zip(params[0::2], params[1::2])]
 
 
 def ref_forward(net, X) -> list:
     """Every layer's output on the batch `X`, the input first."""
-    acts = [np.asarray(X, dtype=net.dtype)]
-    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+    acts, layers = [np.asarray(X, dtype=net.dtype)], layers_of(net)
+    for i, (W, b) in enumerate(layers):
         a = acts[-1] @ W + b
-        acts.append(np.maximum(a, 0.0) if i < len(net.weights) - 1 else a)
+        acts.append(np.maximum(a, 0.0) if i < len(layers) - 1 else a)
     return acts
 
 
 def ref_backward(net, X, G) -> tuple:
     """(parameter gradient in model-file order, input gradient) of the
     outputs on the batch `X` contracted with `G`; ReLU's subgradient at 0 is 0."""
-    acts = ref_forward(net, X)
+    acts, layers = ref_forward(net, X), layers_of(net)
     g = np.asarray(G, dtype=net.dtype)
     parts = []
-    for i in range(len(net.weights) - 1, -1, -1):
+    for i in range(len(layers) - 1, -1, -1):
         parts = [acts[i].T @ g, g.sum(axis=0)] + parts
-        g = g @ net.weights[i].T
+        g = g @ layers[i][0].T
         if i:
             g = g * (acts[i] > 0)
     return np.concatenate([p.reshape(-1) for p in parts]), g
 
 
 def own_backward(net, X, G) -> tuple:
-    """(Grads, input gradient) from the net's own cached passes."""
+    """(Grads, input gradient) from the one-head net's own cached passes."""
     _, acts = net.forward_cached(X)
-    return net.backward_cached(acts, G), net.input_gradient(acts, G)
+    return net.backward_cached(acts, (G,)), net.input_gradient(acts, (G,))
 
 
 def test_forward_zero_parameters_gives_zero():
     net = make_net((3, 4, 2))
     net.flat_params[:] = 0.0
-    assert np.array_equal(net.forward(np.array([1.0, -2.0, 3.0])), np.zeros(2))
+    assert np.array_equal(net.forward(np.array([1.0, -2.0, 3.0]))[0], np.zeros(2))
 
 
 def test_forward_identity_single_layer():
@@ -73,7 +85,7 @@ def test_forward_identity_single_layer():
     net.weights[0][...] = np.eye(3)
     net.biases[0][...] = 0.0
     x = np.array([0.5, -1.5, 2.0])
-    assert np.array_equal(net.forward(x), x)
+    assert np.array_equal(net.forward(x)[0], x)
 
 
 def test_forward_hand_computed_2_2_1():
@@ -84,15 +96,15 @@ def test_forward_hand_computed_2_2_1():
     net.biases[1][...] = np.array([0.25])
     # hidden pre = [1+4+0.5, -1+1-1] = [5.5, -1]; relu -> [5.5, 0]
     # out = 5.5*2 + 0*(-1) + 0.25 = 11.25
-    assert net.forward(np.array([1.0, 2.0]))[0] == pytest.approx(11.25, abs=1e-12)
+    assert net.forward(np.array([1.0, 2.0]))[0][0] == pytest.approx(11.25, abs=1e-12)
 
 
 def test_forward_batch_matches_single():
     net = make_net((3, 8, 2), seed=4)
     X = np.random.default_rng(1).standard_normal((5, 3))
-    batch = net.forward(X)
+    (batch,) = net.forward(X)
     for i in range(5):
-        assert np.allclose(batch[i], net.forward(X[i]), atol=1e-12)
+        assert np.allclose(batch[i], net.forward(X[i])[0], atol=1e-12)
 
 
 def test_forward_dimension_mismatch():
@@ -339,7 +351,7 @@ def test_adam_steps_and_soft_updates_allocate_no_parameter_sized_block_after_a_w
     # scalar in a float32 pass would cast through numpy's buffers, 128 KB at
     # its default of 8,192 items
     rng = np.random.default_rng(0)
-    bank = HeadBank.create(2, (200, 200), ((), (1,), (1, 1)), rng, np.float32)
+    bank = Mlp.create((2, 200, 200), rng, np.float32, shapes=((), (1,), (1, 1)))
     critic = Mlp.create((3, 200, 200, 1), rng, np.float32)
     for model in (bank, critic):
         target, adam = model.copy(), Adam(model, 1e-3)
@@ -545,7 +557,7 @@ def test_loading_a_default_model_allocates_less_than_its_file(tmp_path):
 
 def whole_blob(nets) -> bytes:
     """The parameter blob as one concatenated float64 vector encodes it."""
-    return np.concatenate([net.flat_params.astype(np.float64) for net in nets]).astype("<f8").tobytes()
+    return np.concatenate([params_of(net).astype(np.float64) for net in nets]).astype("<f8").tobytes()
 
 
 def blob_of(path) -> bytes:
@@ -571,7 +583,7 @@ def test_saving_allocates_at_most_one_layer_in_float64(tmp_path):
     inputs is the largest layer in float64 and the header, plus the file's
     write buffer and 1 KiB of Python objects."""
     rng = np.random.default_rng(0)
-    bank = HeadBank.create(2, (200, 200), ((2,), (2, 1), (), (1,), (1, 1)), rng, np.float32)
+    bank = Mlp.create((2, 200, 200), rng, np.float32, shapes=((2,), (2, 1), (), (1,), (1, 1)))
     nets = dict(zip("fgvhd", bank.heads))
     path = tmp_path / "mc.model"
     save_model(path, nets, Normalizer.identity(2), {"env": "test"})  # warm up
@@ -635,20 +647,34 @@ def test_failed_model_save_keeps_the_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["net.model"]  # no temporary file left
 
 
+def test_a_net_and_its_heads_are_freed_without_the_cycle_collector():
+    # a net kept alive by a cycle would hold its workspaces until a
+    # collection: every DDPG net of a training batch at once
+    gc.disable()
+    try:
+        for make in (lambda: make_net((3, 6, 2)), make_bank):
+            net = make()
+            refs = [weakref.ref(net), *map(weakref.ref, net.heads)]
+            del net
+            assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 def test_mlp_requires_finite_parameters():
     with pytest.raises(ValueError):
-        Mlp((1, 1), np.array([np.nan, 0.0]))
+        Mlp(((1, 1),), ((1,),), np.array([np.nan, 0.0]))
 
 
 # ---------------------------------------------------------------------------
-# Head banks
+# Banks: Mlps of several heads
 # ---------------------------------------------------------------------------
 
 SHAPES = ((), (2,), (2, 2))
 
 
 def make_bank(seed=0, dtype=np.float64):
-    return HeadBank.create(3, (5, 4), SHAPES, np.random.default_rng(seed), dtype)
+    return Mlp.create((3, 5, 4), np.random.default_rng(seed), dtype, shapes=SHAPES)
 
 
 def head_indices(bank):
@@ -656,7 +682,7 @@ def head_indices(bank):
     head's own (model-file) order, whatever the bank's layout."""
     saved = bank.flat_params.copy()
     bank.flat_params[...] = np.arange(bank.n_params)
-    indices = [np.asarray(head.flat_params).astype(np.int64) for head in bank.heads]
+    indices = [params_of(head).astype(np.int64) for head in bank.heads]
     bank.flat_params[...] = saved
     return indices
 
@@ -665,12 +691,12 @@ def test_bank_heads_are_views_of_one_vector_initialized_like_separate_nets():
     bank = make_bank(seed=9, dtype=np.float32)
     rng = np.random.default_rng(9)
     nets = [Mlp.create((3, 5, 4, n), rng, np.float32) for n in (1, 2, 4)]
-    assert bank.layer_sizes == tuple(net.layer_sizes for net in nets)
+    assert bank.layer_sizes == tuple(net.layer_sizes[0] for net in nets)
     assert bank.n_params == sum(net.n_params for net in nets)
     indices = head_indices(bank)
     assert np.array_equal(np.sort(np.concatenate(indices)), np.arange(bank.n_params))
     for head, net, idx in zip(bank.heads, nets, indices):
-        assert np.array_equal(head.flat_params, net.flat_params)
+        assert np.array_equal(params_of(head), net.flat_params)
         assert np.array_equal(bank.flat_params[idx], net.flat_params)
     bank.heads[1].biases[-1][...] = 7.0
     assert np.count_nonzero(bank.flat_params == 7.0) == 2
@@ -714,25 +740,25 @@ def test_bank_takes_one_adam_step_and_one_soft_update():
     soft_update(target, bank, 1.0)
     assert np.array_equal(target.flat_params, bank.flat_params)
     with pytest.raises(ValueError):
-        soft_update(target, HeadBank.create(3, (5,), SHAPES, np.random.default_rng(0)), 0.5)
+        soft_update(target, Mlp.create((3, 5), np.random.default_rng(0), shapes=SHAPES), 0.5)
 
 
 def test_bank_rejects_a_head_that_cannot_take_its_shape():
     with pytest.raises(ValueError, match="shape"):
-        HeadBank([(3, 1), (3, 3)], ((), (2,)), np.zeros(16))
+        Mlp([(3, 1), (3, 3)], ((), (2,)), np.zeros(16))
 
 
 def test_bank_rejects_heads_of_unequal_input_or_hidden_sizes():
     for sizes in ((3, 4, 2), (2, 5, 2), (3, 5, 5, 2)):
         with pytest.raises(ValueError, match="equal input and hidden sizes"):
-            HeadBank([(3, 5, 1), sizes], ((), (2,)), None)
+            Mlp([(3, 5, 1), sizes], ((), (2,)), None)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("hidden", [(5, 4), (6,), ()], ids=["hidden", "one_hidden", "no_hidden"])
 @pytest.mark.parametrize("n", [1, 10, 100, 1000])
 def test_bank_results_equal_each_heads_own_results_bitwise(n, hidden, dtype):
-    bank = HeadBank.create(3, hidden, SHAPES, np.random.default_rng(5), dtype)
+    bank = Mlp.create((3, *hidden), np.random.default_rng(5), dtype, shapes=SHAPES)
     rng = np.random.default_rng(n)
     bank.flat_params[...] += rng.normal(0.0, 0.1, size=bank.n_params).astype(dtype)  # nonzero biases
     X = rng.standard_normal((n, 3))
@@ -759,7 +785,7 @@ def test_bank_results_equal_each_heads_own_results_bitwise(n, hidden, dtype):
 def test_rows_of_one_row_batches_equal_one_input_forwards_bitwise(R, shapes, hidden, dtype):
     # R inputs as (R, 1, in) are R one-row batches: each runs the GEMV one
     # input runs, where a batch (R, in) runs a GEMM whose rows may differ
-    bank = HeadBank.create(3, hidden, shapes, np.random.default_rng(9), dtype)
+    bank = Mlp.create((3, *hidden), np.random.default_rng(9), dtype, shapes=shapes)
     rng = np.random.default_rng(R)
     bank.flat_params[...] += rng.normal(0.0, 0.1, size=bank.n_params).astype(dtype)
     X = rng.standard_normal((R, 3))
@@ -771,11 +797,11 @@ def test_rows_of_one_row_batches_equal_one_input_forwards_bitwise(R, shapes, hid
         for out, one in zip(rows, bank.forward(X[j])):
             assert np.array_equal(out[j, 0], one)
     net = bank.heads[1]
-    assert np.array_equal(net.forward(X[:, None, :])[:, 0], np.array([net.forward(x) for x in X]))
+    assert np.array_equal(net.forward(X[:, None, :])[0][:, 0], np.array([net.forward(x)[0] for x in X]))
 
 
 def test_bank_workspaces_follow_the_batch_size_up_and_down():
-    bank = HeadBank.create(3, (5, 4), SHAPES, np.random.default_rng(6), np.float32)
+    bank = Mlp.create((3, 5, 4), np.random.default_rng(6), np.float32, shapes=SHAPES)
     bank.flat_params[...] += np.random.default_rng(7).normal(0.0, 0.1, size=bank.n_params).astype(np.float32)
     indices = head_indices(bank)
     rng = np.random.default_rng(8)
@@ -796,7 +822,7 @@ def test_plans_are_rebuilt_when_a_workspace_grows_and_keep_the_bits(dtype):
     # them, batch 10 builds them again on the new vectors, and one-row
     # batches (R, 1, in) get a forward plan of their own
     rng = np.random.default_rng(21)
-    bank = HeadBank.create(3, (6, 5), SHAPES, rng, dtype)
+    bank = Mlp.create((3, 6, 5), rng, dtype, shapes=SHAPES)
     bank.flat_params[...] += rng.normal(0.0, 0.1, size=bank.n_params).astype(dtype)
     for shape in ((10, 3), (100, 3), (10, 3), (4, 1, 3)):
         X = rng.standard_normal(shape).astype(dtype)
@@ -826,24 +852,23 @@ def test_backward_in_two_blocks_matches_the_reference_at_unequal_widths(kind, hi
     # hidden layer; the batch sizes regrow the blocks and reuse them
     rng = np.random.default_rng(13)
     if kind == "bank":
-        model = HeadBank.create(3, hidden, SHAPES, rng, dtype)
-        bank, heads, indices = model, model.heads, head_indices(model)
+        model = Mlp.create((3, *hidden), rng, dtype, shapes=SHAPES)
+        indices = head_indices(model)
     else:
         model = Mlp.create((3, *hidden, 2), rng, dtype)
-        bank, heads, indices = model._bank, [model], [np.arange(model.n_params)]
+        indices = [np.arange(model.n_params)]
     model.flat_params[...] += rng.normal(0.0, 0.1, size=model.n_params).astype(dtype)
     largest = 0
     for n in (4, 9, 4, 9, 4):
         X = rng.standard_normal((n, 3)).astype(dtype)
         outs, caches = model.forward_cached(X)
-        g = [rng.standard_normal(out.shape).astype(dtype) for out in (outs if kind == "bank" else [outs])]
-        g_arg = g if kind == "bank" else g[0]
-        expected = [ref_backward(head, X, gk.reshape(n, -1)) for head, gk in zip(heads, g)]
-        grads = model.backward_cached(caches, g_arg)
+        g = [rng.standard_normal(out.shape).astype(dtype) for out in outs]
+        expected = [ref_backward(head, X, gk.reshape(n, -1)) for head, gk in zip(model.heads, g)]
+        grads = model.backward_cached(caches, g)
         assert all(np.array_equal(grads.flat[idx], part) for idx, (part, _) in zip(indices, expected))
-        assert np.array_equal(model.input_gradient(caches, g_arg), sum(gin for _, gin in expected))
+        assert np.array_equal(model.input_gradient(caches, g), sum(gin for _, gin in expected))
         largest = max(largest, n)
-        assert bank._work["backward"].size == 2 * len(heads) * largest * max(hidden)
+        assert model._work["backward"].size == 2 * len(model.heads) * largest * max(hidden)
 
 
 def traced_peak(fn) -> int:
@@ -861,12 +886,12 @@ def test_bank_calls_allocate_no_batch_sized_block_after_a_warm_up():
     # the bank keeps across calls leave the outputs, the input cast and
     # numpy's fixed-size ufunc buffer for the broadcast bias add
     rng = np.random.default_rng(0)
-    dyn = HeadBank.create(2, (200, 200), ((2,), (2, 1)), rng, np.float32)
+    dyn = Mlp.create((2, 200, 200), rng, np.float32, shapes=((2,), (2, 1)))
     X = rng.standard_normal((1000, 2))
     dyn.forward(X)
     assert traced_peak(lambda: dyn.forward(X)) < 64 * 1024
 
-    q = HeadBank.create(2, (200, 200), ((), (1,), (1, 1)), rng, np.float32)
+    q = Mlp.create((2, 200, 200), rng, np.float32, shapes=((), (1,), (1, 1)))
     Xb = rng.standard_normal((100, 2)).astype(np.float32)
     outs, caches = q.forward_cached(Xb)
     g_outs = [rng.standard_normal(out.shape).astype(np.float32) for out in outs]
@@ -890,8 +915,8 @@ def test_mlp_pass_pair_allocates_no_layer_sized_block_after_a_warm_up():
 
     def passes():
         _, caches = net.forward_cached(X)
-        net.backward_cached(caches, G)
-        net.input_gradient(caches, G)
+        net.backward_cached(caches, (G,))
+        net.input_gradient(caches, (G,))
         net.forward(X[0])
 
     passes()
@@ -904,7 +929,7 @@ def test_parameter_gradient_moment_and_workspace_vectors_start_on_a_cache_line(t
     for k in range(1, 9):
         # shift the heap by a few 16-byte steps between allocations
         shift = [np.empty(4 * k + j, dtype=np.float32) for j in range(k)]
-        bank = HeadBank.create(3, (5, 4), SHAPES, rng, np.float32)
+        bank = Mlp.create((3, 5, 4), rng, np.float32, shapes=SHAPES)
         net = make_net((3, 6, 2), seed=k, dtype=np.float32)
         save_model(tmp_path / f"{k}.model", {"net": net, "v": bank.heads[0], "h": bank.heads[1]})
         mf = load_model(tmp_path / f"{k}.model", lambda mf: {("v", "h"): SHAPES[:2]})
@@ -926,18 +951,14 @@ def test_parameter_gradient_moment_and_workspace_vectors_start_on_a_cache_line(t
 def test_input_gradient_equals_the_reference_backward_bitwise(kind, hidden, dtype):
     rng = np.random.default_rng(12)
     if kind == "bank":
-        model = HeadBank.create(3, hidden, SHAPES, rng, dtype)
+        model = Mlp.create((3, *hidden), rng, dtype, shapes=SHAPES)
     else:
         model = Mlp.create((3, *hidden, 1), rng, dtype)
     model.flat_params[...] += rng.normal(0.0, 0.1, size=model.n_params).astype(dtype)
     X = rng.standard_normal((7, 3)).astype(dtype)
     outs, caches = model.forward_cached(X)
-    if kind == "bank":
-        g = [rng.standard_normal(out.shape).astype(dtype) for out in outs]
-        heads = [ref_backward(head, X, gk.reshape(7, -1)) for head, gk in zip(model.heads, g)]
-    else:
-        g = rng.standard_normal(outs.shape).astype(dtype)
-        heads = [ref_backward(model, X, g)]
+    g = [rng.standard_normal(out.shape).astype(dtype) for out in outs]
+    heads = [ref_backward(head, X, gk.reshape(7, -1)) for head, gk in zip(model.heads, g)]
     grads = model.backward_cached(caches, g)
     indices = head_indices(model) if kind == "bank" else [np.arange(model.n_params)]
     assert all(np.array_equal(grads.flat[idx], part) for idx, (part, _) in zip(indices, heads))
@@ -949,7 +970,7 @@ def test_input_gradient_equals_the_reference_backward_bitwise(kind, hidden, dtyp
 
 @pytest.mark.parametrize("hidden", [(5, 4), ()], ids=["hidden", "no_hidden"])
 def test_bank_input_gradient_sums_the_heads_input_gradients(hidden):
-    bank = HeadBank.create(3, hidden, SHAPES, np.random.default_rng(10), np.float32)
+    bank = Mlp.create((3, *hidden), np.random.default_rng(10), np.float32, shapes=SHAPES)
     rng = np.random.default_rng(11)
     bank.flat_params[...] += rng.normal(0.0, 0.1, size=bank.n_params).astype(np.float32)
     X = rng.standard_normal((6, 3)).astype(np.float32)
