@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ConfigError, control
-from .core import DynamicsModel, _EpisodeTrainer, check_training_config
+from .core import DynamicsModel, EpisodeConfig, _EpisodeTrainer
 from .nets import Adam, Mlp, ModelFile, Normalizer, save_model, load_model, soft_update
 
 
@@ -98,29 +98,18 @@ def get_reward_mod(mod_id: str) -> RewardMod:
 
 
 @dataclasses.dataclass
-class DdpgConfig:
-    episodes: int = 60
-    batch: int = 8
+class DdpgConfig(EpisodeConfig):
+    """DDPG training hyperparameters: the shared episode loop's, with DDPG's
+    own discount and tau."""
+
     discount: float = 0.99
     tau: float = 0.1
+    batch: int = 8
     critic_lr: float = 1e-3
     actor_lr: float = 1e-4
-    sigma0: float = 0.5
-    sigma_decay: float = 0.99
-    sigma_floor: float = 0.01
-    buffer_capacity: int = 1_000_000
-    normalizer_samples: int = 1000
-    hidden_sizes: tuple = (200, 200)
-    seed: int = 0
-    dtype: str = "float32"
 
-    def __post_init__(self):
-        check_training_config(self, dict(episodes=1, batch=1), ("critic_lr", "actor_lr"))
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["hidden_sizes"] = list(self.hidden_sizes)
-        return d
+    LEAST = dict(batch=1)
+    POSITIVE = ("critic_lr", "actor_lr")
 
 
 @dataclasses.dataclass

@@ -9,12 +9,14 @@ table metadata), with and without the runtime adjustment layer.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Optional
 
 from . import baselines, core, experiments, reports
 from .envs import make_env
+from .experiments import TrainJob
 
 # The tables' settings.  Mountain car: the desired hilltop velocity and its
 # tracking weights; the speed limit, engaged at the limit itself; the |v|
@@ -54,11 +56,6 @@ DDPG_MODS = {"trajectory": ("t1", "t2", "t3", "t4"), "constraint": ("c1", "c2", 
 MPC_MOD = {"trajectory": "t1", "constraint": "c1"}
 
 
-def _best_ddpg(runs_by_key, mod_id):
-    candidates = [run for (seed, mod), run in runs_by_key.items() if mod == mod_id]
-    return experiments.top_k_runs(candidates, 1)[0]
-
-
 def build_mountain_car_table(
     kind: str,
     cache_dir,
@@ -73,21 +70,22 @@ def build_mountain_car_table(
     llql_config: Optional[core.TrainConfig] = None,
     ddpg_config: Optional[baselines.DdpgConfig] = None,
 ) -> tuple:
-    """Build the trajectory or constraint comparison rows for mountain car."""
+    """Build the trajectory or constraint comparison rows for mountain car;
+    the LLQL seeds and the DDPG variants train in one pool."""
     goal, scoring, column = TABLES[kind]
-    llql_runs = experiments.train_llql_batch(
-        "mountain_car", llql_config or core.TrainConfig(), llql_seeds, cache_dir, workers=workers
-    )
+    llql_config, ddpg_config = llql_config or core.TrainConfig(), ddpg_config or baselines.DdpgConfig()
+    llql_jobs = [TrainJob("llql", "mountain_car", dataclasses.replace(llql_config, seed=seed)) for seed in llql_seeds]
+    ddpg_jobs = [TrainJob("ddpg", "mountain_car", dataclasses.replace(ddpg_config, seed=seed), mod)
+                 for mod in DDPG_MODS[kind] for seed in ddpg_seeds]
+    trained = experiments.train_cached(llql_jobs + ddpg_jobs, cache_dir, workers=workers)
+    llql_runs, ddpg_runs = trained[:len(llql_jobs)], list(zip(ddpg_jobs, trained[len(llql_jobs):]))
     best = experiments.top_k_runs(llql_runs, 1)[0]
-    ddpg_runs = experiments.train_ddpg_batch(
-        "mountain_car", ddpg_config or baselines.DdpgConfig(),
-        [(seed, mod) for mod in DDPG_MODS[kind] for seed in ddpg_seeds],
-        cache_dir, workers=workers,
-    )
+    best_ddpg = {mod: experiments.top_k_runs([run for job, run in ddpg_runs if job.mod == mod], 1)[0]
+                 for mod in DDPG_MODS[kind]}
     mpc = {"reward_mod": MPC_MOD[kind], "mpc_horizon": mpc_horizon, "mpc_candidates": mpc_candidates}
     rows = []
     for method, mod, fields in [
-        *(("ddpg", mod, {"model_path": _best_ddpg(ddpg_runs, mod).model_path}) for mod in DDPG_MODS[kind]),
+        *(("ddpg", mod, {"model_path": run.model_path}) for mod, run in best_ddpg.items()),
         ("mpc", MPC_MOD[kind], {"model_path": best.model_path, **mpc}),
         ("llql", None, {"model_path": best.model_path, "goal": goal}),
     ]:
@@ -114,32 +112,6 @@ def build_mountain_car_table(
 # ---------------------------------------------------------------------------
 
 
-def _train_pendulum_subjects(cache_dir, workers, llql_config, ddpg_config):
-    """Locally trained stand-ins for published pre-trained policies."""
-    llql_runs = experiments.train_llql_batch(
-        "pendulum", llql_config, (0,), cache_dir, workers=workers
-    )
-    ddpg_runs = experiments.train_ddpg_batch(
-        "pendulum", ddpg_config, [(0, None)], cache_dir, workers=workers
-    )
-    return {"llql": llql_runs[0], "ddpg": ddpg_runs[(0, None)]}
-
-
-def _pendulum_dynamics(cache_dir, collector_path: str, config: core.TrainConfig) -> str:
-    """Fit a pendulum dynamics model on data collected by a subject policy."""
-    key = experiments._config_key(
-        "dyn-pendulum", {"config": config.to_dict(), "collector": Path(collector_path).name}
-    )
-    path = Path(cache_dir) / f"{key}.model"
-    if not path.exists():
-        env = make_env("pendulum")
-        experiments.train_and_save(
-            env, "dynamics", config, path, {"collector": str(collector_path)},
-            policy=experiments.load_policy(collector_path, env),
-        )
-    return str(path)
-
-
 def build_pendulum_tables(
     cache_dir,
     out_dir,
@@ -156,13 +128,17 @@ def build_pendulum_tables(
     ({table name: rows}, written paths)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    subjects = _train_pendulum_subjects(
-        cache_dir, workers, llql_config or core.TrainConfig(episodes=100),
-        ddpg_config or baselines.DdpgConfig(episodes=150),
-    )
-    dyn_path = _pendulum_dynamics(
-        cache_dir, subjects["ddpg"].model_path, dynamics_config or core.TrainConfig(episodes=50)
-    )
+    # locally trained stand-ins for published pre-trained policies, then a
+    # dynamics model fitted on data that the DDPG subject collects
+    subjects = dict(zip(("llql", "ddpg"), experiments.train_cached([
+        TrainJob("llql", "pendulum", llql_config or core.TrainConfig(episodes=100)),
+        TrainJob("ddpg", "pendulum", ddpg_config or baselines.DdpgConfig(episodes=150)),
+    ], cache_dir, workers=workers)))
+    (dynamics,) = experiments.train_cached([TrainJob(
+        "dynamics", "pendulum", dynamics_config or core.TrainConfig(episodes=50),
+        collector=subjects["ddpg"].model_path,
+    )], cache_dir)
+    dyn_path = dynamics.model_path
     kinds = ("trajectory", "constraint") if which == "both" else (which,)
     tables = {f"pendulum_{kind}": [] for kind in kinds}
     for name, run in subjects.items():

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -139,49 +139,20 @@ class ExplorationNoise:
             self.sigma = max(self.floor, self.sigma * self.decay)
 
 
-def check_training_config(config, counts: dict, positive: tuple) -> None:
-    """Raise ConfigError unless a training config's discount lies in (0, 1),
-    its tau in [0, 1], its seed is at least 0, its hidden sizes and buffer
-    capacity are at least 1, it fits the normalizer on at least 2 samples,
-    its dtype is a float type (the model-file loader's rule), its sigma0
-    and each field named in `positive` are positive and finite, and each
-    field named in `counts` is at least its value there."""
-    if not 0.0 < config.discount < 1.0:
-        raise ConfigError("discount must lie in (0, 1)")
-    if not 0.0 <= config.tau <= 1.0:
-        raise ConfigError("tau must lie in [0, 1]")
-    if not all(size >= 1 for size in config.hidden_sizes):
-        raise ConfigError("hidden_sizes must all be >= 1")
-    try:
-        kind = np.dtype(config.dtype).kind
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    if kind != "f":
-        raise ConfigError(f"dtype {config.dtype} is not a float type")
-    for field in ("sigma0", *positive):
-        if not 0.0 < getattr(config, field) < math.inf:
-            raise ConfigError(f"{field} must be positive and finite")
-    for field, least in dict(counts, normalizer_samples=2, buffer_capacity=1, seed=0).items():
-        if getattr(config, field) < least:
-            raise ConfigError(f"{field} must be >= {least}")
-
-
 @dataclasses.dataclass
-class TrainConfig:
-    """Training hyperparameters (defaults follow the reference setup)."""
+class EpisodeConfig:
+    """The episode-loop settings that LLQL and DDPG training share, and the
+    checks of every training config: ConfigError unless its discount lies
+    in (0, 1), its tau in [0, 1], its hidden sizes are at least 1, its dtype
+    is a float type (the model-file loader's rule), its sigma0 and each
+    field in `POSITIVE` are positive and finite, each field in `LEAST` and
+    its episodes, buffer capacity and seed are at least their least value,
+    it fits the normalizer on at least 2 samples and its buffer holds them.
+    Defaults follow the LLQL reference setup."""
 
     episodes: int = 60
-    short_iters: int = 5
-    long_iters: int = 5
-    short_batch: int = 100
-    long_batch: int = 10
     discount: float = 0.999
     tau: float = 0.001
-    delta: float = 0.001
-    lr_long: float = 1e-3
-    lr_short: float = 1e-3
-    lr_short_after: float = 1e-4
-    lr_short_switch_step: int = 20000
     sigma0: float = 0.5
     sigma_decay: float = 0.99
     sigma_floor: float = 0.01
@@ -190,17 +161,58 @@ class TrainConfig:
     hidden_sizes: tuple = (200, 200)
     seed: int = 0
     dtype: str = "float32"
-    squared_bellman: bool = False
-    checkpoint_every: int = 0
+
+    # a trainer's own fields that must be at least a value, or positive and finite
+    LEAST: ClassVar[dict] = {}
+    POSITIVE: ClassVar[tuple] = ()
 
     def __post_init__(self):
-        check_training_config(self, dict(episodes=1, short_iters=1, long_iters=1, short_batch=1, long_batch=1,
-                                         lr_short_switch_step=0), ("delta", "lr_long", "lr_short", "lr_short_after"))
+        if not 0.0 < self.discount < 1.0:
+            raise ConfigError("discount must lie in (0, 1)")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ConfigError("tau must lie in [0, 1]")
+        if not all(size >= 1 for size in self.hidden_sizes):
+            raise ConfigError("hidden_sizes must all be >= 1")
+        try:
+            kind = np.dtype(self.dtype).kind
+        except TypeError as exc:
+            raise ConfigError(str(exc)) from exc
+        if kind != "f":
+            raise ConfigError(f"dtype {self.dtype} is not a float type")
+        for field in ("sigma0", *self.POSITIVE):
+            if not 0.0 < getattr(self, field) < math.inf:
+                raise ConfigError(f"{field} must be positive and finite")
+        for field, least in dict(episodes=1, **self.LEAST, normalizer_samples=2, buffer_capacity=1, seed=0).items():
+            if getattr(self, field) < least:
+                raise ConfigError(f"{field} must be >= {least}")
+        if self.buffer_capacity < self.normalizer_samples:
+            # the buffer would never hold the samples, and the normalizer would stay the identity
+            raise ConfigError(f"buffer_capacity must be >= normalizer_samples ({self.normalizer_samples})")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["hidden_sizes"] = list(self.hidden_sizes)
         return d
+
+
+@dataclasses.dataclass
+class TrainConfig(EpisodeConfig):
+    """LLQL training hyperparameters (defaults follow the reference setup)."""
+
+    short_iters: int = 5
+    long_iters: int = 5
+    short_batch: int = 100
+    long_batch: int = 10
+    delta: float = 0.001
+    lr_long: float = 1e-3
+    lr_short: float = 1e-3
+    lr_short_after: float = 1e-4
+    lr_short_switch_step: int = 20000
+    squared_bellman: bool = False
+    checkpoint_every: int = 0
+
+    LEAST = dict(short_iters=1, long_iters=1, short_batch=1, long_batch=1, lr_short_switch_step=0)
+    POSITIVE = ("delta", "lr_long", "lr_short", "lr_short_after")
 
 
 @dataclasses.dataclass
@@ -270,13 +282,6 @@ class QModel:
         return V[:, 0], H[:, 0, :], D[:, 0, :, :]
 
 
-def short_term_loss(dyn: DynamicsModel, batch: TransitionBatch) -> float:
-    """Mean Euclidean norm of one-step prediction residuals."""
-    pred = dyn.predict_next_batch(batch.states, batch.actions)
-    residuals = batch.next_states - pred
-    return float(np.linalg.norm(residuals, axis=1).mean())
-
-
 def _greedy_target_q_batch(target: QModel, X: np.ndarray) -> np.ndarray:
     """The target model's Q at its greedy (bound-clipped) least-squares
     action on each row of X; a row whose gain is numerically zero has a
@@ -288,26 +293,6 @@ def _greedy_target_q_batch(target: QModel, X: np.ndarray) -> np.ndarray:
     resid = np.sqrt(np.add.reduce(S * S, axis=1))  # np.linalg.norm's ufuncs, so its bits
     np.copyto(resid, 0.0, where=row_norms(D) < EPS_D)
     return v - resid
-
-
-def long_term_loss(
-    q: QModel,
-    target: QModel,
-    batch: TransitionBatch,
-    gamma: float,
-    squared: bool = False,
-) -> float:
-    """Mean Bellman residual |y - Q(x, u)| with y from the target model.
-
-    Terminal transitions use y = r.  With `squared` the residual is squared
-    instead of absolute.
-    """
-    y = _bellman_targets(target, batch, gamma)
-    v, H, D = q.bank.forward(q.normalizer.normalize(batch.states))
-    S = H + np.einsum("nma,na->nm", D, batch.actions)
-    q_values = v - np.linalg.norm(S, axis=1)
-    res = y - q_values
-    return float((res**2).mean() if squared else np.abs(res).mean())
 
 
 def _bellman_targets(target: QModel, batch: TransitionBatch, gamma: float) -> np.ndarray:

@@ -2,23 +2,24 @@
 
 Evaluation rolls a controller through seeded episodes and computes the
 report columns: steps to goal, success, velocity error against a desired
-value, hazard-violation step counts, and cumulative (raw) reward.  The
-comparison builders train the baseline variants, the sweep driver reruns a
+value, hazard-violation step counts, and cumulative (raw) reward.  Every
+cached model trains through `train_cached`, the sweep driver reruns a
 trained model across a range of short-term goal values, and everything is
 deterministic per seed so parallel and serial execution agree.  The
-process pool that trains in parallel is imported only when a batch runs
-with `workers` > 1, so a process that never runs one does not load
-`multiprocessing`.
+process pool that trains in parallel is imported only when two or more
+jobs are left to train with `workers` > 1, so a process that never runs
+one does not load `multiprocessing`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -271,60 +272,64 @@ def train_and_save(env, method: str, config, model_path, meta: dict, *, reward_m
     return result.log
 
 
-def _train_job(job: dict) -> None:
-    env = make_env(job["env"], goal_position=job["goal_position"], horizon=job["horizon"])
-    cfg, stem = job["config"], Path(job["stem"])
-    meta = {"episode": cfg.episodes} if job["method"] == "llql" else {}
-    log = train_and_save(env, job["method"], cfg, stem.with_suffix(".model"), meta, reward_mod=job["mod"])
+class TrainJob(NamedTuple):
+    """One model to train: `train_and_save`'s method, the env's name, the
+    config with its seed, the reward-mod id of a ddpg job and the collector
+    policy path of a dynamics job."""
+
+    method: str
+    env: str
+    config: object
+    mod: Optional[str] = None
+    collector: Optional[str] = None
+
+
+def _train_job(job: TrainJob, stem: Path, goal_position: float, horizon: Optional[int]) -> None:
+    env = make_env(job.env, goal_position=goal_position, horizon=horizon)
+    meta = {"episode": job.config.episodes} if job.method == "llql" else {}
+    if job.collector is not None:
+        meta["collector"] = job.collector
+    log = train_and_save(env, job.method, job.config, stem.with_suffix(".model"), meta, reward_mod=job.mod,
+                         policy=job.collector)
     # the log lands last: a model without its log is not a cache entry
     write_atomic(stem.with_suffix(".log.json"), [json.dumps([dataclasses.asdict(r) for r in log]).encode()])
 
 
-def _train_cached(method, env_name, config, variants, cache_dir, workers, goal_position, horizon) -> dict:
-    """Train each (seed, mod id) variant whose model and log are not yet in
-    `cache_dir` (named by a hash of what determines them), in a worker
-    pool; returns {variant: TrainedRun}."""
+def train_cached(jobs, cache_dir, *, workers: int = 1, goal_position: float = 0.45,
+                 horizon: Optional[int] = None) -> list:
+    """Train each TrainJob whose model and log are not yet in `cache_dir`,
+    named by a hash of what determines them (a collector by its file name,
+    which in the cache is its own key), in a pool of `workers` processes
+    when two or more are left; returns a TrainedRun per job, in order."""
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    stems = {}
-    for seed, mod_id in variants:
-        cfg = dataclasses.replace(config, seed=seed)
-        payload = {"config": cfg.to_dict(), "goal_position": goal_position, "horizon": horizon}
-        if method == "llql":
-            prefix = f"llql-{env_name}"
-        else:
-            prefix = f"ddpg-{env_name}-{mod_id or 'plain'}"
-            payload["mod"] = mod_id
-        stem = cache_dir / _config_key(prefix, payload)
-        stems[seed, mod_id] = stem
-        if not (stem.with_suffix(".model").exists() and stem.with_suffix(".log.json").exists()):
-            jobs.append(
-                {
-                    "method": method,
-                    "env": env_name,
-                    "goal_position": goal_position,
-                    "horizon": horizon,
-                    "config": cfg,
-                    "mod": mod_id,
-                    "stem": str(stem),
-                }
-            )
-    if workers > 1 and jobs:
+    stems = []
+    for job in jobs:
+        prefix = f"{job.method}-{job.env}"
+        payload = {"config": job.config.to_dict(), "goal_position": goal_position, "horizon": horizon}
+        if job.method == "ddpg":
+            prefix += f"-{job.mod or 'plain'}"
+            payload["mod"] = job.mod
+        if job.collector is not None:
+            payload["collector"] = Path(job.collector).name
+        stems.append(cache_dir / _config_key(prefix, payload))
+    todo = {stem: job for job, stem in zip(jobs, stems)
+            if not (stem.with_suffix(".model").exists() and stem.with_suffix(".log.json").exists())}
+    train = functools.partial(_train_job, goal_position=goal_position, horizon=horizon)
+    if workers > 1 and len(todo) > 1:
         # imported here: the pool's modules cost about 0.5 MB resident in
         # every process that loads this one, and most never run a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_train_job, jobs))
+        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+            list(pool.map(train, todo.values(), todo))
     else:
-        for job in jobs:
-            _train_job(job)
-    runs = {}
-    for (seed, mod_id), stem in stems.items():
-        rows = json.loads(stem.with_suffix(".log.json").read_text())
-        log = [core.EpisodeStats(**r) for r in rows]
-        runs[seed, mod_id] = TrainedRun(seed, str(stem.with_suffix(".model")), log[-1].cumulative_reward, log)
+        for stem, job in todo.items():
+            train(job, stem)
+    runs = []
+    for job, stem in zip(jobs, stems):
+        log = [core.EpisodeStats(**r) for r in json.loads(stem.with_suffix(".log.json").read_text())]
+        runs.append(TrainedRun(job.config.seed, str(stem.with_suffix(".model")), log[-1].cumulative_reward, log))
     return runs
 
 
@@ -339,11 +344,8 @@ def train_llql_batch(
     horizon: Optional[int] = None,
 ) -> list:
     """Train one model per seed (cached by config hash), in a worker pool."""
-    runs = _train_cached(
-        "llql", env_name, config, [(seed, None) for seed in seeds], cache_dir, workers,
-        goal_position, horizon,
-    )
-    return [runs[seed, None] for seed in seeds]
+    jobs = [TrainJob("llql", env_name, dataclasses.replace(config, seed=seed)) for seed in seeds]
+    return train_cached(jobs, cache_dir, workers=workers, goal_position=goal_position, horizon=horizon)
 
 
 def top_k_runs(runs, k: int) -> list:
@@ -362,9 +364,10 @@ def train_ddpg_batch(
     horizon: Optional[int] = None,
 ) -> dict:
     """Train DDPG variants (cached); returns {(seed, mod_id): TrainedRun}."""
-    return _train_cached(
-        "ddpg", env_name, config, list(jobs_spec), cache_dir, workers, goal_position, horizon
-    )
+    variants = [(seed, mod_id) for seed, mod_id in jobs_spec]
+    jobs = [TrainJob("ddpg", env_name, dataclasses.replace(config, seed=seed), mod_id) for seed, mod_id in variants]
+    return dict(zip(variants, train_cached(jobs, cache_dir, workers=workers, goal_position=goal_position,
+                                           horizon=horizon)))
 
 
 # ---------------------------------------------------------------------------

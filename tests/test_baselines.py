@@ -15,17 +15,8 @@ from llql.baselines import (
 )
 from llql.core import DynamicsModel, Transition, TransitionBatch
 from llql.envs import MountainCar, Pendulum
-from llql.nets import Mlp, Normalizer, soft_update
-
-
-def constant_bank(in_dim, outputs, shapes):
-    """A bank of heads without hidden layers that output the given constants
-    for any input."""
-    bank = Mlp.create((in_dim,), np.random.default_rng(0), shapes=shapes)
-    for head, values in zip(bank.heads, outputs):
-        head.weights[0][...] = 0.0
-        head.biases[0][...] = np.asarray(values, dtype=np.float64).reshape(-1)
-    return bank
+from llql.nets import Normalizer, soft_update
+from reference import constant_bank
 
 
 def identity_dynamics():

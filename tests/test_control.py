@@ -24,16 +24,7 @@ from llql.control import (
 )
 from llql.core import DynamicsModel, QModel
 from llql.nets import Mlp, Normalizer
-
-
-def constant_bank(in_dim, outputs, shapes):
-    """A bank of heads without hidden layers that output the given constants
-    for any input."""
-    bank = Mlp.create((in_dim,), np.random.default_rng(0), shapes=shapes)
-    for head, values in zip(bank.heads, outputs):
-        head.weights[0][...] = 0.0
-        head.biases[0][...] = np.asarray(values, dtype=np.float64).reshape(-1)
-    return bank
+from reference import constant_bank
 
 
 def make_qmodel(v, h, d, state_dim=1, low=-10.0, high=10.0):

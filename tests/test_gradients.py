@@ -3,9 +3,9 @@
 Each test runs one trainer update in float64 with `Adam.step` replaced by a
 recorder, so the parameters stay where the gradients were taken, and then
 compares the recorded gradients with central differences of a loss written
-independently of the update: `core.short_term_loss`, `core.long_term_loss`,
-and the DDPG critic MSE and actor objective built from the model's forward
-passes.  An LLQL optimiser steps a whole bank of heads, so its gradient and the
+independently of the update: `reference.short_term_loss`,
+`reference.long_term_loss`, and the DDPG critic MSE and actor objective
+built from the model's forward passes.  An LLQL optimiser steps a whole bank of heads, so its gradient and the
 differences cover every parameter of every head.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from llql import baselines, core, nets
 from llql.envs import make_env
 from llql.nets import Normalizer
+from reference import long_term_loss, short_term_loss
 
 H = 1e-6
 
@@ -108,7 +109,7 @@ def test_short_update_gradients_match_short_term_loss(env_name, adam_grads):
     assert len(adam_grads) == 1
 
     def loss():
-        return core.short_term_loss(trainer.dyn, batch)
+        return short_term_loss(trainer.dyn, batch)
 
     assert_matches_fd(trainer.dyn.bank, adam_grads, loss)
 
@@ -131,7 +132,7 @@ def test_long_update_gradients_match_long_term_loss(env_name, squared, adam_grad
     cfg = trainer.cfg
 
     def loss():
-        return core.long_term_loss(q, target, batch, cfg.discount, squared=squared)
+        return long_term_loss(q, target, batch, cfg.discount, squared=squared)
 
     assert_matches_fd(q.bank, adam_grads, loss)
 

@@ -230,6 +230,34 @@ def test_batches_in_a_worker_pool_write_the_files_of_serial_training(tmp_path):
     assert files[2] == files[1]
 
 
+def test_cached_training_starts_a_pool_only_for_two_or_more_jobs_left(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: pools.append(kw) or real_pool(**kw))
+    cfg = tiny_train_config()
+    experiments.train_llql_batch("mountain_car", cfg, [0], tmp_path, workers=2, horizon=6)
+    assert pools == []
+    runs = experiments.train_llql_batch("mountain_car", cfg, [0, 1, 2], tmp_path, workers=4, horizon=6)
+    assert pools == [{"max_workers": 2}]  # seed 0 was cached
+    assert [run.seed for run in runs] == [0, 1, 2]
+
+
+def test_a_dynamics_job_is_cached_with_its_log_and_records_its_collector(tmp_path):
+    (ddpg,) = experiments.train_ddpg_batch("mountain_car", tiny_ddpg_config(), [(0, None)], tmp_path,
+                                           horizon=6).values()
+    jobs = [experiments.TrainJob("dynamics", "mountain_car", tiny_train_config(), collector=ddpg.model_path)]
+    (run,) = experiments.train_cached(jobs, tmp_path, horizon=6)
+    path = Path(run.model_path)
+    assert path.name.startswith("dynamics-mountain_car-") and path.with_suffix(".log.json").exists()
+    meta = nets.load_header(path).meta
+    assert (meta["role"], meta["collector"]) == ("dynamics", ddpg.model_path)
+    mtime = path.stat().st_mtime_ns
+    (again,) = experiments.train_cached(jobs, tmp_path, horizon=6)
+    assert again.model_path == run.model_path and path.stat().st_mtime_ns == mtime  # cache hit
+
+
 def test_importing_every_llql_module_loads_no_process_pool():
     # a fresh interpreter: this one may have run a pool already
     code = (
@@ -470,6 +498,14 @@ def test_every_config_field_has_a_typed_default_that_its_text_rebuilds(cls):
     assert build_config(cls, text) == cls()
 
 
+@pytest.mark.parametrize("cls", [core.TrainConfig, baselines.DdpgConfig])
+def test_a_buffer_smaller_than_the_normalizer_samples_is_rejected(cls):
+    # such a buffer never holds the samples, so the normalizer would stay the identity
+    with pytest.raises(ConfigError, match=r"buffer_capacity must be >= normalizer_samples \(10\)"):
+        cls(buffer_capacity=5, normalizer_samples=10)
+    assert cls(buffer_capacity=10, normalizer_samples=10).buffer_capacity == 10
+
+
 def test_cli_help_exits_zero(capsys):
     assert main(["train", "--help"]) == 0
     assert "usage" in capsys.readouterr().out
@@ -556,6 +592,17 @@ def test_cli_output_dir_env_override(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout" / "model.model").exists()
 
 
+def test_cli_train_writes_a_checkpoint_every_episode_and_a_final_one_equal_to_the_model(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("episodes = 2\nhidden_sizes = 8,8\nnormalizer_samples = 5\nshort_batch = 2\nlong_batch = 2\n"
+                   "checkpoint_every = 1\n")
+    out = tmp_path / "out"
+    assert main(["train", "--env", "mountain_car", "--config", str(cfg), "--horizon", "6", "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"model.model", "log.csv", "best.model", "ep0001.model",
+                                                "ep0002.model", "final.model"}
+    assert (out / "final.model").read_bytes() == (out / "model.model").read_bytes()
+
+
 def test_cli_train_bad_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("not_a_key = 1\n")
@@ -591,6 +638,7 @@ def test_cli_train_bad_config_key_exits_two(tmp_path, capsys):
         ("sigma0 = 0", "sigma0 must be positive and finite"),
         ("seed = -1", "seed must be >= 0"),
     )),
+    ("llql", "buffer_capacity = 999", "buffer_capacity must be >= normalizer_samples (1000)"),
     ("llql", "delta = nan", "delta must be positive and finite"),
     ("llql", "delta = -0.001", "delta must be positive and finite"),
 ])

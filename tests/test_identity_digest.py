@@ -28,7 +28,7 @@ def test_identity_digest_prints_one_repeatable_digest_per_family():
     printed = dict(line.split() for line in out.splitlines())
     families = [f"train/{name}/{dtype}" for name in tool.ENVS for dtype in tool.DTYPES]
     assert list(printed) == families + ["synthesis", "synthesis/pendulum", "reports", "sweep", "ddpg_eval", "scoring",
-                                        "lockstep", "long"]
+                                        "lockstep", "long", "compare"]
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for digest in printed.values())
     assert len(set(printed.values())) == len(printed)
     # the same inputs in another process give the same digests

@@ -4,7 +4,7 @@ its results bitwise identical.
     PYTHONPATH=src python tools/identity_digest.py [--tiny]
 
 Run it on two checkouts (same machine, same numpy) and compare the lines;
-`--tiny` shrinks every size so that the whole run takes about a second.
+`--tiny` shrinks every size so that the whole run takes a few seconds.
 The families:
 
 - `train/<env>/<dtype>`: the LLQL (with checkpoints), dynamics-only and
@@ -42,7 +42,14 @@ The families:
   past the ~750 steps after which a dead unit's first moment sits in
   subnormal floats) and of one float32 DDPG run of 3,000 steps (3,000 Adam
   steps per net); at `--tiny` sizes the DDPG run takes 20 steps, past the
-  optimizer's first flush of stuck moments at step 16.
+  optimizer's first flush of stuck moments at step 16;
+- `compare`: the CSVs of both mountain-car tables and both pendulum tables
+  (`curves.csv` included), built through one training cache with two
+  workers, and the bytes of every model in that cache, sorted by content
+  rather than by name and with the work directory replaced by a fixed
+  string.  It runs at tiny table sizes in both modes: 8×8 heads, two LLQL
+  seeds, one DDPG seed per reward mod, one episode each and one
+  evaluation run per row, over the envs' full horizons.
 
 It needs nothing beyond llql's own dependencies; the external policy of
 adjust_external is a bang-bang sign(v) child run by this interpreter.
@@ -66,7 +73,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from llql import baselines, control, core, experiments, reports  # noqa: E402
+from llql import baselines, compare, control, core, experiments, reports  # noqa: E402
 from llql.envs import make_env  # noqa: E402
 
 ENVS = ("mountain_car", "pendulum")
@@ -344,6 +351,29 @@ def long_digest(sz: Sizes, work: Path) -> str:
     return h.hexdigest()
 
 
+COMPARE_LLQL = core.TrainConfig(episodes=1, hidden_sizes=(8, 8), normalizer_samples=10, short_iters=1,
+                                long_iters=1, short_batch=4, long_batch=4)
+COMPARE_DDPG = baselines.DdpgConfig(episodes=1, hidden_sizes=(8, 8), normalizer_samples=10, batch=4)
+
+
+def compare_digest(work: Path) -> str:
+    cache, out = work / "compare-cache", work / "compare"
+    h = hashlib.sha256()
+    for kind in ("trajectory", "constraint"):
+        _, paths = compare.build_mountain_car_table(
+            kind, cache, out / kind, workers=2, llql_seeds=(0, 1), ddpg_seeds=(0,), runs=1, mpc_horizon=2,
+            mpc_candidates=4, llql_config=COMPARE_LLQL, ddpg_config=COMPARE_DDPG)
+        _feed_files(h, paths)
+    _, paths = compare.build_pendulum_tables(cache, out / "pendulum", workers=2, runs=1, llql_config=COMPARE_LLQL,
+                                             ddpg_config=COMPARE_DDPG, dynamics_config=COMPARE_LLQL)
+    _feed_files(h, [path for path in paths if path.suffix == ".csv"])
+    # the dynamics model records its collector's path, which holds the work directory
+    models = [path.read_bytes().replace(str(work).encode(), b"<work>") for path in cache.glob("*.model")]
+    for blob in sorted(models):
+        h.update(blob)
+    return h.hexdigest()
+
+
 def digests(sz: Sizes) -> dict:
     """{family: sha256 hex digest} for every output family."""
     out = {}
@@ -364,6 +394,7 @@ def digests(sz: Sizes) -> dict:
         out["scoring"] = scoring_digest(models, policies, sz, work)
         out["lockstep"] = lockstep_digest(models, policies["mountain_car"], sz, work)
         out["long"] = long_digest(sz, work)
+        out["compare"] = compare_digest(work)
     return out
 
 
